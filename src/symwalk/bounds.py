@@ -3,7 +3,8 @@
 Each theorem's inequality chain is split into its named summands (the
 bound terms A_j, B_j and their partial sums phi_0, phi_1, phi_2, gamma) so
 every link can be checked numerically.  Factorial ratios are evaluated as
-log-gamma differences at the working precision; the exact big-integer
+log-gamma differences at the working precision, once per (n, precision)
+and shared by every term family and time point; the exact big-integer
 cross-check for small n lives in the test suite.
 
 Naming note: the fixed-point sets {phi >= j} and the bound summands are
@@ -16,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 from mpmath import mp
@@ -24,9 +26,12 @@ from .distances import DEFAULT_PREC, l2_continuous, l2_discrete
 from .spectra import random_transposition_measure, spectrum, uniform_class_measure
 
 
-def _log_ratio_sq_over_fact(n: int, j: int) -> mpmath.mpf:
-    """log of (n!/(n-j)!)^2 / j!."""
-    return 2 * (mp.loggamma(n + 1) - mp.loggamma(n - j + 1)) - mp.loggamma(j + 1)
+@lru_cache(maxsize=64)
+def _log_weights(n: int, prec: int) -> tuple[mpmath.mpf, ...]:
+    """log of (n!/(n-j)!)^2 / j! at ``prec`` bits, indexed by j = 0..n."""
+    with mp.workprec(prec):
+        log_fact = [mp.loggamma(k + 1) for k in range(n + 1)]
+        return tuple(2 * (log_fact[n] - log_fact[n - j]) - log_fact[j] for j in range(n + 1))
 
 
 def _log_frac(x: Fraction) -> mpmath.mpf:
@@ -63,20 +68,17 @@ def rt_discrete_terms(n: int, prec: int = DEFAULT_PREC) -> RtDiscreteTerms:
     if n < 14:
         raise ValueError("discrete-time term bounds are stated for n >= 14")
     out = RtDiscreteTerms(n)
+    log_w = _log_weights(n, prec)
     with mp.workprec(prec):
         exponent = n * mp.log(n)
         for j in range(1, n // 2 + 1):
             base = 1 - Fraction(2 * j, n) * (1 - Fraction(j - 1, n))
-            out.a_terms[j] = mp.exp(
-                _log_ratio_sq_over_fact(n, j) + exponent * _log_frac(base)
-            )
+            out.a_terms[j] = mp.exp(log_w[j] + exponent * _log_frac(base))
         for j in range(-(-n // 2), n + 1):
             if j == n:
                 out.b_terms[j] = mp.mpf(0)
                 continue
-            out.b_terms[j] = mp.exp(
-                _log_ratio_sq_over_fact(n, j) + exponent * _log_frac(Fraction(n - j, n))
-            )
+            out.b_terms[j] = mp.exp(log_w[j] + exponent * _log_frac(Fraction(n - j, n)))
         out.phi0 = mp.fsum(out.a_terms[j] for j in range(1, n // 4 + 1))
         out.phi1 = mp.fsum(out.a_terms[j] for j in range(-(-n // 4), n // 2 + 1))
         out.phi2 = mp.fsum(out.b_terms.values())
@@ -110,16 +112,13 @@ def rt_continuous_terms(n: int, prec: int = DEFAULT_PREC) -> RtContinuousTerms:
     if n < 10:
         raise ValueError("continuous-time term bounds are stated for n >= 10")
     out = RtContinuousTerms(n)
+    log_w = _log_weights(n, prec)
     with mp.workprec(prec):
         logn = mp.log(n)
         for j in range(1, n // 2 + 1):
-            out.a_terms[j] = mp.exp(
-                _log_ratio_sq_over_fact(n, j) - 2 * j * logn * (1 - mp.mpf(j) / n) - 2 * j
-            )
+            out.a_terms[j] = mp.exp(log_w[j] - 2 * j * logn * (1 - mp.mpf(j) / n) - 2 * j)
         for j in range(-(-n // 2), n + 1):
-            out.b_terms[j] = mp.exp(
-                _log_ratio_sq_over_fact(n, j) - j * logn - 2 * j
-            )
+            out.b_terms[j] = mp.exp(log_w[j] - j * logn - 2 * j)
         out.sum_a_low = mp.fsum(out.a_terms[j] for j in range(1, n // 4 + 1))
         out.sum_a_mid = mp.fsum(out.a_terms[j] for j in range(-(-n // 4), n // 2 + 1))
         out.gamma = mp.fsum(out.b_terms.values())
@@ -134,9 +133,10 @@ def ttr_bound_sum(n: int, t, prec: int = DEFAULT_PREC) -> mpmath.mpf:
     """sum_{j=1}^{n-1} (n!/(n-j)!)^2 (1/j!) (1 - j/n)^(2t), a bound on d2^2."""
     if n < 1 or t < 0:
         raise ValueError("need n >= 1 and t >= 0")
+    log_w = _log_weights(n, prec)
     with mp.workprec(prec):
         return mp.fsum(
-            mp.exp(_log_ratio_sq_over_fact(n, j) + 2 * mp.mpf(t) * _log_frac(Fraction(n - j, n)))
+            mp.exp(log_w[j] + 2 * mp.mpf(t) * _log_frac(Fraction(n - j, n)))
             for j in range(1, n)
         )
 
@@ -145,11 +145,9 @@ def ttr_bound_sum_continuous(n: int, t, prec: int = DEFAULT_PREC) -> mpmath.mpf:
     """Continuous-time variant: sum_j (n!/(n-j)!)^2 (1/j!) e^(-2tj/n)."""
     if n < 1 or t < 0:
         raise ValueError("need n >= 1 and t >= 0")
+    log_w = _log_weights(n, prec)
     with mp.workprec(prec):
-        return mp.fsum(
-            mp.exp(_log_ratio_sq_over_fact(n, j) - 2 * mp.mpf(t) * j / n)
-            for j in range(1, n)
-        )
+        return mp.fsum(mp.exp(log_w[j] - 2 * mp.mpf(t) * j / n) for j in range(1, n))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,13 @@ manifest (command, parameters, seed, library version, wall time), CSV uses
 a header row with '.' decimals and scientific notation below 1e-4, and
 JSON carries one top-level object with "manifest" and "results".
 
-Exit codes: 0 success, 1 verification failure, 2 invalid arguments,
-3 resource guard tripped.  SYMWALK_THREADS overrides --threads.
+Exit codes: 0 success, 1 verification failure, 2 invalid arguments (a
+non-integer discrete time, a thread count below 1 or not an integer) or an
+output path that cannot be written, 3 resource guard tripped.
+SYMWALK_THREADS overrides --threads.
+
+Layering: profiles and the spectral sweeps load neither numpy nor the
+brute-force oracle; only the oracle suite and ``simulate`` import them.
 """
 
 from __future__ import annotations
@@ -18,15 +23,18 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import mpmath
-import numpy as np
 from mpmath import mp
 
-from . import __version__, bounds, distances, group_oracle, montecarlo, spectra
+from . import __version__, bounds, distances, spectra
+from .errors import ResourceGuardError
+
+if TYPE_CHECKING:
+    from .group_oracle import GroupDistribution
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -70,39 +78,41 @@ class RunManifest:
         }
 
 
+def _emit(path: str, text: str) -> None:
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_csv(path: str, manifest: RunManifest, header: list[str], rows: list[list[str]]) -> None:
     lines = ["# manifest: " + json.dumps(manifest.as_dict(), sort_keys=True)]
     lines.append(",".join(header))
     lines.extend(",".join(row) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path: str, manifest: RunManifest, results) -> None:
     payload = {"manifest": manifest.as_dict(), "results": results}
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # small parsers
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\d+\.?\d*|nlogn|n|[+\-*]")
+_TOKEN_RE = re.compile(r"\d+\.?\d*(?:[eE][+\-]?\d+)?|nlogn|n|[+\-*]")
 
 
 def eval_time_expr(expr: str, n: int) -> float:
     """Evaluate a time expression in the tokens nlogn, n, numbers, + - *.
 
-    Juxtaposition multiplies, so "nlogn-3n" and "0.5*nlogn+2" both work.
+    Numbers may carry an exponent ("1e3", "2.5E-1").  Juxtaposition
+    multiplies, so "nlogn-3n" and "0.5*nlogn+2" both work.
     """
     text = expr.replace("−", "-").replace("·", "*").replace(" ", "")
     pos = 0
@@ -143,7 +153,10 @@ def eval_time_expr(expr: str, n: int) -> float:
             product = v if product is None else product * v
     if product is None:
         raise ValueError(f"empty time expression {expr!r}")
-    return total + sign * product
+    value = total + sign * product
+    if not math.isfinite(value):
+        raise ValueError(f"time expression {expr!r} is not finite")
+    return value
 
 
 def parse_range(text: str) -> list[int]:
@@ -194,6 +207,9 @@ def cmd_profile(args) -> int:
     n, prec = args.n, args.precision
     times = _time_grid(args.t_grid, n, args.walk, args.mode)
     if args.mode == "discrete":
+        fractional = [t for t in times if t != int(t)]
+        if fractional:
+            raise ValueError(f"discrete times must be integers, got {fractional[0]!r}")
         times = [int(t) for t in times]
 
     if args.walk == "ttr-bound":
@@ -319,7 +335,9 @@ _ORACLE_CONTINUOUS_T = (0.5, 1.0, 2.0, 4.0)
 _ORACLE_TOL = 1e-8
 
 
-def _oracle_element_measure(walk: str, n: int) -> group_oracle.GroupDistribution:
+def _oracle_element_measure(walk: str, n: int) -> GroupDistribution:
+    from . import group_oracle
+
     if walk in ("rt", "ttr", "ri"):
         return group_oracle.element_measure(walk, n)
     if walk.startswith("class:"):
@@ -335,6 +353,10 @@ def _oracle_element_measure(walk: str, n: int) -> group_oracle.GroupDistribution
 
 def _oracle_suite_one(n: int, walk: str, prec: int) -> dict:
     """Spectral formulas against definitional chi-square from exact convolution."""
+    import numpy as np
+
+    from . import group_oracle
+
     qel = _oracle_element_measure(walk, n)
     powers = group_oracle.convolution_powers_upto(qel, _ORACLE_DISCRETE_T)
     worst = 0.0
@@ -370,10 +392,12 @@ def _oracle_suite_one(n: int, walk: str, prec: int) -> dict:
 
 
 def _oracle_suite(ns: list[int], prec: int) -> list[dict]:
+    from . import group_oracle
+
     out = []
     for n in ns:
         if n > group_oracle.MAX_DENSE_N:
-            raise group_oracle.ResourceGuardError(
+            raise ResourceGuardError(
                 f"oracle verification is capped at n <= {group_oracle.MAX_DENSE_N}"
             )
         for walk in ORACLE_WALKS:
@@ -390,6 +414,31 @@ def _suite_task(payload):
     return _theorem_suite(suite, ns, cs, prec)
 
 
+def requested_threads(env_value: str | None, flag: int) -> int:
+    """The worker count asked for: SYMWALK_THREADS when set, else --threads."""
+    if env_value:
+        try:
+            threads = int(env_value)
+        except ValueError:
+            raise ValueError(f"SYMWALK_THREADS must be an integer, got {env_value!r}") from None
+    else:
+        threads = flag
+    if threads < 1:
+        raise ValueError(f"the thread count must be at least 1, got {threads}")
+    return threads
+
+
+def worker_count(requested: int, tasks: int, cpus: int) -> int:
+    """Processes to start: no more than requested, tasks or usable CPUs."""
+    return max(1, min(requested, tasks, cpus))
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     ns = parse_range(args.n)
@@ -400,9 +449,12 @@ def cmd_verify(args) -> int:
     else:
         cs = [0.0, 1.0, 2.0]
     threads = args.effective_threads
-    if threads > 1 and len(ns) > 1:
+    workers = worker_count(threads, len(ns), _usable_cpus())
+    if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = [(args.suite, [n], cs, args.precision) for n in ns]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_suite_task, chunks))
         results = [item for part in parts for item in part]
     else:
@@ -433,6 +485,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    from . import montecarlo
+
     started = time.perf_counter()
     if args.N < 1000:
         raise ValueError("need at least 1000 trajectories for the std-error column")
@@ -512,13 +566,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    env_threads = os.environ.get("SYMWALK_THREADS")
-    args.effective_threads = int(env_threads) if env_threads else args.threads
     if args.precision < 53:
         parser.error("--precision must be at least 53 bits")
     try:
+        args.effective_threads = requested_threads(os.environ.get("SYMWALK_THREADS"), args.threads)
         return args.func(args)
-    except group_oracle.ResourceGuardError as exc:
+    except ResourceGuardError as exc:
         print(f"symwalk: resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:

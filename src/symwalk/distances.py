@@ -1,17 +1,27 @@
 """l2 (chi-square) distance profiles from exact spectra.
 
-For a walk with eigenvalues beta_i (trivial block excluded),
+For a walk whose nontrivial spectrum has distinct eigenvalues beta_b with
+integer multiplicities m_b (the grouped ``Spectrum.blocks``),
 
-    d2(q^(t), u)^2 = sum_i m_i beta_i^(2t)          (discrete time)
-    d2(h_t, u)^2   = sum_i m_i exp(-2t(1 - beta_i)) (continuous time)
+    d2(q^(t), u)^2 = sum_b m_b beta_b^(2t)          (discrete time)
+    d2(h_t, u)^2   = sum_b m_b exp(-2t(1 - beta_b)) (continuous time)
 
-Terms span hundreds of orders of magnitude (multiplicities d_lambda^2
-against exp(-2t)), so each term is assembled in log space and summed as
+One evaluator, ``_l2_curve``, computes both over a whole time grid.  Terms
+span hundreds of orders of magnitude (multiplicities d_lambda^2 against
+exp(-2t)), so each term is assembled in log space and summed as
 arbitrary-exponent mpmath reals under a caller-chosen working precision
 (default 128 bits, i.e. well past the 80-bit requirement; per-term relative
-error is ~2^-prec, far below the documented 1e-12 budget).  Values are
+error is ~2^-prec, far below the documented 1e-12 budget).  log m_b and
+log|beta_b| (or 1 - beta_b) are computed once per block per call, so every
+further time point costs one exp per distinct eigenvalue.  Values are
 returned as mpf so profile tails below the float64 underflow threshold
 survive to the output layer.
+
+``l2_discrete``/``l2_continuous`` are one-point wrappers.  The odd-class
+A_n profile is the same evaluator on a mapped block table (see
+``_squared_walk_blocks``).  The definitional distances of oracle-scale
+distributions live here too but load numpy only when called, so the
+spectral path never imports numpy or the oracle.
 """
 
 from __future__ import annotations
@@ -19,69 +29,82 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import mpmath
-import numpy as np
 from mpmath import mp
 
 from .characters import is_even_class
-from .group_oracle import GroupDistribution
 from .partitions import Partition, check_partition, dimension
-from .spectra import ClassMeasure, Spectrum, spectrum, walk_eigenvalue
+from .spectra import (
+    Blocks,
+    ClassMeasure,
+    Spectrum,
+    group_blocks,
+    spectrum,
+    walk_eigenvalue,
+)
+
+if TYPE_CHECKING:
+    from .group_oracle import GroupDistribution
 
 DEFAULT_PREC = 128
-
-#: exact-rational fast path kicks in below these sizes
-_EXACT_MAX_N = 6
-_EXACT_MAX_T = 30
+MODES = ("discrete", "continuous")
 
 
 def _frac(x: Fraction) -> mpmath.mpf:
     return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 
-def l2_discrete(spec: Spectrum, t: int, prec: int = DEFAULT_PREC) -> mpmath.mpf:
-    """d2(q^(t), u) from the spectrum at integer time t >= 0."""
+def _discrete_time(t) -> int:
     if t < 0 or t != int(t):
         raise ValueError("discrete time must be a non-negative integer")
-    t = int(t)
+    return int(t)
+
+
+def _l2_curve(blocks: Blocks, times, mode: str, prec: int) -> list[mpmath.mpf]:
+    """d2 at every time in ``times`` from a grouped nontrivial spectrum."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    out = []
     with mp.workprec(prec):
-        if spec.n <= _EXACT_MAX_N and t <= _EXACT_MAX_T:
-            total_exact = Fraction(0)
-            for e in spec.nontrivial():
-                total_exact += e.multiplicity * e.eigenvalue ** (2 * t)
-            return mp.sqrt(_frac(total_exact))
-        total = mp.mpf(0)
-        for e in spec.nontrivial():
-            beta = e.eigenvalue
-            if beta == 0:
-                if t == 0:
-                    total += _frac(e.multiplicity)
-                continue
-            log_term = (
-                mp.log(_frac(e.multiplicity))
-                + 2 * t * (mp.log(abs(beta.numerator)) - mp.log(beta.denominator))
-            )
-            total += mp.exp(log_term)
-        return mp.sqrt(total)
+        if mode == "discrete":
+            # beta = 0 blocks only contribute at t = 0 (0^0 = 1)
+            zero_mass = sum(m for beta, m in blocks if beta == 0)
+            terms = [
+                (mp.log(m), 2 * (mp.log(abs(beta.numerator)) - mp.log(beta.denominator)))
+                for beta, m in blocks
+                if beta != 0
+            ]
+            for t in times:
+                t = _discrete_time(t)
+                total = mp.mpf(zero_mass if t == 0 else 0)
+                for log_m, log_beta_sq in terms:
+                    total += mp.exp(log_m + t * log_beta_sq)
+                out.append(mp.sqrt(total))
+        else:
+            # a beta = -1 block (odd-class periodicity witness) contributes
+            # e^(-4t), which the gap 1 - beta handles with no special casing
+            terms = [(mp.log(m), 2 * _frac(1 - beta)) for beta, m in blocks]
+            for t in times:
+                if t < 0:
+                    raise ValueError("continuous time must be non-negative")
+                tt = mp.mpf(t)
+                total = mp.mpf(0)
+                for log_m, twice_gap in terms:
+                    total += mp.exp(log_m - tt * twice_gap)
+                out.append(mp.sqrt(total))
+    return out
+
+
+def l2_discrete(spec: Spectrum, t: int, prec: int = DEFAULT_PREC) -> mpmath.mpf:
+    """d2(q^(t), u) from the spectrum at integer time t >= 0."""
+    return _l2_curve(spec.blocks, [t], "discrete", prec)[0]
 
 
 def l2_continuous(spec: Spectrum, t, prec: int = DEFAULT_PREC) -> mpmath.mpf:
-    """d2(h_t, u) from the spectrum at real time t >= 0.
-
-    A beta = -1 block (odd-class periodicity witness) contributes e^(-4t),
-    which the spectral gap 1 - beta handles with no special casing.
-    """
-    if t < 0:
-        raise ValueError("continuous time must be non-negative")
-    with mp.workprec(prec):
-        tt = mp.mpf(t)
-        total = mp.mpf(0)
-        for e in spec.nontrivial():
-            gap = 1 - e.eigenvalue
-            log_term = mp.log(_frac(e.multiplicity)) - 2 * tt * _frac(gap)
-            total += mp.exp(log_term)
-        return mp.sqrt(total)
+    """d2(h_t, u) from the spectrum at real time t >= 0."""
+    return _l2_curve(spec.blocks, [t], "continuous", prec)[0]
 
 
 def l2_single_term_lower(
@@ -100,9 +123,7 @@ def l2_single_term_lower(
     d = dimension(parts)
     with mp.workprec(prec):
         if mode == "discrete":
-            if t != int(t) or t < 0:
-                raise ValueError("discrete time must be a non-negative integer")
-            t = int(t)
+            t = _discrete_time(t)
             if beta == 0:
                 return mp.mpf(d if t == 0 else 0)
             return mp.exp(
@@ -138,6 +159,8 @@ def chi_square_of(dist: GroupDistribution, normalized: bool = True) -> float:
         u = Fraction(1, g)
         total = sum(((v - u) ** 2 for v in dist.values), Fraction(0))
         return math.sqrt(g * total.numerator / total.denominator)
+    import numpy as np
+
     arr = np.asarray(dist.values)
     return float(math.sqrt(g * float(np.sum((arr - 1.0 / g) ** 2))))
 
@@ -151,6 +174,8 @@ def tv_of(dist: GroupDistribution, normalized: bool = True) -> float:
         u = Fraction(1, g)
         total = sum((abs(v - u) for v in dist.values), Fraction(0))
         return float(total) / 2.0
+    import numpy as np
+
     arr = np.asarray(dist.values)
     return float(np.sum(np.abs(arr - 1.0 / g))) / 2.0
 
@@ -183,6 +208,32 @@ class DistanceProfile:
     rows: list[ProfileRow]
 
 
+def _squared_walk_blocks(spec_sn: Spectrum) -> Blocks:
+    """Blocks of the walk driven by q*q on A_n, for a pure odd-class q.
+
+    q*q has the same eigenvalue data with beta -> beta^2; on A_n the trivial
+    and sign diagrams fold into the excluded trivial block and every other
+    multiplicity is halved.  The pair lambda/lambda' (beta and -beta) then
+    lands on one integer block d_lambda^2.
+    """
+    sign = (1,) * spec_sn.n
+    sign_block = next((e.eigenvalue, -e.multiplicity) for e in spec_sn.entries if e.partition == sign)
+    without_sign = group_blocks(spec_sn.blocks + (sign_block,))
+    return group_blocks((beta * beta, Fraction(m, 2)) for beta, m in without_sign)
+
+
+def _profile(
+    q: ClassMeasure, group: str, mode: str, blocks: Blocks, times, prec: int
+) -> DistanceProfile:
+    times = list(times)
+    cast = int if mode == "discrete" else float
+    rows = [
+        ProfileRow(q.name, group, q.n, cast(t), d2)
+        for t, d2 in zip(times, _l2_curve(blocks, times, mode, prec))
+    ]
+    return DistanceProfile(q.name, group, q.n, mode, rows)
+
+
 def class_walk_profile(
     q: ClassMeasure,
     group: str,
@@ -200,55 +251,19 @@ def class_walk_profile(
       A_n (row time t means 2t raw steps), followed by the raw alternating
       S_n sequence at the same grid for transparency.
     """
-    if mode not in ("discrete", "continuous"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if group not in ("sn", "an"):
         raise ValueError(f"unknown group {group!r}")
-    rows: list[ProfileRow] = []
-    odd_walk = not q.even_support
-    if group == "an" and odd_walk:
-        spec_sn = spectrum(q, "sn")
-        if mode == "continuous":
-            for t in times:
-                rows.append(ProfileRow(q.name, "sn", q.n, float(t), l2_continuous(spec_sn, t, prec)))
-            return DistanceProfile(q.name, "sn", q.n, mode, rows)
-        if any(is_even_class(c) for c, w in q.atoms if w > 0):
-            # a mixed measure (identity or even atoms) never confines the
-            # walk to one coset, so the q*q restriction does not apply
-            raise ValueError("A_n discrete profiles need a pure odd-class measure")
-        # squared walk on A_n: same eigenvalue data, doubled exponent,
-        # trivial+sign folded and multiplicities halved
-        for t in times:
-            t = int(t)
-            with mp.workprec(prec):
-                total = Fraction(0) if q.n <= _EXACT_MAX_N and t <= _EXACT_MAX_T else None
-                acc = mp.mpf(0)
-                for e in spec_sn.nontrivial():
-                    if e.partition == (1,) * q.n:
-                        continue
-                    beta = e.eigenvalue
-                    if total is not None:
-                        total += Fraction(e.multiplicity, 2) * beta ** (4 * t)
-                    elif beta == 0:
-                        if t == 0:
-                            acc += _frac(e.multiplicity) / 2
-                    else:
-                        acc += mp.exp(
-                            mp.log(_frac(e.multiplicity) / 2)
-                            + 4 * t * (mp.log(abs(beta.numerator)) - mp.log(beta.denominator))
-                        )
-                val = mp.sqrt(_frac(total)) if total is not None else mp.sqrt(acc)
-            rows.append(ProfileRow(q.name, "an", q.n, t, val))
-        for t in times:
-            rows.append(ProfileRow(q.name, "sn", q.n, int(t), l2_discrete(spec_sn, int(t), prec)))
-        return DistanceProfile(q.name, "an", q.n, mode, rows)
-
-    spec = spectrum(q, group)
-    for t in times:
-        if mode == "discrete":
-            val = l2_discrete(spec, int(t), prec)
-            rows.append(ProfileRow(q.name, group, q.n, int(t), val))
-        else:
-            val = l2_continuous(spec, t, prec)
-            rows.append(ProfileRow(q.name, group, q.n, float(t), val))
-    return DistanceProfile(q.name, group, q.n, mode, rows)
+    if group == "sn" or q.even_support:
+        return _profile(q, group, mode, spectrum(q, group).blocks, times, prec)
+    spec_sn = spectrum(q, "sn")
+    if mode == "continuous":
+        return _profile(q, "sn", mode, spec_sn.blocks, times, prec)
+    if any(is_even_class(c) for c, w in q.atoms if w > 0):
+        # a mixed measure (identity or even atoms) never confines the
+        # walk to one coset, so the q*q restriction does not apply
+        raise ValueError("A_n discrete profiles need a pure odd-class measure")
+    squared = _profile(q, "an", mode, _squared_walk_blocks(spec_sn), times, prec)
+    raw = _profile(q, "sn", mode, spec_sn.blocks, times, prec)
+    return DistanceProfile(q.name, "an", q.n, mode, squared.rows + raw.rows)

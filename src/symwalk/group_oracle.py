@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .characters import CycleType, check_cycle_type, class_size, support
+from .errors import ResourceGuardError  # re-exported: callers catch it from here
 
 Perm = tuple[int, ...]
 
@@ -30,10 +31,6 @@ MAX_MEASURE_N = 8
 MAX_FLOAT_N = 7
 MAX_EXACT_N = 5
 MAX_DENSE_N = 6
-
-
-class ResourceGuardError(RuntimeError):
-    """A requested oracle computation exceeds the desk-scale size caps."""
 
 
 def _guard(n: int, cap: int, what: str) -> None:

@@ -12,13 +12,19 @@ Alternating-group spectra merge each pair {lambda, lambda'} (conjugate
 diagrams agree on even classes) by halving multiplicities: the trivial and
 sign diagrams collapse to the single trivial block of A_n, and every other
 diagram keeps eigenvalue beta_lambda with multiplicity d_lambda^2 / 2.
+
+Many diagrams share an eigenvalue, so every spectrum also carries its
+nontrivial part grouped by distinct eigenvalue (``Spectrum.blocks``), which
+is what the distance layer sums over.  Grouped multiplicities are integers
+on A_n too: a pair lambda/lambda' adds up to d_lambda^2, and a
+self-conjugate diagram has even dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .characters import (
     CycleType,
@@ -126,14 +132,44 @@ class SpectrumEntry:
     partition: Partition
 
 
+#: (eigenvalue, integer multiplicity) per distinct eigenvalue
+Blocks = tuple[tuple[Fraction, int], ...]
+
+
+def group_blocks(pairs: Iterable[tuple[Fraction, Fraction | int]]) -> Blocks:
+    """Sum the multiplicities of equal eigenvalues, in order of first
+    appearance, dropping blocks whose multiplicities cancel to zero.
+
+    Raises ValueError if a summed multiplicity is not an integer.
+    """
+    totals: dict[Fraction, Fraction] = {}
+    for beta, mult in pairs:
+        totals[beta] = totals.get(beta, Fraction(0)) + mult
+    blocks = []
+    for beta, mult in totals.items():
+        if mult.denominator != 1:
+            raise ValueError(f"eigenvalue {beta} has non-integer multiplicity {mult}")
+        if mult:
+            blocks.append((beta, int(mult)))
+    return tuple(blocks)
+
+
 @dataclass
 class Spectrum:
-    """Full eigenvalue data of a class-measure walk on S_n or A_n."""
+    """Full eigenvalue data of a class-measure walk on S_n or A_n.
+
+    ``entries`` holds one row per diagram; ``blocks`` groups the nontrivial
+    rows by distinct eigenvalue and is built once, at construction.
+    """
 
     n: int
     group: str  # "sn" | "an"
     name: str
     entries: list[SpectrumEntry] = field(default_factory=list)
+    blocks: Blocks = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.blocks = group_blocks((e.eigenvalue, e.multiplicity) for e in self.nontrivial())
 
     def nontrivial(self) -> Iterator[SpectrumEntry]:
         """Entries excluding the trivial block lambda = (n)."""

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import symwalk
 from symwalk import cli
 
 GOLDEN_RT5_ROWS = [
@@ -38,6 +43,15 @@ def test_eval_time_expr():
         cli.eval_time_expr("n^2", 5)
     with pytest.raises(ValueError):
         cli.eval_time_expr("", 5)
+
+
+def test_eval_time_expr_exponent_literals():
+    assert cli.eval_time_expr("1e3", 5) == 1000
+    assert cli.eval_time_expr("2.5E-1n", 8) == 2
+    assert cli.eval_time_expr("1e+2-n", 10) == 90
+    for bad in ("1e", "1e400", "1e400-1e400"):
+        with pytest.raises(ValueError):
+            cli.eval_time_expr(bad, 5)
 
 
 def test_parse_range():
@@ -184,6 +198,67 @@ def test_verify_threads_env_override(tmp_path, monkeypatch):
                 "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["manifest"]["params"]["threads"] == 1
+
+
+def test_thread_settings_rejected(tmp_path, monkeypatch):
+    argv = ["verify", "--suite", "ttr", "--n", "5", "--out", str(tmp_path / "x.json")]
+    for bad in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("SYMWALK_THREADS", bad)
+        assert run(argv) == cli.EXIT_BAD_ARGS, bad
+    monkeypatch.delenv("SYMWALK_THREADS")
+    assert run(["--threads", "0"] + argv) == cli.EXIT_BAD_ARGS
+    assert run(["--threads", "-3"] + argv) == cli.EXIT_BAD_ARGS
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_requested_threads():
+    assert cli.requested_threads(None, 3) == 3
+    assert cli.requested_threads("", 3) == 3
+    assert cli.requested_threads("2", 8) == 2
+    for env, flag in (("x", 1), ("0", 4), (None, 0), (None, -1)):
+        with pytest.raises(ValueError):
+            cli.requested_threads(env, flag)
+
+
+def test_worker_count_clamp():
+    assert cli.worker_count(64, 8, 2) == 2
+    assert cli.worker_count(64, 3, 16) == 3
+    assert cli.worker_count(4, 10, 16) == 4
+    assert cli.worker_count(10**6, 1, 10**6) == 1
+
+
+def test_discrete_grid_rejects_fractional_times(tmp_path):
+    out = tmp_path / "x.csv"
+    assert run(["profile", "--walk", "rt", "--n", "5", "--mode", "discrete",
+                "--t-grid", "1.5,2.9", "--out", str(out)]) == cli.EXIT_BAD_ARGS
+    assert run(["profile", "--walk", "ttr-bound", "--n", "5", "--mode", "discrete",
+                "--t-grid", "nlogn", "--out", str(out)]) == cli.EXIT_BAD_ARGS
+    assert not out.exists()
+    # integral values written as decimals or exponents are fine
+    assert run(["profile", "--walk", "rt", "--n", "5", "--mode", "discrete",
+                "--t-grid", "2.0,1e1", "--out", str(out)]) == cli.EXIT_OK
+    assert [line.split(",")[3] for line in read_lines(out)[2:]] == ["2", "10"]
+
+
+def test_unwritable_output_is_bad_args(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.csv"
+    assert run(["profile", "--walk", "rt", "--n", "4", "--t-grid", "1",
+                "--out", str(missing)]) == cli.EXIT_BAD_ARGS
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_import_loads_neither_numpy_nor_oracle():
+    src = str(Path(symwalk.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, symwalk.cli; "
+        "print(sorted(m for m in ('numpy', 'symwalk.group_oracle', 'symwalk.montecarlo') "
+        "if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_simulate(tmp_path):

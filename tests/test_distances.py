@@ -7,6 +7,7 @@ from mpmath import mp
 from symwalk import group_oracle as go
 from symwalk.characters import one_cycle_type
 from symwalk.distances import (
+    _squared_walk_blocks,
     chi_square_of,
     class_walk_profile,
     l2_continuous,
@@ -227,3 +228,127 @@ def test_tiny_tail_values_survive():
     val = l2_continuous(spec, 5000.0)
     assert 0 < val < mp.mpf("1e-350")
     assert float(val) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# grouped evaluator against a per-partition reference
+# ---------------------------------------------------------------------------
+
+GROUPED_REL_TOL = mp.mpf(2) ** -120
+
+
+def per_partition_l2(pairs, t, mode):
+    """d2 summed one (eigenvalue, multiplicity) pair per diagram: exact
+    rationals in discrete time, 256-bit reals in continuous time."""
+    with mp.workprec(256):
+        if mode == "discrete":
+            total = sum((Fraction(m) * beta ** (2 * t) for beta, m in pairs), Fraction(0))
+            return mp.sqrt(mp.mpf(total.numerator) / total.denominator)
+        tt = mp.mpf(t)
+        return mp.sqrt(mp.fsum(
+            mp.mpf(m.numerator) / m.denominator
+            * mp.exp(-2 * tt * (1 - mp.mpf(beta.numerator) / beta.denominator))
+            for beta, m in pairs
+        ))
+
+
+def assert_close(got, ref, what):
+    assert abs(got - ref) <= GROUPED_REL_TOL * ref, (what, got, ref)
+
+
+def nontrivial_pairs(spec):
+    return [(e.eigenvalue, e.multiplicity) for e in spec.nontrivial()]
+
+
+def squared_walk_pairs(spec_sn):
+    sign = (1,) * spec_sn.n
+    return [(e.eigenvalue ** 2, e.multiplicity / 2)
+            for e in spec_sn.nontrivial() if e.partition != sign]
+
+
+DISCRETE_TIMES = (0, 1, 2, 5, 17, 40)
+CONTINUOUS_TIMES = (0, 0.5, 3.25, 10.0, 40.0)
+
+
+def check_profile(q, group, mode, pairs, times, label):
+    rows = [r for r in class_walk_profile(q, group, mode, times).rows if r.group == label]
+    assert [r.t for r in rows] == list(times)
+    for row in rows:
+        assert_close(row.d2, per_partition_l2(pairs, row.t, mode), (q.name, group, mode, row.t))
+
+
+def test_blocks_group_integer_multiplicities():
+    cases = [(random_transposition_measure(n), "sn") for n in (2, 5, 9)]
+    cases += [(uniform_class_measure(one_cycle_type(n, 3)), "an") for n in (3, 6, 9)]
+    cases += [(lazy_class_measure(one_cycle_type(8, 3), Fraction(1, 2)), "an")]
+    for q, group in cases:
+        spec = spectrum(q, group)
+        order = math.factorial(q.n) // (2 if group == "an" else 1)
+        betas = [beta for beta, _ in spec.blocks]
+        assert len(betas) == len(set(betas)) <= sum(1 for _ in spec.nontrivial())
+        assert all(type(m) is int and m > 0 for _, m in spec.blocks)
+        assert sum(m for _, m in spec.blocks) == order - 1
+    for n in (4, 7, 9):
+        for cls in (2, 4):
+            folded = _squared_walk_blocks(spectrum(uniform_class_measure(one_cycle_type(n, cls))))
+            assert all(type(m) is int and m > 0 for _, m in folded)
+            assert sum(m for _, m in folded) == math.factorial(n) // 2 - 1
+
+
+def test_grouped_rt_matches_per_partition_sum():
+    for n in range(2, 13):
+        spec = spectrum(random_transposition_measure(n))
+        pairs = nontrivial_pairs(spec)
+        for t in DISCRETE_TIMES:
+            assert_close(l2_discrete(spec, t), per_partition_l2(pairs, t, "discrete"), (n, t))
+        for t in CONTINUOUS_TIMES:
+            assert_close(l2_continuous(spec, t), per_partition_l2(pairs, t, "continuous"), (n, t))
+        for mode, times in (("discrete", DISCRETE_TIMES), ("continuous", CONTINUOUS_TIMES)):
+            check_profile(random_transposition_measure(n), "sn", mode, pairs, times, "sn")
+
+
+def test_grouped_an_profiles_match_per_partition_sum():
+    for n in (5, 8, 10):
+        for q in (uniform_class_measure(one_cycle_type(n, 3)),
+                  lazy_class_measure(one_cycle_type(n, 3), Fraction(1, 2))):
+            pairs = nontrivial_pairs(spectrum(q, "an"))
+            check_profile(q, "an", "discrete", pairs, DISCRETE_TIMES, "an")
+            check_profile(q, "an", "continuous", pairs, CONTINUOUS_TIMES, "an")
+
+
+def test_grouped_odd_class_fold_matches_per_partition_sum():
+    for n in (4, 7, 10):
+        for cls in (2, 4):
+            q = uniform_class_measure(one_cycle_type(n, cls))
+            spec_sn = spectrum(q, "sn")
+            check_profile(q, "an", "discrete", squared_walk_pairs(spec_sn), DISCRETE_TIMES, "an")
+            check_profile(q, "an", "discrete", nontrivial_pairs(spec_sn), DISCRETE_TIMES, "sn")
+
+
+def test_grouped_matches_exact_rationals_for_small_n():
+    # the exact rational sums an earlier small-n fast path returned directly
+    times = range(31)
+    for n in range(2, 7):
+        walks = [(random_transposition_measure(n), "sn")]
+        walks += [(uniform_class_measure(one_cycle_type(n, k)), "sn") for k in range(2, n + 1)]
+        if n >= 3:
+            walks.append((lazy_class_measure(one_cycle_type(n, 3), Fraction(1, 2)), "an"))
+        for q, group in walks:
+            pairs = nontrivial_pairs(spectrum(q, group))
+            check_profile(q, group, "discrete", pairs, times, group)
+            if q.even_support and group == "sn":
+                check_profile(q, "an", "discrete", nontrivial_pairs(spectrum(q, "an")), times, "an")
+            if not q.even_support and q.name.startswith("class:"):
+                pairs = squared_walk_pairs(spectrum(q, "sn"))
+                check_profile(q, "an", "discrete", pairs, times, "an")
+
+
+def test_discrete_times_must_be_integers():
+    spec = spectrum(random_transposition_measure(4))
+    for bad in (1.5, -1):
+        with pytest.raises(ValueError):
+            l2_discrete(spec, bad)
+        with pytest.raises(ValueError):
+            class_walk_profile(random_transposition_measure(4), "sn", "discrete", [bad])
+    with pytest.raises(ValueError):
+        l2_continuous(spec, -0.5)
