@@ -15,6 +15,7 @@ both called A_j in the usual notation; here the sets live behind
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +24,7 @@ import mpmath
 from mpmath import mp
 
 from .distances import DEFAULT_PREC, l2_continuous, l2_discrete
-from .spectra import random_transposition_measure, spectrum, uniform_class_measure
+from .spectra import Spectrum, random_transposition_measure, spectrum, uniform_class_measure
 
 
 @lru_cache(maxsize=64)
@@ -181,53 +182,61 @@ class BoundReport:
         return out
 
 
-WALK_BOUNDS = ("rt_discrete", "rt_continuous", "ttr", "four_cycle", "random_insertion")
+# One row per theorem: least n and c, threshold time, class measure (None
+# where a bound sum on n replaces the spectrum), distance at the threshold,
+# guaranteed constant.  Evaluators look distance functions up at call time.
+Theorem = namedtuple("Theorem", "min_n min_c threshold measure evaluate guaranteed")
+
+
+def _rt_time(n: int, c: float) -> float:
+    return (n / 2) * (math.log(n) + c)
+
+
+THEOREMS = {
+    # d2(q_rt^(t), u) <= 2 e^-c at t = ceil((n/2)(log n + c))
+    "rt_discrete": Theorem(
+        15, 0, lambda n, c: math.ceil(_rt_time(n, c)), random_transposition_measure,
+        lambda spec, t, prec: l2_discrete(spec, t, prec), lambda c: 2 * mp.exp(-c)),
+    # bound sum on d2^2 <= 2 e^-2c at t = ceil(n(log n + c))
+    "ttr": Theorem(
+        1, 0, lambda n, c: math.ceil(n * (math.log(n) + c)), None,
+        lambda n, t, prec: ttr_bound_sum(n, t, prec), lambda c: 2 * mp.exp(-2 * c)),
+    # d2(h_rt,t, u) <= e^-(c-2) at t = (n/2)(log n + c)
+    "rt_continuous": Theorem(
+        10, 2, _rt_time, random_transposition_measure,
+        lambda spec, t, prec: l2_continuous(spec, t, prec), lambda c: mp.exp(-(c - 2))),
+    # d2(h_c4,t, u) <= e^-(c-2) at the same threshold
+    "four_cycle": Theorem(
+        11, 2, _rt_time, lambda n: uniform_class_measure((4,) + (1,) * (n - 4)),
+        lambda spec, t, prec: l2_continuous(spec, t, prec), lambda c: mp.exp(-(c - 2))),
+    # d2(q_ri^(t), u)^2 <= e^-(c-2) at t = 2n(log n + c), through the Dirichlet
+    # comparison as d2(h_rt, t/4)^2
+    "random_insertion": Theorem(
+        10, 2, lambda n, c: 2 * n * (math.log(n) + c), random_transposition_measure,
+        lambda spec, t, prec: l2_continuous(spec, t / 4, prec) ** 2,
+        lambda c: mp.exp(-(c - 2))),
+}
+
+
+@lru_cache(maxsize=4)
+def _theorem_spectrum(measure, n: int) -> Spectrum:
+    """The S_n spectrum of ``measure(n)``, built once for all c of a sweep."""
+    return spectrum(measure(n))
 
 
 def theorem_bound(walk: str, n: int, c: float, prec: int = DEFAULT_PREC) -> BoundReport:
-    """Exact distance (or bound sum) at a theorem's time threshold vs its constant.
-
-    rt_discrete (n > 14, c >= 0):      d2(q_rt^(t), u) <= 2 e^-c at t = ceil((n/2)(log n + c))
-    ttr (n >= 1, c >= 0):              bound sum on d2^2 <= 2 e^-2c at t = ceil(n(log n + c))
-    rt_continuous (n >= 10, c >= 2):   d2(h_rt,t, u) <= e^-(c-2) at t = (n/2)(log n + c)
-    four_cycle (n >= 11, c >= 2):      d2(h_c4,t, u) <= e^-(c-2) at the same threshold
-    random_insertion (n >= 10, c >= 2): d2(q_ri^(t), u)^2 <= e^-(c-2) at t = 2n(log n + c),
-        evaluated through the Dirichlet comparison as d2(h_rt, t/4)^2.
-    """
+    """Exact distance (or bound sum) at a theorem's time threshold vs its
+    constant; ``walk`` names a row of ``THEOREMS``."""
+    theorem = THEOREMS.get(walk)
+    if theorem is None:
+        raise ValueError(f"unknown bound {walk!r}")
+    if n < theorem.min_n or c < theorem.min_c:
+        raise ValueError(f"{walk} needs n >= {theorem.min_n} and c >= {theorem.min_c}")
     with mp.workprec(prec):
-        if walk == "rt_discrete":
-            if n <= 14 or c < 0:
-                raise ValueError("rt_discrete needs n > 14 and c >= 0")
-            t = math.ceil((n / 2) * (math.log(n) + c))
-            computed = l2_discrete(spectrum(random_transposition_measure(n)), t, prec)
-            guaranteed = 2 * mp.exp(-c)
-        elif walk == "ttr":
-            if n < 1 or c < 0:
-                raise ValueError("ttr needs n >= 1 and c >= 0")
-            t = math.ceil(n * (math.log(n) + c))
-            computed = ttr_bound_sum(n, t, prec)
-            guaranteed = 2 * mp.exp(-2 * c)
-        elif walk == "rt_continuous":
-            if n < 10 or c < 2:
-                raise ValueError("rt_continuous needs n >= 10 and c >= 2")
-            t = (n / 2) * (math.log(n) + c)
-            computed = l2_continuous(spectrum(random_transposition_measure(n)), t, prec)
-            guaranteed = mp.exp(-(c - 2))
-        elif walk == "four_cycle":
-            if n < 11 or c < 2:
-                raise ValueError("four_cycle needs n >= 11 and c >= 2")
-            t = (n / 2) * (math.log(n) + c)
-            q = uniform_class_measure((4,) + (1,) * (n - 4))
-            computed = l2_continuous(spectrum(q, "sn"), t, prec)
-            guaranteed = mp.exp(-(c - 2))
-        elif walk == "random_insertion":
-            if n < 10 or c < 2:
-                raise ValueError("random_insertion needs n >= 10 and c >= 2")
-            t = 2 * n * (math.log(n) + c)
-            computed = l2_continuous(spectrum(random_transposition_measure(n)), t / 4, prec) ** 2
-            guaranteed = mp.exp(-(c - 2))
-        else:
-            raise ValueError(f"unknown bound {walk!r}")
+        t = theorem.threshold(n, c)
+        source = n if theorem.measure is None else _theorem_spectrum(theorem.measure, n)
+        computed = theorem.evaluate(source, t, prec)
+        guaranteed = theorem.guaranteed(c)
         return BoundReport(
             name=walk,
             n=n,

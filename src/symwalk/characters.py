@@ -15,7 +15,7 @@ single k-cycle class costs one border-strip sweep plus dimension lookups.
 from __future__ import annotations
 
 import math
-from collections import Counter, OrderedDict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -115,28 +115,12 @@ def remove_skew_hooks(parts: Partition, k: int) -> list[SkewHookRemoval]:
 # ---------------------------------------------------------------------------
 
 # Memo table shared by every caller.  Plain dict reads/writes are atomic under
-# the GIL, so concurrent lookups plus duplicate computation are safe; with a
-# cap set we switch to an LRU OrderedDict (single-threaded CLI use).
+# the GIL, so concurrent lookups plus duplicate computation are safe.
 _cache: dict = {}
-_cache_limit: int | None = None
-
-
-def set_character_cache_limit(limit: int | None) -> None:
-    """Cap the character memo table (LRU eviction); ``None`` means unbounded."""
-    global _cache, _cache_limit
-    _cache_limit = limit
-    if limit is None:
-        _cache = dict(_cache)
-    else:
-        _cache = OrderedDict(list(_cache.items())[-limit:])
 
 
 def character_cache_size() -> int:
     return len(_cache)
-
-
-def clear_character_cache() -> None:
-    _cache.clear()
 
 
 def character(parts: Partition, cycles: CycleType) -> int:
@@ -163,8 +147,6 @@ def _character_rec(parts: Partition, cycles: CycleType) -> int:
     key = (parts, cycles)
     cached = _cache.get(key)
     if cached is not None:
-        if _cache_limit is not None:
-            _cache.move_to_end(key)  # type: ignore[attr-defined]
         return cached
     total = 0
     rest = cycles[1:]
@@ -172,8 +154,6 @@ def _character_rec(parts: Partition, cycles: CycleType) -> int:
         term = _character_rec(removal.remainder, rest)
         total += -term if removal.leg_length % 2 else term
     _cache[key] = total
-    if _cache_limit is not None and len(_cache) > _cache_limit:
-        _cache.popitem(last=False)  # type: ignore[call-arg]
     return total
 
 

@@ -17,6 +17,7 @@ brute-force oracle; only the oracle suite and ``simulate`` import them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -24,17 +25,12 @@ import re
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import TYPE_CHECKING
 
 import mpmath
 from mpmath import mp
 
-from . import __version__, bounds, distances, spectra
+from . import __version__, bounds, distances, spectra, walks
 from .errors import ResourceGuardError
-
-if TYPE_CHECKING:
-    from .group_oracle import GroupDistribution
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -42,6 +38,7 @@ EXIT_BAD_ARGS = 2
 EXIT_RESOURCE = 3
 
 SUITES = ("rt-discrete", "rt-continuous", "ttr", "four-cycle", "lemmas", "oracle")
+PROFILE_WALKS = walks.syntax("rt", "ttr-bound", "class", "lazy")
 
 
 # ---------------------------------------------------------------------------
@@ -170,23 +167,6 @@ def parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _parse_walk_measure(walk: str, n: int) -> spectra.ClassMeasure:
-    if walk == "rt":
-        return spectra.random_transposition_measure(n)
-    if walk.startswith("class:"):
-        parts = tuple(int(x) for x in walk.split(":")[1].split(","))
-        if sum(parts) > n:
-            raise ValueError(f"class {parts} does not fit in S_{n}")
-        return spectra.uniform_class_measure(parts + (1,) * (n - sum(parts)))
-    if walk.startswith("lazy:"):
-        _, parts_text, eps_text = walk.split(":")
-        parts = tuple(int(x) for x in parts_text.split(","))
-        if sum(parts) > n:
-            raise ValueError(f"class {parts} does not fit in S_{n}")
-        return spectra.lazy_class_measure(parts + (1,) * (n - sum(parts)), Fraction(eps_text))
-    raise ValueError(f"unknown walk {walk!r}")
-
-
 def _time_grid(spec_text: str, n: int, walk: str, mode: str) -> list[float]:
     if spec_text != "auto":
         return [eval_time_expr(tok, n) for tok in spec_text.split(",")]
@@ -224,8 +204,11 @@ def cmd_profile(args) -> int:
             rows.append(distances.ProfileRow("ttr-bound", "sn", n, t, mp.sqrt(sq)))
         profile = distances.DistanceProfile("ttr-bound", "sn", n, args.mode, rows)
     else:
-        q = _parse_walk_measure(args.walk, n)
-        if args.walk == "rt" and args.group != "sn":
+        spec = walks.WalkSpec.parse(args.walk)
+        q = spec.class_measure(n)
+        if q is None:
+            raise ValueError(f"profile has no curve for {args.walk!r}, expected {PROFILE_WALKS}")
+        if spec.kind == "rt" and args.group != "sn":
             raise ValueError("the random transposition walk lives on S_n")
         profile = distances.class_walk_profile(q, args.group, args.mode, times, prec)
 
@@ -274,56 +257,43 @@ def cmd_profile(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _theorem_suite(suite: str, ns: list[int], cs: list[float], prec: int) -> list[dict]:
-    walk = {
-        "rt-discrete": "rt_discrete",
-        "rt-continuous": "rt_continuous",
-        "ttr": "ttr",
-        "four-cycle": "four_cycle",
-    }[suite]
-    out = []
-    for n in ns:
-        for c in cs:
-            out.append(bounds.theorem_bound(walk, n, c, prec).as_dict())
-    return out
+    walk = suite.replace("-", "_")  # the suite's row of bounds.THEOREMS
+    return [bounds.theorem_bound(walk, n, c, prec).as_dict() for n in ns for c in cs]
+
+
+# (name, min n, computed, guaranteed at n); ``computed`` reads its partial
+# sum off ``terms(family)``, the term table ``family(n, prec)`` of the current n
+LEMMAS = (
+    ("phi0<=2", 14, lambda terms: terms(bounds.rt_discrete_terms).phi0, lambda n: mp.mpf(2)),
+    ("phi1", 14, lambda terms: terms(bounds.rt_discrete_terms).phi1,
+     lambda n: mp.exp(2 - n * mp.log(n) / 6)),
+    ("phi2", 14, lambda terms: terms(bounds.rt_discrete_terms).phi2,
+     lambda n: mp.exp(1 - mp.mpf(3) * n * mp.log(n) / 1000)),
+    ("cont_sum_a_low<=2/3", 10, lambda terms: terms(bounds.rt_continuous_terms).sum_a_low,
+     lambda n: mp.mpf(2) / 3),
+    ("cont_sum_a_mid<=1/4", 10, lambda terms: terms(bounds.rt_continuous_terms).sum_a_mid,
+     lambda n: mp.mpf(1) / 4),
+    ("cont_gamma", 10, lambda terms: terms(bounds.rt_continuous_terms).gamma,
+     lambda n: 2 * mp.exp(mp.mpf(3) * n / 2 * (mp.log(2) - 1))),
+)
 
 
 def _lemma_suite(ns: list[int], prec: int) -> list[dict]:
     out = []
     for n in ns:
+        terms = functools.cache(lambda family: family(n, prec))  # one table per family
         with mp.workprec(prec):
-            if n >= 14:
-                terms = bounds.rt_discrete_terms(n, prec)
-                for name, computed, guaranteed in (
-                    ("phi0<=2", terms.phi0, mp.mpf(2)),
-                    ("phi1", terms.phi1, mp.exp(2 - n * mp.log(n) / 6)),
-                    ("phi2", terms.phi2, mp.exp(1 - mp.mpf(3) * n * mp.log(n) / 1000)),
-                ):
+            for name, min_n, computed, guaranteed in LEMMAS:
+                if n >= min_n:
+                    value, bound = computed(terms), guaranteed(n)
                     out.append(
                         {
                             "name": f"lemma:{name}",
                             "n": n,
                             "c": None,
-                            "guaranteed": float(guaranteed),
-                            "computed": float(computed),
-                            "pass": bool(computed <= guaranteed),
-                        }
-                    )
-            if n >= 10:
-                cterms = bounds.rt_continuous_terms(n, prec)
-                gamma_bound = 2 * mp.exp(mp.mpf(3) * n / 2 * (mp.log(2) - 1))
-                for name, computed, guaranteed in (
-                    ("cont_sum_a_low<=2/3", cterms.sum_a_low, mp.mpf(2) / 3),
-                    ("cont_sum_a_mid<=1/4", cterms.sum_a_mid, mp.mpf(1) / 4),
-                    ("cont_gamma", cterms.gamma, gamma_bound),
-                ):
-                    out.append(
-                        {
-                            "name": f"lemma:{name}",
-                            "n": n,
-                            "c": None,
-                            "guaranteed": float(guaranteed),
-                            "computed": float(computed),
-                            "pass": bool(computed <= guaranteed),
+                            "guaranteed": float(bound),
+                            "computed": float(value),
+                            "pass": bool(value <= bound),
                         }
                     )
     return out
@@ -335,38 +305,20 @@ _ORACLE_CONTINUOUS_T = (0.5, 1.0, 2.0, 4.0)
 _ORACLE_TOL = 1e-8
 
 
-def _oracle_element_measure(walk: str, n: int) -> GroupDistribution:
-    from . import group_oracle
-
-    if walk in ("rt", "ttr", "ri"):
-        return group_oracle.element_measure(walk, n)
-    if walk.startswith("class:"):
-        parts = tuple(int(x) for x in walk.split(":")[1].split(","))
-        return group_oracle.element_measure(parts + (1,) * (n - sum(parts)), n)
-    if walk.startswith("lazy:"):
-        _, parts_text, eps_text = walk.split(":")
-        parts = tuple(int(x) for x in parts_text.split(","))
-        base = group_oracle.element_measure(parts + (1,) * (n - sum(parts)), n)
-        return group_oracle.lazy_mix(base, Fraction(eps_text))
-    raise ValueError(f"unknown oracle walk {walk!r}")
-
-
 def _oracle_suite_one(n: int, walk: str, prec: int) -> dict:
     """Spectral formulas against definitional chi-square from exact convolution."""
     import numpy as np
 
     from . import group_oracle
 
-    qel = _oracle_element_measure(walk, n)
+    walk_spec = walks.WalkSpec.parse(walk)
+    qel = walk_spec.element_measure(n)
     powers = group_oracle.convolution_powers_upto(qel, _ORACLE_DISCRETE_T)
     worst = 0.0
     tv_ok = True
-    spec = None
-    eigvals = None
-    if walk in ("rt", "class:3", "class:4", "lazy:3:1/2"):
-        spec = spectra.spectrum(_parse_walk_measure(walk, n), "sn")
-    elif walk == "ttr":
-        eigvals = group_oracle.operator_eigenvalues(qel)
+    q = walk_spec.class_measure(n)
+    spec = None if q is None else spectra.spectrum(q, "sn")
+    eigvals = group_oracle.operator_eigenvalues(qel) if walk_spec.kind == "ttr" else None
     for t, dist in enumerate(powers):
         chi2 = distances.chi_square_of(dist)
         tv_ok = tv_ok and (2 * distances.tv_of(dist) <= chi2 + 1e-12)
@@ -394,15 +346,11 @@ def _oracle_suite_one(n: int, walk: str, prec: int) -> dict:
 def _oracle_suite(ns: list[int], prec: int) -> list[dict]:
     from . import group_oracle
 
-    out = []
-    for n in ns:
-        if n > group_oracle.MAX_DENSE_N:
-            raise ResourceGuardError(
-                f"oracle verification is capped at n <= {group_oracle.MAX_DENSE_N}"
-            )
-        for walk in ORACLE_WALKS:
-            out.append(_oracle_suite_one(n, walk, prec))
-    return out
+    if max(ns) > group_oracle.MAX_DENSE_N:
+        raise ResourceGuardError(
+            f"oracle verification is capped at n <= {group_oracle.MAX_DENSE_N}"
+        )
+    return [_oracle_suite_one(n, walk, prec) for n in ns for walk in ORACLE_WALKS]
 
 
 def _suite_task(payload):
@@ -532,8 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile", help="distance curve of one walk")
-    p.add_argument("--walk", required=True,
-                   help="rt | ttr-bound | class:<parts> | lazy:<parts>:<eps>")
+    p.add_argument("--walk", required=True, help=PROFILE_WALKS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--group", choices=("sn", "an"), default="sn")
     p.add_argument("--mode", choices=("discrete", "continuous"), default="discrete")
@@ -551,8 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.set_defaults(func=cmd_verify)
 
     s = sub.add_parser("simulate", help="Monte Carlo TV lower bound")
-    s.add_argument("--walk", default="ttr",
-                   help="rt | ttr | ri | class:<parts> | lazy:<parts>:<eps>")
+    s.add_argument("--walk", default="ttr", help=walks.syntax(*walks.SYNTAX))
     s.add_argument("--n", type=int, required=True)
     s.add_argument("--t", required=True, help="time expression, e.g. 'nlogn-3n'")
     s.add_argument("--j", type=int, default=4, help="fixed-point threshold")

@@ -22,7 +22,7 @@ import numpy as np
 from mpmath import mp
 
 from .bounds import matching_tail
-from .characters import check_cycle_type, support
+from .walks import WalkSpec
 
 BLOCK_SIZE = 8192
 _PROGRESS_EVERY = 10**6
@@ -34,7 +34,7 @@ class SimConfig:
     """Everything that determines a simulation bit-for-bit."""
 
     n: int
-    walk: str  # "rt" | "ttr" | "ri" | "class:<parts>" | "lazy:<parts>:<eps>"
+    walk: str  # a walk string, parsed by WalkSpec.parse
     t: int
     n_samples: int
     seed: int
@@ -43,13 +43,6 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n < 2 or self.t < 0 or self.n_samples < 1:
             raise ValueError("need n >= 2, t >= 0, n_samples >= 1")
-
-
-def _parse_cycles(text: str, n: int) -> tuple[int, ...]:
-    parts = check_cycle_type(int(x) for x in text.split(","))
-    if sum(parts) > n:
-        raise ValueError(f"class {parts} does not fit in S_{n}")
-    return parts + (1,) * (n - sum(parts))
 
 
 def _class_representative(cycles: tuple[int, ...]) -> np.ndarray:
@@ -66,26 +59,11 @@ class _Stepper:
     """Vectorized one-step kernels; X has one trajectory per row and the
     update is always the right multiplication X <- X o xi."""
 
-    def __init__(self, walk: str, n: int):
+    def __init__(self, spec: WalkSpec, n: int):
         self.n = n
-        self.kind = walk
-        self.eps = None
-        self.rep = None
-        if walk.startswith("class:") or walk.startswith("lazy:"):
-            fields = walk.split(":")
-            cycles = _parse_cycles(fields[1], n)
-            if support(cycles) == 0:
-                raise ValueError("the identity class does not drive a walk")
-            self.rep = _class_representative(cycles)
-            if fields[0] == "lazy":
-                self.eps = float(Fraction(fields[2]))
-                if not 0 < self.eps < 1:
-                    raise ValueError("lazy eps must lie strictly in (0,1)")
-                self.kind = "lazy"
-            else:
-                self.kind = "class"
-        elif walk not in ("rt", "ttr", "ri"):
-            raise ValueError(f"unknown walk {walk!r}")
+        self.kind = spec.kind
+        self.rep = _class_representative(spec.cycle_type(n)) if spec.cycles else None
+        self.eps = None if spec.eps is None else float(spec.eps)
 
     def step(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         n = self.n
@@ -140,7 +118,7 @@ class WalkStatistics:
 
 def sample_walk(cfg: SimConfig, progress: bool = False) -> WalkStatistics:
     """Run n_samples trajectories of t steps and tally phi(X_t)."""
-    stepper = _Stepper(cfg.walk, cfg.n)
+    stepper = _Stepper(WalkSpec.parse(cfg.walk), cfg.n)
     hist = np.zeros(cfg.n + 1, dtype=np.int64)
     n_blocks = -(-cfg.n_samples // BLOCK_SIZE)
     streams = np.random.SeedSequence(cfg.seed).spawn(n_blocks)

@@ -12,7 +12,6 @@ length formula n! / prod h_{i,j} using Python integers, never floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -62,24 +61,14 @@ def conjugate(parts: Partition) -> Partition:
     return tuple(sum(1 for x in parts if x >= j) for j in range(1, parts[0] + 1))
 
 
-@dataclass(frozen=True)
-class HookCell:
-    """One diagram cell with its hook length h_{i,j} = arm + leg + 1."""
-
-    row: int
-    col: int
-    hook_length: int
-
-
-def hook_cells(parts: Partition) -> list[HookCell]:
-    """Hook lengths of every cell of the diagram, row-major order."""
+def hook_lengths(parts: Partition) -> dict[tuple[int, int], int]:
+    """Hook length h_{i,j} = arm + leg + 1 of every cell (i, j), row-major order."""
     conj = conjugate(parts)
-    cells = []
-    for i, row_len in enumerate(parts, start=1):
-        for j in range(1, row_len + 1):
-            h = (row_len - j) + (conj[j - 1] - i) + 1
-            cells.append(HookCell(i, j, h))
-    return cells
+    return {
+        (i, j): (row_len - j) + (conj[j - 1] - i) + 1
+        for i, row_len in enumerate(parts, start=1)
+        for j in range(1, row_len + 1)
+    }
 
 
 @lru_cache(maxsize=None)
@@ -93,11 +82,7 @@ def dimension(parts: Partition) -> int:
     n = sum(parts)
     if n == 0:
         return 1
-    conj = conjugate(parts)
-    prod = 1
-    for i, row_len in enumerate(parts, start=1):
-        for j in range(1, row_len + 1):
-            prod *= (row_len - j) + (conj[j - 1] - i) + 1
+    prod = math.prod(hook_lengths(parts).values())
     quot, rem = divmod(math.factorial(n), prod)
     if rem:
         raise ArithmeticError(f"hook product {prod} does not divide {n}!")

@@ -97,12 +97,10 @@ def lazy_class_measure(cycles: CycleType, eps: Fraction) -> ClassMeasure:
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must lie strictly between 0 and 1")
-    cycles = check_cycle_type(cycles)
-    if support(cycles) == 0:
-        raise ValueError("the identity class does not drive a walk")
-    n = sum(cycles)
-    name = "lazy:" + ",".join(str(c) for c in cycles if c > 1) + f":{eps}"
-    return ClassMeasure(n, (((1,) * n, eps), (cycles, 1 - eps)), name=name)
+    step = uniform_class_measure(cycles)
+    ((cycles, _),) = step.atoms
+    name = "lazy" + step.name.removeprefix("class") + f":{eps}"
+    return ClassMeasure(step.n, (((1,) * step.n, eps), (cycles, 1 - eps)), name=name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,102 @@
+"""The walk model: one parser of walk strings for every path.
+
+A walk string names the step measure of a walk on S_n, for an n given later:
+
+    rt | ttr | ri       random transposition, transpose top with random, random insertion
+    class:<parts>       uniform on the conjugacy class with cycle lengths <parts>
+    lazy:<parts>:<eps>  hold with probability eps, else a class:<parts> step
+
+<parts> lists positive integers, at least one above 1 (fixed points may be
+written as 1s or left out); <eps> is a fraction or decimal in (0, 1) such as
+1/2, 0.25 or 5e-2.  numpy and the oracle load only when ``element_measure``
+is called, so the spectral path never imports them.
+"""
+
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import TYPE_CHECKING
+
+from .characters import CycleType
+from .spectra import (ClassMeasure, lazy_class_measure, random_transposition_measure,
+                      uniform_class_measure)
+
+if TYPE_CHECKING:
+    from .group_oracle import GroupDistribution
+
+#: the syntax of each walk kind, in the order help texts list them
+SYNTAX = {"rt": "rt", "ttr": "ttr", "ri": "ri",
+          "class": "class:<parts>", "lazy": "lazy:<parts>:<eps>"}
+_CYCLE_LENGTH = re.compile(r"[1-9][0-9]*")
+# at most three exponent digits: Fraction expands "1e-999999999" to a billion digits
+_EPS_TEXT = re.compile(r"[0-9./]+(?:[eE][+-]?[0-9]{1,3})?")
+
+
+def syntax(*kinds: str) -> str:
+    """Help text listing the walk strings of ``kinds``; other names as given."""
+    return " | ".join(SYNTAX.get(kind, kind) for kind in kinds)
+
+
+@dataclass(frozen=True)
+class WalkSpec:
+    """A parsed walk string: ``cycles`` holds the cycle lengths above 1,
+    non-increasing (empty for rt, ttr, ri), ``eps`` a lazy walk's holding
+    probability."""
+
+    kind: str  # "rt" | "ttr" | "ri" | "class" | "lazy"
+    cycles: CycleType = ()
+    eps: Fraction | None = None
+
+    @classmethod
+    def parse(cls, text: str) -> WalkSpec:
+        """Parse a walk string; raises ValueError on any malformed one."""
+        kind, *fields = text.split(":")
+        if kind not in SYNTAX:
+            raise ValueError(f"unknown walk {text!r}, expected {syntax(*SYNTAX)}")
+        if len(fields) != SYNTAX[kind].count(":"):
+            raise ValueError(f"walk {text!r} does not have the form {SYNTAX[kind]}")
+        if not fields:
+            return cls(kind)
+        lengths = fields[0].split(",")
+        if not all(_CYCLE_LENGTH.fullmatch(x) for x in lengths):
+            raise ValueError(f"cycle lengths in walk {text!r} must be positive integers")
+        cycles = tuple(sorted((int(x) for x in lengths if x != "1"), reverse=True))
+        if not cycles:
+            raise ValueError(f"walk {text!r}: the identity class does not drive a walk")
+        if kind == "class":
+            return cls(kind, cycles)
+        try:
+            eps = Fraction(fields[1]) if _EPS_TEXT.fullmatch(fields[1]) else None
+        except (ValueError, ZeroDivisionError):
+            eps = None
+        if eps is None or not 0 < eps < 1:
+            raise ValueError(f"eps in walk {text!r} must be a number strictly between 0 and 1")
+        return cls(kind, cycles, eps)
+
+    def cycle_type(self, n: int) -> CycleType:
+        """The class's cycle type in S_n, fixed points included as 1s."""
+        fixed = n - sum(self.cycles)
+        if fixed < 0:
+            raise ValueError(f"class {self.cycles} does not fit in S_{n}")
+        return self.cycles + (1,) * fixed
+
+    def class_measure(self, n: int) -> ClassMeasure | None:
+        """The step measure as a class measure; None for ttr and ri (not class measures)."""
+        if self.kind == "rt":
+            return random_transposition_measure(n)
+        if self.kind == "class":
+            return uniform_class_measure(self.cycle_type(n))
+        if self.kind == "lazy":
+            return lazy_class_measure(self.cycle_type(n), self.eps)
+        return None
+
+    def element_measure(self, n: int) -> GroupDistribution:
+        """The step measure as a dense distribution over S_n (oracle scale)."""
+        from . import group_oracle
+
+        if not self.cycles:
+            return group_oracle.element_measure(self.kind, n)
+        q = group_oracle.element_measure(self.cycle_type(n), n)
+        return q if self.eps is None else group_oracle.lazy_mix(q, self.eps)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from symwalk import bounds
 from symwalk import group_oracle as go
 from symwalk.bounds import (
     BoundReport,
@@ -17,6 +18,7 @@ from symwalk.bounds import (
     ttr_bound_sum_continuous,
 )
 from symwalk.distances import chi_square_of
+from symwalk.spectra import spectrum
 
 
 def exact_term(n, j, base: Fraction, exponent: float) -> float:
@@ -135,6 +137,22 @@ def test_theorem_bound_reports():
     assert theorem_bound("rt_continuous", 15, 2.0).passed
     assert theorem_bound("four_cycle", 11, 2.0).passed
     assert theorem_bound("random_insertion", 12, 2.0).passed
+
+
+def test_theorem_sweep_builds_one_spectrum_per_n(monkeypatch):
+    built = []
+
+    def counting_spectrum(q, group="sn"):
+        built.append(q.n)
+        return spectrum(q, group)
+
+    monkeypatch.setattr(bounds, "spectrum", counting_spectrum)
+    bounds._theorem_spectrum.cache_clear()
+    for n in (15, 16):
+        for c in (0.0, 1.0, 2.0):
+            assert theorem_bound("rt_discrete", n, c).passed
+    assert built == [15, 16]
+    bounds._theorem_spectrum.cache_clear()
 
 
 def test_theorem_bound_range_checks():

@@ -9,16 +9,13 @@ from symwalk.characters import (
     char_ratio,
     char_ratio_bound,
     character,
-    character_cache_size,
     class_size,
-    clear_character_cache,
     identity_type,
     is_even_class,
     m_moment,
     one_cycle_type,
     r4_exact,
     remove_skew_hooks,
-    set_character_cache_limit,
     support,
     transposition_type,
 )
@@ -248,19 +245,6 @@ def test_conjugate_twist_at_odd_class():
         tau = transposition_type(n)
         for lam in partitions(n):
             assert character(conjugate(lam), tau) == -character(lam, tau)
-
-
-def test_cache_limit_lru():
-    clear_character_cache()
-    set_character_cache_limit(16)
-    try:
-        for lam in partitions(9):
-            character(lam, one_cycle_type(9, 3))
-        assert character_cache_size() <= 16
-        # values unaffected by eviction
-        assert character((8, 1), one_cycle_type(9, 3)) == char_ratio((8, 1), one_cycle_type(9, 3)) * dimension((8, 1))
-    finally:
-        set_character_cache_limit(None)
 
 
 @st.composite

@@ -248,17 +248,42 @@ def test_unwritable_output_is_bad_args(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_cli_import_loads_neither_numpy_nor_oracle():
+def test_cli_import_loads_neither_numpy_nor_oracle(tmp_path):
+    # neither the import nor a profile run (which parses its walk string)
+    # may load numpy, the oracle or the sampler
     src = str(Path(symwalk.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["profile", "--walk", "lazy:3:1/2", "--n", "5", "--group", "an",
+            "--t-grid", "0,1", "--out", str(tmp_path / "p.csv")]
     code = (
         "import sys, symwalk.cli; "
+        f"assert symwalk.cli.main({argv!r}) == 0; "
         "print(sorted(m for m in ('numpy', 'symwalk.group_oracle', 'symwalk.montecarlo') "
         "if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["profile", "simulate"])
+@pytest.mark.parametrize(
+    "walk",
+    ["class:3:junk", "lazy:3:1/2:junk", "lazy:3", "lazy:3:1/0", "lazy:3:1e400", "class:",
+     "class:3,,2", "class:0,3"],
+)
+def test_malformed_walk_is_bad_args(command, walk, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    argv = [command, "--walk", walk, "--n", "6", "--out", str(out)]
+    if command == "profile":
+        argv += ["--t-grid", "0,1"]
+    else:
+        argv += ["--t", "3", "--N", "1000", "--seed", "1"]
+    assert run(argv) == cli.EXIT_BAD_ARGS
+    err = capsys.readouterr().err
+    assert err.startswith("symwalk: invalid arguments:") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_simulate(tmp_path):

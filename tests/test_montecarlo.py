@@ -8,6 +8,7 @@ from symwalk import group_oracle as go
 from symwalk import montecarlo as mc
 from symwalk.bounds import matching_tail
 from symwalk.distances import tv_of
+from symwalk.walks import WalkSpec
 
 
 def test_sim_config_validation():
@@ -16,9 +17,11 @@ def test_sim_config_validation():
     with pytest.raises(ValueError):
         mc.SimConfig(n=5, walk="ttr", t=-1, n_samples=10, seed=0)
     with pytest.raises(ValueError):
-        mc._Stepper("bogus", 5)
+        WalkSpec.parse("bogus")
     with pytest.raises(ValueError):
-        mc._Stepper("lazy:3:2", 5)
+        WalkSpec.parse("lazy:3:2")
+    with pytest.raises(ValueError):
+        mc.sample_walk(mc.SimConfig(n=5, walk="class:3:junk", t=1, n_samples=10, seed=0))
 
 
 def test_t_zero_is_identity():
@@ -39,7 +42,7 @@ def test_bitwise_reproducibility():
 
 
 def one_step_empirical_tv(walk, n, n_samples, seed):
-    stepper = mc._Stepper(walk, n)
+    stepper = mc._Stepper(WalkSpec.parse(walk), n)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     X = np.tile(np.arange(n), (n_samples, 1))
     X = stepper.step(X, rng)
@@ -156,7 +159,7 @@ def test_class_and_lazy_samplers_above_oracle_scale():
         cfg = mc.SimConfig(n=20, walk=walk, t=8, n_samples=256, seed=2)
         stats = mc.sample_walk(cfg)
         assert stats.fixed_point_histogram.sum() == 256
-        stepper = mc._Stepper(walk, 20)
+        stepper = mc._Stepper(WalkSpec.parse(walk), 20)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
         X = np.tile(np.arange(20), (64, 1))
         for _ in range(5):

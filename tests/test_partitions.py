@@ -13,7 +13,7 @@ from symwalk.partitions import (
     dimension,
     dominates,
     enumerate_partitions,
-    hook_cells,
+    hook_lengths,
     near_square_partition,
     partitions,
     staircase_partition,
@@ -82,7 +82,7 @@ def test_conjugate_involution(lam):
 def test_hook_cells_definition():
     # direct h = arm + leg + 1 against an independent cell count
     lam = (4, 2, 1)
-    cells = {(c.row, c.col): c.hook_length for c in hook_cells(lam)}
+    cells = hook_lengths(lam)
     expected = {}
     boxes = {(i, j) for i, row in enumerate(lam, 1) for j in range(1, row + 1)}
     for (i, j) in boxes:
