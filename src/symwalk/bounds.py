@@ -262,13 +262,18 @@ class MatchingTail:
 
 
 def matching_tail(n: int, j: int) -> MatchingTail:
-    """Exact u(A_j) = sum_{m=j}^n (1/m!) sum_{v=0}^{n-m} (-1)^v / v!."""
+    """Exact u(A_j) = sum_{m=j}^n (1/m!) sum_{v=0}^{n-m} (-1)^v / v!.
+
+    Counted in integers: the permutations with exactly m fixed points number
+    C(n, m) D_{n-m}, with derangement numbers D_k = k D_{k-1} + (-1)^k.
+    """
     if not 1 <= j <= n:
         raise ValueError("need 1 <= j <= n")
-    total = Fraction(0)
-    for m in range(j, n + 1):
-        inner = sum(Fraction((-1) ** v, math.factorial(v)) for v in range(n - m + 1))
-        total += Fraction(1, math.factorial(m)) * inner
+    derangements = [1]
+    for k in range(1, n - j + 1):
+        derangements.append(k * derangements[-1] + (-1) ** k)
+    count = sum(math.comb(n, m) * derangements[n - m] for m in range(j, n + 1))
+    total = Fraction(count, math.factorial(n))
     bound = math.exp(-1) / math.factorial(j - 1) if j >= 2 else None
     return MatchingTail(total, bound)
 

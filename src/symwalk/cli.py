@@ -38,7 +38,8 @@ EXIT_BAD_ARGS = 2
 EXIT_RESOURCE = 3
 
 SUITES = ("rt-discrete", "rt-continuous", "ttr", "four-cycle", "lemmas", "oracle")
-PROFILE_WALKS = walks.syntax("rt", "ttr-bound", "class", "lazy")
+PROFILE_KINDS = ("rt", "ttr-bound", "class", "lazy")
+PROFILE_WALKS = walks.syntax(*PROFILE_KINDS)
 
 
 # ---------------------------------------------------------------------------
@@ -64,15 +65,19 @@ class RunManifest:
     seed: int | None
     version: str = __version__
     wall_time_s: float = 0.0
+    stream_version: int | None = None  # simulate: which random draws make a step
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "command": self.command,
             "params": self.params,
             "seed": self.seed,
             "version": self.version,
             "wall_time_s": round(self.wall_time_s, 3),
         }
+        if self.stream_version is not None:
+            out["stream_version"] = self.stream_version
+        return out
 
 
 def _emit(path: str, text: str) -> None:
@@ -204,10 +209,8 @@ def cmd_profile(args) -> int:
             rows.append(distances.ProfileRow("ttr-bound", "sn", n, t, mp.sqrt(sq)))
         profile = distances.DistanceProfile("ttr-bound", "sn", n, args.mode, rows)
     else:
-        spec = walks.WalkSpec.parse(args.walk)
+        spec = walks.WalkSpec.parse(args.walk, kinds=PROFILE_KINDS)
         q = spec.class_measure(n)
-        if q is None:
-            raise ValueError(f"profile has no curve for {args.walk!r}, expected {PROFILE_WALKS}")
         if spec.kind == "rt" and args.group != "sn":
             raise ValueError("the random transposition walk lives on S_n")
         profile = distances.class_walk_profile(q, args.group, args.mode, times, prec)
@@ -436,8 +439,6 @@ def cmd_simulate(args) -> int:
     from . import montecarlo
 
     started = time.perf_counter()
-    if args.N < 1000:
-        raise ValueError("need at least 1000 trajectories for the std-error column")
     t = int(math.ceil(eval_time_expr(args.t, args.n)))
     result = montecarlo.fixed_point_tv_lower(
         args.n, t, args.j, args.N, args.seed, walk=args.walk, progress=True
@@ -447,6 +448,7 @@ def cmd_simulate(args) -> int:
         {"walk": args.walk, "n": args.n, "t": args.t, "j": args.j, "N": args.N},
         seed=args.seed,
         wall_time_s=time.perf_counter() - started,
+        stream_version=montecarlo.STREAM_VERSION,
     )
     header = ["walk", "n", "t", "j", "n_samples", "seed", "tv_lower", "std_err", "u_exact"]
     row = [

@@ -25,6 +25,9 @@ from .bounds import matching_tail
 from .walks import WalkSpec
 
 BLOCK_SIZE = 8192
+#: version of the map from Philox draws to steps; recorded in the simulate
+#: manifest.  2: O(support) class/lazy steps (ttr, rt, ri unchanged from 1)
+STREAM_VERSION = 2
 _PROGRESS_EVERY = 10**6
 _MIN_SAMPLES_FOR_STDERR = 1000
 
@@ -45,63 +48,92 @@ class SimConfig:
             raise ValueError("need n >= 2, t >= 0, n_samples >= 1")
 
 
-def _class_representative(cycles: tuple[int, ...]) -> np.ndarray:
-    rep = np.arange(sum(cycles), dtype=np.int64)
-    start = 0
-    for c in cycles:
-        for off in range(c):
-            rep[start + off] = start + (off + 1) % c
-        start += c
-    return rep
+def trajectory_dtype(n: int) -> type[np.signedinteger]:
+    """The smallest signed dtype the stepper stores positions 0..n-1 in."""
+    return np.int16 if n - 1 <= np.iinfo(np.int16).max else np.int32
 
 
 class _Stepper:
     """Vectorized one-step kernels; X has one trajectory per row and the
-    update is always the right multiplication X <- X o xi."""
+    update is always the right multiplication X <- X o xi.
+
+    Each kernel touches only the positions its step moves: swaps and the
+    class rotation go through flat indices ``rows * n + position`` of the
+    C-contiguous X, and ri shifts one segment per row with masked copies.
+    """
 
     def __init__(self, spec: WalkSpec, n: int):
         self.n = n
         self.kind = spec.kind
-        self.rep = _class_representative(spec.cycle_type(n)) if spec.cycles else None
+        self.cycles = spec.cycles
+        if spec.cycles:
+            spec.cycle_type(n)  # the class must fit in S_n
         self.eps = None if spec.eps is None else float(spec.eps)
+        self.positions = np.arange(n, dtype=trajectory_dtype(n))
+        self._base = np.zeros(0, dtype=np.int64)
+
+    def _distinct_positions(self, m: int, rng: np.random.Generator) -> np.ndarray:
+        """Per row, a uniform ordered tuple of sum(cycles) distinct positions.
+
+        Sequential skipping: the k-th pick is uniform over the n-k positions
+        still free, found by adding 1 for each earlier pick at or below it,
+        taking the earlier picks in ascending order.
+        """
+        s = sum(self.cycles)
+        picks = np.empty((m, s), dtype=np.int64)
+        for k in range(s):
+            p = rng.integers(0, self.n - k, size=m)
+            for earlier in np.sort(picks[:, :k], axis=1).T:
+                p += earlier <= p
+            picks[:, k] = p
+        return picks
 
     def step(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         n = self.n
         m = X.shape[0]
-        rows = np.arange(m)
+        X = np.ascontiguousarray(X)  # the flat view below must write through
+        flat = X.reshape(-1)
+        if len(self._base) != m:  # flat index of each row's start, once per block size
+            self._base = np.arange(m, dtype=np.int64) * n
+        base = self._base
         if self.kind == "ttr":
-            i = rng.integers(0, n, size=m)
-            tmp = X[rows, i].copy()
-            X[rows, i] = X[rows, 0]
-            X[rows, 0] = tmp
+            a = base + rng.integers(0, n, size=m)
+            tmp = flat[a]
+            flat[a] = flat[base]
+            flat[base] = tmp
             return X
         if self.kind == "rt":
-            i = rng.integers(0, n, size=m)
-            j = rng.integers(0, n, size=m)
-            tmp = X[rows, i].copy()
-            X[rows, i] = X[rows, j]
-            X[rows, j] = tmp
+            a = base + rng.integers(0, n, size=m)
+            b = base + rng.integers(0, n, size=m)
+            tmp = flat[a]
+            flat[a] = flat[b]
+            flat[b] = tmp
             return X
         if self.kind == "ri":
+            # the card at j moves to i; the cards between shift one place toward j's side
             i = rng.integers(0, n, size=m)
             j = rng.integers(0, n, size=m)
-            cols = np.arange(n)[None, :]
-            lo = np.minimum(i, j)[:, None]
-            hi = np.maximum(i, j)[:, None]
-            down = (cols > lo) & (cols <= hi) & (i < j)[:, None]
-            up = (cols >= lo) & (cols < hi) & (j < i)[:, None]
-            idx = cols - down.astype(np.int64) + up.astype(np.int64)
-            idx[rows, i] = j
-            return np.take_along_axis(X, idx, axis=1)
-        # uniform class step: conjugate the representative by a uniform g
-        G = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
-        Ginv = np.argsort(G, axis=1)
-        xi = np.take_along_axis(G, self.rep[Ginv], axis=1)
-        stepped = np.take_along_axis(X, xi, axis=1)
+            # compare in the compact dtype: the masks are most of the step's cost
+            i_col, j_col = (v.astype(self.positions.dtype)[:, None] for v in (i, j))
+            right, left = self.positions[1:], self.positions[:-1]
+            new = X.copy()
+            np.copyto(new[:, 1:], X[:, :-1], where=(i_col < right) & (right <= j_col))
+            np.copyto(new[:, :-1], X[:, 1:], where=(j_col <= left) & (left < i_col))
+            new.reshape(-1)[base + i] = flat[base + j]
+            return new
+        # class/lazy: xi is a uniform element of the class, given by its support
+        # positions in cycle order; the step rotates X's values along each cycle
+        idx = base[:, None] + self._distinct_positions(m, rng)
+        vals = flat[idx]
+        start = 0
+        for c in self.cycles:
+            vals[:, start:start + c] = np.roll(vals[:, start:start + c], -1, axis=1)
+            start += c
         if self.kind == "lazy":
-            hold = rng.random(m) < self.eps
-            stepped[hold] = X[hold]
-        return stepped
+            move = rng.random(m) >= self.eps
+            idx, vals = idx[move], vals[move]
+        flat[idx] = vals
+        return X
 
 
 @dataclass
@@ -122,7 +154,7 @@ def sample_walk(cfg: SimConfig, progress: bool = False) -> WalkStatistics:
     hist = np.zeros(cfg.n + 1, dtype=np.int64)
     n_blocks = -(-cfg.n_samples // BLOCK_SIZE)
     streams = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
-    target = np.arange(cfg.n)
+    target = stepper.positions
     done = 0
     next_progress = _PROGRESS_EVERY
     for b, stream in enumerate(streams):
@@ -162,7 +194,8 @@ def fixed_point_tv_lower(
     if not 2 <= j <= n:
         raise ValueError("need 2 <= j <= n")
     if n_samples < _MIN_SAMPLES_FOR_STDERR:
-        raise ValueError(f"need at least {_MIN_SAMPLES_FOR_STDERR} samples")
+        raise ValueError(
+            f"need at least {_MIN_SAMPLES_FOR_STDERR} trajectories for the std-error column")
     cfg = SimConfig(n=n, walk=walk, t=t, n_samples=n_samples, seed=seed, j=j)
     stats = sample_walk(cfg, progress=progress)
     p_hat = stats.event_frequency(j)

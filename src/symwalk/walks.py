@@ -50,11 +50,15 @@ class WalkSpec:
     eps: Fraction | None = None
 
     @classmethod
-    def parse(cls, text: str) -> WalkSpec:
-        """Parse a walk string; raises ValueError on any malformed one."""
+    def parse(cls, text: str, kinds: tuple[str, ...] = tuple(SYNTAX)) -> WalkSpec:
+        """Parse a walk string; raises ValueError on any malformed one.
+
+        ``kinds`` lists what the caller accepts, as named in its help text;
+        an unknown kind is reported against that list.
+        """
         kind, *fields = text.split(":")
-        if kind not in SYNTAX:
-            raise ValueError(f"unknown walk {text!r}, expected {syntax(*SYNTAX)}")
+        if kind not in SYNTAX or kind not in kinds:
+            raise ValueError(f"walk {text!r} is not one of {syntax(*kinds)}")
         if len(fields) != SYNTAX[kind].count(":"):
             raise ValueError(f"walk {text!r} does not have the form {SYNTAX[kind]}")
         if not fields:

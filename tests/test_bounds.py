@@ -188,6 +188,18 @@ def test_matching_tail_against_census():
         assert matching_tail(6, j).value == Fraction(count, math.factorial(6)), j
 
 
+def test_matching_tail_against_double_sum():
+    # the definitional sum over m >= j of (1/m!) sum_{v <= n-m} (-1)^v / v!
+    for n in range(1, 41):
+        terms = [
+            Fraction(1, math.factorial(m))
+            * sum(Fraction((-1) ** v, math.factorial(v)) for v in range(n - m + 1))
+            for m in range(n + 1)
+        ]
+        for j in range(1, n + 1):
+            assert matching_tail(n, j).value == sum(terms[j:]), (n, j)
+
+
 def test_stirling_envelope():
     lo, hi = stirling_envelope(10)
     assert float(lo) <= 3628800 <= float(hi)

@@ -300,9 +300,30 @@ def test_simulate(tmp_path):
     assert float(fields[8]) == pytest.approx(0.0803013970761, rel=1e-9)
 
 
-def test_simulate_minimum_samples(tmp_path):
+def test_simulate_minimum_samples(tmp_path, capsys):
     assert run(["simulate", "--walk", "ttr", "--n", "10", "--t", "5", "--j", "2",
                 "--N", "500", "--seed", "1", "--out", str(tmp_path / "x.csv")]) == cli.EXIT_BAD_ARGS
+    # the library's check is the only one
+    assert capsys.readouterr().err == (
+        "symwalk: invalid arguments: need at least 1000 trajectories for the std-error column\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_manifest_records_stream_version(tmp_path):
+    out = tmp_path / "s.csv"
+    assert run(["simulate", "--walk", "class:3", "--n", "8", "--t", "4", "--j", "2",
+                "--N", "1000", "--seed", "3", "--out", str(out)]) == 0
+    manifest = json.loads(read_lines(out)[0][len("# manifest: "):])
+    assert manifest["stream_version"] == 2
+    assert "stream_version" not in cli.RunManifest("profile", {}, seed=None).as_dict()
+
+
+@pytest.mark.parametrize("walk", ["bogus", "ttr", "ri"])
+def test_profile_unknown_walk_lists_profile_walks(walk, capsys):
+    assert run(["profile", "--walk", walk, "--n", "5"]) == cli.EXIT_BAD_ARGS
+    err = capsys.readouterr().err
+    assert err == f"symwalk: invalid arguments: walk {walk!r} is not one of {cli.PROFILE_WALKS}\n"
+    assert cli.PROFILE_WALKS == "rt | ttr-bound | class:<parts> | lazy:<parts>:<eps>"
 
 
 def test_precision_flag_guard():

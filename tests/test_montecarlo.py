@@ -153,7 +153,7 @@ def test_matching_tail_is_sampler_limit_rt():
 
 
 def test_class_and_lazy_samplers_above_oracle_scale():
-    # shape/indexing smoke for the conjugation stepper at n beyond the
+    # shape/indexing smoke for the class and lazy steppers at n beyond the
     # brute-force caps: rows must stay permutations
     for walk in ("class:5", "lazy:5,3:1/3"):
         cfg = mc.SimConfig(n=20, walk=walk, t=8, n_samples=256, seed=2)
@@ -165,3 +165,47 @@ def test_class_and_lazy_samplers_above_oracle_scale():
         for _ in range(5):
             X = stepper.step(X, rng)
         assert np.array_equal(np.sort(X, axis=1), np.tile(np.arange(20), (64, 1)))
+
+
+def test_swap_and_insertion_streams_are_pinned():
+    # histograms of the version-1 stream: the ttr, rt and ri kernels map the
+    # same draws to the same steps as before the O(support) rewrite
+    pinned = {
+        "ttr": [178, 1250, 2691, 2847, 1847, 817, 243, 118, 0, 9],
+        "rt": [2100, 3428, 2641, 1269, 440, 110, 10, 2, 0, 0],
+        "ri": [2612, 3386, 2384, 1103, 376, 112, 23, 4, 0, 0],
+    }
+    for walk, hist in pinned.items():
+        cfg = mc.SimConfig(n=9, walk=walk, t=11, n_samples=10000, seed=2024)
+        assert mc.sample_walk(cfg).fixed_point_histogram.tolist() == hist, walk
+
+
+def test_trajectory_dtype():
+    assert mc.trajectory_dtype(2) == np.int16
+    assert mc.trajectory_dtype(32768) == np.int16
+    assert mc.trajectory_dtype(32769) == np.int32
+
+
+@pytest.mark.parametrize("walk", ["ttr", "rt", "ri", "class:3,2", "lazy:4:1/3"])
+def test_step_kernels_agree_across_dtypes(walk):
+    # equal RNG states give equal rows whatever integer dtype X has, rows
+    # stay permutations, and a non-contiguous X is stepped as its copy
+    n, m = 20, 300
+    stepper = mc._Stepper(WalkSpec.parse(walk), n)
+    start = np.random.default_rng(5).permuted(np.tile(np.arange(n), (m, 1)), axis=1)
+    views = {
+        "int64": start.copy(),
+        "compact": start.astype(mc.trajectory_dtype(n)),
+        "fortran": np.asfortranarray(start),
+        "strided": np.repeat(start, 2, axis=0)[::2],
+    }
+    for name, X in views.items():
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(17)))
+        for _ in range(6):
+            X = stepper.step(X, rng)
+        views[name] = X
+    for name, X in views.items():
+        assert np.array_equal(X, views["compact"]), name
+        assert np.array_equal(np.sort(X, axis=1), np.tile(np.arange(n), (m, 1))), name
+    assert views["compact"].dtype == mc.trajectory_dtype(n)
+    assert not np.array_equal(views["compact"], start)

@@ -39,6 +39,13 @@ def test_parse_rejects(text):
         WalkSpec.parse(text)
 
 
+def test_parse_restricted_kinds():
+    assert WalkSpec.parse("class:3", kinds=("rt", "class")) == WalkSpec("class", (3,))
+    for text in ("ttr", "ri", "ttr-bound"):
+        with pytest.raises(ValueError, match=r"is not one of rt \| ttr-bound \| class:<parts>$"):
+            WalkSpec.parse(text, kinds=("rt", "ttr-bound", "class"))
+
+
 def test_cycle_type_pads_and_checks_fit():
     spec = WalkSpec.parse("class:3,2")
     assert spec.cycle_type(7) == (3, 2, 1, 1)
