@@ -130,25 +130,14 @@ def rt_continuous_terms(n: int, prec: int = DEFAULT_PREC) -> RtContinuousTerms:
 # transpose top with random
 # ---------------------------------------------------------------------------
 
-def ttr_bound_sum(n: int, t, prec: int = DEFAULT_PREC) -> mpmath.mpf:
-    """sum_{j=1}^{n-1} (n!/(n-j)!)^2 (1/j!) (1 - j/n)^(2t), a bound on d2^2."""
-    if n < 1 or t < 0:
-        raise ValueError("need n >= 1 and t >= 0")
-    log_w = _log_weights(n, prec)
-    with mp.workprec(prec):
-        return mp.fsum(
-            mp.exp(log_w[j] + 2 * mp.mpf(t) * _log_frac(Fraction(n - j, n)))
-            for j in range(1, n)
-        )
-
-
-def ttr_bound_sum_continuous(n: int, t, prec: int = DEFAULT_PREC) -> mpmath.mpf:
-    """Continuous-time variant: sum_j (n!/(n-j)!)^2 (1/j!) e^(-2tj/n)."""
-    if n < 1 or t < 0:
-        raise ValueError("need n >= 1 and t >= 0")
-    log_w = _log_weights(n, prec)
-    with mp.workprec(prec):
-        return mp.fsum(mp.exp(log_w[j] - 2 * mp.mpf(t) * j / n) for j in range(1, n))
+def ttr_bound_spectrum(n: int) -> Spectrum:
+    """Blocks whose d2^2 is the bound sum sum_{j=1}^{n-1} (n!/(n-j)!)^2 (1/j!) b_j,
+    with b_j = (1 - j/n)^(2t) in discrete and e^(-2tj/n) in continuous time:
+    eigenvalue 1 - j/n with the integer multiplicity C(n, j) n!/(n-j)!."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    blocks = tuple((Fraction(n - j, n), math.comb(n, j) * math.perm(n, j)) for j in range(1, n))
+    return Spectrum(n, "sn", "ttr-bound", blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -182,46 +171,50 @@ class BoundReport:
         return out
 
 
-# One row per theorem: least n and c, threshold time, class measure (None
-# where a bound sum on n replaces the spectrum), distance at the threshold,
-# guaranteed constant.  Evaluators look distance functions up at call time.
-Theorem = namedtuple("Theorem", "min_n min_c threshold measure evaluate guaranteed")
+# One row per theorem: least n and c, threshold time, source of the spectrum
+# at n, distance at the threshold, guaranteed constant.  Evaluators look
+# distance functions up at call time.
+Theorem = namedtuple("Theorem", "min_n min_c threshold source evaluate guaranteed")
 
 
 def _rt_time(n: int, c: float) -> float:
     return (n / 2) * (math.log(n) + c)
 
 
+def _rt_spectrum(n: int) -> Spectrum:
+    return spectrum(random_transposition_measure(n))
+
+
 THEOREMS = {
     # d2(q_rt^(t), u) <= 2 e^-c at t = ceil((n/2)(log n + c))
     "rt_discrete": Theorem(
-        15, 0, lambda n, c: math.ceil(_rt_time(n, c)), random_transposition_measure,
+        15, 0, lambda n, c: math.ceil(_rt_time(n, c)), _rt_spectrum,
         lambda spec, t, prec: l2_discrete(spec, t, prec), lambda c: 2 * mp.exp(-c)),
     # bound sum on d2^2 <= 2 e^-2c at t = ceil(n(log n + c))
     "ttr": Theorem(
-        1, 0, lambda n, c: math.ceil(n * (math.log(n) + c)), None,
-        lambda n, t, prec: ttr_bound_sum(n, t, prec), lambda c: 2 * mp.exp(-2 * c)),
+        1, 0, lambda n, c: math.ceil(n * (math.log(n) + c)), ttr_bound_spectrum,
+        lambda spec, t, prec: l2_discrete(spec, t, prec) ** 2, lambda c: 2 * mp.exp(-2 * c)),
     # d2(h_rt,t, u) <= e^-(c-2) at t = (n/2)(log n + c)
     "rt_continuous": Theorem(
-        10, 2, _rt_time, random_transposition_measure,
+        10, 2, _rt_time, _rt_spectrum,
         lambda spec, t, prec: l2_continuous(spec, t, prec), lambda c: mp.exp(-(c - 2))),
     # d2(h_c4,t, u) <= e^-(c-2) at the same threshold
     "four_cycle": Theorem(
-        11, 2, _rt_time, lambda n: uniform_class_measure((4,) + (1,) * (n - 4)),
+        11, 2, _rt_time, lambda n: spectrum(uniform_class_measure((4,) + (1,) * (n - 4))),
         lambda spec, t, prec: l2_continuous(spec, t, prec), lambda c: mp.exp(-(c - 2))),
     # d2(q_ri^(t), u)^2 <= e^-(c-2) at t = 2n(log n + c), through the Dirichlet
     # comparison as d2(h_rt, t/4)^2
     "random_insertion": Theorem(
-        10, 2, lambda n, c: 2 * n * (math.log(n) + c), random_transposition_measure,
+        10, 2, lambda n, c: 2 * n * (math.log(n) + c), _rt_spectrum,
         lambda spec, t, prec: l2_continuous(spec, t / 4, prec) ** 2,
         lambda c: mp.exp(-(c - 2))),
 }
 
 
 @lru_cache(maxsize=4)
-def _theorem_spectrum(measure, n: int) -> Spectrum:
-    """The S_n spectrum of ``measure(n)``, built once for all c of a sweep."""
-    return spectrum(measure(n))
+def _theorem_spectrum(source, n: int) -> Spectrum:
+    """The spectrum ``source(n)``, built once for all c of a sweep."""
+    return source(n)
 
 
 def theorem_bound(walk: str, n: int, c: float, prec: int = DEFAULT_PREC) -> BoundReport:
@@ -234,8 +227,7 @@ def theorem_bound(walk: str, n: int, c: float, prec: int = DEFAULT_PREC) -> Boun
         raise ValueError(f"{walk} needs n >= {theorem.min_n} and c >= {theorem.min_c}")
     with mp.workprec(prec):
         t = theorem.threshold(n, c)
-        source = n if theorem.measure is None else _theorem_spectrum(theorem.measure, n)
-        computed = theorem.evaluate(source, t, prec)
+        computed = theorem.evaluate(_theorem_spectrum(theorem.source, n), t, prec)
         guaranteed = theorem.guaranteed(c)
         return BoundReport(
             name=walk,

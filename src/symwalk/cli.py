@@ -7,7 +7,8 @@ JSON carries one top-level object with "manifest" and "results".
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments (a
 non-integer discrete time, a thread count below 1 or not an integer) or an
-output path that cannot be written, 3 resource guard tripped.
+output path that cannot be written, 3 resource guard tripped, 4 internal
+error (an unexpected exception, reported on one stderr line).
 SYMWALK_THREADS overrides --threads.
 
 Layering: profiles and the spectral sweeps load neither numpy nor the
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_BAD_ARGS = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 SUITES = ("rt-discrete", "rt-continuous", "ttr", "four-cycle", "lemmas", "oracle")
 PROFILE_KINDS = ("rt", "ttr-bound", "class", "lazy")
@@ -200,20 +202,13 @@ def cmd_profile(args) -> int:
     if args.walk == "ttr-bound":
         if args.group != "sn":
             raise ValueError("ttr-bound is a symmetric-group curve")
-        rows = []
-        for t in times:
-            if args.mode == "discrete":
-                sq = bounds.ttr_bound_sum(n, int(t), prec)
-            else:
-                sq = bounds.ttr_bound_sum_continuous(n, t, prec)
-            rows.append(distances.ProfileRow("ttr-bound", "sn", n, t, mp.sqrt(sq)))
-        profile = distances.DistanceProfile("ttr-bound", "sn", n, args.mode, rows)
+        rows = distances.spectrum_profile(bounds.ttr_bound_spectrum(n), args.mode, times, prec)
     else:
         spec = walks.WalkSpec.parse(args.walk, kinds=PROFILE_KINDS)
         q = spec.class_measure(n)
         if spec.kind == "rt" and args.group != "sn":
             raise ValueError("the random transposition walk lives on S_n")
-        profile = distances.class_walk_profile(q, args.group, args.mode, times, prec)
+        rows = distances.class_walk_profile(q, args.group, args.mode, times, prec)
 
     manifest = RunManifest(
         "profile",
@@ -235,7 +230,7 @@ def cmd_profile(args) -> int:
 
     csv_rows = [
         [r.walk, r.group, str(r.n), fmt_time(r.t), fmt_real(r.d2), fmt_real(r.log10_d2_sq)]
-        for r in profile.rows
+        for r in rows
     ]
     if args.format == "csv":
         _write_csv(args.out, manifest, header, csv_rows)
@@ -249,7 +244,7 @@ def cmd_profile(args) -> int:
                 "d2": fmt_real(r.d2),  # decimal string: survives sub-float64 tails
                 "log10_d2_sq": float(r.log10_d2_sq),
             }
-            for r in profile.rows
+            for r in rows
         ]
         _write_json(args.out, manifest, results)
     return EXIT_OK
@@ -402,6 +397,8 @@ def cmd_verify(args) -> int:
     threads = args.effective_threads
     workers = worker_count(threads, len(ns), _usable_cpus())
     if workers > 1:
+        # processes, not threads: mpmath keeps the working precision in its
+        # one global mp context, so mp.workprec is not thread-safe
         from concurrent.futures import ProcessPoolExecutor
 
         chunks = [(args.suite, [n], cs, args.precision) for n in ns]
@@ -525,6 +522,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"symwalk: invalid arguments: {exc}", file=sys.stderr)
         return EXIT_BAD_ARGS
+    except Exception as exc:
+        print(f"symwalk: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

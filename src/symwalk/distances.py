@@ -17,11 +17,12 @@ further time point costs one exp per distinct eigenvalue.  Values are
 returned as mpf so profile tails below the float64 underflow threshold
 survive to the output layer.
 
-``l2_discrete``/``l2_continuous`` are one-point wrappers.  The odd-class
-A_n profile is the same evaluator on a mapped block table (see
-``_squared_walk_blocks``).  The definitional distances of oracle-scale
-distributions live here too but load numpy only when called, so the
-spectral path never imports numpy or the oracle.
+``l2_discrete``/``l2_continuous`` are one-point wrappers and
+``l2_single_term_lower`` a one-block one.  ``spectrum_profile`` labels a
+curve's rows; the odd-class A_n profile is the same evaluator on a mapped
+block table (see ``_squared_walk_blocks``).  The definitional distances of
+oracle-scale distributions live here too but load numpy only when called,
+so the spectral path never imports numpy or the oracle.
 """
 
 from __future__ import annotations
@@ -56,12 +57,6 @@ def _frac(x: Fraction) -> mpmath.mpf:
     return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 
-def _discrete_time(t) -> int:
-    if t < 0 or t != int(t):
-        raise ValueError("discrete time must be a non-negative integer")
-    return int(t)
-
-
 def _l2_curve(blocks: Blocks, times, mode: str, prec: int) -> list[mpmath.mpf]:
     """d2 at every time in ``times`` from a grouped nontrivial spectrum."""
     if mode not in MODES:
@@ -77,7 +72,9 @@ def _l2_curve(blocks: Blocks, times, mode: str, prec: int) -> list[mpmath.mpf]:
                 if beta != 0
             ]
             for t in times:
-                t = _discrete_time(t)
+                if t < 0 or t != int(t):
+                    raise ValueError("discrete time must be a non-negative integer")
+                t = int(t)
                 total = mp.mpf(zero_mass if t == 0 else 0)
                 for log_m, log_beta_sq in terms:
                     total += mp.exp(log_m + t * log_beta_sq)
@@ -119,19 +116,8 @@ def l2_single_term_lower(
     parts = check_partition(parts)
     if parts == (q.n,):
         raise ValueError("the trivial block is excluded from distance bounds")
-    beta = walk_eigenvalue(q, parts)
-    d = dimension(parts)
-    with mp.workprec(prec):
-        if mode == "discrete":
-            t = _discrete_time(t)
-            if beta == 0:
-                return mp.mpf(d if t == 0 else 0)
-            return mp.exp(
-                mp.log(d) + t * (mp.log(abs(beta.numerator)) - mp.log(beta.denominator))
-            )
-        if mode == "continuous":
-            return mp.exp(mp.log(d) - mp.mpf(t) * _frac(1 - beta))
-        raise ValueError(f"unknown mode {mode!r}")
+    block = (walk_eigenvalue(q, parts), dimension(parts) ** 2)
+    return _l2_curve((block,), [t], mode, prec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -199,39 +185,29 @@ class ProfileRow:
         return 2 * mp.log10(self.d2)
 
 
-@dataclass
-class DistanceProfile:
-    walk: str
-    group: str
-    n: int
-    mode: str
-    rows: list[ProfileRow]
-
-
 def _squared_walk_blocks(spec_sn: Spectrum) -> Blocks:
     """Blocks of the walk driven by q*q on A_n, for a pure odd-class q.
 
     q*q has the same eigenvalue data with beta -> beta^2; on A_n the trivial
     and sign diagrams fold into the excluded trivial block and every other
-    multiplicity is halved.  The pair lambda/lambda' (beta and -beta) then
-    lands on one integer block d_lambda^2.
+    multiplicity is halved.  The sign diagram has eigenvalue
+    sum_C q(C) sgn(C) = -1 and multiplicity 1, and the pair lambda/lambda'
+    (beta and -beta) then lands on one integer block d_lambda^2.
     """
-    sign = (1,) * spec_sn.n
-    sign_block = next((e.eigenvalue, -e.multiplicity) for e in spec_sn.entries if e.partition == sign)
-    without_sign = group_blocks(spec_sn.blocks + (sign_block,))
+    without_sign = group_blocks(spec_sn.blocks + ((Fraction(-1), -1),))
     return group_blocks((beta * beta, Fraction(m, 2)) for beta, m in without_sign)
 
 
-def _profile(
-    q: ClassMeasure, group: str, mode: str, blocks: Blocks, times, prec: int
-) -> DistanceProfile:
+def spectrum_profile(
+    spec: Spectrum, mode: str, times, prec: int = DEFAULT_PREC
+) -> list[ProfileRow]:
+    """Distance curve of a spectrum over a time grid, one row per time."""
     times = list(times)
     cast = int if mode == "discrete" else float
-    rows = [
-        ProfileRow(q.name, group, q.n, cast(t), d2)
-        for t, d2 in zip(times, _l2_curve(blocks, times, mode, prec))
+    return [
+        ProfileRow(spec.name, spec.group, spec.n, cast(t), d2)
+        for t, d2 in zip(times, _l2_curve(spec.blocks, times, mode, prec))
     ]
-    return DistanceProfile(q.name, group, q.n, mode, rows)
 
 
 def class_walk_profile(
@@ -240,7 +216,7 @@ def class_walk_profile(
     mode: str,
     times,
     prec: int = DEFAULT_PREC,
-) -> DistanceProfile:
+) -> list[ProfileRow]:
     """Distance curve of a class-measure walk over a time grid.
 
     Conventions for odd classes (walks that alternate between cosets of A_n):
@@ -256,14 +232,15 @@ def class_walk_profile(
     if group not in ("sn", "an"):
         raise ValueError(f"unknown group {group!r}")
     if group == "sn" or q.even_support:
-        return _profile(q, group, mode, spectrum(q, group).blocks, times, prec)
+        return spectrum_profile(spectrum(q, group), mode, times, prec)
     spec_sn = spectrum(q, "sn")
     if mode == "continuous":
-        return _profile(q, "sn", mode, spec_sn.blocks, times, prec)
+        return spectrum_profile(spec_sn, mode, times, prec)
     if any(is_even_class(c) for c, w in q.atoms if w > 0):
         # a mixed measure (identity or even atoms) never confines the
         # walk to one coset, so the q*q restriction does not apply
         raise ValueError("A_n discrete profiles need a pure odd-class measure")
-    squared = _profile(q, "an", mode, _squared_walk_blocks(spec_sn), times, prec)
-    raw = _profile(q, "sn", mode, spec_sn.blocks, times, prec)
-    return DistanceProfile(q.name, "an", q.n, mode, squared.rows + raw.rows)
+    times = list(times)  # the fold reads the grid twice
+    spec_an = Spectrum(q.n, "an", q.name, _squared_walk_blocks(spec_sn))
+    rows = spectrum_profile(spec_an, mode, times, prec)
+    return rows + spectrum_profile(spec_sn, mode, times, prec)

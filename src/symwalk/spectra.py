@@ -13,16 +13,17 @@ diagrams agree on even classes) by halving multiplicities: the trivial and
 sign diagrams collapse to the single trivial block of A_n, and every other
 diagram keeps eigenvalue beta_lambda with multiplicity d_lambda^2 / 2.
 
-Many diagrams share an eigenvalue, so every spectrum also carries its
-nontrivial part grouped by distinct eigenvalue (``Spectrum.blocks``), which
-is what the distance layer sums over.  Grouped multiplicities are integers
-on A_n too: a pair lambda/lambda' adds up to d_lambda^2, and a
-self-conjugate diagram has even dimension.
+Many diagrams share an eigenvalue, so a ``Spectrum`` is the nontrivial
+part grouped by distinct eigenvalue (``Spectrum.blocks``), which is what
+the distance layer sums over; ``diagram_eigenvalues`` yields the rows one
+diagram at a time.  Grouped multiplicities are integers on A_n too: a pair
+lambda/lambda' adds up to d_lambda^2, and a self-conjugate diagram has even
+dimension.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
@@ -123,13 +124,6 @@ def walk_eigenvalue(q: ClassMeasure, parts: Partition) -> Fraction:
     return beta
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    eigenvalue: Fraction
-    multiplicity: Fraction
-    partition: Partition
-
-
 #: (eigenvalue, integer multiplicity) per distinct eigenvalue
 Blocks = tuple[tuple[Fraction, int], ...]
 
@@ -152,35 +146,21 @@ def group_blocks(pairs: Iterable[tuple[Fraction, Fraction | int]]) -> Blocks:
     return tuple(blocks)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Spectrum:
-    """Full eigenvalue data of a class-measure walk on S_n or A_n.
-
-    ``entries`` holds one row per diagram; ``blocks`` groups the nontrivial
-    rows by distinct eigenvalue and is built once, at construction.
-    """
+    """The nontrivial eigenvalues of a walk on S_n or A_n, grouped by
+    distinct eigenvalue (every diagram but the trivial lambda = (n))."""
 
     n: int
     group: str  # "sn" | "an"
     name: str
-    entries: list[SpectrumEntry] = field(default_factory=list)
-    blocks: Blocks = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.blocks = group_blocks((e.eigenvalue, e.multiplicity) for e in self.nontrivial())
-
-    def nontrivial(self) -> Iterator[SpectrumEntry]:
-        """Entries excluding the trivial block lambda = (n)."""
-        trivial = (self.n,)
-        return (e for e in self.entries if e.partition != trivial)
-
-    @property
-    def total_multiplicity(self) -> Fraction:
-        return sum((e.multiplicity for e in self.entries), Fraction(0))
+    blocks: Blocks
 
 
-def spectrum(q: ClassMeasure, group: str = "sn") -> Spectrum:
-    """Eigenvalue/multiplicity list over all diagrams lambda of n.
+def diagram_eigenvalues(
+    q: ClassMeasure, group: str = "sn"
+) -> Iterator[tuple[Partition, Fraction, Fraction]]:
+    """(lambda, beta_lambda, multiplicity) for every diagram lambda of n.
 
     ``group="an"`` requires a measure supported on even classes; the sign
     diagram folds into the trivial block and all other multiplicities are
@@ -192,9 +172,7 @@ def spectrum(q: ClassMeasure, group: str = "sn") -> Spectrum:
         raise ValueError("A_n spectra need a measure supported on even classes")
     n = q.n
     sign = (1,) * n
-    entries = []
     for lam in partitions(n):
-        beta = walk_eigenvalue(q, lam)
         if group == "sn":
             mult = Fraction(dimension(lam) ** 2)
         elif lam == (n,):
@@ -203,8 +181,15 @@ def spectrum(q: ClassMeasure, group: str = "sn") -> Spectrum:
             continue
         else:
             mult = Fraction(dimension(lam) ** 2, 2)
-        entries.append(SpectrumEntry(beta, mult, lam))
-    return Spectrum(n, group, q.name, entries)
+        yield lam, walk_eigenvalue(q, lam), mult
+
+
+def spectrum(q: ClassMeasure, group: str = "sn") -> Spectrum:
+    """The grouped spectrum of q on S_n or A_n, without lambda = (n)."""
+    trivial = (q.n,)
+    rows = diagram_eigenvalues(q, group)
+    blocks = group_blocks((beta, mult) for lam, beta, mult in rows if lam != trivial)
+    return Spectrum(q.n, group, q.name, blocks)
 
 
 # ---------------------------------------------------------------------------

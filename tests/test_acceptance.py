@@ -17,7 +17,7 @@ from mpmath import mp
 
 from symwalk import group_oracle as go
 from symwalk import montecarlo as mc
-from symwalk.bounds import rt_continuous_terms, rt_discrete_terms, ttr_bound_sum
+from symwalk.bounds import rt_continuous_terms, rt_discrete_terms, ttr_bound_spectrum
 from symwalk.characters import char_ratio, m_moment, one_cycle_type, r4_exact
 from symwalk.distances import (
     chi_square_of,
@@ -62,9 +62,12 @@ def test_criterion_02_ttr_bound_and_oracle():
     ok = True
     detail = []
     for n in range(5, 61):
+        spec = ttr_bound_spectrum(n)
         for c in (0, 1, 2):
             t = math.ceil(n * (math.log(n) + c))
-            if not ttr_bound_sum(n, t) <= 2 * math.exp(-2 * c):
+            with mp.workprec(128):
+                bound_sum = l2_discrete(spec, t) ** 2  # d2^2 of the ttr-bound blocks
+            if not bound_sum <= 2 * math.exp(-2 * c):
                 ok = False
                 detail.append(f"sum n={n} c={c}")
     for n in range(2, 8):

@@ -14,10 +14,9 @@ from symwalk.bounds import (
     rt_discrete_terms,
     stirling_envelope,
     theorem_bound,
-    ttr_bound_sum,
-    ttr_bound_sum_continuous,
+    ttr_bound_spectrum,
 )
-from symwalk.distances import chi_square_of
+from symwalk.distances import DEFAULT_PREC, chi_square_of, l2_continuous, l2_discrete
 from symwalk.spectra import spectrum
 
 
@@ -110,6 +109,47 @@ def test_range_guards():
         rt_continuous_terms(9)
 
 
+def ttr_bound_sum(n, t, mode="discrete"):
+    """The transpose-top bound sum as d2^2 of the ``ttr-bound`` blocks."""
+    l2 = l2_discrete if mode == "discrete" else l2_continuous
+    with mp.workprec(DEFAULT_PREC):
+        return l2(ttr_bound_spectrum(n), t) ** 2
+
+
+def definitional_ttr_sum(n, t, mode):
+    """sum_{j=1}^{n-1} (n!/(n-j)!)^2 / j! * b_j at 256 bits in log-gamma form,
+    with b_j = (1 - j/n)^(2t) (discrete) or e^(-2tj/n) (continuous)."""
+    with mp.workprec(256):
+        log_fact = [mp.loggamma(k + 1) for k in range(n + 1)]
+        total = mp.mpf(0)
+        for j in range(1, n):
+            log_weight = 2 * (log_fact[n] - log_fact[n - j]) - log_fact[j]
+            if mode == "discrete":
+                log_b = 2 * t * (mp.log(n - j) - mp.log(n))
+            else:
+                log_b = -2 * mp.mpf(t) * j / n
+            total += mp.exp(log_weight + log_b)
+        return total
+
+
+def test_ttr_bound_blocks_match_definitional_sum():
+    for n in (5, 17, 60, 200):
+        spec = ttr_bound_spectrum(n)
+        falling = [math.factorial(n) // math.factorial(n - j) for j in range(n)]
+        assert spec.blocks == tuple(
+            (Fraction(n - j, n), Fraction(falling[j] ** 2, math.factorial(j))) for j in range(1, n)
+        )
+        assert all(type(m) is int for _, m in spec.blocks)
+        for t in (0, 1, n, math.ceil(n * (math.log(n) + 1))):
+            for mode in ("discrete", "continuous"):
+                ref = definitional_ttr_sum(n, t, mode)
+                with mp.workprec(256):
+                    err = abs(ttr_bound_sum(n, t, mode) - ref)
+                    assert err <= mp.mpf(2) ** -100 * ref, (n, t, mode)
+    with pytest.raises(ValueError):
+        ttr_bound_spectrum(0)
+
+
 def test_ttr_bound_sum():
     n = 25
     t0 = math.ceil(n * math.log(n))
@@ -126,7 +166,7 @@ def test_ttr_continuous_bound_sum():
     for n in (10, 25):
         for c in (0, 1, 2):
             t = n * (math.log(n) + c)
-            assert ttr_bound_sum_continuous(n, t) <= 2 * math.exp(-2 * c)
+            assert ttr_bound_sum(n, t, "continuous") <= 2 * math.exp(-2 * c)
 
 
 def test_theorem_bound_reports():

@@ -191,6 +191,15 @@ def test_verify_resource_guard(tmp_path):
                 "--out", str(tmp_path / "x.json")]) == cli.EXIT_RESOURCE
 
 
+def test_internal_error_exit_code(monkeypatch, capsys):
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_profile", crash)
+    assert run(["profile", "--walk", "rt", "--n", "5"]) == cli.EXIT_INTERNAL == 4
+    assert capsys.readouterr().err == "symwalk: internal error: RuntimeError: boom\n"
+
+
 def test_verify_threads_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("SYMWALK_THREADS", "1")
     out = tmp_path / "ttr.json"

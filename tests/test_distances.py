@@ -17,6 +17,7 @@ from symwalk.distances import (
 )
 from symwalk.partitions import near_square_partition, partitions
 from symwalk.spectra import (
+    diagram_eigenvalues,
     lazy_class_measure,
     random_transposition_measure,
     spectrum,
@@ -170,7 +171,7 @@ def test_profile_even_class_an_discrete_matches_oracle():
     perms = go.all_permutations(n)
     even = [i for i, p in enumerate(perms) if sum(c - 1 for c in go.cycle_type_of(p)) % 2 == 0]
     g_an = math.factorial(n) // 2
-    for row in profile.rows:
+    for row in profile:
         dist = go.convolution_power(qel, int(row.t))
         vals = [dist.values[i] for i in even]
         d2 = math.sqrt(g_an * sum((v - 1 / g_an) ** 2 for v in vals))
@@ -183,9 +184,10 @@ def test_profile_odd_class_an_discrete_reports_squared_walk():
     n = 5
     q = uniform_class_measure((4, 1))
     profile = class_walk_profile(q, "an", "discrete", [1, 2, 3])
-    an_rows = [r for r in profile.rows if r.group == "an"]
-    sn_rows = [r for r in profile.rows if r.group == "sn"]
+    an_rows = [r for r in profile if r.group == "an"]
+    sn_rows = [r for r in profile if r.group == "sn"]
     assert len(an_rows) == 3 and len(sn_rows) == 3
+    assert class_walk_profile(q, "an", "discrete", iter([1, 2, 3])) == profile  # one-pass grid
     qel = go.element_measure((4, 1), n)
     perms = go.all_permutations(n)
     even = [i for i, p in enumerate(perms) if sum(c - 1 for c in go.cycle_type_of(p)) % 2 == 0]
@@ -215,9 +217,9 @@ def test_profile_an_discrete_rejects_mixed_odd_measures():
 def test_profile_odd_class_continuous_relabels_to_sn():
     q = uniform_class_measure((4, 1))
     profile = class_walk_profile(q, "an", "continuous", [0.5, 1.0])
-    assert all(r.group == "sn" for r in profile.rows)
+    assert all(r.group == "sn" for r in profile)
     spec = spectrum(q, "sn")
-    for row in profile.rows:
+    for row in profile:
         assert abs(float(row.d2) - float(l2_continuous(spec, row.t))) < 1e-12
 
 
@@ -256,14 +258,14 @@ def assert_close(got, ref, what):
     assert abs(got - ref) <= GROUPED_REL_TOL * ref, (what, got, ref)
 
 
-def nontrivial_pairs(spec):
-    return [(e.eigenvalue, e.multiplicity) for e in spec.nontrivial()]
+def nontrivial_pairs(q, group="sn"):
+    return [(beta, m) for lam, beta, m in diagram_eigenvalues(q, group) if lam != (q.n,)]
 
 
-def squared_walk_pairs(spec_sn):
-    sign = (1,) * spec_sn.n
-    return [(e.eigenvalue ** 2, e.multiplicity / 2)
-            for e in spec_sn.nontrivial() if e.partition != sign]
+def squared_walk_pairs(q):
+    sign = (1,) * q.n
+    return [(beta ** 2, m / 2)
+            for lam, beta, m in diagram_eigenvalues(q) if lam not in ((q.n,), sign)]
 
 
 DISCRETE_TIMES = (0, 1, 2, 5, 17, 40)
@@ -271,7 +273,7 @@ CONTINUOUS_TIMES = (0, 0.5, 3.25, 10.0, 40.0)
 
 
 def check_profile(q, group, mode, pairs, times, label):
-    rows = [r for r in class_walk_profile(q, group, mode, times).rows if r.group == label]
+    rows = [r for r in class_walk_profile(q, group, mode, times) if r.group == label]
     assert [r.t for r in rows] == list(times)
     for row in rows:
         assert_close(row.d2, per_partition_l2(pairs, row.t, mode), (q.name, group, mode, row.t))
@@ -285,7 +287,7 @@ def test_blocks_group_integer_multiplicities():
         spec = spectrum(q, group)
         order = math.factorial(q.n) // (2 if group == "an" else 1)
         betas = [beta for beta, _ in spec.blocks]
-        assert len(betas) == len(set(betas)) <= sum(1 for _ in spec.nontrivial())
+        assert len(betas) == len(set(betas)) <= len(nontrivial_pairs(q, group))
         assert all(type(m) is int and m > 0 for _, m in spec.blocks)
         assert sum(m for _, m in spec.blocks) == order - 1
     for n in (4, 7, 9):
@@ -298,7 +300,7 @@ def test_blocks_group_integer_multiplicities():
 def test_grouped_rt_matches_per_partition_sum():
     for n in range(2, 13):
         spec = spectrum(random_transposition_measure(n))
-        pairs = nontrivial_pairs(spec)
+        pairs = nontrivial_pairs(random_transposition_measure(n))
         for t in DISCRETE_TIMES:
             assert_close(l2_discrete(spec, t), per_partition_l2(pairs, t, "discrete"), (n, t))
         for t in CONTINUOUS_TIMES:
@@ -311,7 +313,7 @@ def test_grouped_an_profiles_match_per_partition_sum():
     for n in (5, 8, 10):
         for q in (uniform_class_measure(one_cycle_type(n, 3)),
                   lazy_class_measure(one_cycle_type(n, 3), Fraction(1, 2))):
-            pairs = nontrivial_pairs(spectrum(q, "an"))
+            pairs = nontrivial_pairs(q, "an")
             check_profile(q, "an", "discrete", pairs, DISCRETE_TIMES, "an")
             check_profile(q, "an", "continuous", pairs, CONTINUOUS_TIMES, "an")
 
@@ -320,9 +322,8 @@ def test_grouped_odd_class_fold_matches_per_partition_sum():
     for n in (4, 7, 10):
         for cls in (2, 4):
             q = uniform_class_measure(one_cycle_type(n, cls))
-            spec_sn = spectrum(q, "sn")
-            check_profile(q, "an", "discrete", squared_walk_pairs(spec_sn), DISCRETE_TIMES, "an")
-            check_profile(q, "an", "discrete", nontrivial_pairs(spec_sn), DISCRETE_TIMES, "sn")
+            check_profile(q, "an", "discrete", squared_walk_pairs(q), DISCRETE_TIMES, "an")
+            check_profile(q, "an", "discrete", nontrivial_pairs(q), DISCRETE_TIMES, "sn")
 
 
 def test_grouped_matches_exact_rationals_for_small_n():
@@ -334,12 +335,12 @@ def test_grouped_matches_exact_rationals_for_small_n():
         if n >= 3:
             walks.append((lazy_class_measure(one_cycle_type(n, 3), Fraction(1, 2)), "an"))
         for q, group in walks:
-            pairs = nontrivial_pairs(spectrum(q, group))
+            pairs = nontrivial_pairs(q, group)
             check_profile(q, group, "discrete", pairs, times, group)
             if q.even_support and group == "sn":
-                check_profile(q, "an", "discrete", nontrivial_pairs(spectrum(q, "an")), times, "an")
+                check_profile(q, "an", "discrete", nontrivial_pairs(q, "an"), times, "an")
             if not q.even_support and q.name.startswith("class:"):
-                pairs = squared_walk_pairs(spectrum(q, "sn"))
+                pairs = squared_walk_pairs(q)
                 check_profile(q, "an", "discrete", pairs, times, "an")
 
 

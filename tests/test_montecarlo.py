@@ -41,16 +41,25 @@ def test_bitwise_reproducibility():
     assert not np.array_equal(a.fixed_point_histogram, c.fixed_point_histogram)
 
 
+def lehmer_rank(X):
+    """Row ranks in lexicographic order, the order of ``all_permutations``:
+    sum_i c_i (n-1-i)!, with c_i the entries right of position i below X[:, i]."""
+    n = X.shape[1]
+    rank = np.zeros(len(X), dtype=np.int64)
+    for i in range(n - 1):
+        smaller = np.count_nonzero(X[:, i + 1:] < X[:, i:i + 1], axis=1)
+        rank += smaller * math.factorial(n - 1 - i)
+    return rank
+
+
 def one_step_empirical_tv(walk, n, n_samples, seed):
     stepper = mc._Stepper(WalkSpec.parse(walk), n)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     X = np.tile(np.arange(n), (n_samples, 1))
     X = stepper.step(X, rng)
     perms = go.all_permutations(n)
-    index = {p: i for i, p in enumerate(perms)}
-    counts = np.zeros(len(perms))
-    for row in X:
-        counts[index[tuple(row)]] += 1
+    assert np.array_equal(lehmer_rank(np.array(perms)), np.arange(len(perms)))
+    counts = np.bincount(lehmer_rank(X), minlength=len(perms))
     emp = counts / n_samples
     if walk.startswith("lazy:"):
         _, parts_text, eps_text = walk.split(":")

@@ -9,6 +9,7 @@ from symwalk.characters import class_size, one_cycle_type
 from symwalk.partitions import dimension, partitions
 from symwalk.spectra import (
     ClassMeasure,
+    diagram_eigenvalues,
     lazy_class_measure,
     random_transposition_measure,
     spectrum,
@@ -78,21 +79,22 @@ def test_lazy_linearity():
 
 
 def test_spectrum_sn():
-    s = spectrum(random_transposition_measure(4))
-    assert sorted(int(e.multiplicity) for e in s.entries) == [1, 1, 4, 9, 9]
+    rows = list(diagram_eigenvalues(random_transposition_measure(4)))
+    assert sorted(int(m) for _, _, m in rows) == [1, 1, 4, 9, 9]
     for n in range(2, 13):
-        s = spectrum(random_transposition_measure(n))
-        assert s.total_multiplicity == math.factorial(n)
-        assert all(abs(e.eigenvalue) <= 1 for e in s.entries)
-        ones = [e for e in s.entries if e.eigenvalue == 1]
-        assert len(ones) == 1 and ones[0].partition == (n,)
+        rows = list(diagram_eigenvalues(random_transposition_measure(n)))
+        assert sum(m for _, _, m in rows) == math.factorial(n)
+        assert all(abs(beta) <= 1 for _, beta, _ in rows)
+        ones = [lam for lam, beta, _ in rows if beta == 1]
+        assert len(ones) == 1 and ones[0] == (n,)
 
 
 def test_spectrum_an():
-    s = spectrum(uniform_class_measure((3, 1, 1)), "an")
-    assert s.total_multiplicity == 60
-    assert sum(e.multiplicity for e in s.nontrivial()) == 59
-    assert all(e.partition != (1,) * 5 for e in s.entries)
+    q = uniform_class_measure((3, 1, 1))
+    rows = list(diagram_eigenvalues(q, "an"))
+    assert sum(m for _, _, m in rows) == 60
+    assert sum(m for _, m in spectrum(q, "an").blocks) == 59
+    assert all(lam != (1,) * 5 for lam, _, _ in rows)
     with pytest.raises(ValueError):
         spectrum(uniform_class_measure((2, 1, 1)), "an")  # odd class
     with pytest.raises(ValueError):
@@ -101,40 +103,42 @@ def test_spectrum_an():
 
 def test_odd_class_periodicity_witness():
     for n in (4, 6):
-        s = spectrum(uniform_class_measure((2,) + (1,) * (n - 2)))
-        at_sign = [e for e in s.entries if e.partition == (1,) * n]
-        assert at_sign[0].eigenvalue == -1
+        rows = diagram_eigenvalues(uniform_class_measure((2,) + (1,) * (n - 2)))
+        at_sign = [beta for lam, beta, _ in rows if lam == (1,) * n]
+        assert at_sign[0] == -1
+
+
+def count_top_eigenvalues(q, group="sn"):
+    return sum(1 for _, beta, _ in diagram_eigenvalues(q, group) if beta == 1)
 
 
 def test_unique_top_eigenvalue_for_generating_classes():
     # odd classes generate S_n, so the S_n spectrum has a single beta = 1;
     # even classes generate A_n, whose spectrum merges sign into trivial
     for n in range(5, 9):
-        s = spectrum(uniform_class_measure((2,) + (1,) * (n - 2)))
-        assert sum(1 for e in s.entries if e.eigenvalue == 1) == 1
-        s = spectrum(uniform_class_measure((3,) + (1,) * (n - 3)), "an")
-        assert sum(1 for e in s.entries if e.eigenvalue == 1) == 1
-        s = spectrum(random_transposition_measure(n))
-        assert sum(1 for e in s.entries if e.eigenvalue == 1) == 1
+        assert count_top_eigenvalues(uniform_class_measure((2,) + (1,) * (n - 2))) == 1
+        assert count_top_eigenvalues(uniform_class_measure((3,) + (1,) * (n - 3)), "an") == 1
+        assert count_top_eigenvalues(random_transposition_measure(n)) == 1
+
+
+def expanded_eigenvalues(spec):
+    """Every eigenvalue of the walk operator, the trivial 1 included, descending."""
+    expanded = [1.0]
+    for beta, m in spec.blocks:
+        expanded.extend([float(beta)] * m)
+    return np.array(sorted(expanded, reverse=True))
 
 
 def test_spectrum_matches_brute_force_operator(rt_spectrum):
     for n in range(2, 7):
-        expanded = []
-        for e in rt_spectrum(n).entries:
-            expanded.extend([float(e.eigenvalue)] * int(e.multiplicity))
-        expanded.sort(reverse=True)
+        expanded = expanded_eigenvalues(rt_spectrum(n))
         brute = go.operator_eigenvalues(go.element_measure("rt", n))
-        assert np.max(np.abs(np.array(expanded) - brute)) < 1e-9
+        assert np.max(np.abs(expanded - brute)) < 1e-9
 
 
 def test_spectrum_matches_brute_force_operator_n7():
     # 5040 x 5040 dense eigendecomposition, the largest direct cross-check
-    s = spectrum(random_transposition_measure(7))
-    expanded = []
-    for e in s.entries:
-        expanded.extend([float(e.eigenvalue)] * int(e.multiplicity))
-    expanded.sort(reverse=True)
+    expanded = expanded_eigenvalues(spectrum(random_transposition_measure(7)))
     q = go.element_measure("rt", 7)  # build the dense kernel past the size guard
     size = math.factorial(7)
     Km = np.zeros((size, size))
@@ -142,7 +146,7 @@ def test_spectrum_matches_brute_force_operator_n7():
     for table, w in go._support_maps(q, inverse=False):
         Km[rows, table] += float(w)
     brute = np.linalg.eigvalsh((Km + Km.T) / 2.0)[::-1]
-    assert np.max(np.abs(np.array(expanded) - brute)) < 1e-9
+    assert np.max(np.abs(expanded - brute)) < 1e-9
 
 
 def test_transpose_top_sigma():
