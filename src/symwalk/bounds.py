@@ -146,28 +146,38 @@ def ttr_bound_spectrum(n: int) -> Spectrum:
 
 @dataclass
 class BoundReport:
+    """One ``verify`` verdict: does ``computed <= guaranteed`` hold?
+
+    ``t`` is a theorem's threshold time; ``tv_inequality`` is the oracle's
+    side condition 2 TV <= chi-square, which must hold as well when present.
+    """
+
     name: str
     n: int
-    c: float
-    t: float
-    guaranteed: mpmath.mpf
-    computed: mpmath.mpf
-    passed: bool
-    details: dict = field(default_factory=dict)
+    c: float | None
+    guaranteed: mpmath.mpf | float
+    computed: mpmath.mpf | float
+    t: float | None = None
+    tv_inequality: bool | None = None
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.computed <= self.guaranteed) and self.tv_inequality is not False
 
     def as_dict(self) -> dict:
         out = {
             "name": self.name,
             "n": self.n,
             "c": self.c,
-            "t": self.t,
             "guaranteed": float(self.guaranteed),
             "computed": float(self.computed),
             "pass": self.passed,
         }
-        if self.details:
-            out["details"] = {k: (float(v) if isinstance(v, (int, float, mpmath.mpf)) else v)
-                              for k, v in self.details.items()}
+        if self.t is not None:
+            out["t"] = self.t
+            out["details"] = {"threshold_time": self.t}
+        if self.tv_inequality is not None:
+            out["details"] = {"tv_inequality": self.tv_inequality}
         return out
 
 
@@ -223,22 +233,45 @@ def theorem_bound(walk: str, n: int, c: float, prec: int = DEFAULT_PREC) -> Boun
     theorem = THEOREMS.get(walk)
     if theorem is None:
         raise ValueError(f"unknown bound {walk!r}")
-    if n < theorem.min_n or c < theorem.min_c:
-        raise ValueError(f"{walk} needs n >= {theorem.min_n} and c >= {theorem.min_c}")
+    if n < theorem.min_n or not (math.isfinite(c) and c >= theorem.min_c):
+        raise ValueError(f"{walk} needs n >= {theorem.min_n} and a finite c >= {theorem.min_c}")
     with mp.workprec(prec):
         t = theorem.threshold(n, c)
         computed = theorem.evaluate(_theorem_spectrum(theorem.source, n), t, prec)
-        guaranteed = theorem.guaranteed(c)
-        return BoundReport(
-            name=walk,
-            n=n,
-            c=c,
-            t=float(t),
-            guaranteed=guaranteed,
-            computed=computed,
-            passed=bool(computed <= guaranteed),
-            details={"threshold_time": float(t)},
-        )
+        return BoundReport(walk, n, c, theorem.guaranteed(c), computed, t=float(t))
+
+
+# One group per term-table family: the family (looked up at call time, like
+# the theorem evaluators), its least n, and per lemma the name, the
+# attribute of the family's table at n it reads and the guaranteed bound at n.
+LEMMAS = (
+    (lambda n, prec: rt_discrete_terms(n, prec), 14, (
+        ("phi0<=2", "phi0", lambda n: mp.mpf(2)),
+        ("phi1", "phi1", lambda n: mp.exp(2 - n * mp.log(n) / 6)),
+        ("phi2", "phi2", lambda n: mp.exp(1 - mp.mpf(3) * n * mp.log(n) / 1000)),
+    )),
+    (lambda n, prec: rt_continuous_terms(n, prec), 10, (
+        ("cont_sum_a_low<=2/3", "sum_a_low", lambda n: mp.mpf(2) / 3),
+        ("cont_sum_a_mid<=1/4", "sum_a_mid", lambda n: mp.mpf(1) / 4),
+        ("cont_gamma", "gamma", lambda n: 2 * mp.exp(mp.mpf(3) * n / 2 * (mp.log(2) - 1))),
+    )),
+)
+
+
+def lemma_checks(n: int, prec: int = DEFAULT_PREC) -> list[BoundReport]:
+    """Every lemma stated at ``n``, building one term table per family."""
+    least = min(min_n for _, min_n, _ in LEMMAS)
+    if n < least:
+        raise ValueError(f"the lemmas are stated for n >= {least}")
+    out = []
+    with mp.workprec(prec):
+        for family, min_n, lemmas in LEMMAS:
+            if n >= min_n:
+                terms = family(n, prec)
+                for name, attr, guaranteed in lemmas:
+                    computed = getattr(terms, attr)
+                    out.append(BoundReport(f"lemma:{name}", n, None, guaranteed(n), computed))
+    return out
 
 
 # ---------------------------------------------------------------------------

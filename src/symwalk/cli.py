@@ -1,15 +1,16 @@
 """Command-line surface: distance profiles, bound sweeps, simulations.
 
-Outputs are machine-readable and reproducible: every file embeds a run
-manifest (command, parameters, seed, library version, wall time), CSV uses
-a header row with '.' decimals and scientific notation below 1e-4, and
-JSON carries one top-level object with "manifest" and "results".
+The CLI parses, dispatches and writes; ``bounds`` owns every constant and
+comparison, and each ``verify`` row is one ``bounds.BoundReport``. Every
+file embeds a run manifest (command, parameters, seed, version, wall time);
+CSV has a header row, '.' decimals and scientific notation below 1e-4, and
+JSON is one object with "manifest" and "results".
 
-Exit codes: 0 success, 1 verification failure, 2 invalid arguments (a
-non-integer discrete time, a thread count below 1 or not an integer) or an
-output path that cannot be written, 3 resource guard tripped, 4 internal
-error (an unexpected exception, reported on one stderr line).
-SYMWALK_THREADS overrides --threads.
+Exit codes: 0 success, 1 verification failure, 2 invalid arguments (such
+as a non-integer discrete time, an out-of-range c or n, or a thread count
+below 1 or not an integer) or an output path that cannot be written, 3
+resource guard tripped, 4 internal error (an unexpected exception,
+reported on one stderr line). SYMWALK_THREADS overrides --threads.
 
 Layering: profiles and the spectral sweeps load neither numpy nor the
 brute-force oracle; only the oracle suite and ``simulate`` import them.
@@ -18,7 +19,6 @@ brute-force oracle; only the oracle suite and ``simulate`` import them.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import os
@@ -254,56 +254,13 @@ def cmd_profile(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _theorem_suite(suite: str, ns: list[int], cs: list[float], prec: int) -> list[dict]:
-    walk = suite.replace("-", "_")  # the suite's row of bounds.THEOREMS
-    return [bounds.theorem_bound(walk, n, c, prec).as_dict() for n in ns for c in cs]
-
-
-# (name, min n, computed, guaranteed at n); ``computed`` reads its partial
-# sum off ``terms(family)``, the term table ``family(n, prec)`` of the current n
-LEMMAS = (
-    ("phi0<=2", 14, lambda terms: terms(bounds.rt_discrete_terms).phi0, lambda n: mp.mpf(2)),
-    ("phi1", 14, lambda terms: terms(bounds.rt_discrete_terms).phi1,
-     lambda n: mp.exp(2 - n * mp.log(n) / 6)),
-    ("phi2", 14, lambda terms: terms(bounds.rt_discrete_terms).phi2,
-     lambda n: mp.exp(1 - mp.mpf(3) * n * mp.log(n) / 1000)),
-    ("cont_sum_a_low<=2/3", 10, lambda terms: terms(bounds.rt_continuous_terms).sum_a_low,
-     lambda n: mp.mpf(2) / 3),
-    ("cont_sum_a_mid<=1/4", 10, lambda terms: terms(bounds.rt_continuous_terms).sum_a_mid,
-     lambda n: mp.mpf(1) / 4),
-    ("cont_gamma", 10, lambda terms: terms(bounds.rt_continuous_terms).gamma,
-     lambda n: 2 * mp.exp(mp.mpf(3) * n / 2 * (mp.log(2) - 1))),
-)
-
-
-def _lemma_suite(ns: list[int], prec: int) -> list[dict]:
-    out = []
-    for n in ns:
-        terms = functools.cache(lambda family: family(n, prec))  # one table per family
-        with mp.workprec(prec):
-            for name, min_n, computed, guaranteed in LEMMAS:
-                if n >= min_n:
-                    value, bound = computed(terms), guaranteed(n)
-                    out.append(
-                        {
-                            "name": f"lemma:{name}",
-                            "n": n,
-                            "c": None,
-                            "guaranteed": float(bound),
-                            "computed": float(value),
-                            "pass": bool(value <= bound),
-                        }
-                    )
-    return out
-
-
 ORACLE_WALKS = ("rt", "ttr", "ri", "class:3", "class:4", "lazy:3:1/2")
 _ORACLE_DISCRETE_T = 12
 _ORACLE_CONTINUOUS_T = (0.5, 1.0, 2.0, 4.0)
 _ORACLE_TOL = 1e-8
 
 
-def _oracle_suite_one(n: int, walk: str, prec: int) -> dict:
+def _oracle_check(n: int, walk: str, prec: int) -> bounds.BoundReport:
     """Spectral formulas against definitional chi-square from exact convolution."""
     import numpy as np
 
@@ -330,34 +287,25 @@ def _oracle_suite_one(n: int, walk: str, prec: int) -> dict:
             h, _ = group_oracle.continuous_law(qel, t, tail_tol=1e-14)
             chi2 = distances.chi_square_of(h, normalized=False)
             worst = max(worst, abs(chi2 - float(distances.l2_continuous(spec, t, prec))))
-    return {
-        "name": f"oracle:{walk}",
-        "n": n,
-        "c": None,
-        "guaranteed": _ORACLE_TOL,
-        "computed": worst,
-        "pass": bool(worst <= _ORACLE_TOL and tv_ok),
-        "details": {"tv_inequality": tv_ok},
-    }
+    return bounds.BoundReport(f"oracle:{walk}", n, None, _ORACLE_TOL, worst, tv_inequality=tv_ok)
 
 
-def _oracle_suite(ns: list[int], prec: int) -> list[dict]:
-    from . import group_oracle
-
-    if max(ns) > group_oracle.MAX_DENSE_N:
-        raise ResourceGuardError(
-            f"oracle verification is capped at n <= {group_oracle.MAX_DENSE_N}"
-        )
-    return [_oracle_suite_one(n, walk, prec) for n in ns for walk in ORACLE_WALKS]
-
-
-def _suite_task(payload):
-    suite, ns, cs, prec = payload
+def _suite_task(payload) -> list[bounds.BoundReport]:
+    suite, n, cs, prec = payload
     if suite == "lemmas":
-        return _lemma_suite(ns, prec)
+        return bounds.lemma_checks(n, prec)
     if suite == "oracle":
-        return _oracle_suite(ns, prec)
-    return _theorem_suite(suite, ns, cs, prec)
+        from . import group_oracle
+
+        if n > group_oracle.MAX_DENSE_N:
+            raise ResourceGuardError(
+                f"oracle verification is capped at n <= {group_oracle.MAX_DENSE_N}"
+            )
+        return [_oracle_check(n, walk, prec) for walk in ORACLE_WALKS]
+    walk = suite.replace("-", "_")  # the suite's row of bounds.THEOREMS
+    if cs is None:  # the theorem's least c and the next two
+        cs = [float(bounds.THEOREMS[walk].min_c + k) for k in range(3)]
+    return [bounds.theorem_bound(walk, n, c, prec) for c in cs]
 
 
 def requested_threads(env_value: str | None, flag: int) -> int:
@@ -388,26 +336,20 @@ def _usable_cpus() -> int:
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     ns = parse_range(args.n)
-    if args.c:
-        cs = [float(x) for x in args.c.split(",")]
-    elif args.suite in ("rt-continuous", "four-cycle"):
-        cs = [2.0, 3.0, 4.0]  # these theorems require c >= 2
-    else:
-        cs = [0.0, 1.0, 2.0]
+    cs = [float(x) for x in args.c.split(",")] if args.c else None
     threads = args.effective_threads
     workers = worker_count(threads, len(ns), _usable_cpus())
+    tasks = [(args.suite, n, cs, args.precision) for n in ns]
     if workers > 1:
         # processes, not threads: mpmath keeps the working precision in its
         # one global mp context, so mp.workprec is not thread-safe
         from concurrent.futures import ProcessPoolExecutor
 
-        chunks = [(args.suite, [n], cs, args.precision) for n in ns]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_suite_task, chunks))
-        results = [item for part in parts for item in part]
+            parts = list(pool.map(_suite_task, tasks))
     else:
-        results = _suite_task((args.suite, ns, cs, args.precision))
-    all_pass = all(r["pass"] for r in results)
+        parts = map(_suite_task, tasks)
+    reports = [report for part in parts for report in part]
     manifest = RunManifest(
         "verify",
         {
@@ -420,10 +362,10 @@ def cmd_verify(args) -> int:
         seed=None,
         wall_time_s=time.perf_counter() - started,
     )
-    _write_json(args.out, manifest, results)
-    if not all_pass:
-        failed = [r for r in results if not r["pass"]]
-        print(f"symwalk verify: {len(failed)} of {len(results)} checks failed", file=sys.stderr)
+    _write_json(args.out, manifest, [report.as_dict() for report in reports])
+    failed = sum(not report.passed for report in reports)
+    if failed:
+        print(f"symwalk verify: {failed} of {len(reports)} checks failed", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
 
@@ -492,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification sweep")
     v.add_argument("--suite", choices=SUITES, required=True)
     v.add_argument("--n", required=True, help="single value or inclusive a..b range")
-    v.add_argument("--c", default=None, help="comma-separated c values (default 0,1,2)")
+    v.add_argument("--c", default=None,
+                   help="comma-separated finite c values (default: the theorem's least c, +1, +2)")
     v.add_argument("--out", default="-", help="output path ('-' for stdout)")
     v.set_defaults(func=cmd_verify)
 

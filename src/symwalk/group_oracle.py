@@ -274,13 +274,7 @@ def convolution_power(q: GroupDistribution, t: int) -> GroupDistribution:
     """Exact t-fold convolution q^(t); q^(0) is the point mass at e."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    if not q.exact:
-        _guard(q.n, MAX_FLOAT_N, "dense convolutions")
-    maps = _support_maps(q, inverse=True)
-    current = point_mass(q.n, exact=q.exact)
-    for _ in range(t):
-        current = GroupDistribution(q.n, convolve(current.values, q, maps), q.exact)
-    return current
+    return convolution_powers_upto(q, t)[-1]
 
 
 def convolution_powers_upto(q: GroupDistribution, t_max: int) -> list[GroupDistribution]:

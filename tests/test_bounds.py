@@ -9,6 +9,7 @@ from symwalk import group_oracle as go
 from symwalk.bounds import (
     BoundReport,
     calculus_claim,
+    lemma_checks,
     matching_tail,
     rt_continuous_terms,
     rt_discrete_terms,
@@ -203,11 +204,53 @@ def test_theorem_bound_range_checks():
         ("four_cycle", 10, 2.0),
         ("ttr", 5, -1.0),
         ("random_insertion", 9, 2.0),
+        ("rt_continuous", 12, math.nan),
+        ("ttr", 5, math.inf),
+        ("rt_discrete", 15, float("1e400")),
+        ("rt_continuous", 12, math.inf),
     ):
         with pytest.raises(ValueError):
             theorem_bound(walk, n, c)
     with pytest.raises(ValueError):
         theorem_bound("no_such_walk", 20, 0.0)
+
+
+def test_bound_report_verdict():
+    # one comparison decides every row; the oracle's side condition must hold too
+    assert BoundReport("x", 5, None, mp.mpf(1), mp.mpf(1)).passed
+    assert not BoundReport("x", 5, None, mp.mpf(1), mp.mpf(2)).passed
+    assert BoundReport("x", 5, 0.0, 2.0, 0.0, t=0.0).passed  # t = 0 is not a failure
+    assert BoundReport("x", 5, None, 1e-8, 0.0, tv_inequality=True).passed
+    assert not BoundReport("x", 5, None, 1e-8, 0.0, tv_inequality=False).passed
+    row = BoundReport("x", 5, None, 1e-8, 0.0, tv_inequality=True).as_dict()
+    assert row["details"]["tv_inequality"] is True and "t" not in row
+
+
+def test_lemma_checks_rows_and_range():
+    names = ["lemma:phi0<=2", "lemma:phi1", "lemma:phi2", "lemma:cont_sum_a_low<=2/3",
+             "lemma:cont_sum_a_mid<=1/4", "lemma:cont_gamma"]
+    assert [r.name for r in lemma_checks(14)] == names
+    assert [r.name for r in lemma_checks(13)] == names[3:]
+    assert all(r.c is None and r.t is None for r in lemma_checks(10))
+    for n in (5, 9):
+        with pytest.raises(ValueError):
+            lemma_checks(n)
+
+
+def test_lemma_checks_look_term_tables_up_at_call_time(monkeypatch):
+    # a wrapper set on the module (as a tracer does) sees every table build,
+    # one per family and n
+    calls = []
+    real = bounds.rt_discrete_terms
+
+    def counting_terms(n, prec=DEFAULT_PREC):
+        calls.append(n)
+        return real(n, prec)
+
+    monkeypatch.setattr(bounds, "rt_discrete_terms", counting_terms)
+    lemma_checks(14)
+    lemma_checks(15)
+    assert calls == [14, 15]
 
 
 def test_matching_tail_examples():

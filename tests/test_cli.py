@@ -186,6 +186,62 @@ def test_verify_oracle_suite(tmp_path):
     assert all(r["pass"] for r in payload["results"])
 
 
+VERDICT_KEYS = {"name", "n", "c", "guaranteed", "computed", "pass"}
+
+
+@pytest.mark.parametrize(
+    "suite, n, detail",
+    [("rt-continuous", "10", "threshold_time"), ("lemmas", "10", None),
+     ("oracle", "4", "tv_inequality")],
+)
+def test_verify_row_shape(suite, n, detail, tmp_path):
+    # every suite writes BoundReport rows; only theorem rows carry t
+    out = tmp_path / "rows.json"
+    assert run(["verify", "--suite", suite, "--n", n, "--out", str(out)]) == cli.EXIT_OK
+    rows = json.loads(out.read_text())["results"]
+    assert rows
+    for row in rows:
+        if detail == "threshold_time":
+            assert set(row) == VERDICT_KEYS | {"t", "details"}
+            assert row["details"] == {"threshold_time": row["t"]}
+        elif detail == "tv_inequality":
+            assert set(row) == VERDICT_KEYS | {"details"} and row["c"] is None
+            assert row["details"]["tv_inequality"] is True  # a JSON bool, not 1.0
+        else:
+            assert set(row) == VERDICT_KEYS and row["c"] is None
+
+
+@pytest.mark.parametrize("suite, n, cs", [("ttr", "5", [0.0, 1.0, 2.0]),
+                                          ("rt-continuous", "10", [2.0, 3.0, 4.0])])
+def test_verify_default_c_starts_at_least_c(suite, n, cs, tmp_path):
+    out = tmp_path / "c.json"
+    assert run(["verify", "--suite", suite, "--n", n, "--out", str(out)]) == cli.EXIT_OK
+    assert [r["c"] for r in json.loads(out.read_text())["results"]] == cs
+    assert f'"c": {cs[0]!r}' in out.read_text()  # written as a float
+
+
+def test_verify_ttr_n1_threshold_time_zero(tmp_path):
+    # t = ceil(1 * (log 1 + 0)) = 0 is a threshold time, not a missing one
+    out = tmp_path / "ttr1.json"
+    assert run(["verify", "--suite", "ttr", "--n", "1", "--out", str(out)]) == cli.EXIT_OK
+    first = json.loads(out.read_text())["results"][0]
+    assert first["t"] == first["details"]["threshold_time"] == 0.0
+    assert first["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "suite, n, c",
+    [("rt-continuous", "10", "nan"), ("ttr", "5", "inf"), ("rt-discrete", "15", "1e400"),
+     ("rt-continuous", "10", "inf"), ("lemmas", "5", None), ("lemmas", "5..12", None)],
+)
+def test_verify_rejects_bad_c_and_small_lemma_n(suite, n, c, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    argv = ["verify", "--suite", suite, "--n", n, "--out", str(out)]
+    assert run(argv + (["--c", c] if c else [])) == cli.EXIT_BAD_ARGS
+    assert capsys.readouterr().err.startswith("symwalk: invalid arguments:")
+    assert not out.exists()
+
+
 def test_verify_resource_guard(tmp_path):
     assert run(["verify", "--suite", "oracle", "--n", "8",
                 "--out", str(tmp_path / "x.json")]) == cli.EXIT_RESOURCE
