@@ -19,10 +19,10 @@ survive to the output layer.
 
 ``l2_discrete``/``l2_continuous`` are one-point wrappers and
 ``l2_single_term_lower`` a one-block one.  ``spectrum_profile`` labels a
-curve's rows; the odd-class A_n profile is the same evaluator on a mapped
-block table (see ``_squared_walk_blocks``).  The definitional distances of
-oracle-scale distributions live here too but load numpy only when called,
-so the spectral path never imports numpy or the oracle.
+curve's rows; the odd-class A_n profile is the same evaluator on the
+blocks of q*q, folded by ``spectra.alternating_blocks``.  The definitional
+distances of oracle-scale distributions live here too but load numpy only
+when called, so the spectral path never imports numpy or the oracle.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .spectra import (
     Blocks,
     ClassMeasure,
     Spectrum,
+    alternating_blocks,
     group_blocks,
     spectrum,
     walk_eigenvalue,
@@ -185,19 +186,6 @@ class ProfileRow:
         return 2 * mp.log10(self.d2)
 
 
-def _squared_walk_blocks(spec_sn: Spectrum) -> Blocks:
-    """Blocks of the walk driven by q*q on A_n, for a pure odd-class q.
-
-    q*q has the same eigenvalue data with beta -> beta^2; on A_n the trivial
-    and sign diagrams fold into the excluded trivial block and every other
-    multiplicity is halved.  The sign diagram has eigenvalue
-    sum_C q(C) sgn(C) = -1 and multiplicity 1, and the pair lambda/lambda'
-    (beta and -beta) then lands on one integer block d_lambda^2.
-    """
-    without_sign = group_blocks(spec_sn.blocks + ((Fraction(-1), -1),))
-    return group_blocks((beta * beta, Fraction(m, 2)) for beta, m in without_sign)
-
-
 def spectrum_profile(
     spec: Spectrum, mode: str, times, prec: int = DEFAULT_PREC
 ) -> list[ProfileRow]:
@@ -241,6 +229,8 @@ def class_walk_profile(
         # walk to one coset, so the q*q restriction does not apply
         raise ValueError("A_n discrete profiles need a pure odd-class measure")
     times = list(times)  # the fold reads the grid twice
-    spec_an = Spectrum(q.n, "an", q.name, _squared_walk_blocks(spec_sn))
+    # q*q is an even walk: the sign diagram's -1 squares to the 1 the fold removes
+    squared = group_blocks((beta * beta, m) for beta, m in spec_sn.blocks)
+    spec_an = Spectrum(q.n, "an", q.name, alternating_blocks(squared))
     rows = spectrum_profile(spec_an, mode, times, prec)
     return rows + spectrum_profile(spec_sn, mode, times, prec)

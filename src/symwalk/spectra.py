@@ -8,17 +8,14 @@ lambda-isotypic block as the scalar
 with multiplicity d_lambda^2.  Eigenvalues are kept as exact rationals all
 the way; only the distance evaluation layer converts to reals.
 
-Alternating-group spectra merge each pair {lambda, lambda'} (conjugate
-diagrams agree on even classes) by halving multiplicities: the trivial and
-sign diagrams collapse to the single trivial block of A_n, and every other
-diagram keeps eigenvalue beta_lambda with multiplicity d_lambda^2 / 2.
-
 Many diagrams share an eigenvalue, so a ``Spectrum`` is the nontrivial
 part grouped by distinct eigenvalue (``Spectrum.blocks``), which is what
-the distance layer sums over; ``diagram_eigenvalues`` yields the rows one
-diagram at a time.  Grouped multiplicities are integers on A_n too: a pair
-lambda/lambda' adds up to d_lambda^2, and a self-conjugate diagram has even
-dimension.
+the distance layer sums over; ``diagram_eigenvalues`` yields the S_n rows
+one diagram at a time.  ``alternating_blocks`` folds the blocks of a walk
+on even classes to A_n: the sign diagram joins the trivial block and every
+other multiplicity is halved, to an integer, since a pair lambda/lambda'
+shares its eigenvalue and a self-conjugate diagram has even dimension.
+The odd-class A_n profile is the same fold on the blocks of q*q.
 """
 
 from __future__ import annotations
@@ -157,38 +154,30 @@ class Spectrum:
     blocks: Blocks
 
 
-def diagram_eigenvalues(
-    q: ClassMeasure, group: str = "sn"
-) -> Iterator[tuple[Partition, Fraction, Fraction]]:
-    """(lambda, beta_lambda, multiplicity) for every diagram lambda of n.
+def diagram_eigenvalues(q: ClassMeasure) -> Iterator[tuple[Partition, Fraction, int]]:
+    """(lambda, beta_lambda, d_lambda^2) for every diagram lambda of n, on S_n."""
+    for lam in partitions(q.n):
+        yield lam, walk_eigenvalue(q, lam), dimension(lam) ** 2
 
-    ``group="an"`` requires a measure supported on even classes; the sign
-    diagram folds into the trivial block and all other multiplicities are
-    halved, so the multiplicities sum to n!/2.
-    """
-    if group not in ("sn", "an"):
-        raise ValueError(f"unknown group {group!r}")
-    if group == "an" and not q.even_support:
-        raise ValueError("A_n spectra need a measure supported on even classes")
-    n = q.n
-    sign = (1,) * n
-    for lam in partitions(n):
-        if group == "sn":
-            mult = Fraction(dimension(lam) ** 2)
-        elif lam == (n,):
-            mult = Fraction(1)  # trivial and sign collapse to one A_n block
-        elif lam == sign:
-            continue
-        else:
-            mult = Fraction(dimension(lam) ** 2, 2)
-        yield lam, walk_eigenvalue(q, lam), mult
+
+def alternating_blocks(blocks: Blocks) -> Blocks:
+    """A_n blocks from the nontrivial S_n blocks of a walk on even classes:
+    the sign diagram (eigenvalue 1, multiplicity 1) goes and every other
+    multiplicity is halved."""
+    without_sign = group_blocks(blocks + ((Fraction(1), -1),))
+    return group_blocks((beta, Fraction(m, 2)) for beta, m in without_sign)
 
 
 def spectrum(q: ClassMeasure, group: str = "sn") -> Spectrum:
     """The grouped spectrum of q on S_n or A_n, without lambda = (n)."""
+    if group not in ("sn", "an"):
+        raise ValueError(f"unknown group {group!r}")
+    if group == "an" and not q.even_support:
+        raise ValueError("A_n spectra need a measure supported on even classes")
     trivial = (q.n,)
-    rows = diagram_eigenvalues(q, group)
-    blocks = group_blocks((beta, mult) for lam, beta, mult in rows if lam != trivial)
+    blocks = group_blocks((beta, m) for lam, beta, m in diagram_eigenvalues(q) if lam != trivial)
+    if group == "an":
+        blocks = alternating_blocks(blocks)
     return Spectrum(q.n, group, q.name, blocks)
 
 

@@ -186,6 +186,29 @@ def test_verify_oracle_suite(tmp_path):
     assert all(r["pass"] for r in payload["results"])
 
 
+def test_verify_oracle_small_n_runs_the_walks_that_fit(tmp_path):
+    # class:4 does not fit in S_3; the other walks still run
+    out = tmp_path / "oracle3.json"
+    assert run(["verify", "--suite", "oracle", "--n", "3", "--out", str(out)]) == cli.EXIT_OK
+    names = [r["name"] for r in json.loads(out.read_text())["results"]]
+    assert names == ["oracle:rt", "oracle:ttr", "oracle:ri", "oracle:class:3",
+                     "oracle:lazy:3:1/2"]
+
+
+def test_verify_oracle_ri_compares_operator_eigenvalues(tmp_path, monkeypatch):
+    # ttr and ri have no class measure; their rows compare the definitional
+    # distance with the dense operator's eigenvalues, so wrong ones fail
+    from symwalk import group_oracle
+
+    exact = group_oracle.operator_eigenvalues
+    monkeypatch.setattr(group_oracle, "operator_eigenvalues", lambda q: exact(q) * (1 - 1e-6))
+    out = tmp_path / "oracle.json"
+    argv = ["verify", "--suite", "oracle", "--n", "4", "--out", str(out)]
+    assert run(argv) == cli.EXIT_VERIFY_FAILED
+    failed = {r["name"] for r in json.loads(out.read_text())["results"] if not r["pass"]}
+    assert failed == {"oracle:ttr", "oracle:ri"}
+
+
 VERDICT_KEYS = {"name", "n", "c", "guaranteed", "computed", "pass"}
 
 

@@ -7,7 +7,6 @@ from mpmath import mp
 from symwalk import group_oracle as go
 from symwalk.characters import one_cycle_type
 from symwalk.distances import (
-    _squared_walk_blocks,
     chi_square_of,
     class_walk_profile,
     l2_continuous,
@@ -17,6 +16,7 @@ from symwalk.distances import (
 )
 from symwalk.partitions import near_square_partition, partitions
 from symwalk.spectra import (
+    alternating_blocks,
     diagram_eigenvalues,
     lazy_class_measure,
     random_transposition_measure,
@@ -163,19 +163,22 @@ def test_unnormalized_rejected():
 
 def test_profile_even_class_an_discrete_matches_oracle():
     # A_n profile of an even class equals the definitional distance of the
-    # walk restricted to A_n
-    n = 5
-    q = uniform_class_measure((3, 1, 1))
-    profile = class_walk_profile(q, "an", "discrete", [1, 2, 4])
-    qel = go.element_measure((3, 1, 1), n)
-    perms = go.all_permutations(n)
-    even = [i for i, p in enumerate(perms) if sum(c - 1 for c in go.cycle_type_of(p)) % 2 == 0]
-    g_an = math.factorial(n) // 2
-    for row in profile:
-        dist = go.convolution_power(qel, int(row.t))
-        vals = [dist.values[i] for i in even]
-        d2 = math.sqrt(g_an * sum((v - 1 / g_an) ** 2 for v in vals))
-        assert abs(float(row.d2) - d2) < 1e-9
+    # walk restricted to A_n; on A_4 the V4 class has a second beta = 1
+    # block, which the sign diagram joins
+    for cycles in ((3, 1, 1), (2, 2)):
+        n = sum(cycles)
+        q = uniform_class_measure(cycles)
+        profile = class_walk_profile(q, "an", "discrete", [1, 2, 4])
+        qel = go.element_measure(cycles, n)
+        perms = go.all_permutations(n)
+        even = [i for i, p in enumerate(perms)
+                if sum(c - 1 for c in go.cycle_type_of(p)) % 2 == 0]
+        g_an = math.factorial(n) // 2
+        for row in profile:
+            dist = go.convolution_power(qel, int(row.t))
+            vals = [dist.values[i] for i in even]
+            d2 = math.sqrt(g_an * sum((v - 1 / g_an) ** 2 for v in vals))
+            assert abs(float(row.d2) - d2) < 1e-9, (cycles, row.t)
 
 
 def test_profile_odd_class_an_discrete_reports_squared_walk():
@@ -259,12 +262,18 @@ def assert_close(got, ref, what):
 
 
 def nontrivial_pairs(q, group="sn"):
-    return [(beta, m) for lam, beta, m in diagram_eigenvalues(q, group) if lam != (q.n,)]
+    """One (eigenvalue, multiplicity) pair per nontrivial diagram; on A_n the
+    sign diagram is dropped and every multiplicity halved."""
+    if group == "sn":
+        return [(beta, m) for lam, beta, m in diagram_eigenvalues(q) if lam != (q.n,)]
+    sign = (1,) * q.n
+    return [(beta, Fraction(m, 2))
+            for lam, beta, m in diagram_eigenvalues(q) if lam not in ((q.n,), sign)]
 
 
 def squared_walk_pairs(q):
     sign = (1,) * q.n
-    return [(beta ** 2, m / 2)
+    return [(beta ** 2, Fraction(m, 2))
             for lam, beta, m in diagram_eigenvalues(q) if lam not in ((q.n,), sign)]
 
 
@@ -292,7 +301,8 @@ def test_blocks_group_integer_multiplicities():
         assert sum(m for _, m in spec.blocks) == order - 1
     for n in (4, 7, 9):
         for cls in (2, 4):
-            folded = _squared_walk_blocks(spectrum(uniform_class_measure(one_cycle_type(n, cls))))
+            blocks = spectrum(uniform_class_measure(one_cycle_type(n, cls))).blocks
+            folded = alternating_blocks(tuple((beta * beta, m) for beta, m in blocks))
             assert all(type(m) is int and m > 0 for _, m in folded)
             assert sum(m for _, m in folded) == math.factorial(n) // 2 - 1
 
