@@ -23,7 +23,7 @@ from functools import lru_cache
 import mpmath
 from mpmath import mp
 
-from .distances import DEFAULT_PREC, l2_continuous, l2_discrete
+from .distances import DEFAULT_PREC, l2_curve
 from .spectra import Spectrum, random_transposition_measure, spectrum, uniform_class_measure
 
 
@@ -182,8 +182,8 @@ class BoundReport:
 
 
 # One row per theorem: least n and c, threshold time, source of the spectrum
-# at n, distance at the threshold, guaranteed constant.  Evaluators look
-# distance functions up at call time.
+# at n, distance at each threshold of a list, guaranteed constant.
+# Evaluators look distance functions up at call time.
 Theorem = namedtuple("Theorem", "min_n min_c threshold source evaluate guaranteed")
 
 
@@ -199,46 +199,55 @@ THEOREMS = {
     # d2(q_rt^(t), u) <= 2 e^-c at t = ceil((n/2)(log n + c))
     "rt_discrete": Theorem(
         15, 0, lambda n, c: math.ceil(_rt_time(n, c)), _rt_spectrum,
-        lambda spec, t, prec: l2_discrete(spec, t, prec), lambda c: 2 * mp.exp(-c)),
+        lambda spec, ts, prec: l2_curve(spec.blocks, ts, "discrete", prec),
+        lambda c: 2 * mp.exp(-c)),
     # bound sum on d2^2 <= 2 e^-2c at t = ceil(n(log n + c))
     "ttr": Theorem(
         1, 0, lambda n, c: math.ceil(n * (math.log(n) + c)), ttr_bound_spectrum,
-        lambda spec, t, prec: l2_discrete(spec, t, prec) ** 2, lambda c: 2 * mp.exp(-2 * c)),
+        lambda spec, ts, prec: [d ** 2 for d in l2_curve(spec.blocks, ts, "discrete", prec)],
+        lambda c: 2 * mp.exp(-2 * c)),
     # d2(h_rt,t, u) <= e^-(c-2) at t = (n/2)(log n + c)
     "rt_continuous": Theorem(
         10, 2, _rt_time, _rt_spectrum,
-        lambda spec, t, prec: l2_continuous(spec, t, prec), lambda c: mp.exp(-(c - 2))),
+        lambda spec, ts, prec: l2_curve(spec.blocks, ts, "continuous", prec),
+        lambda c: mp.exp(-(c - 2))),
     # d2(h_c4,t, u) <= e^-(c-2) at the same threshold
     "four_cycle": Theorem(
         11, 2, _rt_time, lambda n: spectrum(uniform_class_measure((4,) + (1,) * (n - 4))),
-        lambda spec, t, prec: l2_continuous(spec, t, prec), lambda c: mp.exp(-(c - 2))),
+        lambda spec, ts, prec: l2_curve(spec.blocks, ts, "continuous", prec),
+        lambda c: mp.exp(-(c - 2))),
     # d2(q_ri^(t), u)^2 <= e^-(c-2) at t = 2n(log n + c), through the Dirichlet
     # comparison as d2(h_rt, t/4)^2
     "random_insertion": Theorem(
         10, 2, lambda n, c: 2 * n * (math.log(n) + c), _rt_spectrum,
-        lambda spec, t, prec: l2_continuous(spec, t / 4, prec) ** 2,
+        lambda spec, ts, prec: [
+            d ** 2 for d in l2_curve(spec.blocks, [t / 4 for t in ts], "continuous", prec)],
         lambda c: mp.exp(-(c - 2))),
 }
 
 
-@lru_cache(maxsize=4)
-def _theorem_spectrum(source, n: int) -> Spectrum:
-    """The spectrum ``source(n)``, built once for all c of a sweep."""
-    return source(n)
-
-
-def theorem_bound(walk: str, n: int, c: float, prec: int = DEFAULT_PREC) -> BoundReport:
+def theorem_bounds(walk: str, n: int, cs, prec: int = DEFAULT_PREC) -> list[BoundReport]:
     """Exact distance (or bound sum) at a theorem's time threshold vs its
-    constant; ``walk`` names a row of ``THEOREMS``."""
+    constant, for every c of ``cs``: one spectrum and one evaluation of its
+    l2 curve over all thresholds.  ``walk`` names a row of ``THEOREMS``."""
     theorem = THEOREMS.get(walk)
     if theorem is None:
         raise ValueError(f"unknown bound {walk!r}")
-    if n < theorem.min_n or not (math.isfinite(c) and c >= theorem.min_c):
+    cs = list(cs)
+    if n < theorem.min_n or not all(math.isfinite(c) and c >= theorem.min_c for c in cs):
         raise ValueError(f"{walk} needs n >= {theorem.min_n} and a finite c >= {theorem.min_c}")
     with mp.workprec(prec):
-        t = theorem.threshold(n, c)
-        computed = theorem.evaluate(_theorem_spectrum(theorem.source, n), t, prec)
-        return BoundReport(walk, n, c, theorem.guaranteed(c), computed, t=float(t))
+        times = [theorem.threshold(n, c) for c in cs]
+        computed = theorem.evaluate(theorem.source(n), times, prec)
+        return [
+            BoundReport(walk, n, c, theorem.guaranteed(c), value, t=float(t))
+            for c, t, value in zip(cs, times, computed)
+        ]
+
+
+def theorem_bound(walk: str, n: int, c: float, prec: int = DEFAULT_PREC) -> BoundReport:
+    """``theorem_bounds`` at one c."""
+    return theorem_bounds(walk, n, [c], prec)[0]
 
 
 # One group per term-table family: the family (looked up at call time, like

@@ -8,8 +8,13 @@ closed-form ratio bounds, which are themselves exact rationals.
 
 The recursion removes the largest remaining cycle first and is memoized on
 (partition, remaining cycle multiset).  With an all-ones remainder it short
-circuits to the hook-formula dimension, so evaluating a character at a
-single k-cycle class costs one border-strip sweep plus dimension lookups.
+circuits to the dimension, so evaluating a character at a single k-cycle
+class costs one border-strip sweep plus dimension lookups.
+
+For a single cycle of length k <= 4 the content polynomials of
+``class_numerator`` give (n)_k chi_lambda/d_lambda as one integer with no
+recursion and no dimension; the spectra use them, and the recursion stays
+as their cross-check and as the route for every other class.
 """
 
 from __future__ import annotations
@@ -179,18 +184,52 @@ def m_moment(parts: Partition, l: int) -> int:
     return total
 
 
-def r4_exact(parts: Partition) -> Fraction:
-    """Normalized character at the 4-cycle class from the moment identity.
+def class_numerator(parts: Partition, k: int) -> int:
+    """The integer (n)_k chi_lambda(c)/d_lambda at a single k-cycle c, k = 2, 3, 4.
 
-    n!/(n-4)! * r4(lambda) = M_{lambda,4} - 2(2n-3) M_{lambda,2}; independent of
-    the Murnaghan-Nakayama recursion, hence usable as a cross-check against it.
+    Content polynomials, independent of the Murnaghan-Nakayama recursion:
+    twice the content sum M_{lambda,2} for k = 2 (Frobenius), 3 sum of
+    squared contents - 3n(n-1)/2 for k = 3 (Ingram), and
+    M_{lambda,4} - 2(2n-3) M_{lambda,2} for k = 4.
     """
     parts = check_partition(parts)
     n = sum(parts)
+    if k not in (2, 3, 4):
+        raise ValueError(f"content formulas cover k = 2, 3, 4, not {k}")
+    if n < k:
+        raise ValueError(f"a {k}-cycle needs n >= {k}")
+    return content_numerator(parts, n, k)
+
+
+def content_numerator(parts: Partition, n: int, k: int) -> int:
+    """``class_numerator`` without validation: ``parts`` must be a partition
+    of n and k one of 2, 3, 4."""
+    if k == 3:
+        # row j holds the contents 1-j .. a with a = lam_j - j, and the
+        # cubic g(x) = x(x+1)(2x+1) has g(a) - g(-j) = 6 sum of their squares
+        six_squares = 0
+        for j, lam_j in enumerate(parts, start=1):
+            a = lam_j - j
+            six_squares += a * (a + 1) * (2 * a + 1) + j * (j - 1) * (2 * j - 1)
+        return (six_squares - 3 * n * (n - 1)) // 2
+    m2 = m4 = 0
+    for j, lam_j in enumerate(parts, start=1):
+        x = (lam_j - j) * (lam_j - j + 1)
+        y = j * (j - 1)
+        m2 += x - y
+        m4 += x * x - y * y
+    return m2 if k == 2 else m4 - 2 * (2 * n - 3) * m2
+
+
+def r4_exact(parts: Partition) -> Fraction:
+    """Normalized character at the 4-cycle class from the moment identity
+    (n)_4 r4(lambda) = M_{lambda,4} - 2(2n-3) M_{lambda,2}; independent of
+    the Murnaghan-Nakayama recursion, hence usable as a cross-check against it.
+    """
+    n = sum(check_partition(parts))
     if n < 4:
         raise ValueError("r4 needs n >= 4")
-    numer = m_moment(parts, 2) - 2 * (2 * n - 3) * m_moment(parts, 1)
-    return Fraction(numer, n * (n - 1) * (n - 2) * (n - 3))
+    return Fraction(class_numerator(parts, 4), math.perm(n, 4))
 
 
 def char_ratio_bound(parts: Partition, class_kind: str) -> Fraction:

@@ -256,7 +256,8 @@ _ORACLE_TOL = 1e-8
 
 
 def _oracle_check(n: int, walk: str, prec: int) -> bounds.BoundReport:
-    """Spectral formulas against definitional chi-square from exact convolution."""
+    """Spectral formulas against definitional chi-square from exact convolution,
+    at the discrete times 0.._ORACLE_DISCRETE_T and the continuous ones."""
     import numpy as np
 
     from . import group_oracle
@@ -264,25 +265,22 @@ def _oracle_check(n: int, walk: str, prec: int) -> bounds.BoundReport:
     walk_spec = walks.WalkSpec.parse(walk)
     qel = walk_spec.element_measure(n)
     powers = group_oracle.convolution_powers_upto(qel, _ORACLE_DISCRETE_T)
-    worst = 0.0
-    tv_ok = True
+    laws = [group_oracle.continuous_law(qel, t, tail_tol=1e-14)[0] for t in _ORACLE_CONTINUOUS_T]
     q = walk_spec.class_measure(n)
-    spec = None if q is None else spectra.spectrum(q, "sn")
-    # ttr and ri have no class measure: use the dense operator's eigenvalues
-    eigvals = group_oracle.operator_eigenvalues(qel) if spec is None else None
-    for t, dist in enumerate(powers):
-        chi2 = distances.chi_square_of(dist)
-        tv_ok = tv_ok and (2 * distances.tv_of(dist) <= chi2 + 1e-12)
-        if spec is not None:
-            worst = max(worst, abs(chi2 - float(distances.l2_discrete(spec, t, prec))))
-        else:
-            ref = math.sqrt(float(np.sum(eigvals[1:] ** (2 * t)))) if t else math.sqrt(len(eigvals) - 1)
-            worst = max(worst, abs(chi2 - ref))
-    if spec is not None:
-        for t in _ORACLE_CONTINUOUS_T:
-            h, _ = group_oracle.continuous_law(qel, t, tail_tol=1e-14)
-            chi2 = distances.chi_square_of(h, normalized=False)
-            worst = max(worst, abs(chi2 - float(distances.l2_continuous(spec, t, prec))))
+    if q is None:
+        # ttr and ri have no class measure: use the dense operator's eigenvalues
+        nontrivial = group_oracle.operator_eigenvalues(qel)[1:]
+        spectral = [math.sqrt(float(np.sum(nontrivial ** (2 * t)))) for t in range(len(powers))]
+        spectral += [math.sqrt(float(np.sum(np.exp(-2 * t * (1 - nontrivial)))))
+                     for t in _ORACLE_CONTINUOUS_T]
+    else:
+        blocks = spectra.spectrum(q, "sn").blocks
+        spectral = distances.l2_curve(blocks, range(len(powers)), "discrete", prec)
+        spectral += distances.l2_curve(blocks, _ORACLE_CONTINUOUS_T, "continuous", prec)
+    chi2 = [distances.chi_square_of(dist) for dist in powers]
+    tv_ok = all(2 * distances.tv_of(dist) <= x + 1e-12 for dist, x in zip(powers, chi2))
+    chi2 += [distances.chi_square_of(h, normalized=False) for h in laws]
+    worst = max(abs(x - float(y)) for x, y in zip(chi2, spectral))
     return bounds.BoundReport(f"oracle:{walk}", n, None, _ORACLE_TOL, worst, tv_inequality=tv_ok)
 
 
@@ -302,7 +300,7 @@ def _suite_task(payload) -> list[bounds.BoundReport]:
     walk = suite.replace("-", "_")  # the suite's row of bounds.THEOREMS
     if cs is None:  # the theorem's least c and the next two
         cs = [float(bounds.THEOREMS[walk].min_c + k) for k in range(3)]
-    return [bounds.theorem_bound(walk, n, c, prec) for c in cs]
+    return bounds.theorem_bounds(walk, n, cs, prec)
 
 
 def requested_threads(env_value: str | None, flag: int) -> int:

@@ -6,7 +6,7 @@ integer multiplicities m_b (the grouped ``Spectrum.blocks``),
     d2(q^(t), u)^2 = sum_b m_b beta_b^(2t)          (discrete time)
     d2(h_t, u)^2   = sum_b m_b exp(-2t(1 - beta_b)) (continuous time)
 
-One evaluator, ``_l2_curve``, computes both over a whole time grid.  Terms
+One evaluator, ``l2_curve``, computes both over a whole time grid.  Terms
 span hundreds of orders of magnitude (multiplicities d_lambda^2 against
 exp(-2t)), so each term is assembled in log space and summed as
 arbitrary-exponent mpmath reals under a caller-chosen working precision
@@ -58,10 +58,23 @@ def _frac(x: Fraction) -> mpmath.mpf:
     return mp.mpf(x.numerator) / mp.mpf(x.denominator)
 
 
-def _l2_curve(blocks: Blocks, times, mode: str, prec: int) -> list[mpmath.mpf]:
-    """d2 at every time in ``times`` from a grouped nontrivial spectrum."""
+def check_times(times, mode: str) -> list:
+    """The time grid as a list, after checking every time against ``mode``:
+    discrete times are non-negative integers, continuous ones non-negative."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
+    times = list(times)
+    for t in times:
+        if mode == "discrete" and not (0 <= t < math.inf and t == int(t)):
+            raise ValueError(f"discrete time {t} must be a non-negative integer")
+        if mode == "continuous" and not t >= 0:
+            raise ValueError(f"continuous time {t} must be non-negative")
+    return times
+
+
+def l2_curve(blocks: Blocks, times, mode: str, prec: int) -> list[mpmath.mpf]:
+    """d2 at every time in ``times`` from a grouped nontrivial spectrum."""
+    times = check_times(times, mode)
     out = []
     with mp.workprec(prec):
         if mode == "discrete":
@@ -72,10 +85,7 @@ def _l2_curve(blocks: Blocks, times, mode: str, prec: int) -> list[mpmath.mpf]:
                 for beta, m in blocks
                 if beta != 0
             ]
-            for t in times:
-                if t < 0 or t != int(t):
-                    raise ValueError("discrete time must be a non-negative integer")
-                t = int(t)
+            for t in map(int, times):
                 total = mp.mpf(zero_mass if t == 0 else 0)
                 for log_m, log_beta_sq in terms:
                     total += mp.exp(log_m + t * log_beta_sq)
@@ -85,8 +95,6 @@ def _l2_curve(blocks: Blocks, times, mode: str, prec: int) -> list[mpmath.mpf]:
             # e^(-4t), which the gap 1 - beta handles with no special casing
             terms = [(mp.log(m), 2 * _frac(1 - beta)) for beta, m in blocks]
             for t in times:
-                if t < 0:
-                    raise ValueError("continuous time must be non-negative")
                 tt = mp.mpf(t)
                 total = mp.mpf(0)
                 for log_m, twice_gap in terms:
@@ -97,12 +105,12 @@ def _l2_curve(blocks: Blocks, times, mode: str, prec: int) -> list[mpmath.mpf]:
 
 def l2_discrete(spec: Spectrum, t: int, prec: int = DEFAULT_PREC) -> mpmath.mpf:
     """d2(q^(t), u) from the spectrum at integer time t >= 0."""
-    return _l2_curve(spec.blocks, [t], "discrete", prec)[0]
+    return l2_curve(spec.blocks, [t], "discrete", prec)[0]
 
 
 def l2_continuous(spec: Spectrum, t, prec: int = DEFAULT_PREC) -> mpmath.mpf:
     """d2(h_t, u) from the spectrum at real time t >= 0."""
-    return _l2_curve(spec.blocks, [t], "continuous", prec)[0]
+    return l2_curve(spec.blocks, [t], "continuous", prec)[0]
 
 
 def l2_single_term_lower(
@@ -118,7 +126,7 @@ def l2_single_term_lower(
     if parts == (q.n,):
         raise ValueError("the trivial block is excluded from distance bounds")
     block = (walk_eigenvalue(q, parts), dimension(parts) ** 2)
-    return _l2_curve((block,), [t], mode, prec)[0]
+    return l2_curve((block,), [t], mode, prec)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +189,11 @@ class ProfileRow:
 
     @property
     def log10_d2_sq(self) -> mpmath.mpf:
+        """2 log10(d2) at 113 bits, so its float is correctly rounded."""
         if self.d2 == 0:
             return mp.mpf("-inf")
-        return 2 * mp.log10(self.d2)
+        with mp.workprec(113):
+            return 2 * mp.log10(self.d2)
 
 
 def spectrum_profile(
@@ -194,7 +204,7 @@ def spectrum_profile(
     cast = int if mode == "discrete" else float
     return [
         ProfileRow(spec.name, spec.group, spec.n, cast(t), d2)
-        for t, d2 in zip(times, _l2_curve(spec.blocks, times, mode, prec))
+        for t, d2 in zip(times, l2_curve(spec.blocks, times, mode, prec))
     ]
 
 
@@ -215,8 +225,7 @@ def class_walk_profile(
       A_n (row time t means 2t raw steps), followed by the raw alternating
       S_n sequence at the same grid for transparency.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    times = check_times(times, mode)  # before the build, which can take seconds
     if group not in ("sn", "an"):
         raise ValueError(f"unknown group {group!r}")
     if group == "sn" or q.even_support:
@@ -228,7 +237,6 @@ def class_walk_profile(
         # a mixed measure (identity or even atoms) never confines the
         # walk to one coset, so the q*q restriction does not apply
         raise ValueError("A_n discrete profiles need a pure odd-class measure")
-    times = list(times)  # the fold reads the grid twice
     # q*q is an even walk: the sign diagram's -1 squares to the 1 the fold removes
     squared = group_blocks((beta * beta, m) for beta, m in spec_sn.blocks)
     spec_an = Spectrum(q.n, "an", q.name, alternating_blocks(squared))

@@ -5,8 +5,10 @@ integers; the empty tuple is the (unique) partition of 0.  Rows and columns
 of the associated Young diagram are 1-indexed throughout, so the cell (i, j)
 sits in row i (from the top) and column j (from the left).
 
-All dimension arithmetic is exact: d_lambda is computed with the hook
-length formula n! / prod h_{i,j} using Python integers, never floats.
+All dimension arithmetic is exact: d_lambda is computed from the beta
+numbers l_i = lambda_i + len(lambda) - i as n! prod_{i<j} (l_i - l_j) /
+prod_i l_i! using Python integers, never floats.  The hook lengths stay
+as the reference the tests check it against.
 """
 
 from __future__ import annotations
@@ -40,13 +42,28 @@ def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    first = n if max_part is None else min(n, max_part)
     if n == 0:
         yield ()
         return
-    for head in range(first, 0, -1):
-        for tail in partitions(n - head, head):
-            yield (head,) + tail
+    first = n if max_part is None else min(n, max_part)
+    if first < 1:
+        return
+    parts = [first] * (n // first) + ([n % first] if n % first else [])
+    while True:
+        yield tuple(parts)
+        # the successor lowers the last part above 1 by one and refills the
+        # freed cells, with the trailing ones, greedily in parts of that size
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        size = parts.pop() - 1
+        full, rest = divmod(size + 1 + ones, size)
+        parts.extend([size] * full)
+        if rest:
+            parts.append(rest)
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
@@ -71,22 +88,40 @@ def hook_lengths(parts: Partition) -> dict[tuple[int, int], int]:
     }
 
 
+def factorials(n: int) -> list[int]:
+    """[0!, 1!, ..., n!]."""
+    table = [1]
+    for k in range(1, n + 1):
+        table.append(table[-1] * k)
+    return table
+
+
+def beta_dimension(parts: Partition, fact: list[int]) -> int:
+    """d_lambda = n! prod_{i<j} (l_i - l_j) / prod_i l_i! on the beta numbers
+    l_i = lambda_i + len(lambda) - i, with ``fact[k] = k!`` for k <= n.
+
+    ``parts`` is not validated.  Raises ArithmeticError if the quotient is
+    not an integer (which would mean the formula itself is broken).
+    """
+    length = len(parts)
+    beta = [x + length - 1 - i for i, x in enumerate(parts)]
+    vandermonde = denominator = 1
+    for i, b in enumerate(beta):
+        denominator *= fact[b]
+        for c in beta[i + 1:]:
+            vandermonde *= b - c
+    quot, rem = divmod(fact[sum(parts)] * vandermonde, denominator)
+    if rem:
+        raise ArithmeticError(f"beta-number formula for {parts} is not an integer")
+    return quot
+
+
 @lru_cache(maxsize=None)
 def dimension(parts: Partition) -> int:
-    """Dimension of the irreducible S_n representation indexed by ``parts``.
-
-    Hook length formula, evaluated exactly.  Raises ArithmeticError if the
-    hook product fails to divide n! (which would mean the hook computation
-    itself is broken).
-    """
-    n = sum(parts)
-    if n == 0:
-        return 1
-    prod = math.prod(hook_lengths(parts).values())
-    quot, rem = divmod(math.factorial(n), prod)
-    if rem:
-        raise ArithmeticError(f"hook product {prod} does not divide {n}!")
-    return quot
+    """Dimension of the irreducible S_n representation indexed by ``parts``,
+    by ``beta_dimension``."""
+    parts = check_partition(parts)
+    return beta_dimension(parts, factorials(sum(parts)))
 
 
 def dim_square_sum_bound(n: int, l: int) -> int:

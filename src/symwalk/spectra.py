@@ -10,8 +10,12 @@ the way; only the distance evaluation layer converts to reals.
 
 Many diagrams share an eigenvalue, so a ``Spectrum`` is the nontrivial
 part grouped by distinct eigenvalue (``Spectrum.blocks``), which is what
-the distance layer sums over; ``diagram_eigenvalues`` yields the S_n rows
-one diagram at a time.  ``alternating_blocks`` folds the blocks of a walk
+the distance layer sums over.  For a walk that holds or moves by one short
+cycle class (rt, class:2/3/4, lazy) ``spectrum`` groups the diagrams by the
+integer content numerator of ``characters.class_numerator`` and makes one
+Fraction per block; every other measure goes through Murnaghan-Nakayama.
+``diagram_eigenvalues`` yields the Murnaghan-Nakayama S_n rows one diagram
+at a time, the reference for both.  ``alternating_blocks`` folds the blocks of a walk
 on even classes to A_n: the sign diagram joins the trivial block and every
 other multiplicity is halved, to an integer, since a pair lambda/lambda'
 shares its eigenvalue and a self-conjugate diagram has even dimension.
@@ -20,6 +24,7 @@ The odd-class A_n profile is the same fold on the blocks of q*q.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -28,10 +33,18 @@ from .characters import (
     CycleType,
     char_ratio,
     check_cycle_type,
+    content_numerator,
     is_even_class,
     support,
 )
-from .partitions import Partition, check_partition, dimension, partitions
+from .partitions import (
+    Partition,
+    beta_dimension,
+    check_partition,
+    dimension,
+    factorials,
+    partitions,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +168,8 @@ class Spectrum:
 
 
 def diagram_eigenvalues(q: ClassMeasure) -> Iterator[tuple[Partition, Fraction, int]]:
-    """(lambda, beta_lambda, d_lambda^2) for every diagram lambda of n, on S_n."""
+    """(lambda, beta_lambda, d_lambda^2) for every diagram lambda of n, on S_n,
+    by Murnaghan-Nakayama: the reference ``spectrum`` is checked against."""
     for lam in partitions(q.n):
         yield lam, walk_eigenvalue(q, lam), dimension(lam) ** 2
 
@@ -168,17 +182,58 @@ def alternating_blocks(blocks: Blocks) -> Blocks:
     return group_blocks((beta, Fraction(m, 2)) for beta, m in without_sign)
 
 
+def _single_cycle_walk(q: ClassMeasure) -> tuple[Fraction, Fraction, int] | None:
+    """(w0, w1, k) when q holds with weight w0 and otherwise moves by one
+    k-cycle class, k <= 4, with weight w1 > 0; else None.  Such a walk has
+    the eigenvalue w0 + w1 N/(n)_k with N the integer content numerator."""
+    hold = Fraction(0)
+    moves = []
+    for cycles, weight in q.atoms:
+        if support(cycles) == 0:
+            hold += weight
+        elif weight:
+            moves.append((cycles, weight))
+    if len(moves) != 1:
+        return None
+    ((cycles, weight),) = moves
+    k = cycles[0]
+    if k > 4 or support(cycles) != k:
+        return None
+    return hold, weight, k
+
+
 def spectrum(q: ClassMeasure, group: str = "sn") -> Spectrum:
-    """The grouped spectrum of q on S_n or A_n, without lambda = (n)."""
+    """The grouped spectrum of q on S_n or A_n, without lambda = (n).
+
+    One pass over the diagrams sums d_lambda^2 per key: the content
+    numerator of a single short cycle class (rt, class:2/3/4 and their lazy
+    versions), otherwise the Murnaghan-Nakayama eigenvalue.  Blocks keep
+    the order in which their eigenvalue first appears.
+    """
     if group not in ("sn", "an"):
         raise ValueError(f"unknown group {group!r}")
     if group == "an" and not q.even_support:
         raise ValueError("A_n spectra need a measure supported on even classes")
-    trivial = (q.n,)
-    blocks = group_blocks((beta, m) for lam, beta, m in diagram_eigenvalues(q) if lam != trivial)
+    n = q.n
+    fact = factorials(n)
+    single_cycle = _single_cycle_walk(q)
+    totals: dict = {}
+    diagrams = partitions(n)
+    next(diagrams)  # lambda = (n), the trivial block
+    for lam in diagrams:
+        if single_cycle is None:
+            key = walk_eigenvalue(q, lam)
+        else:
+            key = content_numerator(lam, n, single_cycle[2])
+        totals[key] = totals.get(key, 0) + beta_dimension(lam, fact) ** 2
+    if single_cycle is not None:
+        hold, weight, k = single_cycle
+        falling = math.perm(n, k)
+        totals = {hold + weight * Fraction(key, falling): m for key, m in totals.items()}
+    blocks = tuple(totals.items())
     if group == "an":
         blocks = alternating_blocks(blocks)
-    return Spectrum(q.n, group, q.name, blocks)
+    return Spectrum(n, group, q.name, blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from symwalk.bounds import (
     rt_discrete_terms,
     stirling_envelope,
     theorem_bound,
+    theorem_bounds,
     ttr_bound_spectrum,
 )
 from symwalk.distances import DEFAULT_PREC, chi_square_of, l2_continuous, l2_discrete
@@ -188,12 +189,32 @@ def test_theorem_sweep_builds_one_spectrum_per_n(monkeypatch):
         return spectrum(q, group)
 
     monkeypatch.setattr(bounds, "spectrum", counting_spectrum)
-    bounds._theorem_spectrum.cache_clear()
     for n in (15, 16):
-        for c in (0.0, 1.0, 2.0):
-            assert theorem_bound("rt_discrete", n, c).passed
+        reports = theorem_bounds("rt_discrete", n, [0.0, 1.0, 2.0])
+        assert [r.c for r in reports] == [0.0, 1.0, 2.0]
+        assert all(r.passed for r in reports)
     assert built == [15, 16]
-    bounds._theorem_spectrum.cache_clear()
+
+
+def verdicts(reports):
+    return [(r.computed, r.guaranteed, r.t, r.as_dict()) for r in reports]
+
+
+def test_theorem_bounds_equal_one_c_at_a_time():
+    # one l2 evaluation over every threshold gives the per-c verdicts bit for bit
+    for walk, n, cs in (
+        ("rt_discrete", 15, [0.0, 1.0, 2.5]),
+        ("ttr", 1, [0.0, 3.0]),
+        ("ttr", 30, [0.0, 0.5, 2.0]),
+        ("rt_continuous", 12, [2.0, 3.0, 4.0]),
+        ("four_cycle", 11, [2.0, 2.25]),
+        ("random_insertion", 10, [2.0, 5.0]),
+    ):
+        for prec in (DEFAULT_PREC, 256):
+            single = [theorem_bound(walk, n, c, prec) for c in cs]
+            assert verdicts(theorem_bounds(walk, n, cs, prec)) == verdicts(single), (walk, n)
+    with pytest.raises(ValueError):
+        theorem_bounds("rt_discrete", 15, [0.0, -1.0])
 
 
 def test_theorem_bound_range_checks():

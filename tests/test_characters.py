@@ -9,6 +9,7 @@ from symwalk.characters import (
     char_ratio,
     char_ratio_bound,
     character,
+    class_numerator,
     class_size,
     identity_type,
     is_even_class,
@@ -149,6 +150,21 @@ def test_staircase_characters():
                 assert ch == 0, (m, k)
             elif k % 4 == 1:
                 assert ch > 0, (m, k)
+
+
+def test_class_numerator_matches_murnaghan_nakayama():
+    # the content polynomials against MN: (n)_k chi_lambda/d_lambda at a k-cycle
+    for n in range(2, 15):
+        for k in (2, 3, 4):
+            if k > n:
+                continue
+            cycle = one_cycle_type(n, k)
+            for lam in partitions(n):
+                assert class_numerator(lam, k) == char_ratio(lam, cycle) * math.perm(n, k), (lam, k)
+    assert class_numerator((4, 1), 2) == m_moment((4, 1), 1)
+    for lam, k in (((3, 1), 5), ((2,), 3), ((2, 1), 4), ((3, 1), 1)):
+        with pytest.raises(ValueError):
+            class_numerator(lam, k)
 
 
 def test_m_moment_examples():

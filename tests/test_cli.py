@@ -209,6 +209,20 @@ def test_verify_oracle_ri_compares_operator_eigenvalues(tmp_path, monkeypatch):
     assert failed == {"oracle:ttr", "oracle:ri"}
 
 
+def test_verify_oracle_ttr_ri_check_continuous_time(tmp_path, monkeypatch):
+    # negated eigenvalues leave every discrete reference sum of beta^(2t)
+    # unchanged, so only the continuous-time comparison can catch them
+    from symwalk import group_oracle
+
+    exact = group_oracle.operator_eigenvalues
+    monkeypatch.setattr(group_oracle, "operator_eigenvalues", lambda q: -exact(q))
+    out = tmp_path / "oracle.json"
+    argv = ["verify", "--suite", "oracle", "--n", "4", "--out", str(out)]
+    assert run(argv) == cli.EXIT_VERIFY_FAILED
+    failed = {r["name"] for r in json.loads(out.read_text())["results"] if not r["pass"]}
+    assert failed == {"oracle:ttr", "oracle:ri"}
+
+
 VERDICT_KEYS = {"name", "n", "c", "guaranteed", "computed", "pass"}
 
 
@@ -326,6 +340,23 @@ def test_discrete_grid_rejects_fractional_times(tmp_path):
     assert run(["profile", "--walk", "rt", "--n", "5", "--mode", "discrete",
                 "--t-grid", "2.0,1e1", "--out", str(out)]) == cli.EXIT_OK
     assert [line.split(",")[3] for line in read_lines(out)[2:]] == ["2", "10"]
+
+
+def test_bad_time_grid_is_rejected_before_the_spectrum(tmp_path, monkeypatch, capsys):
+    from symwalk import distances
+
+    def no_build(q, group="sn"):
+        raise AssertionError("spectrum built for a bad time grid")
+
+    monkeypatch.setattr(distances, "spectrum", no_build)
+    out = tmp_path / "x.csv"
+    assert run(["profile", "--walk", "rt", "--n", "30", "--mode", "discrete",
+                "--t-grid", "1.5", "--out", str(out)]) == cli.EXIT_BAD_ARGS
+    assert "discrete time 1.5 " in capsys.readouterr().err
+    assert run(["profile", "--walk", "class:3", "--n", "9", "--group", "an",
+                "--mode", "continuous", "--t-grid", "2,-n", "--out", str(out)]) == cli.EXIT_BAD_ARGS
+    assert "continuous time -9.0 " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unwritable_output_is_bad_args(tmp_path, capsys):

@@ -4,14 +4,18 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from symwalk import cli
 from symwalk import group_oracle as go
+from symwalk.bounds import ttr_bound_spectrum
 from symwalk.characters import one_cycle_type
 from symwalk.distances import (
+    ProfileRow,
     chi_square_of,
     class_walk_profile,
     l2_continuous,
     l2_discrete,
     l2_single_term_lower,
+    spectrum_profile,
     tv_of,
 )
 from symwalk.partitions import near_square_partition, partitions
@@ -233,6 +237,18 @@ def test_tiny_tail_values_survive():
     val = l2_continuous(spec, 5000.0)
     assert 0 < val < mp.mpf("1e-350")
     assert float(val) == 0.0
+
+
+def test_log10_d2_sq_float_is_correctly_rounded():
+    # the JSON float of log10(d2^2) is the 256-bit value rounded once
+    for n in (5, 60, 200):
+        for mode in ("discrete", "continuous"):
+            times = cli._time_grid("auto", n, "ttr-bound", mode)
+            for row in spectrum_profile(ttr_bound_spectrum(n), mode, times):
+                with mp.workprec(256):
+                    reference = float(2 * mp.log10(row.d2))
+                assert float(row.log10_d2_sq) == reference, (n, mode, row.t)
+    assert ProfileRow("x", "sn", 2, 1, mp.mpf(0)).log10_d2_sq == mp.mpf("-inf")
 
 
 # ---------------------------------------------------------------------------

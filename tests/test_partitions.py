@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symwalk.partitions import (
+    beta_dimension,
     box_dim_lower_bound,
     check_partition,
     conjugate,
@@ -13,6 +14,7 @@ from symwalk.partitions import (
     dimension,
     dominates,
     enumerate_partitions,
+    factorials,
     hook_lengths,
     near_square_partition,
     partitions,
@@ -97,6 +99,14 @@ def test_dimension_examples():
     assert dimension((4, 1)) == 4  # d_(n-1,1) = n-1
     assert dimension((2, 2)) == 2
     assert dimension(()) == 1
+
+
+def test_beta_number_dimension_matches_hook_formula():
+    for n in range(21):
+        fact = factorials(n)
+        for lam in partitions(n):
+            by_hooks = math.factorial(n) // math.prod(hook_lengths(lam).values())
+            assert dimension(lam) == beta_dimension(lam, fact) == by_hooks, lam
 
 
 def test_dimension_square_sum_is_group_order():

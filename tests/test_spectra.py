@@ -9,7 +9,9 @@ from symwalk.characters import class_size, one_cycle_type
 from symwalk.partitions import dimension, partitions
 from symwalk.spectra import (
     ClassMeasure,
+    alternating_blocks,
     diagram_eigenvalues,
+    group_blocks,
     lazy_class_measure,
     random_transposition_measure,
     spectrum,
@@ -105,6 +107,31 @@ def test_odd_class_periodicity_witness():
         rows = diagram_eigenvalues(uniform_class_measure((2,) + (1,) * (n - 2)))
         at_sign = [beta for lam, beta, _ in rows if lam == (1,) * n]
         assert at_sign[0] == -1
+
+
+def mn_blocks(q, group):
+    """The grouped spectrum from the Murnaghan-Nakayama rows."""
+    blocks = group_blocks((beta, m) for lam, beta, m in diagram_eigenvalues(q) if lam != (q.n,))
+    return alternating_blocks(blocks) if group == "an" else blocks
+
+
+def test_spectrum_blocks_equal_murnaghan_nakayama_blocks():
+    # content-numerator keys (rt, short cycles, lazy) and the MN fallback
+    # (class:2,2 and class:5) give the MN blocks in value and order
+    for n in range(2, 19):
+        walks = [random_transposition_measure(n)]
+        walks += [uniform_class_measure(one_cycle_type(n, k)) for k in (2, 3, 4) if k <= n]
+        walks += [lazy_class_measure(one_cycle_type(n, k), eps)
+                  for k, eps in ((3, Fraction(1, 2)), (4, Fraction(1, 3))) if k <= n]
+        if n in (4, 9, 14):
+            walks.append(uniform_class_measure((2, 2) + (1,) * (n - 4)))
+        if n in (5, 9, 14):
+            walks.append(uniform_class_measure(one_cycle_type(n, 5)))
+        for q in walks:
+            for group in ("sn", "an") if q.even_support else ("sn",):
+                blocks = spectrum(q, group).blocks
+                assert blocks == mn_blocks(q, group), (q.name, n, group)
+                assert all(type(beta) is Fraction and type(m) is int for beta, m in blocks)
 
 
 def count_top_eigenvalues(q, group="sn"):
