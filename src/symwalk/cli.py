@@ -7,8 +7,9 @@ CSV has a header row, '.' decimals and scientific notation below 1e-4, and
 JSON is one object with "manifest" and "results".
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments (such
-as a non-integer discrete time, an out-of-range c or n, or a thread count
-below 1 or not an integer) or an output path that cannot be written, 3
+as a non-integer discrete time, an out-of-range c or n, a thread count
+below 1 or not an integer, or a --precision outside 53..4096 bits) or an
+output path that cannot be written, 3
 resource guard tripped, 4 internal error (an unexpected exception,
 reported on one stderr line). SYMWALK_THREADS overrides --threads.
 
@@ -38,6 +39,10 @@ EXIT_VERIFY_FAILED = 1
 EXIT_BAD_ARGS = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+
+# working precision bounds in bits: a float's 53 up to a bounded cost
+MIN_PRECISION = 53
+MAX_PRECISION = 4096
 
 SUITES = ("rt-discrete", "rt-continuous", "ttr", "four-cycle", "lemmas", "oracle")
 PROFILE_KINDS = ("rt", "ttr-bound", "class", "lazy")
@@ -410,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact spectral analysis of random walks on S_n and A_n.",
     )
     parser.add_argument("--precision", type=int, default=128, metavar="BITS",
-                        help="working precision in bits (default 128)")
+                        help="working precision in bits, 53..4096 (default 128)")
     parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                         help="worker processes for sweeps (SYMWALK_THREADS overrides)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -449,8 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.precision < 53:
-        parser.error("--precision must be at least 53 bits")
+    if not MIN_PRECISION <= args.precision <= MAX_PRECISION:
+        parser.error(f"--precision must lie in {MIN_PRECISION}..{MAX_PRECISION} bits")
     try:
         args.effective_threads = requested_threads(os.environ.get("SYMWALK_THREADS"), args.threads)
         return args.func(args)

@@ -6,16 +6,22 @@ integer multiplicities m_b (the grouped ``Spectrum.blocks``),
     d2(q^(t), u)^2 = sum_b m_b beta_b^(2t)          (discrete time)
     d2(h_t, u)^2   = sum_b m_b exp(-2t(1 - beta_b)) (continuous time)
 
-One evaluator, ``l2_curve``, computes both over a whole time grid.  Terms
-span hundreds of orders of magnitude (multiplicities d_lambda^2 against
-exp(-2t)), so each term is assembled in log space and summed as
-arbitrary-exponent mpmath reals under a caller-chosen working precision
-(default 128 bits, i.e. well past the 80-bit requirement; per-term relative
-error is ~2^-prec, far below the documented 1e-12 budget).  log m_b and
-log|beta_b| (or 1 - beta_b) are computed once per block per call, so every
-further time point costs one exp per distinct eigenvalue.  Values are
-returned as mpf so profile tails below the float64 underflow threshold
-survive to the output layer.
+One evaluator, ``l2_curve``, computes both over a whole time grid with no
+transcendental call per term.  Terms span hundreds of orders of magnitude
+(multiplicities d_lambda^2 against exp(-2t)), so powers are arbitrary-
+exponent binary reals (raw ``mpmath.libmp``).  In discrete time beta_b^2
+is an exact rational and each block's beta_b^(2t) is carried along the
+sorted times by one power (beta_b^2)^(dt) per step.  In continuous time
+every gap 1 - beta_b is j_b/D over the common denominator D, so
+exp(-2t(1 - beta_b)) = x^(j_b) with x = exp(-2t/D): one exp per time
+point, then integer powers walked in ascending j_b.  The m_b-weighted
+terms, all non-negative, are summed as integers in fixed point below the
+largest one.  Everything runs at the caller's precision plus guard bits
+for the largest exponent (t or j_b) and the number of terms and is rounded
+once, at the final square root, so every d2 (and d2^2) has relative error
+at most 2^(2 - prec) whatever t is (default 128 bits, far below the
+documented 1e-12 budget).  Values are returned as mpf so profile tails
+below the float64 underflow threshold survive to the output layer.
 
 ``l2_discrete``/``l2_continuous`` are one-point wrappers and
 ``l2_single_term_lower`` a one-block one.  ``spectrum_profile`` labels a
@@ -33,7 +39,17 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 import mpmath
-from mpmath import mp
+from mpmath import libmp, mp
+from mpmath.libmp import (
+    fone,
+    from_man_exp,
+    from_rational,
+    fzero,
+    mpf_mul,
+    mpf_pow_int,
+    mpf_sqrt,
+    round_nearest,
+)
 
 from .characters import is_even_class
 from .partitions import Partition, check_partition, dimension
@@ -54,10 +70,6 @@ DEFAULT_PREC = 128
 MODES = ("discrete", "continuous")
 
 
-def _frac(x: Fraction) -> mpmath.mpf:
-    return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-
-
 def check_times(times, mode: str) -> list:
     """The time grid as a list, after checking every time against ``mode``:
     discrete times are non-negative integers, continuous ones non-negative."""
@@ -72,35 +84,107 @@ def check_times(times, mode: str) -> list:
     return times
 
 
+# guard bits on top of the exponent and term-count bit lengths: they absorb
+# the few roundings of each power, product and sum that the bit lengths
+# do not count
+_GUARD_MARGIN = 10
+# discrete steps whose power tables are kept at once: an auto grid
+# alternates between two or three steps, and memory stays O(blocks)
+_STEP_TABLES = 8
+
+
+def _working_prec(prec: int, max_exponent: int, n_terms: int) -> int:
+    return prec + _GUARD_MARGIN + max_exponent.bit_length() + n_terms.bit_length()
+
+
+def _positive_sum(ms, powers, wp: int) -> tuple:
+    """sum_b m_b p_b for positive integers m_b and non-negative raw mpf p_b,
+    as a raw mpf.  The sum is fixed point at 2^-wp of the largest term, so
+    each term is cut by less than one unit of that and n terms by n units."""
+    terms = [(m * man, exp) for m, (_, man, exp, _) in zip(ms, powers) if man]
+    if not terms:
+        return fzero
+    base = max(man.bit_length() + exp for man, exp in terms) - wp
+    return from_man_exp(
+        sum(man << (exp - base) if exp >= base else man >> (base - exp) for man, exp in terms),
+        base)
+
+
+def _discrete_sums(blocks: Blocks, times: list[int], prec: int):
+    """sum_b m_b beta_b^(2t) as a raw mpf for each of the ascending distinct
+    ``times``: each beta_b^(2t) is carried from the previous time by one
+    (beta_b^2)^dt."""
+    wp = _working_prec(prec, max(times, default=0), len(blocks))
+    squares = [from_rational(b.numerator ** 2, b.denominator ** 2, wp, round_nearest)
+               for b, _ in blocks]
+    ms = [m for _, m in blocks]
+    powers = [fone] * len(blocks)
+    tables: dict[int, list] = {}
+    prev = 0
+    for t in times:
+        dt = t - prev
+        if dt:
+            step = tables.get(dt)
+            if step is None:
+                if len(tables) == _STEP_TABLES:
+                    tables.clear()
+                step = tables[dt] = [mpf_pow_int(sq, dt, wp, round_nearest) for sq in squares]
+            # a beta = 0 block becomes 0 here: 0^0 = 1 only at t = 0
+            powers = [mpf_mul(p, s, wp, round_nearest) for p, s in zip(powers, step)]
+            prev = t
+        yield _positive_sum(ms, powers, wp)
+
+
+def _continuous_sums(blocks: Blocks, times: list[Fraction], prec: int):
+    """sum_b m_b exp(-2t(1 - beta_b)) as a raw mpf for each time.  With the
+    gaps 1 - beta_b = j_b/D over their common denominator D, each term is
+    m_b x^(j_b) for x = exp(-2t/D); walked in ascending j_b, each power is
+    the previous one times a cached x^(dj)."""
+    # a beta = -1 block (odd-class periodicity witness) has gap 2: the gaps
+    # need no special casing
+    gaps = sorted((1 - beta, m) for beta, m in blocks)
+    denominator = math.lcm(*(gap.denominator for gap, _ in gaps))
+    js = [gap.numerator * (denominator // gap.denominator) for gap, _ in gaps]
+    ms = [m for _, m in gaps]
+    wp = _working_prec(prec, max(js, default=0), len(blocks))
+    for t in times:
+        arg = -2 * t / denominator
+        # exp reads its argument to absolute precision 2^-wp: keep that many
+        # fractional bits beyond the integer part
+        magnitude = int(-arg).bit_length()
+        x = libmp.mpf_exp(
+            from_rational(arg.numerator, arg.denominator, wp + magnitude, round_nearest),
+            wp, round_nearest)
+        steps: dict[int, tuple] = {}
+        power, prev, powers = fone, 0, []
+        for j in js:
+            if j != prev:
+                dj = j - prev
+                step = steps.get(dj)
+                if step is None:
+                    step = steps[dj] = mpf_pow_int(x, dj, wp, round_nearest)
+                power = mpf_mul(power, step, wp, round_nearest)
+                prev = j
+            powers.append(power)
+        yield _positive_sum(ms, powers, wp)
+
+
 def l2_curve(blocks: Blocks, times, mode: str, prec: int) -> list[mpmath.mpf]:
-    """d2 at every time in ``times`` from a grouped nontrivial spectrum."""
+    """d2 at every time in ``times`` (any order, repeats allowed) from a
+    grouped nontrivial spectrum, each with relative error <= 2^(2 - prec)."""
     times = check_times(times, mode)
-    out = []
-    with mp.workprec(prec):
-        if mode == "discrete":
-            # beta = 0 blocks only contribute at t = 0 (0^0 = 1)
-            zero_mass = sum(m for beta, m in blocks if beta == 0)
-            terms = [
-                (mp.log(m), 2 * (mp.log(abs(beta.numerator)) - mp.log(beta.denominator)))
-                for beta, m in blocks
-                if beta != 0
-            ]
-            for t in map(int, times):
-                total = mp.mpf(zero_mass if t == 0 else 0)
-                for log_m, log_beta_sq in terms:
-                    total += mp.exp(log_m + t * log_beta_sq)
-                out.append(mp.sqrt(total))
-        else:
-            # a beta = -1 block (odd-class periodicity witness) contributes
-            # e^(-4t), which the gap 1 - beta handles with no special casing
-            terms = [(mp.log(m), 2 * _frac(1 - beta)) for beta, m in blocks]
-            for t in times:
-                tt = mp.mpf(t)
-                total = mp.mpf(0)
-                for log_m, twice_gap in terms:
-                    total += mp.exp(log_m - tt * twice_gap)
-                out.append(mp.sqrt(total))
-    return out
+    if mode == "discrete":
+        keys = [int(t) for t in times]
+        sums = _discrete_sums
+    else:
+        keys = [Fraction(t) for t in times]
+        sums = _continuous_sums
+    distinct = sorted(set(keys))
+    value = {
+        t: mp.make_mpf(mpf_sqrt(s, prec, round_nearest))
+        for t, s in zip(distinct, sums(blocks, distinct, prec))
+    }
+    return [value[t] for t in keys]
 
 
 def l2_discrete(spec: Spectrum, t: int, prec: int = DEFAULT_PREC) -> mpmath.mpf:

@@ -94,10 +94,28 @@ def fixed_point_counts(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _perm_array(n: int) -> np.ndarray:
+    """S_n in enumeration order as an n! x n array of one-line rows."""
+    perms = _perm_data(n)[0]
+    return np.array(perms, dtype=np.int64).reshape(len(perms), n)
+
+
+def _lehmer_ranks(rows: np.ndarray) -> np.ndarray:
+    """Enumeration index of every one-line row: sum_i c_i (n-1-i)!, with c_i
+    the number of entries right of position i that are below row[i]."""
+    n = rows.shape[1]
+    ranks = np.zeros(len(rows), dtype=np.int64)
+    for i in range(n - 1):
+        smaller = np.count_nonzero(rows[:, i + 1:] < rows[:, i:i + 1], axis=1)
+        ranks += smaller * math.factorial(n - 1 - i)
+    return ranks
+
+
+@lru_cache(maxsize=None)
 def _translation_map(n: int, s: Perm) -> np.ndarray:
-    """idx(x * s) for every x; right translation as an index gather table."""
-    perms, index = _perm_data(n)
-    return np.array([index[compose(x, s)] for x in perms], dtype=np.int64)
+    """idx(x * s) for every x; right translation as an index gather table.
+    Row x of the permutation array gathered at the columns s is x * s."""
+    return _lehmer_ranks(_perm_array(n)[:, list(s)])
 
 
 # ---------------------------------------------------------------------------

@@ -449,3 +449,23 @@ def test_precision_flag_guard():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--precision", "16", "verify", "--suite", "ttr", "--n", "5"])
     assert exc.value.code == 2
+
+
+def test_precision_is_capped_before_the_spectrum(tmp_path, monkeypatch, capsys):
+    from symwalk import distances
+
+    out = tmp_path / "x.csv"
+    argv = ["profile", "--walk", "rt", "--n", "5", "--t-grid", "1", "--out", str(out)]
+    assert run(["--precision", str(cli.MAX_PRECISION)] + argv) == cli.EXIT_OK
+    assert len(read_lines(out)) == 3
+
+    def no_build(q, group="sn"):
+        raise AssertionError("spectrum built at a rejected precision")
+
+    monkeypatch.setattr(distances, "spectrum", no_build)
+    out.unlink()
+    with pytest.raises(SystemExit) as exc:
+        run(["--precision", str(cli.MAX_PRECISION + 1)] + argv)
+    assert exc.value.code == cli.EXIT_BAD_ARGS
+    assert "--precision must lie in 53..4096 bits" in capsys.readouterr().err
+    assert not out.exists()

@@ -13,6 +13,7 @@ from symwalk.distances import (
     chi_square_of,
     class_walk_profile,
     l2_continuous,
+    l2_curve,
     l2_discrete,
     l2_single_term_lower,
     spectrum_profile,
@@ -379,3 +380,88 @@ def test_discrete_times_must_be_integers():
             class_walk_profile(random_transposition_measure(4), "sn", "discrete", [bad])
     with pytest.raises(ValueError):
         l2_continuous(spec, -0.5)
+
+
+# ---------------------------------------------------------------------------
+# accuracy and work of the l2 evaluator
+# ---------------------------------------------------------------------------
+
+ACCURACY_SPECTRA = {
+    "rt": lambda: spectrum(random_transposition_measure(9)).blocks,
+    "class:3": lambda: spectrum(uniform_class_measure(one_cycle_type(8, 3)), "an").blocks,
+    "lazy:3:1/2": lambda: spectrum(
+        lazy_class_measure(one_cycle_type(8, 3), Fraction(1, 2)), "an").blocks,
+    "ttr-bound": lambda: ttr_bound_spectrum(10).blocks,
+    "beta=0": lambda: ((Fraction(1, 2), 5), (Fraction(0), 3), (Fraction(-1, 3), 7)),
+    "beta=-1": lambda: ((Fraction(-1), 1), (Fraction(1, 3), 4), (Fraction(2, 3), 2)),
+}
+# unsorted, repeated and far beyond any mixing time
+ACCURACY_DISCRETE_TIMES = (5, 0, 17, 5, 1, 10**4, 2)
+ACCURACY_CONTINUOUS_TIMES = (5.5, 0, 40.0, 5.5, 0.25, 1e4, 3)
+
+
+def exact_discrete_sum(blocks, t):
+    """sum_b m_b beta_b^(2t) as (numerator, denominator) over one common
+    denominator, with no gcd on the large integers."""
+    den = math.lcm(*(beta.denominator for beta, _ in blocks))
+    num = sum(m * (beta.numerator * (den // beta.denominator)) ** (2 * t) for beta, m in blocks)
+    return num, den ** (2 * t)
+
+
+def discrete_sum_within(d2, num, den, tol_exp):
+    """|d2^2 - num/den| <= 2^tol_exp * num/den, in integers."""
+    man, exp = int(d2.man), int(d2.exp)
+    got, ref = man * man * den, num
+    if exp >= 0:
+        got <<= 2 * exp
+    else:
+        ref <<= -2 * exp
+    return abs(got - ref) << -tol_exp <= ref
+
+
+def continuous_reference(blocks, t, prec):
+    """Per-term exp sum at prec + 128 bits."""
+    with mp.workprec(prec + 128):
+        tt = mp.mpf(Fraction(t).numerator) / Fraction(t).denominator
+        return mp.sqrt(mp.fsum(
+            m * mp.exp(-2 * tt * (1 - mp.mpf(beta.numerator) / beta.denominator))
+            for beta, m in blocks))
+
+
+@pytest.mark.parametrize("prec", [53, 128, 256])
+def test_l2_curve_relative_error_at_most_four_ulps(prec):
+    for name, make in ACCURACY_SPECTRA.items():
+        blocks = make()
+        got = l2_curve(blocks, ACCURACY_DISCRETE_TIMES, "discrete", prec)
+        for t, d2 in zip(ACCURACY_DISCRETE_TIMES, got):
+            num, den = exact_discrete_sum(blocks, t)
+            assert discrete_sum_within(d2, num, den, 2 - prec), (name, prec, t)
+        got = l2_curve(blocks, ACCURACY_CONTINUOUS_TIMES, "continuous", prec)
+        for t, d2 in zip(ACCURACY_CONTINUOUS_TIMES, got):
+            ref = continuous_reference(blocks, t, prec)
+            with mp.workprec(prec + 128):
+                assert abs(d2 - ref) <= mp.mpf(2) ** (2 - prec) * ref, (name, prec, t)
+
+
+def test_l2_curve_exp_calls_do_not_grow_with_blocks(monkeypatch):
+    import mpmath
+
+    calls = []
+
+    def counting(original):
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(mpmath.libmp, "mpf_exp", counting(mpmath.libmp.mpf_exp))
+    monkeypatch.setattr(mp, "exp", counting(mp.exp))
+    times = [0.5, 3, 0.5, 7.25, 3]
+    for n in (6, 12, 16):
+        blocks = spectrum(random_transposition_measure(n)).blocks
+        calls.clear()
+        l2_curve(blocks, times, "continuous", 128)
+        assert 0 < len(calls) <= len(set(times)), n
+        calls.clear()
+        l2_curve(blocks, [0, 9, 4, 9, 100], "discrete", 128)
+        assert not calls, n

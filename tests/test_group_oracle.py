@@ -25,6 +25,14 @@ def test_composition_convention():
     assert go.cycle_type_of((1, 2, 0, 3)) == (3, 1)
 
 
+def test_translation_maps_equal_the_compose_loop():
+    for n in range(1, 7):
+        perms = go.all_permutations(n)
+        for s in perms:
+            expected = [go.perm_index(go.compose(x, s)) for x in perms]
+            assert go._translation_map(n, s).tolist() == expected, (n, s)
+
+
 def test_ttr_measure():
     q = go.element_measure("ttr", 4, exact=True)
     perms = go.all_permutations(4)
