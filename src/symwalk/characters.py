@@ -42,19 +42,11 @@ def check_cycle_type(cycles: Iterable[int]) -> CycleType:
     return c
 
 
-def identity_type(n: int) -> CycleType:
-    return (1,) * n
-
-
 def one_cycle_type(n: int, k: int) -> CycleType:
     """The class of a single k-cycle in S_n: cycle type (k, 1, ..., 1)."""
     if not 2 <= k <= n:
         raise ValueError("need 2 <= k <= n")
     return (k,) + (1,) * (n - k)
-
-
-def transposition_type(n: int) -> CycleType:
-    return one_cycle_type(n, 2)
 
 
 def support(cycles: CycleType) -> int:

@@ -336,6 +336,8 @@ def _usable_cpus() -> int:
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     ns = parse_range(args.n)
+    if args.c and args.suite in ("lemmas", "oracle"):
+        raise ValueError(f"--c applies to the theorem suites only, not to {args.suite}")
     cs = [float(x) for x in args.c.split(",")] if args.c else None
     threads = args.effective_threads
     workers = worker_count(threads, len(ns), _usable_cpus())
@@ -435,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", choices=SUITES, required=True)
     v.add_argument("--n", required=True, help="single value or inclusive a..b range")
     v.add_argument("--c", default=None,
-                   help="comma-separated finite c values (default: the theorem's least c, +1, +2)")
+                   help="theorem suites only: comma-separated finite c (default: least c, +1, +2)")
     v.add_argument("--out", default="-", help="output path ('-' for stdout)")
     v.set_defaults(func=cmd_verify)
 

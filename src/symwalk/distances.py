@@ -218,10 +218,7 @@ def l2_single_term_lower(
 # ---------------------------------------------------------------------------
 
 def _check_normalized(dist: GroupDistribution) -> None:
-    if dist.exact:
-        if dist.total() != 1:
-            raise ValueError(f"distribution sums to {dist.total()}, expected 1")
-    elif abs(dist.total() - 1.0) > 1e-12:
+    if abs(dist.total() - 1.0) > 1e-12:
         raise ValueError(f"distribution sums to {dist.total()!r}, expected 1")
 
 
@@ -234,14 +231,9 @@ def chi_square_of(dist: GroupDistribution, normalized: bool = True) -> float:
     if normalized:
         _check_normalized(dist)
     g = math.factorial(dist.n)
-    if dist.exact:
-        u = Fraction(1, g)
-        total = sum(((v - u) ** 2 for v in dist.values), Fraction(0))
-        return math.sqrt(g * total.numerator / total.denominator)
     import numpy as np
 
-    arr = np.asarray(dist.values)
-    return float(math.sqrt(g * float(np.sum((arr - 1.0 / g) ** 2))))
+    return float(math.sqrt(g * float(np.sum((dist.values - 1.0 / g) ** 2))))
 
 
 def tv_of(dist: GroupDistribution, normalized: bool = True) -> float:
@@ -249,14 +241,9 @@ def tv_of(dist: GroupDistribution, normalized: bool = True) -> float:
     if normalized:
         _check_normalized(dist)
     g = math.factorial(dist.n)
-    if dist.exact:
-        u = Fraction(1, g)
-        total = sum((abs(v - u) for v in dist.values), Fraction(0))
-        return float(total) / 2.0
     import numpy as np
 
-    arr = np.asarray(dist.values)
-    return float(np.sum(np.abs(arr - 1.0 / g))) / 2.0
+    return float(np.sum(np.abs(dist.values - 1.0 / g))) / 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,13 @@ fixed once and for all as (s*t)(i) = s(t(i)); every formula in this module
 is transcribed against that convention, and the convolution used everywhere
 is f*q(x) = sum_y f(x y^-1) q(y), matching the walk X_t = xi_1 ... xi_t.
 
+All distributions are float64.  Each step weight is summed exactly as a
+Fraction and rounded once, so every weight is the correctly rounded value.
+
 Size guards (n! growth): per-element measures up to n = 8, dense
-convolutions in float mode up to n = 7, exact-rational mode up to n = 5,
-and dense operator/Dirichlet-form matrices up to n = 6.  Exceeding a guard
-raises ResourceGuardError rather than attempting the computation.
+convolutions up to n = 7, and dense operator matrices up to n = 6.
+Exceeding a guard raises ResourceGuardError rather than attempting the
+computation.
 """
 
 from __future__ import annotations
@@ -28,8 +31,7 @@ from .errors import ResourceGuardError  # re-exported: callers catch it from her
 Perm = tuple[int, ...]
 
 MAX_MEASURE_N = 8
-MAX_FLOAT_N = 7
-MAX_EXACT_N = 5
+MAX_CONVOLUTION_N = 7
 MAX_DENSE_N = 6
 
 
@@ -124,41 +126,22 @@ def _translation_map(n: int, s: Perm) -> np.ndarray:
 
 @dataclass
 class GroupDistribution:
-    """Dense probability vector over S_n in enumeration order.
-
-    ``exact`` distributions hold Fractions (n <= 5), otherwise float64.
-    """
+    """Dense float64 probability vector over S_n in enumeration order."""
 
     n: int
-    values: object  # np.ndarray | list[Fraction]
-    exact: bool = False
+    values: np.ndarray
 
-    def total(self):
-        if self.exact:
-            return sum(self.values, Fraction(0))
+    def total(self) -> float:
         return float(np.sum(self.values))
 
-    def as_float(self) -> "GroupDistribution":
-        if not self.exact:
-            return self
-        arr = np.array([float(v) for v in self.values], dtype=np.float64)
-        return GroupDistribution(self.n, arr, exact=False)
-
     def support(self) -> list[int]:
-        if self.exact:
-            return [i for i, v in enumerate(self.values) if v != 0]
         return [int(i) for i in np.nonzero(self.values)[0]]
 
 
-def point_mass(n: int, exact: bool = False) -> GroupDistribution:
-    size = math.factorial(n)
-    if exact:
-        vals = [Fraction(0)] * size
-        vals[0] = Fraction(1)
-        return GroupDistribution(n, vals, exact=True)
-    arr = np.zeros(size)
+def point_mass(n: int) -> GroupDistribution:
+    arr = np.zeros(math.factorial(n))
     arr[0] = 1.0
-    return GroupDistribution(n, arr, exact=False)
+    return GroupDistribution(n, arr)
 
 
 def insertion_cycle(n: int, i: int, j: int) -> Perm:
@@ -179,7 +162,7 @@ def insertion_cycle(n: int, i: int, j: int) -> Perm:
     return tuple(p)
 
 
-def element_measure(walk, n: int, exact: bool = False) -> GroupDistribution:
+def element_measure(walk, n: int) -> GroupDistribution:
     """Per-element step distribution of a named walk.
 
     ``walk`` is one of "rt", "ttr", "ri", or a cycle type (uniform measure on
@@ -189,10 +172,7 @@ def element_measure(walk, n: int, exact: bool = False) -> GroupDistribution:
     adjacent (transposition) cycles.
     """
     _guard(n, MAX_MEASURE_N, "per-element measures")
-    if exact:
-        _guard(n, MAX_EXACT_N, "exact-rational oracle mode")
     perms, index = _perm_data(n)
-    size = len(perms)
     acc: dict[int, Fraction] = {}
 
     def add(p: Perm, w: Fraction) -> None:
@@ -234,15 +214,10 @@ def element_measure(walk, n: int, exact: bool = False) -> GroupDistribution:
             if cycle_type_of(p) == cycles:
                 add(p, w)
 
-    if exact:
-        vals = [Fraction(0)] * size
-        for idx, w in acc.items():
-            vals[idx] = w
-        return GroupDistribution(n, vals, exact=True)
-    arr = np.zeros(size)
+    arr = np.zeros(len(perms))
     for idx, w in acc.items():
         arr[idx] = float(w)
-    return GroupDistribution(n, arr, exact=False)
+    return GroupDistribution(n, arr)
 
 
 def lazy_mix(q: GroupDistribution, eps: Fraction) -> GroupDistribution:
@@ -250,16 +225,12 @@ def lazy_mix(q: GroupDistribution, eps: Fraction) -> GroupDistribution:
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must lie strictly between 0 and 1")
-    if q.exact:
-        vals = [(1 - eps) * v for v in q.values]
-        vals[0] += eps
-        return GroupDistribution(q.n, vals, exact=True)
-    arr = (1.0 - float(eps)) * np.asarray(q.values)
+    arr = (1.0 - float(eps)) * q.values
     arr[0] += float(eps)
-    return GroupDistribution(q.n, arr, exact=False)
+    return GroupDistribution(q.n, arr)
 
 
-def _support_maps(q: GroupDistribution, inverse: bool) -> list[tuple[np.ndarray, object]]:
+def _support_maps(q: GroupDistribution, inverse: bool) -> list[tuple[np.ndarray, float]]:
     """Pairs (gather table, weight) for y in supp(q): table[x] = idx(x*y^±1)."""
     perms, _ = _perm_data(q.n)
     out = []
@@ -270,26 +241,18 @@ def _support_maps(q: GroupDistribution, inverse: bool) -> list[tuple[np.ndarray,
     return out
 
 
-def convolve(f_values, q: GroupDistribution, maps=None):
+def convolve(f_values: np.ndarray, q: GroupDistribution, maps=None) -> np.ndarray:
     """(f*q)(x) = sum_y f(x y^-1) q(y) for a dense vector of f-values."""
     if maps is None:
         maps = _support_maps(q, inverse=True)
-    if isinstance(f_values, list):  # exact mode
-        size = len(f_values)
-        out = [Fraction(0)] * size
-        for table, w in maps:
-            for x in range(size):
-                out[x] += w * f_values[table[x]]
-        return out
-    f_arr = np.asarray(f_values)
-    out = np.zeros_like(f_arr)
+    out = np.zeros_like(f_values)
     for table, w in maps:
-        out += float(w) * f_arr[table]
+        out += w * f_values[table]
     return out
 
 
 def convolution_power(q: GroupDistribution, t: int) -> GroupDistribution:
-    """Exact t-fold convolution q^(t); q^(0) is the point mass at e."""
+    """The t-fold convolution q^(t); q^(0) is the point mass at e."""
     if t < 0:
         raise ValueError("t must be non-negative")
     return convolution_powers_upto(q, t)[-1]
@@ -297,14 +260,11 @@ def convolution_power(q: GroupDistribution, t: int) -> GroupDistribution:
 
 def convolution_powers_upto(q: GroupDistribution, t_max: int) -> list[GroupDistribution]:
     """[q^(0), q^(1), ..., q^(t_max)] sharing one pass of convolutions."""
-    if not q.exact:
-        _guard(q.n, MAX_FLOAT_N, "dense convolutions")
+    _guard(q.n, MAX_CONVOLUTION_N, "dense convolutions")
     maps = _support_maps(q, inverse=True)
-    powers = [point_mass(q.n, exact=q.exact)]
+    powers = [point_mass(q.n)]
     for _ in range(t_max):
-        powers.append(
-            GroupDistribution(q.n, convolve(powers[-1].values, q, maps), q.exact)
-        )
+        powers.append(GroupDistribution(q.n, convolve(powers[-1].values, q, maps)))
     return powers
 
 
@@ -318,8 +278,7 @@ def continuous_law(
     """
     if t < 0:
         raise ValueError("t must be non-negative")
-    q = q.as_float()
-    _guard(q.n, MAX_FLOAT_N, "dense convolutions")
+    _guard(q.n, MAX_CONVOLUTION_N, "dense convolutions")
     if t == 0:
         return point_mass(q.n), 0
     # log pmf recurrence keeps this stable for all oracle-scale t
@@ -341,11 +300,11 @@ def continuous_law(
         current = convolve(current, q, maps)
         log_pmf += math.log(t) - math.log(s)
         mix += math.exp(log_pmf) * current
-    return GroupDistribution(q.n, mix, exact=False), T
+    return GroupDistribution(q.n, mix), T
 
 
 # ---------------------------------------------------------------------------
-# functions on the group, eigen-checks, Dirichlet forms
+# functions on the group, eigen-checks, comparison forms
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -399,7 +358,7 @@ def eigenfunction_residual(f: GroupFunction, q: GroupDistribution, beta: float) 
     """max_x |(f*q)(x) - beta f(x)|; ~0 certifies the eigenpair."""
     if f.n != q.n:
         raise ValueError("degree mismatch")
-    conv = convolve(f.values, q.as_float())
+    conv = convolve(f.values, q)
     return float(np.max(np.abs(conv - beta * f.values)))
 
 
@@ -407,34 +366,20 @@ def square_gradient_sup(f: GroupFunction, q: GroupDistribution) -> float:
     """sup_x (1/2) sum_y |f(x) - f(y)|^2 K(x, y) with K(x, y) = q(x^-1 y)."""
     if f.n != q.n:
         raise ValueError("degree mismatch")
-    q = q.as_float()
     acc = np.zeros_like(f.values)
     for table, w in _support_maps(q, inverse=False):
-        acc += float(w) * (f.values - f.values[table]) ** 2
+        acc += w * (f.values - f.values[table]) ** 2
     return float(np.max(acc)) / 2.0
-
-
-def dirichlet_form(q: GroupDistribution, f: GroupFunction) -> float:
-    """E(f, f) = (1/2) sum_{x,y} (f(x)-f(y))^2 u(x) q(x^-1 y), u uniform."""
-    if f.n != q.n:
-        raise ValueError("degree mismatch")
-    q = q.as_float()
-    size = math.factorial(q.n)
-    total = 0.0
-    for table, w in _support_maps(q, inverse=False):
-        total += float(w) * float(np.sum((f.values - f.values[table]) ** 2))
-    return total / (2.0 * size)
 
 
 def kernel_matrix(q: GroupDistribution) -> np.ndarray:
     """Dense K(x, y) = q(x^-1 y); symmetric whenever q is."""
     _guard(q.n, MAX_DENSE_N, "dense operator matrices")
-    q = q.as_float()
     size = math.factorial(q.n)
     K = np.zeros((size, size))
     rows = np.arange(size)
     for table, w in _support_maps(q, inverse=False):
-        K[rows, table] += float(w)
+        K[rows, table] += w
     return K
 
 

@@ -1,7 +1,7 @@
 """Monte Carlo total-variation experiments for the shuffle walks.
 
 Trajectories are simulated in fixed-size blocks; block b draws from a
-Philox counter-based generator seeded by SeedSequence(seed).spawn()[b], so
+Philox counter-based generator seeded by block_seed(seed, b), so
 results are bit-for-bit reproducible for a given (seed, config) no matter
 how blocks are scheduled, and blocks can run in parallel with no shared
 RNG state.  Aggregation follows the fixed block order.
@@ -148,18 +148,22 @@ class WalkStatistics:
         return float(self.fixed_point_histogram[j:].sum()) / self.config.n_samples
 
 
+def block_seed(seed: int, b: int) -> np.random.SeedSequence:
+    """SeedSequence(seed).spawn(k)[b] for any k > b, without the other k - 1."""
+    return np.random.SeedSequence(seed, spawn_key=(b,))
+
+
 def sample_walk(cfg: SimConfig, progress: bool = False) -> WalkStatistics:
     """Run n_samples trajectories of t steps and tally phi(X_t)."""
     stepper = _Stepper(WalkSpec.parse(cfg.walk), cfg.n)
     hist = np.zeros(cfg.n + 1, dtype=np.int64)
     n_blocks = -(-cfg.n_samples // BLOCK_SIZE)
-    streams = np.random.SeedSequence(cfg.seed).spawn(n_blocks)
     target = stepper.positions
     done = 0
     next_progress = _PROGRESS_EVERY
-    for b, stream in enumerate(streams):
+    for b in range(n_blocks):
         m = min(BLOCK_SIZE, cfg.n_samples - b * BLOCK_SIZE)
-        rng = np.random.Generator(np.random.Philox(stream))
+        rng = np.random.Generator(np.random.Philox(block_seed(cfg.seed, b)))
         X = np.tile(target, (m, 1))
         for _ in range(cfg.t):
             X = stepper.step(X, rng)

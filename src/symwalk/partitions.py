@@ -17,8 +17,6 @@ import math
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from mpmath import mp
-
 Partition = tuple[int, ...]
 
 
@@ -139,22 +137,6 @@ def dim_square_sum_exact(n: int, l: int) -> int:
     for tail in partitions(n - l, l):
         total += dimension((l,) + tail) ** 2
     return total
-
-
-def box_dim_lower_bound(parts: Partition, s: int, t: int, prec: int = 128):
-    """Lower bound (n / (e*(s+t-1)))^n for d_lambda when the diagram fits in s x t.
-
-    Every hook of a diagram inside an s x t box has length at most s+t-1,
-    which together with Stirling's bound on n! gives the estimate.
-    """
-    parts = check_partition(parts)
-    n = sum(parts)
-    if len(parts) > s or (parts and parts[0] > t):
-        raise ValueError(f"partition {parts} does not fit in a {s}x{t} box")
-    if n == 0:
-        return mp.mpf(1)
-    with mp.workprec(prec):
-        return mp.exp(n * (mp.log(n) - 1 - mp.log(s + t - 1)))
 
 
 def near_square_partition(n: int) -> Partition:

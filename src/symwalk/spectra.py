@@ -235,35 +235,3 @@ def spectrum(q: ClassMeasure, group: str = "sn") -> Spectrum:
         blocks = alternating_blocks(blocks)
     return Spectrum(n, group, q.name, blocks)
 
-
-# ---------------------------------------------------------------------------
-# transpose top with random
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class TransposeTopData:
-    """Eigenvalues of the transpose-top operator restricted to one diagram.
-
-    sigma_i = lam_i - i are the eigenvalues of M = sum_i rho((1, i)); the walk
-    operator (M + I)/n then has eigenvalues alpha_i = (sigma_i + 1)/n, with
-    dominant alpha_1 = lam_1/n.  Multiplicities are not tracked here; exact
-    transpose-top distances go through the brute-force oracle instead.
-    """
-
-    partition: Partition
-    sigma: tuple[int, ...]
-    alpha: tuple[Fraction, ...]
-
-    @property
-    def alpha1(self) -> Fraction:
-        return self.alpha[0]
-
-
-def transpose_top_sigma(parts: Partition) -> TransposeTopData:
-    parts = check_partition(parts)
-    if not parts:
-        raise ValueError("need a non-empty partition")
-    n = sum(parts)
-    sigma = tuple(lam_i - i for i, lam_i in enumerate(parts, start=1))
-    alpha = tuple(Fraction(s + 1, n) for s in sigma)
-    return TransposeTopData(parts, sigma, alpha)

@@ -11,14 +11,12 @@ from symwalk.characters import (
     character,
     class_numerator,
     class_size,
-    identity_type,
     is_even_class,
     m_moment,
     one_cycle_type,
     r4_exact,
     remove_skew_hooks,
     support,
-    transposition_type,
 )
 from symwalk.partitions import conjugate, dimension, enumerate_partitions, partitions, staircase_partition
 
@@ -103,7 +101,7 @@ def test_character_examples():
 def test_character_identity_is_dimension():
     for n in range(1, 13):
         for lam in partitions(n):
-            assert character(lam, identity_type(n)) == dimension(lam)
+            assert character(lam, (1,) * n) == dimension(lam)
 
 
 def test_character_degree_mismatch():
@@ -130,9 +128,9 @@ def test_orthogonality_and_ratio_range():
 def test_char_ratio_examples():
     for n in (4, 6, 9):
         assert char_ratio((n,), one_cycle_type(n, 3)) == 1
-        assert char_ratio((n - 1, 1), transposition_type(n)) == Fraction(n - 3, n - 1)
+        assert char_ratio((n - 1, 1), one_cycle_type(n, 2)) == Fraction(n - 3, n - 1)
         # sign character at any odd class is -1
-        assert char_ratio((1,) * n, transposition_type(n)) == -1
+        assert char_ratio((1,) * n, one_cycle_type(n, 2)) == -1
     assert char_ratio((4, 1), (2, 1, 1, 1)) == Fraction(1, 2)
 
 
@@ -226,14 +224,14 @@ def test_transposition_moment_identity():
     # character at a transposition is M_{lam,2} / (n(n-1)); this is the
     # independent route that backs the large-n transposition spectra
     for n in list(range(2, 15)) + [24]:
-        tau = transposition_type(n)
+        tau = one_cycle_type(n, 2)
         for lam in partitions(n):
             assert char_ratio(lam, tau) == Fraction(m_moment(lam, 1), n * (n - 1)), lam
 
 
 def test_char_ratio_bound_transposition():
     for n in range(3, 13):
-        tau = transposition_type(n)
+        tau = one_cycle_type(n, 2)
         for lam in partitions(n):
             r = char_ratio(lam, tau)
             assert r <= char_ratio_bound(lam, "transposition"), lam
@@ -258,7 +256,7 @@ def test_char_ratio_bound_four_cycle():
 def test_conjugate_twist_at_odd_class():
     # chi_{lam'}(odd class) = -chi_lam(odd class)
     for n in (4, 6):
-        tau = transposition_type(n)
+        tau = one_cycle_type(n, 2)
         for lam in partitions(n):
             assert character(conjugate(lam), tau) == -character(lam, tau)
 

@@ -269,7 +269,8 @@ def test_verify_ttr_n1_threshold_time_zero(tmp_path):
 @pytest.mark.parametrize(
     "suite, n, c",
     [("rt-continuous", "10", "nan"), ("ttr", "5", "inf"), ("rt-discrete", "15", "1e400"),
-     ("rt-continuous", "10", "inf"), ("lemmas", "5", None), ("lemmas", "5..12", None)],
+     ("rt-continuous", "10", "inf"), ("lemmas", "5", None), ("lemmas", "5..12", None),
+     ("lemmas", "14", "7"), ("oracle", "3", "nan")],
 )
 def test_verify_rejects_bad_c_and_small_lemma_n(suite, n, c, tmp_path, capsys):
     out = tmp_path / "x.json"
@@ -379,6 +380,20 @@ def test_cli_import_loads_neither_numpy_nor_oracle(tmp_path):
         f"assert symwalk.cli.main({argv!r}) == 0; "
         "print(sorted(m for m in ('numpy', 'symwalk.group_oracle', 'symwalk.montecarlo') "
         "if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_spectral_layers_load_neither_mpmath_nor_numpy():
+    # exact combinatorics needs no reals: the spectra and the walk parser
+    # stand below the distance layer
+    src = str(Path(symwalk.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, symwalk.spectra, symwalk.walks; "
+        "print(sorted(m for m in ('mpmath', 'numpy') if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)

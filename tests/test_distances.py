@@ -144,22 +144,15 @@ def test_chi_square_and_tv_definitional():
     point = go.point_mass(n)
     assert chi_square_of(point) == pytest.approx(math.sqrt(g - 1), rel=1e-12)
     assert tv_of(point) == pytest.approx(1 - 1 / g, rel=1e-12)
-    uniform = go.GroupDistribution(n, point.values * 0 + 1.0 / g, exact=False)
+    uniform = go.GroupDistribution(n, point.values * 0 + 1.0 / g)
     assert chi_square_of(uniform) == pytest.approx(0, abs=1e-12)
     assert tv_of(uniform) == pytest.approx(0, abs=1e-12)
     dist = go.convolution_power(go.element_measure("rt", n), 4)
     assert 2 * tv_of(dist) <= chi_square_of(dist)
 
 
-def test_chi_square_exact_mode():
-    dist = go.convolution_power(go.element_measure("rt", 4, exact=True), 3)
-    assert dist.exact
-    approx = go.convolution_power(go.element_measure("rt", 4), 3)
-    assert chi_square_of(dist) == pytest.approx(chi_square_of(approx), rel=1e-12)
-
-
 def test_unnormalized_rejected():
-    bad = go.GroupDistribution(3, go.point_mass(3).values * 0.5, exact=False)
+    bad = go.GroupDistribution(3, go.point_mass(3).values * 0.5)
     with pytest.raises(ValueError):
         chi_square_of(bad)
     with pytest.raises(ValueError):

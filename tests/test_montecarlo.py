@@ -189,6 +189,15 @@ def test_swap_and_insertion_streams_are_pinned():
         assert mc.sample_walk(cfg).fixed_point_histogram.tolist() == hist, walk
 
 
+def test_block_seed_equals_spawned_child():
+    for seed in (0, 2024):
+        children = np.random.SeedSequence(seed).spawn(8)
+        for b in (0, 1, 7):
+            draws = [np.random.Generator(np.random.Philox(s)).integers(0, 2**63, size=4)
+                     for s in (children[b], mc.block_seed(seed, b))]
+            assert draws[0].tolist() == draws[1].tolist(), (seed, b)
+
+
 def test_trajectory_dtype():
     assert mc.trajectory_dtype(2) == np.int16
     assert mc.trajectory_dtype(32768) == np.int16

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from symwalk.partitions import (
     beta_dimension,
-    box_dim_lower_bound,
     check_partition,
     conjugate,
     dim_square_sum_bound,
@@ -133,23 +132,6 @@ def test_dim_square_sum_bound_sweep():
     for n in range(1, 31):
         for l in range(1, n + 1):
             assert dim_square_sum_exact(n, l) <= dim_square_sum_bound(n, l), (n, l)
-
-
-def test_box_dim_lower_bound_examples():
-    n = 8
-    assert box_dim_lower_bound((n,), 1, n) == pytest.approx(math.exp(-n), rel=1e-12)
-    val = float(box_dim_lower_bound((2, 2), 2, 2))
-    assert val == pytest.approx((4 / (3 * math.e)) ** 4, rel=1e-12)
-    assert val <= dimension((2, 2))
-    with pytest.raises(ValueError):
-        box_dim_lower_bound((3, 1), 2, 2)
-
-
-def test_box_dim_lower_bound_below_dimension():
-    for n in range(1, 21):
-        for lam in partitions(n):
-            bound = box_dim_lower_bound(lam, len(lam), lam[0])
-            assert float(bound) <= dimension(lam), lam
 
 
 def test_near_square_partition():

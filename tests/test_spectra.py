@@ -15,7 +15,6 @@ from symwalk.spectra import (
     lazy_class_measure,
     random_transposition_measure,
     spectrum,
-    transpose_top_sigma,
     uniform_class_measure,
     walk_eigenvalue,
 )
@@ -174,15 +173,3 @@ def test_spectrum_matches_brute_force_operator_n7():
         Km[rows, table] += float(w)
     brute = np.linalg.eigvalsh((Km + Km.T) / 2.0)[::-1]
     assert np.max(np.abs(expanded - brute)) < 1e-9
-
-
-def test_transpose_top_sigma():
-    d = transpose_top_sigma((5, 4, 2, 1))
-    assert d.sigma == (4, 2, -1, -3)
-    assert d.alpha1 == Fraction(5, 12)
-    for n in (5, 9):
-        top = transpose_top_sigma((n - 1, 1))
-        assert top.sigma == (n - 2, -1)
-        assert top.alpha1 == Fraction(n - 1, n)
-        triv = transpose_top_sigma((n,))
-        assert triv.sigma == (n - 1,) and triv.alpha1 == 1
