@@ -2,10 +2,10 @@
 
 Each theorem's inequality chain is split into its named summands (the
 bound terms A_j, B_j and their partial sums phi_0, phi_1, phi_2, gamma) so
-every link can be checked numerically.  Factorial ratios are evaluated as
-log-gamma differences at the working precision, once per (n, precision)
-and shared by every term family and time point; the exact big-integer
-cross-check for small n lives in the test suite.
+every link can be checked numerically.  Every term carries the factorial
+weight (n!/(n-j)!)^2/j!, which is the exact integer C(n, j) n!/(n-j)!
+(``lemma_weight``) and multiplies the term's single exp at the working
+precision.
 
 Naming note: the fixed-point sets {phi >= j} and the bound summands are
 both called A_j in the usual notation; here the sets live behind
@@ -18,7 +18,6 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 import mpmath
 from mpmath import mp
@@ -27,12 +26,9 @@ from .distances import DEFAULT_PREC, l2_curve
 from .spectra import Spectrum, random_transposition_measure, spectrum, uniform_class_measure
 
 
-@lru_cache(maxsize=64)
-def _log_weights(n: int, prec: int) -> tuple[mpmath.mpf, ...]:
-    """log of (n!/(n-j)!)^2 / j! at ``prec`` bits, indexed by j = 0..n."""
-    with mp.workprec(prec):
-        log_fact = [mp.loggamma(k + 1) for k in range(n + 1)]
-        return tuple(2 * (log_fact[n] - log_fact[n - j]) - log_fact[j] for j in range(n + 1))
+def lemma_weight(n: int, j: int) -> int:
+    """(n!/(n-j)!)^2 / j! = C(n, j) n!/(n-j)!, exactly."""
+    return math.comb(n, j) * math.perm(n, j)
 
 
 def _log_frac(x: Fraction) -> mpmath.mpf:
@@ -69,17 +65,16 @@ def rt_discrete_terms(n: int, prec: int = DEFAULT_PREC) -> RtDiscreteTerms:
     if n < 14:
         raise ValueError("discrete-time term bounds are stated for n >= 14")
     out = RtDiscreteTerms(n)
-    log_w = _log_weights(n, prec)
     with mp.workprec(prec):
         exponent = n * mp.log(n)
         for j in range(1, n // 2 + 1):
             base = 1 - Fraction(2 * j, n) * (1 - Fraction(j - 1, n))
-            out.a_terms[j] = mp.exp(log_w[j] + exponent * _log_frac(base))
+            out.a_terms[j] = lemma_weight(n, j) * mp.exp(exponent * _log_frac(base))
         for j in range(-(-n // 2), n + 1):
             if j == n:
                 out.b_terms[j] = mp.mpf(0)
                 continue
-            out.b_terms[j] = mp.exp(log_w[j] + exponent * _log_frac(Fraction(n - j, n)))
+            out.b_terms[j] = lemma_weight(n, j) * mp.exp(exponent * _log_frac(Fraction(n - j, n)))
         out.phi0 = mp.fsum(out.a_terms[j] for j in range(1, n // 4 + 1))
         out.phi1 = mp.fsum(out.a_terms[j] for j in range(-(-n // 4), n // 2 + 1))
         out.phi2 = mp.fsum(out.b_terms.values())
@@ -113,13 +108,13 @@ def rt_continuous_terms(n: int, prec: int = DEFAULT_PREC) -> RtContinuousTerms:
     if n < 10:
         raise ValueError("continuous-time term bounds are stated for n >= 10")
     out = RtContinuousTerms(n)
-    log_w = _log_weights(n, prec)
     with mp.workprec(prec):
         logn = mp.log(n)
         for j in range(1, n // 2 + 1):
-            out.a_terms[j] = mp.exp(log_w[j] - 2 * j * logn * (1 - mp.mpf(j) / n) - 2 * j)
+            out.a_terms[j] = lemma_weight(n, j) * mp.exp(
+                -2 * j * logn * (1 - mp.mpf(j) / n) - 2 * j)
         for j in range(-(-n // 2), n + 1):
-            out.b_terms[j] = mp.exp(log_w[j] - j * logn - 2 * j)
+            out.b_terms[j] = lemma_weight(n, j) * mp.exp(-j * logn - 2 * j)
         out.sum_a_low = mp.fsum(out.a_terms[j] for j in range(1, n // 4 + 1))
         out.sum_a_mid = mp.fsum(out.a_terms[j] for j in range(-(-n // 4), n // 2 + 1))
         out.gamma = mp.fsum(out.b_terms.values())
@@ -136,7 +131,7 @@ def ttr_bound_spectrum(n: int) -> Spectrum:
     eigenvalue 1 - j/n with the integer multiplicity C(n, j) n!/(n-j)!."""
     if n < 1:
         raise ValueError("need n >= 1")
-    blocks = tuple((Fraction(n - j, n), math.comb(n, j) * math.perm(n, j)) for j in range(1, n))
+    blocks = tuple((Fraction(n - j, n), lemma_weight(n, j)) for j in range(1, n))
     return Spectrum(n, "sn", "ttr-bound", blocks)
 
 

@@ -7,9 +7,11 @@ with fixed points included as 1s, e.g. a transposition in S_5 is
 closed-form ratio bounds, which are themselves exact rationals.
 
 The recursion removes the largest remaining cycle first and is memoized on
-(partition, remaining cycle multiset).  With an all-ones remainder it short
-circuits to the dimension, so evaluating a character at a single k-cycle
-class costs one border-strip sweep plus dimension lookups.
+(partition, remaining cycle multiset) in a dict its caller owns: a fresh
+one per ``character`` call, one per spectrum build, so no table outlives
+the build.  With an all-ones remainder it short circuits to the dimension,
+so evaluating a character at a single k-cycle class costs one border-strip
+sweep plus dimension lookups.
 
 For a single cycle of length k <= 4 the content polynomials of
 ``class_numerator`` give (n)_k chi_lambda/d_lambda as one integer with no
@@ -111,15 +113,6 @@ def remove_skew_hooks(parts: Partition, k: int) -> list[SkewHookRemoval]:
 # Murnaghan-Nakayama recursion
 # ---------------------------------------------------------------------------
 
-# Memo table shared by every caller.  Plain dict reads/writes are atomic under
-# the GIL, so concurrent lookups plus duplicate computation are safe.
-_cache: dict = {}
-
-
-def character_cache_size() -> int:
-    return len(_cache)
-
-
 def character(parts: Partition, cycles: CycleType) -> int:
     """Exact character chi_lambda(alpha) by Murnaghan-Nakayama.
 
@@ -133,24 +126,26 @@ def character(parts: Partition, cycles: CycleType) -> int:
         raise ValueError(
             f"degree mismatch: partition of {sum(parts)} vs class of {sum(cycles)}"
         )
-    return _character_rec(parts, cycles)
+    return mn_character(parts, cycles, {})
 
 
-def _character_rec(parts: Partition, cycles: CycleType) -> int:
+def mn_character(parts: Partition, cycles: CycleType, memo: dict) -> int:
+    """``character`` without validation, memoized in ``memo`` on (partition,
+    remaining cycles): one dict serves every diagram of one spectrum build."""
     if not parts:
         return 1
     if cycles[0] == 1:  # only fixed points left
         return dimension(parts)
     key = (parts, cycles)
-    cached = _cache.get(key)
+    cached = memo.get(key)
     if cached is not None:
         return cached
     total = 0
     rest = cycles[1:]
     for removal in remove_skew_hooks(parts, cycles[0]):
-        term = _character_rec(removal.remainder, rest)
+        term = mn_character(removal.remainder, rest, memo)
         total += -term if removal.leg_length % 2 else term
-    _cache[key] = total
+    memo[key] = total
     return total
 
 

@@ -171,6 +171,8 @@ def eval_time_expr(expr: str, n: int) -> float:
 def parse_range(text: str) -> list[int]:
     """Either a single integer or an inclusive 'a..b' range."""
     if ".." in text:
+        if text.count("..") != 1:
+            raise ValueError(f"range {text!r} is not of the form a..b")
         a, b = text.split("..")
         lo, hi = int(a), int(b)
         if hi < lo:
@@ -336,9 +338,9 @@ def _usable_cpus() -> int:
 def cmd_verify(args) -> int:
     started = time.perf_counter()
     ns = parse_range(args.n)
-    if args.c and args.suite in ("lemmas", "oracle"):
+    if args.c is not None and args.suite in ("lemmas", "oracle"):
         raise ValueError(f"--c applies to the theorem suites only, not to {args.suite}")
-    cs = [float(x) for x in args.c.split(",")] if args.c else None
+    cs = None if args.c is None else [float(x) for x in args.c.split(",")]
     threads = args.effective_threads
     workers = worker_count(threads, len(ns), _usable_cpus())
     tasks = [(args.suite, n, cs, args.precision) for n in ns]

@@ -51,7 +51,6 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .characters import is_even_class
 from .partitions import Partition, check_partition, dimension
 from .spectra import (
     Blocks,
@@ -304,9 +303,9 @@ def class_walk_profile(
     spec_sn = spectrum(q, "sn")
     if mode == "continuous":
         return spectrum_profile(spec_sn, mode, times, prec)
-    if any(is_even_class(c) for c, w in q.atoms if w > 0):
-        # a mixed measure (identity or even atoms) never confines the
-        # walk to one coset, so the q*q restriction does not apply
+    if q.hold:
+        # a walk that holds never confines itself to one coset,
+        # so the q*q restriction does not apply
         raise ValueError("A_n discrete profiles need a pure odd-class measure")
     # q*q is an even walk: the sign diagram's -1 squares to the 1 the fold removes
     squared = group_blocks((beta * beta, m) for beta, m in spec_sn.blocks)

@@ -22,9 +22,12 @@ import numpy as np
 from mpmath import mp
 
 from .bounds import matching_tail
+from .errors import ResourceGuardError
 from .walks import WalkSpec
 
 BLOCK_SIZE = 8192
+#: largest n simulated: blocks of BLOCK_SIZE x n positions, exact u(A_j) in ~n^2 steps
+MAX_SIMULATE_N = 4096
 #: version of the map from Philox draws to steps; recorded in the simulate
 #: manifest.  2: O(support) class/lazy steps (ttr, rt, ri unchanged from 1)
 STREAM_VERSION = 2
@@ -46,6 +49,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.n < 2 or self.t < 0 or self.n_samples < 1:
             raise ValueError("need n >= 2, t >= 0, n_samples >= 1")
+        if self.n > MAX_SIMULATE_N:
+            raise ResourceGuardError(f"simulation is capped at n <= {MAX_SIMULATE_N}")
 
 
 def trajectory_dtype(n: int) -> type[np.signedinteger]:

@@ -9,6 +9,7 @@ import pytest
 
 import symwalk
 from symwalk import cli
+from symwalk.montecarlo import MAX_SIMULATE_N
 
 GOLDEN_RT5_ROWS = [
     "rt,sn,5,0,10.9087121146,2.07554696139",
@@ -59,6 +60,8 @@ def test_parse_range():
     assert cli.parse_range("7") == [7]
     with pytest.raises(ValueError):
         cli.parse_range("9..5")
+    with pytest.raises(ValueError, match="not of the form a..b"):
+        cli.parse_range("1..2..3")
 
 
 def test_fmt_real():
@@ -270,13 +273,15 @@ def test_verify_ttr_n1_threshold_time_zero(tmp_path):
     "suite, n, c",
     [("rt-continuous", "10", "nan"), ("ttr", "5", "inf"), ("rt-discrete", "15", "1e400"),
      ("rt-continuous", "10", "inf"), ("lemmas", "5", None), ("lemmas", "5..12", None),
-     ("lemmas", "14", "7"), ("oracle", "3", "nan")],
+     ("lemmas", "14", "7"), ("oracle", "3", "nan"), ("rt-discrete", "15", ""),
+     ("lemmas", "14", ""), ("rt-discrete", "15..16..17", None)],
 )
 def test_verify_rejects_bad_c_and_small_lemma_n(suite, n, c, tmp_path, capsys):
     out = tmp_path / "x.json"
     argv = ["verify", "--suite", suite, "--n", n, "--out", str(out)]
-    assert run(argv + (["--c", c] if c else [])) == cli.EXIT_BAD_ARGS
-    assert capsys.readouterr().err.startswith("symwalk: invalid arguments:")
+    assert run(argv + (["--c", c] if c is not None else [])) == cli.EXIT_BAD_ARGS
+    err = capsys.readouterr().err
+    assert err.startswith("symwalk: invalid arguments:") and err.count("\n") == 1, err
     assert not out.exists()
 
 
@@ -441,6 +446,15 @@ def test_simulate_minimum_samples(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "symwalk: invalid arguments: need at least 1000 trajectories for the std-error column\n")
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_simulate_size_cap_is_resource_guard(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(["simulate", "--walk", "rt", "--n", str(MAX_SIMULATE_N + 1), "--t", "1",
+                "--N", "1000", "--seed", "1", "--out", str(out)]) == cli.EXIT_RESOURCE == 3
+    err = capsys.readouterr().err
+    assert err.startswith("symwalk: resource guard:") and err.count("\n") == 1, err
+    assert not out.exists()
 
 
 def test_simulate_manifest_records_stream_version(tmp_path):

@@ -8,6 +8,7 @@ from symwalk import group_oracle as go
 from symwalk import montecarlo as mc
 from symwalk.bounds import matching_tail
 from symwalk.distances import tv_of
+from symwalk.errors import ResourceGuardError
 from symwalk.walks import WalkSpec
 
 
@@ -16,6 +17,9 @@ def test_sim_config_validation():
         mc.SimConfig(n=1, walk="ttr", t=1, n_samples=10, seed=0)
     with pytest.raises(ValueError):
         mc.SimConfig(n=5, walk="ttr", t=-1, n_samples=10, seed=0)
+    mc.SimConfig(n=mc.MAX_SIMULATE_N, walk="ttr", t=1, n_samples=10, seed=0)
+    with pytest.raises(ResourceGuardError):
+        mc.SimConfig(n=mc.MAX_SIMULATE_N + 1, walk="ttr", t=1, n_samples=10, seed=0)
     with pytest.raises(ValueError):
         WalkSpec.parse("bogus")
     with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from symwalk import characters
 from symwalk import group_oracle as go
 from symwalk.characters import class_size, one_cycle_type
 from symwalk.partitions import dimension, partitions
@@ -22,21 +23,18 @@ from symwalk.spectra import (
 
 def test_rt_measure_weights():
     q = random_transposition_measure(3)
-    weights = dict(q.atoms)
-    assert weights[(1, 1, 1)] == Fraction(1, 3)
-    assert weights[(2, 1)] == Fraction(2, 3)
+    assert (q.cycles, q.hold) == ((2, 1), Fraction(1, 3))
     for n in range(2, 51):
         q = random_transposition_measure(n)
-        assert sum(w for _, w in q.atoms) == 1
+        assert (q.n, q.cycles, q.hold) == (n, one_cycle_type(n, 2), Fraction(1, n))
     # per-element transposition probability 2/n^2 at n = 5
     q5 = random_transposition_measure(5)
-    class_weight = dict(q5.atoms)[(2, 1, 1, 1)]
-    assert class_weight / class_size((2, 1, 1, 1)) == Fraction(2, 25)
+    assert (1 - q5.hold) / class_size(q5.cycles) == Fraction(2, 25)
 
 
 def test_uniform_class_measure():
-    q = uniform_class_measure((4,) + (1,) * 7)
-    assert q.n == 11 and q.atoms == (((4,) + (1,) * 7, Fraction(1)),)
+    q = uniform_class_measure((1,) * 7 + (4,))
+    assert (q.n, q.cycles, q.hold, q.name) == (11, (4,) + (1,) * 7, 0, "class:4")
     assert not q.even_support  # 4-cycles are odd
     assert uniform_class_measure((3, 1, 1)).even_support
     with pytest.raises(ValueError):
@@ -45,17 +43,24 @@ def test_uniform_class_measure():
 
 def test_lazy_class_measure():
     q = lazy_class_measure((3, 1, 1), Fraction(1, 2))
-    assert dict(q.atoms)[(1, 1, 1, 1, 1)] == Fraction(1, 2)
+    assert (q.n, q.cycles, q.hold, q.name) == (5, (3, 1, 1), Fraction(1, 2), "lazy:3:1/2")
+    assert q.even_support  # holding is the even identity
     for eps in (Fraction(0), Fraction(1), Fraction(3, 2)):
         with pytest.raises(ValueError):
             lazy_class_measure((3, 1, 1), eps)
 
 
 def test_measure_weight_validation():
+    assert ClassMeasure(3, (2, 1), Fraction(1, 2)).hold == Fraction(1, 2)
+    for hold in (Fraction(1), Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            ClassMeasure(3, (2, 1), hold)
     with pytest.raises(ValueError):
-        ClassMeasure(3, (((2, 1), Fraction(1, 2)),))  # does not sum to 1
+        ClassMeasure(3, (1, 2))  # not canonical
     with pytest.raises(ValueError):
-        ClassMeasure(3, (((2, 1, 1), Fraction(1)),))  # degree mismatch
+        ClassMeasure(3, (2, 1, 1))  # degree mismatch
+    with pytest.raises(ValueError):
+        ClassMeasure(3, (1, 1, 1))  # the identity class
 
 
 def test_walk_eigenvalue_examples():
@@ -116,7 +121,7 @@ def mn_blocks(q, group):
 
 def test_spectrum_blocks_equal_murnaghan_nakayama_blocks():
     # content-numerator keys (rt, short cycles, lazy) and the MN fallback
-    # (class:2,2 and class:5) give the MN blocks in value and order
+    # (class:2,2 and class:5, holding or not) give the MN blocks in value and order
     for n in range(2, 19):
         walks = [random_transposition_measure(n)]
         walks += [uniform_class_measure(one_cycle_type(n, k)) for k in (2, 3, 4) if k <= n]
@@ -124,13 +129,26 @@ def test_spectrum_blocks_equal_murnaghan_nakayama_blocks():
                   for k, eps in ((3, Fraction(1, 2)), (4, Fraction(1, 3))) if k <= n]
         if n in (4, 9, 14):
             walks.append(uniform_class_measure((2, 2) + (1,) * (n - 4)))
+            walks.append(lazy_class_measure((2, 2) + (1,) * (n - 4), Fraction(1, 3)))
         if n in (5, 9, 14):
             walks.append(uniform_class_measure(one_cycle_type(n, 5)))
+            walks.append(lazy_class_measure(one_cycle_type(n, 5), Fraction(1, 2)))
         for q in walks:
             for group in ("sn", "an") if q.even_support else ("sn",):
                 blocks = spectrum(q, group).blocks
                 assert blocks == mn_blocks(q, group), (q.name, n, group)
                 assert all(type(beta) is Fraction and type(m) is int for beta, m in blocks)
+
+
+def test_spectrum_build_leaves_module_dicts_unchanged():
+    # the Murnaghan-Nakayama memo lives and dies with one build
+    def dict_sizes():
+        return {name: len(value) for name, value in vars(characters).items()
+                if isinstance(value, dict) and not name.startswith("__")}
+
+    before = dict_sizes()
+    spectrum(uniform_class_measure((2, 2) + (1,) * 13))
+    assert dict_sizes() == before
 
 
 def count_top_eigenvalues(q, group="sn"):
