@@ -2,10 +2,16 @@
 
 Each theorem's inequality chain is split into its named summands (the
 bound terms A_j, B_j and their partial sums phi_0, phi_1, phi_2, gamma) so
-every link can be checked numerically.  Every term carries the factorial
-weight (n!/(n-j)!)^2/j!, which is the exact integer C(n, j) n!/(n-j)!
-(``lemma_weight``) and multiplies the term's single exp at the working
-precision.
+every link can be checked numerically.  Every term is the factorial
+weight (n!/(n-j)!)^2/j!, the exact integer C(n, j) n!/(n-j)!
+(``lemma_weight``), times an integer power of a few constants.  In
+continuous time the powers are walked in j by ratio updates from three
+exps per table; in discrete time each A_j costs one log and one exp, and
+the B_j are products of one exp per prime up to n/2.  As in
+``distances.l2_curve``, the powers run at the caller's precision plus
+guard bits for the largest exponent and the term count, the weighted sums
+are fixed point (``distances._positive_sum``), and every term and sum is
+rounded once, so each has relative error at most 2^(2 - prec).
 
 Naming note: the fixed-point sets {phi >= j} and the bound summands are
 both called A_j in the usual notation; here the sets live behind
@@ -20,9 +26,24 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import mpmath
-from mpmath import mp
+from mpmath import libmp, mp
+from mpmath.libmp import (
+    fone,
+    from_int,
+    fzero,
+    mpf_div,
+    mpf_log,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_pos,
+    mpf_pow_int,
+    mpf_shift,
+    mpf_sub,
+    round_nearest,
+)
 
-from .distances import DEFAULT_PREC, l2_curve
+from .distances import DEFAULT_PREC, _positive_sum, _working_prec, l2_curve
 from .spectra import Spectrum, random_transposition_measure, spectrum, uniform_class_measure
 
 
@@ -31,10 +52,33 @@ def lemma_weight(n: int, j: int) -> int:
     return math.comb(n, j) * math.perm(n, j)
 
 
-def _log_frac(x: Fraction) -> mpmath.mpf:
-    if x <= 0:
-        raise ValueError("log of non-positive rational")
-    return mp.log(x.numerator) - mp.log(x.denominator)
+def _lemma_table(n: int, powers: dict, wp: int, prec: int, *ranges) -> tuple[dict, list]:
+    """The terms lemma_weight(n, j) p_j of the raw powers p_j, each rounded
+    once to ``prec`` bits, and their sums over each range of j, summed in
+    fixed point at ``wp`` bits and rounded once."""
+    weights = {j: lemma_weight(n, j) for j in powers}
+    terms = {
+        j: mp.make_mpf(mpf_mul_int(powers[j], w, prec, round_nearest))
+        for j, w in weights.items()
+    }
+    sums = [
+        mp.make_mpf(mpf_pos(
+            _positive_sum([weights[j] for j in js], [powers[j] for j in js], wp),
+            prec, round_nearest))
+        for js in ranges
+    ]
+    return terms, sums
+
+
+def _smallest_prime_factors(m: int) -> list[int]:
+    """spf[k] for 0 <= k <= m: the least prime dividing k (k itself below 2)."""
+    spf = list(range(m + 1))
+    for p in range(2, math.isqrt(m) + 1):
+        if spf[p] == p:
+            for k in range(p * p, m + 1, p):
+                if spf[k] == k:
+                    spf[k] = p
+    return spf
 
 
 # ---------------------------------------------------------------------------
@@ -62,22 +106,43 @@ class RtDiscreteTerms:
 
 
 def rt_discrete_terms(n: int, prec: int = DEFAULT_PREC) -> RtDiscreteTerms:
+    """The a_j base is m_j/n^2 for the integer m_j = n^2 - 2j(n - j + 1),
+    the b_j base is k/n for k = n - j <= n/2, and each power base^L, with
+    L = n log n, is exp(L log base)."""
     if n < 14:
         raise ValueError("discrete-time term bounds are stated for n >= 14")
     out = RtDiscreteTerms(n)
+    half = n // 2
+    # an absolute error in L log(base) is the same relative error in the
+    # power, and those exponents reach L log(n^2) in size
+    wp = _working_prec(prec, math.ceil(2 * n * math.log(n) ** 2), n + 1)
+    log_n = mpf_log(from_int(n), wp, round_nearest)
+    big_l = mpf_mul(from_int(n), log_n, wp, round_nearest)
+
+    def power(log_base):
+        return libmp.mpf_exp(mpf_mul(big_l, log_base, wp, round_nearest), wp, round_nearest)
+
+    log_n2 = mpf_shift(log_n, 1)
+    a = {
+        j: power(mpf_sub(
+            mpf_log(from_int(n * n - 2 * j * (n - j + 1)), wp, round_nearest),
+            log_n2, wp, round_nearest))
+        for j in range(1, half + 1)
+    }
+    # k^L as the product of p^L over the prime factors p of k: one exp per prime
+    spf = _smallest_prime_factors(half)
+    k_power = [fzero, fone]
+    for k in range(2, half + 1):
+        p = spf[k]
+        k_power.append(power(mpf_log(from_int(k), wp, round_nearest)) if p == k
+                       else mpf_mul(k_power[p], k_power[k // p], wp, round_nearest))
+    n_power = power(mpf_neg(log_n))  # n^-L
+    b = {j: mpf_mul(k_power[n - j], n_power, wp, round_nearest)
+         for j in range(-(-n // 2), n + 1)}
+    out.a_terms, (out.phi0, out.phi1) = _lemma_table(
+        n, a, wp, prec, range(1, n // 4 + 1), range(-(-n // 4), half + 1))
+    out.b_terms, (out.phi2,) = _lemma_table(n, b, wp, prec, b.keys())
     with mp.workprec(prec):
-        exponent = n * mp.log(n)
-        for j in range(1, n // 2 + 1):
-            base = 1 - Fraction(2 * j, n) * (1 - Fraction(j - 1, n))
-            out.a_terms[j] = lemma_weight(n, j) * mp.exp(exponent * _log_frac(base))
-        for j in range(-(-n // 2), n + 1):
-            if j == n:
-                out.b_terms[j] = mp.mpf(0)
-                continue
-            out.b_terms[j] = lemma_weight(n, j) * mp.exp(exponent * _log_frac(Fraction(n - j, n)))
-        out.phi0 = mp.fsum(out.a_terms[j] for j in range(1, n // 4 + 1))
-        out.phi1 = mp.fsum(out.a_terms[j] for j in range(-(-n // 4), n // 2 + 1))
-        out.phi2 = mp.fsum(out.b_terms.values())
         out.b_square_bound = 2 + out.phi1 + out.phi2
     return out
 
@@ -105,19 +170,35 @@ class RtContinuousTerms:
 
 
 def rt_continuous_terms(n: int, prec: int = DEFAULT_PREC) -> RtContinuousTerms:
+    """a_j = W y^(j(n-j)) x^j and b_j = W z^j, with W = lemma_weight(n, j),
+    y = n^(-2/n), x = e^-2 and z = x/n."""
     if n < 10:
         raise ValueError("continuous-time term bounds are stated for n >= 10")
     out = RtContinuousTerms(n)
-    with mp.workprec(prec):
-        logn = mp.log(n)
-        for j in range(1, n // 2 + 1):
-            out.a_terms[j] = lemma_weight(n, j) * mp.exp(
-                -2 * j * logn * (1 - mp.mpf(j) / n) - 2 * j)
-        for j in range(-(-n // 2), n + 1):
-            out.b_terms[j] = lemma_weight(n, j) * mp.exp(-j * logn - 2 * j)
-        out.sum_a_low = mp.fsum(out.a_terms[j] for j in range(1, n // 4 + 1))
-        out.sum_a_mid = mp.fsum(out.a_terms[j] for j in range(-(-n // 4), n // 2 + 1))
-        out.gamma = mp.fsum(out.b_terms.values())
+    half = n // 2
+    # the ratio walk below carries y to powers up to about n^2/4, which
+    # multiply its relative error
+    wp = _working_prec(prec, n * n, n + 1)
+    x = libmp.mpf_exp(from_int(-2), wp, round_nearest)
+    log_y = mpf_div(mpf_shift(mpf_log(from_int(n), wp, round_nearest), 1), from_int(-n),
+                    wp, round_nearest)
+    y = libmp.mpf_exp(log_y, wp, round_nearest)
+    y_inv2 = libmp.mpf_exp(mpf_shift(mpf_neg(log_y), 1), wp, round_nearest)
+    # a_(j+1)/a_j has the power part r_j = y^(n-2j-1) x, and r_(j+1) = r_j y^-2
+    a = {}
+    power = fone
+    ratio = mpf_mul(mpf_pow_int(y, n - 1, wp, round_nearest), x, wp, round_nearest)
+    for j in range(1, half + 1):
+        power = a[j] = mpf_mul(power, ratio, wp, round_nearest)
+        ratio = mpf_mul(ratio, y_inv2, wp, round_nearest)
+    z = mpf_div(x, from_int(n), wp, round_nearest)
+    first = -(-n // 2)
+    b = {first: mpf_pow_int(z, first, wp, round_nearest)}
+    for j in range(first + 1, n + 1):
+        b[j] = mpf_mul(b[j - 1], z, wp, round_nearest)
+    out.a_terms, (out.sum_a_low, out.sum_a_mid) = _lemma_table(
+        n, a, wp, prec, range(1, n // 4 + 1), range(-(-n // 4), half + 1))
+    out.b_terms, (out.gamma,) = _lemma_table(n, b, wp, prec, b.keys())
     return out
 
 

@@ -10,8 +10,8 @@ The recursion removes the largest remaining cycle first and is memoized on
 (partition, remaining cycle multiset) in a dict its caller owns: a fresh
 one per ``character`` call, one per spectrum build, so no table outlives
 the build.  With an all-ones remainder it short circuits to the dimension,
-so evaluating a character at a single k-cycle class costs one border-strip
-sweep plus dimension lookups.
+kept in the same memo, so evaluating a character at a single k-cycle class
+costs one border-strip sweep plus one dimension per remainder.
 
 For a single cycle of length k <= 4 the content polynomials of
 ``class_numerator`` give (n)_k chi_lambda/d_lambda as one integer with no
@@ -134,17 +134,18 @@ def mn_character(parts: Partition, cycles: CycleType, memo: dict) -> int:
     remaining cycles): one dict serves every diagram of one spectrum build."""
     if not parts:
         return 1
-    if cycles[0] == 1:  # only fixed points left
-        return dimension(parts)
     key = (parts, cycles)
     cached = memo.get(key)
     if cached is not None:
         return cached
-    total = 0
-    rest = cycles[1:]
-    for removal in remove_skew_hooks(parts, cycles[0]):
-        term = mn_character(removal.remainder, rest, memo)
-        total += -term if removal.leg_length % 2 else term
+    if cycles[0] == 1:  # only fixed points left
+        total = dimension(parts)
+    else:
+        total = 0
+        rest = cycles[1:]
+        for removal in remove_skew_hooks(parts, cycles[0]):
+            term = mn_character(removal.remainder, rest, memo)
+            total += -term if removal.leg_length % 2 else term
     memo[key] = total
     return total
 

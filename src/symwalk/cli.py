@@ -7,11 +7,11 @@ CSV has a header row, '.' decimals and scientific notation below 1e-4, and
 JSON is one object with "manifest" and "results".
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments (such
-as a non-integer discrete time, an out-of-range c or n, a thread count
-below 1 or not an integer, or a --precision outside 53..4096 bits) or an
-output path that cannot be written, 3
-resource guard tripped, 4 internal error (an unexpected exception,
-reported on one stderr line). SYMWALK_THREADS overrides --threads.
+as a non-integer discrete time, an out-of-range c or n, a negative seed, a
+thread count below 1 or not an integer, or a --precision outside 53..4096
+bits) or an output path that cannot be written, 3 resource guard tripped,
+4 internal error (an unexpected exception, reported on one stderr line).
+SYMWALK_THREADS overrides --threads.
 
 Layering: profiles and the spectral sweeps load neither numpy nor the
 brute-force oracle; only the oracle suite and ``simulate`` import them.
@@ -199,6 +199,8 @@ def _time_grid(spec_text: str, n: int, walk: str, mode: str) -> list[float]:
 def cmd_profile(args) -> int:
     started = time.perf_counter()
     n, prec = args.n, args.precision
+    if n < 1:  # before the grid, whose auto times take log(n)
+        raise ValueError(f"--n must be at least 1, got {n}")
     times = _time_grid(args.t_grid, n, args.walk, args.mode)
 
     if args.walk == "ttr-bound":
@@ -272,7 +274,9 @@ def _oracle_check(n: int, walk: str, prec: int) -> bounds.BoundReport:
     walk_spec = walks.WalkSpec.parse(walk)
     qel = walk_spec.element_measure(n)
     powers = group_oracle.convolution_powers_upto(qel, _ORACLE_DISCRETE_T)
-    laws = [group_oracle.continuous_law(qel, t, tail_tol=1e-14)[0] for t in _ORACLE_CONTINUOUS_T]
+    shared = powers[:]  # every Poisson mixture extends this copy and mixes from it
+    laws = [group_oracle.continuous_law(qel, t, tail_tol=1e-14, powers=shared)[0]
+            for t in _ORACLE_CONTINUOUS_T]
     q = walk_spec.class_measure(n)
     if q is None:
         # ttr and ri have no class measure: use the dense operator's eigenvalues
@@ -379,6 +383,8 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     from . import montecarlo
 
     started = time.perf_counter()

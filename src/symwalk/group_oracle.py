@@ -258,23 +258,34 @@ def convolution_power(q: GroupDistribution, t: int) -> GroupDistribution:
     return convolution_powers_upto(q, t)[-1]
 
 
+def _extend_powers(q: GroupDistribution, powers: list[GroupDistribution], t_max: int) -> None:
+    """Append q^(s) to ``powers`` = [q^(0), ...] until it reaches q^(t_max)."""
+    if len(powers) > t_max:
+        return
+    maps = _support_maps(q, inverse=True)
+    while len(powers) <= t_max:
+        powers.append(GroupDistribution(q.n, convolve(powers[-1].values, q, maps)))
+
+
 def convolution_powers_upto(q: GroupDistribution, t_max: int) -> list[GroupDistribution]:
     """[q^(0), q^(1), ..., q^(t_max)] sharing one pass of convolutions."""
     _guard(q.n, MAX_CONVOLUTION_N, "dense convolutions")
-    maps = _support_maps(q, inverse=True)
     powers = [point_mass(q.n)]
-    for _ in range(t_max):
-        powers.append(GroupDistribution(q.n, convolve(powers[-1].values, q, maps)))
+    _extend_powers(q, powers, t_max)
     return powers
 
 
 def continuous_law(
-    q: GroupDistribution, t: float, tail_tol: float = 1e-14
+    q: GroupDistribution, t: float, tail_tol: float = 1e-14,
+    powers: list[GroupDistribution] | None = None,
 ) -> tuple[GroupDistribution, int]:
     """Poisson mixture h_t = e^-t sum_s t^s/s! q^(s), truncated at tail < tail_tol.
 
     Returns the (sub-probability) mixture and the truncation point T; the
-    omitted Poisson tail mass beyond T is below ``tail_tol``.
+    omitted Poisson tail mass beyond T is below ``tail_tol``.  ``powers``,
+    a list [q^(0), q^(1), ...] as ``convolution_powers_upto`` returns, is
+    mixed from and extended in place up to q^(T), so laws at several t
+    share one pass of convolutions.
     """
     if t < 0:
         raise ValueError("t must be non-negative")
@@ -291,15 +302,15 @@ def continuous_law(
         cum += math.exp(log_pmf)
         if T > 100000:
             raise RuntimeError("Poisson truncation failed to converge")
-    maps = _support_maps(q, inverse=True)
+    if powers is None:
+        powers = [point_mass(q.n)]
+    _extend_powers(q, powers, T)
     mix = np.zeros(math.factorial(q.n))
-    current = point_mass(q.n).values
     log_pmf = -t
-    mix += math.exp(log_pmf) * current
+    mix += math.exp(log_pmf) * powers[0].values
     for s in range(1, T + 1):
-        current = convolve(current, q, maps)
         log_pmf += math.log(t) - math.log(s)
-        mix += math.exp(log_pmf) * current
+        mix += math.exp(log_pmf) * powers[s].values
     return GroupDistribution(q.n, mix), T
 
 

@@ -14,7 +14,6 @@ as the reference the tests check it against.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -114,7 +113,6 @@ def beta_dimension(parts: Partition, fact: list[int]) -> int:
     return quot
 
 
-@lru_cache(maxsize=None)
 def dimension(parts: Partition) -> int:
     """Dimension of the irreducible S_n representation indexed by ``parts``,
     by ``beta_dimension``."""

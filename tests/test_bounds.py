@@ -111,6 +111,82 @@ def test_range_guards():
         rt_continuous_terms(9)
 
 
+LEMMA_ACCURACY_NS = (10, 14, 17, 31, 64, 100)
+
+
+def reference_lemma_tables(n, prec):
+    """(table function, a_j, b_j, {sum attribute: summed a or b indices}) per
+    family, each term from its own exp at ``prec`` bits, as the tables were
+    once built."""
+    weight = bounds.lemma_weight
+    low, mid = range(1, n // 4 + 1), range(-(-n // 4), n // 2 + 1)
+    a_js, b_js = range(1, n // 2 + 1), range(-(-n // 2), n + 1)
+    with mp.workprec(prec):
+        logn = mp.log(n)
+        out = [(rt_continuous_terms,
+                {j: weight(n, j) * mp.exp(-2 * j * logn * (1 - mp.mpf(j) / n) - 2 * j)
+                 for j in a_js},
+                {j: weight(n, j) * mp.exp(-j * logn - 2 * j) for j in b_js},
+                {"sum_a_low": ("a", low), "sum_a_mid": ("a", mid), "gamma": ("b", b_js)})]
+        if n >= 14:
+            exponent = n * logn
+
+            def power(base):
+                return mp.exp(exponent * (mp.log(base.numerator) - mp.log(base.denominator)))
+
+            out.append((rt_discrete_terms,
+                        {j: weight(n, j) * power(1 - Fraction(2 * j, n) * (1 - Fraction(j - 1, n)))
+                         for j in a_js},
+                        {j: weight(n, j) * power(Fraction(n - j, n)) if j < n else mp.mpf(0)
+                         for j in b_js},
+                        {"phi0": ("a", low), "phi1": ("a", mid), "phi2": ("b", b_js)}))
+    return out
+
+
+@pytest.mark.parametrize("prec", [53, 128, 256])
+def test_lemma_tables_relative_error(prec):
+    # every term and sum within 2^(2 - prec) of the per-term formulas at
+    # 256 more bits
+    for n in LEMMA_ACCURACY_NS:
+        for table, a_ref, b_ref, sums in reference_lemma_tables(n, prec + 256):
+            terms = table(n, prec)
+            assert terms.a_terms.keys() == a_ref.keys() and terms.b_terms.keys() == b_ref.keys()
+            with mp.workprec(prec + 256):
+                pairs = [(terms.a_terms[j], a_ref[j], f"a{j}") for j in a_ref]
+                pairs += [(terms.b_terms[j], b_ref[j], f"b{j}") for j in b_ref]
+                for attr, (family, js) in sums.items():
+                    ref = a_ref if family == "a" else b_ref
+                    pairs.append((getattr(terms, attr), mp.fsum(ref[j] for j in js), attr))
+                for got, ref, what in pairs:
+                    name = f"{table.__name__}({n}).{what}"
+                    assert abs(got - ref) <= mp.mpf(2) ** (2 - prec) * ref, name
+
+
+def test_lemma_table_exp_calls(monkeypatch):
+    import mpmath
+
+    calls = []
+
+    def counting(original):
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(mpmath.libmp, "mpf_exp", counting(mpmath.libmp.mpf_exp))
+    monkeypatch.setattr(mp, "exp", counting(mp.exp))
+    continuous = []
+    for n in (20, 60, 100):
+        calls.clear()
+        rt_continuous_terms(n)
+        continuous.append(len(calls))
+        calls.clear()
+        rt_discrete_terms(n)
+        primes = sum(all(p % d for d in range(2, p)) for p in range(2, n + 1))
+        assert 0 < len(calls) <= n // 2 + primes + 1, n
+    assert continuous[0] > 0 and len(set(continuous)) == 1, continuous
+
+
 def ttr_bound_sum(n, t, mode="discrete"):
     """The transpose-top bound sum as d2^2 of the ``ttr-bound`` blocks."""
     l2 = l2_discrete if mode == "discrete" else l2_continuous

@@ -448,6 +448,20 @@ def test_simulate_minimum_samples(tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["profile", "--walk", "rt", "--n", "0"], "--n"),
+     (["simulate", "--walk", "rt", "--n", "10", "--t", "5", "--N", "1000", "--seed", "-1"],
+      "--seed")],
+)
+def test_bad_flag_message_names_the_flag(argv, flag, tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    assert run(argv + ["--out", str(out)]) == cli.EXIT_BAD_ARGS
+    err = capsys.readouterr().err
+    assert err.startswith(f"symwalk: invalid arguments: {flag} ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 def test_simulate_size_cap_is_resource_guard(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert run(["simulate", "--walk", "rt", "--n", str(MAX_SIMULATE_N + 1), "--t", "1",

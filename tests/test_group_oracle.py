@@ -119,6 +119,25 @@ def test_continuous_law_bookkeeping():
     assert 1.0 - float(np.sum(h.values)) < tol
 
 
+def test_continuous_laws_from_shared_powers_equal_standalone_laws(monkeypatch):
+    for walk in ("rt", "ttr", (3, 1, 1)):
+        q = go.element_measure(walk, 5)
+        powers = go.convolution_powers_upto(q, 12)
+        shared = powers[:]
+        calls = []
+        real = go.convolve
+        monkeypatch.setattr(go, "convolve", lambda *a, **k: calls.append(1) or real(*a, **k))
+        laws = [go.continuous_law(q, t, powers=shared) for t in (0.5, 4.0, 1.0, 2.0)]
+        monkeypatch.setattr(go, "convolve", real)
+        for t, (law, trunc) in zip((0.5, 4.0, 1.0, 2.0), laws):
+            alone, trunc_alone = go.continuous_law(q, t)
+            assert trunc == trunc_alone and np.array_equal(law.values, alone.values), (walk, t)
+        # the list grew once, to the longest truncation, and kept q^(0..12)
+        assert len(shared) == max(trunc for _, trunc in laws) + 1 > len(powers)
+        assert len(calls) == len(shared) - len(powers)
+        assert all(a is b for a, b in zip(powers, shared))
+
+
 def test_eigenfunction_certificates():
     for n in (4, 5, 6):
         qrt = go.element_measure("rt", n)

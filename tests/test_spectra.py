@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from symwalk import characters
+from symwalk import partitions as partition_module
 from symwalk import group_oracle as go
 from symwalk.characters import class_size, one_cycle_type
 from symwalk.partitions import dimension, partitions
@@ -140,15 +141,32 @@ def test_spectrum_blocks_equal_murnaghan_nakayama_blocks():
                 assert all(type(beta) is Fraction and type(m) is int for beta, m in blocks)
 
 
+def assert_build_keeps_module_tables(module):
+    """A class:2,2 build, which runs the Murnaghan-Nakayama recursion,
+    leaves every module-level dict and function cache of ``module`` the same
+    size.  Caches are emptied first, so an earlier build cannot hide growth."""
+    caches = [value for value in vars(module).values() if hasattr(value, "cache_info")]
+    for cache in caches:
+        cache.cache_clear()
+
+    def sizes():
+        return ({name: len(value) for name, value in vars(module).items()
+                 if isinstance(value, dict) and not name.startswith("__")},
+                [cache.cache_info().currsize for cache in caches])
+
+    before = sizes()
+    spectrum(uniform_class_measure((2, 2) + (1,) * 13))
+    assert sizes() == before
+
+
 def test_spectrum_build_leaves_module_dicts_unchanged():
     # the Murnaghan-Nakayama memo lives and dies with one build
-    def dict_sizes():
-        return {name: len(value) for name, value in vars(characters).items()
-                if isinstance(value, dict) and not name.startswith("__")}
+    assert_build_keeps_module_tables(characters)
 
-    before = dict_sizes()
-    spectrum(uniform_class_measure((2, 2) + (1,) * 13))
-    assert dict_sizes() == before
+
+def test_spectrum_build_leaves_partition_tables_unchanged():
+    # the MN short circuit keeps its dimensions in the build's memo too
+    assert_build_keeps_module_tables(partition_module)
 
 
 def count_top_eigenvalues(q, group="sn"):
