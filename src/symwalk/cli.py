@@ -1,10 +1,12 @@
 """Command-line surface: distance profiles, bound sweeps, simulations.
 
-The CLI parses, dispatches and writes; ``bounds`` owns every constant and
-comparison, and each ``verify`` row is one ``bounds.BoundReport``. Every
-file embeds a run manifest (command, parameters, seed, version, wall time);
-CSV has a header row, '.' decimals and scientific notation below 1e-4, and
-JSON is one object with "manifest" and "results".
+The CLI parses, dispatches and writes.  ``bounds`` owns every theorem and
+lemma constant and comparison, ``group_oracle.oracle_checks`` the oracle
+suite's, and ``montecarlo.SimConfig`` checks every simulate input; each
+``verify`` row is one ``bounds.BoundReport``.  Every file embeds a run
+manifest (command, parameters, seed, version, wall time); CSV has a header
+row, '.' decimals and scientific notation below 1e-4, and JSON is one
+object with "manifest" and "results".
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments (such
 as a non-integer discrete time, an out-of-range c or n, a negative seed, a
@@ -13,8 +15,9 @@ bits) or an output path that cannot be written, 3 resource guard tripped,
 4 internal error (an unexpected exception, reported on one stderr line).
 SYMWALK_THREADS overrides --threads.
 
-Layering: profiles and the spectral sweeps load neither numpy nor the
-brute-force oracle; only the oracle suite and ``simulate`` import them.
+Layering: profiles and the spectral sweeps import only the spectral
+layers; the oracle suite and ``simulate`` each load their module
+(``group_oracle``, ``montecarlo``) through one lazy import.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 import time
 from dataclasses import dataclass
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mp
 
-from . import __version__, bounds, distances, spectra, walks
+from . import __version__, bounds, distances, walks
 from .errors import ResourceGuardError
 
 EXIT_OK = 0
@@ -114,60 +116,6 @@ def _write_json(path: str, manifest: RunManifest, results) -> None:
 # small parsers
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\d+\.?\d*(?:[eE][+\-]?\d+)?|nlogn|n|[+\-*]")
-
-
-def eval_time_expr(expr: str, n: int) -> float:
-    """Evaluate a time expression in the tokens nlogn, n, numbers, + - *.
-
-    Numbers may carry an exponent ("1e3", "2.5E-1").  Juxtaposition
-    multiplies, so "nlogn-3n" and "0.5*nlogn+2" both work.
-    """
-    text = expr.replace("−", "-").replace("·", "*").replace(" ", "")
-    pos = 0
-    tokens: list[str] = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ValueError(f"cannot parse time expression {expr!r} at {text[pos:]!r}")
-        tokens.append(m.group())
-        pos = m.end()
-
-    def value_of(tok: str) -> float:
-        if tok == "n":
-            return float(n)
-        if tok == "nlogn":
-            return n * math.log(n)
-        return float(tok)
-
-    # fold juxtaposition into explicit products, then evaluate + and - over products
-    total = 0.0
-    sign = 1.0
-    product: float | None = None
-    for tok in tokens:
-        if tok in "+-":
-            if product is None:
-                if tok == "-":
-                    sign = -sign
-                    continue
-                raise ValueError(f"misplaced operator in {expr!r}")
-            total += sign * product
-            product = None
-            sign = 1.0 if tok == "+" else -1.0
-        elif tok == "*":
-            if product is None:
-                raise ValueError(f"misplaced '*' in {expr!r}")
-        else:
-            v = value_of(tok)
-            product = v if product is None else product * v
-    if product is None:
-        raise ValueError(f"empty time expression {expr!r}")
-    value = total + sign * product
-    if not math.isfinite(value):
-        raise ValueError(f"time expression {expr!r} is not finite")
-    return value
-
-
 def parse_range(text: str) -> list[int]:
     """Either a single integer or an inclusive 'a..b' range."""
     if ".." in text:
@@ -183,7 +131,7 @@ def parse_range(text: str) -> list[int]:
 
 def _time_grid(spec_text: str, n: int, walk: str, mode: str) -> list[float]:
     if spec_text != "auto":
-        return [eval_time_expr(tok, n) for tok in spec_text.split(",")]
+        return [walks.eval_time_expr(tok, n) for tok in spec_text.split(",")]
     t_ref = n * (math.log(n) + 2) if walk == "ttr-bound" else (n / 2) * (math.log(n) + 2)
     top = 1.3 * t_ref
     if mode == "discrete":
@@ -258,56 +206,14 @@ def cmd_profile(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-ORACLE_WALKS = ("rt", "ttr", "ri", "class:3", "class:4", "lazy:3:1/2")
-_ORACLE_DISCRETE_T = 12
-_ORACLE_CONTINUOUS_T = (0.5, 1.0, 2.0, 4.0)
-_ORACLE_TOL = 1e-8
-
-
-def _oracle_check(n: int, walk: str, prec: int) -> bounds.BoundReport:
-    """Spectral formulas against definitional chi-square from exact convolution,
-    at the discrete times 0.._ORACLE_DISCRETE_T and the continuous ones."""
-    import numpy as np
-
-    from . import group_oracle
-
-    walk_spec = walks.WalkSpec.parse(walk)
-    qel = walk_spec.element_measure(n)
-    powers = group_oracle.convolution_powers_upto(qel, _ORACLE_DISCRETE_T)
-    shared = powers[:]  # every Poisson mixture extends this copy and mixes from it
-    laws = [group_oracle.continuous_law(qel, t, tail_tol=1e-14, powers=shared)[0]
-            for t in _ORACLE_CONTINUOUS_T]
-    q = walk_spec.class_measure(n)
-    if q is None:
-        # ttr and ri have no class measure: use the dense operator's eigenvalues
-        nontrivial = group_oracle.operator_eigenvalues(qel)[1:]
-        spectral = [math.sqrt(float(np.sum(nontrivial ** (2 * t)))) for t in range(len(powers))]
-        spectral += [math.sqrt(float(np.sum(np.exp(-2 * t * (1 - nontrivial)))))
-                     for t in _ORACLE_CONTINUOUS_T]
-    else:
-        blocks = spectra.spectrum(q, "sn").blocks
-        spectral = distances.l2_curve(blocks, range(len(powers)), "discrete", prec)
-        spectral += distances.l2_curve(blocks, _ORACLE_CONTINUOUS_T, "continuous", prec)
-    chi2 = [distances.chi_square_of(dist) for dist in powers]
-    tv_ok = all(2 * distances.tv_of(dist) <= x + 1e-12 for dist, x in zip(powers, chi2))
-    chi2 += [distances.chi_square_of(h, normalized=False) for h in laws]
-    worst = max(abs(x - float(y)) for x, y in zip(chi2, spectral))
-    return bounds.BoundReport(f"oracle:{walk}", n, None, _ORACLE_TOL, worst, tv_inequality=tv_ok)
-
-
 def _suite_task(payload) -> list[bounds.BoundReport]:
     suite, n, cs, prec = payload
     if suite == "lemmas":
         return bounds.lemma_checks(n, prec)
     if suite == "oracle":
-        from . import group_oracle
+        from .group_oracle import oracle_checks
 
-        if n > group_oracle.MAX_DENSE_N:
-            raise ResourceGuardError(
-                f"oracle verification is capped at n <= {group_oracle.MAX_DENSE_N}"
-            )
-        fitting = [w for w in ORACLE_WALKS if sum(walks.WalkSpec.parse(w).cycles) <= n]
-        return [_oracle_check(n, walk, prec) for walk in fitting]
+        return oracle_checks(n, prec)
     walk = suite.replace("-", "_")  # the suite's row of bounds.THEOREMS
     if cs is None:  # the theorem's least c and the next two
         cs = [float(bounds.THEOREMS[walk].min_c + k) for k in range(3)]
@@ -383,15 +289,11 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    if args.seed < 0:
-        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
     from . import montecarlo
 
     started = time.perf_counter()
-    t = int(math.ceil(eval_time_expr(args.t, args.n)))
-    result = montecarlo.fixed_point_tv_lower(
-        args.n, t, args.j, args.N, args.seed, walk=args.walk, progress=True
-    )
+    cfg = montecarlo.SimConfig(args.walk, args.n, args.t, args.j, args.N, args.seed)
+    result = montecarlo.fixed_point_tv_lower(cfg, progress=True)
     manifest = RunManifest(
         "simulate",
         {"walk": args.walk, "n": args.n, "t": args.t, "j": args.j, "N": args.N},
@@ -403,7 +305,7 @@ def cmd_simulate(args) -> int:
     row = [
         args.walk,
         str(args.n),
-        str(t),
+        str(cfg.t),
         str(args.j),
         str(args.N),
         str(args.seed),

@@ -13,6 +13,9 @@ Size guards (n! growth): per-element measures up to n = 8, dense
 convolutions up to n = 7, and dense operator matrices up to n = 6.
 Exceeding a guard raises ResourceGuardError rather than attempting the
 computation.
+
+``oracle_checks`` gives the rows of ``verify --suite oracle`` and owns the
+suite's walks, times, tolerance and size cap.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import bounds, distances, spectra, walks
 from .characters import CycleType, check_cycle_type, class_size, support
 from .errors import ResourceGuardError  # re-exported: callers catch it from here
 
@@ -33,6 +37,8 @@ Perm = tuple[int, ...]
 MAX_MEASURE_N = 8
 MAX_CONVOLUTION_N = 7
 MAX_DENSE_N = 6
+#: every continuous-time law drops a Poisson tail of less than this mass
+POISSON_TAIL = 1e-14
 
 
 def _guard(n: int, cap: int, what: str) -> None:
@@ -251,13 +257,6 @@ def convolve(f_values: np.ndarray, q: GroupDistribution, maps=None) -> np.ndarra
     return out
 
 
-def convolution_power(q: GroupDistribution, t: int) -> GroupDistribution:
-    """The t-fold convolution q^(t); q^(0) is the point mass at e."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    return convolution_powers_upto(q, t)[-1]
-
-
 def _extend_powers(q: GroupDistribution, powers: list[GroupDistribution], t_max: int) -> None:
     """Append q^(s) to ``powers`` = [q^(0), ...] until it reaches q^(t_max)."""
     if len(powers) > t_max:
@@ -276,13 +275,12 @@ def convolution_powers_upto(q: GroupDistribution, t_max: int) -> list[GroupDistr
 
 
 def continuous_law(
-    q: GroupDistribution, t: float, tail_tol: float = 1e-14,
-    powers: list[GroupDistribution] | None = None,
+    q: GroupDistribution, t: float, powers: list[GroupDistribution] | None = None,
 ) -> tuple[GroupDistribution, int]:
-    """Poisson mixture h_t = e^-t sum_s t^s/s! q^(s), truncated at tail < tail_tol.
+    """Poisson mixture h_t = e^-t sum_s t^s/s! q^(s), truncated at tail < POISSON_TAIL.
 
     Returns the (sub-probability) mixture and the truncation point T; the
-    omitted Poisson tail mass beyond T is below ``tail_tol``.  ``powers``,
+    omitted Poisson tail mass beyond T is below ``POISSON_TAIL``.  ``powers``,
     a list [q^(0), q^(1), ...] as ``convolution_powers_upto`` returns, is
     mixed from and extended in place up to q^(T), so laws at several t
     share one pass of convolutions.
@@ -290,28 +288,23 @@ def continuous_law(
     if t < 0:
         raise ValueError("t must be non-negative")
     _guard(q.n, MAX_CONVOLUTION_N, "dense convolutions")
-    if t == 0:
-        return point_mass(q.n), 0
     # log pmf recurrence keeps this stable for all oracle-scale t
     log_pmf = -t
-    cum = math.exp(log_pmf)
-    T = 0
-    while 1.0 - cum > tail_tol:
-        T += 1
-        log_pmf += math.log(t) - math.log(T)
-        cum += math.exp(log_pmf)
-        if T > 100000:
+    weights = [math.exp(log_pmf)]
+    cum = weights[0]
+    while 1.0 - cum > POISSON_TAIL:
+        if len(weights) > 100000:
             raise RuntimeError("Poisson truncation failed to converge")
+        log_pmf += math.log(t) - math.log(len(weights))
+        weights.append(math.exp(log_pmf))
+        cum += weights[-1]
     if powers is None:
         powers = [point_mass(q.n)]
-    _extend_powers(q, powers, T)
+    _extend_powers(q, powers, len(weights) - 1)
     mix = np.zeros(math.factorial(q.n))
-    log_pmf = -t
-    mix += math.exp(log_pmf) * powers[0].values
-    for s in range(1, T + 1):
-        log_pmf += math.log(t) - math.log(s)
-        mix += math.exp(log_pmf) * powers[s].values
-    return GroupDistribution(q.n, mix), T
+    for w, power in zip(weights, powers):
+        mix += w * power.values
+    return GroupDistribution(q.n, mix), len(weights) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -416,3 +409,49 @@ def comparison_gap(q: GroupDistribution, q_tilde: GroupDistribution, a: float) -
     form = (a * (eye - kernel_matrix(q)) - (eye - kernel_matrix(q_tilde))) / size
     vals = np.linalg.eigvalsh((form + form.T) / 2.0)
     return float(vals[0])
+
+
+# ---------------------------------------------------------------------------
+# the oracle suite: spectral formulas against exact convolution
+# ---------------------------------------------------------------------------
+
+#: the walks the oracle suite checks; a class that does not fit S_n is skipped
+ORACLE_WALKS = ("rt", "ttr", "ri", "class:3", "class:4", "lazy:3:1/2")
+_ORACLE_DISCRETE_T = 12
+_ORACLE_CONTINUOUS_T = (0.5, 1.0, 2.0, 4.0)
+_ORACLE_TOL = 1e-8
+
+
+def oracle_checks(n: int, prec: int) -> list[bounds.BoundReport]:
+    """One ``oracle:<walk>`` report for every walk of ORACLE_WALKS that fits
+    S_n; n is checked before any measure or convolution is made."""
+    if n < 2:
+        raise ValueError(f"--n must be at least 2 for the oracle suite, got {n}")
+    _guard(n, MAX_DENSE_N, "oracle verification")
+    specs = [(text, walks.WalkSpec.parse(text)) for text in ORACLE_WALKS]
+    return [_oracle_check(n, text, spec, prec) for text, spec in specs if sum(spec.cycles) <= n]
+
+
+def _oracle_check(n: int, text: str, spec: walks.WalkSpec, prec: int) -> bounds.BoundReport:
+    """Spectral formulas against definitional chi-square from exact convolution,
+    at the discrete times 0.._ORACLE_DISCRETE_T and the continuous ones."""
+    qel = spec.element_measure(n)
+    powers = convolution_powers_upto(qel, _ORACLE_DISCRETE_T)
+    shared = powers[:]  # every Poisson mixture extends this copy and mixes from it
+    laws = [continuous_law(qel, t, powers=shared)[0] for t in _ORACLE_CONTINUOUS_T]
+    q = spec.class_measure(n)
+    if q is None:
+        # ttr and ri have no class measure: use the dense operator's eigenvalues
+        nontrivial = operator_eigenvalues(qel)[1:]
+        spectral = [math.sqrt(float(np.sum(nontrivial ** (2 * t)))) for t in range(len(powers))]
+        spectral += [math.sqrt(float(np.sum(np.exp(-2 * t * (1 - nontrivial)))))
+                     for t in _ORACLE_CONTINUOUS_T]
+    else:
+        blocks = spectra.spectrum(q, "sn").blocks
+        spectral = distances.l2_curve(blocks, range(len(powers)), "discrete", prec)
+        spectral += distances.l2_curve(blocks, _ORACLE_CONTINUOUS_T, "continuous", prec)
+    chi2 = [distances.chi_square_of(dist) for dist in powers]
+    tv_ok = all(2 * distances.tv_of(dist) <= x + 1e-12 for dist, x in zip(powers, chi2))
+    chi2 += [distances.chi_square_of(h, normalized=False) for h in laws]
+    worst = max(abs(x - float(y)) for x, y in zip(chi2, spectral))
+    return bounds.BoundReport(f"oracle:{text}", n, None, _ORACLE_TOL, worst, tv_inequality=tv_ok)

@@ -9,6 +9,9 @@ RNG state.  Aggregation follows the fixed block order.
 The estimator of interest is the fixed-point event A_j = {phi >= j}:
 empirical q^(t)(A_j) minus the exact stationary mass u(A_j) is a valid
 (noisy) lower bound for the total variation distance at time t.
+
+``SimConfig`` is the one check of a simulation's inputs; the sampler and
+the estimator take a checked config and check nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from mpmath import mp
 
 from .bounds import matching_tail
 from .errors import ResourceGuardError
-from .walks import WalkSpec
+from .walks import WalkSpec, eval_time_expr
 
 BLOCK_SIZE = 8192
 #: largest n simulated: blocks of BLOCK_SIZE x n positions, exact u(A_j) in ~n^2 steps
@@ -35,22 +38,41 @@ _PROGRESS_EVERY = 10**6
 _MIN_SAMPLES_FOR_STDERR = 1000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SimConfig:
-    """Everything that determines a simulation bit-for-bit."""
+    """Everything that determines a simulation bit-for-bit, and the one check of
+    simulate's flags as given, in flag order with each message naming its flag:
+    the walk fits S_n, 2 <= n <= MAX_SIMULATE_N, t >= 0, 2 <= j <= n, N >= 1000,
+    seed >= 0.  ``t``, a time expression in n, is held as steps rounded up."""
 
+    walk: WalkSpec
     n: int
-    walk: str  # a walk string, parsed by WalkSpec.parse
     t: int
+    j: int
     n_samples: int
     seed: int
-    j: int = 2
 
-    def __post_init__(self) -> None:
-        if self.n < 2 or self.t < 0 or self.n_samples < 1:
-            raise ValueError("need n >= 2, t >= 0, n_samples >= 1")
-        if self.n > MAX_SIMULATE_N:
+    def __init__(self, walk: str, n: int, t: str, j: int, n_samples: int, seed: int) -> None:
+        spec = WalkSpec.parse(walk)
+        if sum(spec.cycles) > n:  # not spec.cycle_type(n): that builds n entries before the cap
+            raise ValueError(f"class {spec.cycles} does not fit in S_{n}")
+        if n < 2:
+            raise ValueError(f"--n must be at least 2, got {n}")
+        if n > MAX_SIMULATE_N:
             raise ResourceGuardError(f"simulation is capped at n <= {MAX_SIMULATE_N}")
+        steps = eval_time_expr(t, n)
+        if steps < 0:
+            raise ValueError(f"--t must be non-negative, got {steps:g}")
+        if not 2 <= j <= n:
+            raise ValueError(f"--j must lie in 2..{n}, got {j}")
+        if n_samples < _MIN_SAMPLES_FOR_STDERR:
+            raise ValueError(f"--N must be at least {_MIN_SAMPLES_FOR_STDERR} for the "
+                             f"std-error column, got {n_samples}")
+        if seed < 0:
+            raise ValueError(f"--seed must be a non-negative integer, got {seed}")
+        checked = dict(walk=spec, n=n, t=math.ceil(steps), j=j, n_samples=n_samples, seed=seed)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)  # frozen: each field is set once, here
 
 
 def trajectory_dtype(n: int) -> type[np.signedinteger]:
@@ -71,8 +93,6 @@ class _Stepper:
         self.n = n
         self.kind = spec.kind
         self.cycles = spec.cycles
-        if spec.cycles:
-            spec.cycle_type(n)  # the class must fit in S_n
         self.eps = None if spec.eps is None else float(spec.eps)
         self.positions = np.arange(n, dtype=trajectory_dtype(n))
         self._base = np.zeros(0, dtype=np.int64)
@@ -101,15 +121,10 @@ class _Stepper:
         if len(self._base) != m:  # flat index of each row's start, once per block size
             self._base = np.arange(m, dtype=np.int64) * n
         base = self._base
-        if self.kind == "ttr":
+        if self.kind in ("ttr", "rt"):
+            # swap position a with the top (ttr) or with a second uniform b (rt)
             a = base + rng.integers(0, n, size=m)
-            tmp = flat[a]
-            flat[a] = flat[base]
-            flat[base] = tmp
-            return X
-        if self.kind == "rt":
-            a = base + rng.integers(0, n, size=m)
-            b = base + rng.integers(0, n, size=m)
+            b = base if self.kind == "ttr" else base + rng.integers(0, n, size=m)
             tmp = flat[a]
             flat[a] = flat[b]
             flat[b] = tmp
@@ -141,26 +156,14 @@ class _Stepper:
         return X
 
 
-@dataclass
-class WalkStatistics:
-    """Aggregated fixed-point data from n_samples independent trajectories."""
-
-    config: SimConfig
-    fixed_point_histogram: np.ndarray  # counts of phi(X_t) = 0..n
-
-    def event_frequency(self, j: int) -> float:
-        """Empirical probability of A_j = {phi >= j}."""
-        return float(self.fixed_point_histogram[j:].sum()) / self.config.n_samples
-
-
 def block_seed(seed: int, b: int) -> np.random.SeedSequence:
     """SeedSequence(seed).spawn(k)[b] for any k > b, without the other k - 1."""
     return np.random.SeedSequence(seed, spawn_key=(b,))
 
 
-def sample_walk(cfg: SimConfig, progress: bool = False) -> WalkStatistics:
-    """Run n_samples trajectories of t steps and tally phi(X_t)."""
-    stepper = _Stepper(WalkSpec.parse(cfg.walk), cfg.n)
+def sample_walk(cfg: SimConfig, progress: bool = False) -> np.ndarray:
+    """Run n_samples trajectories of t steps; the counts of phi(X_t) = 0..n."""
+    stepper = _Stepper(cfg.walk, cfg.n)
     hist = np.zeros(cfg.n + 1, dtype=np.int64)
     n_blocks = -(-cfg.n_samples // BLOCK_SIZE)
     target = stepper.positions
@@ -178,7 +181,7 @@ def sample_walk(cfg: SimConfig, progress: bool = False) -> WalkStatistics:
         if progress and done >= next_progress:
             print(f"symwalk: {done} trajectories done", file=sys.stderr)
             next_progress += _PROGRESS_EVERY
-    return WalkStatistics(cfg, hist)
+    return hist
 
 
 @dataclass(frozen=True)
@@ -187,30 +190,15 @@ class TVLowerBound:
     std_err: float      # binomial standard error of the empirical term
     frequency: float    # empirical q^(t)(A_j)
     u_exact: float      # exact stationary mass of A_j
-    config: SimConfig
 
 
-def fixed_point_tv_lower(
-    n: int,
-    t: int,
-    j: int,
-    n_samples: int,
-    seed: int,
-    walk: str = "ttr",
-    progress: bool = False,
-) -> TVLowerBound:
+def fixed_point_tv_lower(cfg: SimConfig, progress: bool = False) -> TVLowerBound:
     """Noisy TV lower bound q^(t)(A_j) - u(A_j) with exact u(A_j)."""
-    if not 2 <= j <= n:
-        raise ValueError("need 2 <= j <= n")
-    if n_samples < _MIN_SAMPLES_FOR_STDERR:
-        raise ValueError(
-            f"need at least {_MIN_SAMPLES_FOR_STDERR} trajectories for the std-error column")
-    cfg = SimConfig(n=n, walk=walk, t=t, n_samples=n_samples, seed=seed, j=j)
-    stats = sample_walk(cfg, progress=progress)
-    p_hat = stats.event_frequency(j)
-    u = float(matching_tail(n, j).value)
-    se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / n_samples)
-    return TVLowerBound(p_hat - u, se, p_hat, u, cfg)
+    hist = sample_walk(cfg, progress=progress)
+    p_hat = float(hist[cfg.j:].sum()) / cfg.n_samples
+    u = float(matching_tail(cfg.n, cfg.j).value)
+    se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / cfg.n_samples)
+    return TVLowerBound(p_hat - u, se, p_hat, u)
 
 
 # ---------------------------------------------------------------------------

@@ -30,22 +30,19 @@ def check_partition(parts: Iterable[int]) -> Partition:
     return p
 
 
-def partitions(n: int, max_part: int | None = None) -> Iterator[Partition]:
+def partitions(n: int) -> Iterator[Partition]:
     """Yield all partitions of n in reverse-lexicographic order.
 
-    The first partition is (n) (or (max_part, ...) when capped) and the last
-    is (1,)*n.  Reverse-lexicographic order is part of the public contract:
-    callers rely on it for stable, reproducible output.
+    The first partition is (n) and the last is (1,)*n.  Reverse-lexicographic
+    order is part of the public contract: callers rely on it for stable,
+    reproducible output.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
         yield ()
         return
-    first = n if max_part is None else min(n, max_part)
-    if first < 1:
-        return
-    parts = [first] * (n // first) + ([n % first] if n % first else [])
+    parts = [n]
     while True:
         yield tuple(parts)
         # the successor lowers the last part above 1 by one and refills the
@@ -131,10 +128,8 @@ def dim_square_sum_exact(n: int, l: int) -> int:
     """Exact sum of d_lambda^2 over all partitions of n with first part l."""
     if not 1 <= l <= n:
         raise ValueError("need 1 <= l <= n")
-    total = 0
-    for tail in partitions(n - l, l):
-        total += dimension((l,) + tail) ** 2
-    return total
+    tails = (tail for tail in partitions(n - l) if not tail or tail[0] <= l)
+    return sum(dimension((l,) + tail) ** 2 for tail in tails)
 
 
 def near_square_partition(n: int) -> Partition:

@@ -1,4 +1,4 @@
-"""The walk model: one parser of walk strings for every path.
+"""The walk model: one parser of walk strings and time expressions for every path.
 
 A walk string names the step measure of a walk on S_n, for an n given later:
 
@@ -10,10 +10,14 @@ A walk string names the step measure of a walk on S_n, for an n given later:
 written as 1s or left out); <eps> is a fraction or decimal in (0, 1) such as
 1/2, 0.25 or 5e-2.  numpy and the oracle load only when ``element_measure``
 is called, so the spectral path never imports them.
+
+A time expression such as "nlogn-3n" gives a time as a function of n
+(``eval_time_expr``): profile grids and the simulate step count use it.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +36,7 @@ SYNTAX = {"rt": "rt", "ttr": "ttr", "ri": "ri",
 _CYCLE_LENGTH = re.compile(r"[1-9][0-9]*")
 # at most three exponent digits: Fraction expands "1e-999999999" to a billion digits
 _EPS_TEXT = re.compile(r"[0-9./]+(?:[eE][+-]?[0-9]{1,3})?")
+_TOKEN_RE = re.compile(r"\d+\.?\d*(?:[eE][+\-]?\d+)?|nlogn|n|[+\-*]")
 
 
 def syntax(*kinds: str) -> str:
@@ -104,3 +109,54 @@ class WalkSpec:
             return group_oracle.element_measure(self.kind, n)
         q = group_oracle.element_measure(self.cycle_type(n), n)
         return q if self.eps is None else group_oracle.lazy_mix(q, self.eps)
+
+
+def eval_time_expr(expr: str, n: int) -> float:
+    """Evaluate a time expression in the tokens nlogn, n, numbers, + - *.
+
+    Numbers may carry an exponent ("1e3", "2.5E-1").  Juxtaposition
+    multiplies, so "nlogn-3n" and "0.5*nlogn+2" both work.
+    """
+    text = expr.replace("−", "-").replace("·", "*").replace(" ", "")
+    pos = 0
+    tokens: list[str] = []
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if not m:
+            raise ValueError(f"cannot parse time expression {expr!r} at {text[pos:]!r}")
+        tokens.append(m.group())
+        pos = m.end()
+
+    def value_of(tok: str) -> float:
+        if tok == "n":
+            return float(n)
+        if tok == "nlogn":
+            return n * math.log(n)
+        return float(tok)
+
+    # fold juxtaposition into explicit products, then evaluate + and - over products
+    total = 0.0
+    sign = 1.0
+    product: float | None = None
+    for tok in tokens:
+        if tok in "+-":
+            if product is None:
+                if tok == "-":
+                    sign = -sign
+                    continue
+                raise ValueError(f"misplaced operator in {expr!r}")
+            total += sign * product
+            product = None
+            sign = 1.0 if tok == "+" else -1.0
+        elif tok == "*":
+            if product is None:
+                raise ValueError(f"misplaced '*' in {expr!r}")
+        else:
+            v = value_of(tok)
+            product = v if product is None else product * v
+    if product is None:
+        raise ValueError(f"empty time expression {expr!r}")
+    value = total + sign * product
+    if not math.isfinite(value):
+        raise ValueError(f"time expression {expr!r} is not finite")
+    return value

@@ -142,7 +142,7 @@ def _acc5_walk(n: int, walk: str) -> float:
             ref = math.sqrt(float(np.sum(eig[1:] ** (2 * t)))) if t else math.sqrt(len(eig) - 1)
             worst = max(worst, abs(chi2 - ref))
     for t in CONTINUOUS_TIMES:
-        h, _ = go.continuous_law(qel, t, tail_tol=1e-14)
+        h, _ = go.continuous_law(qel, t)
         chi2 = chi_square_of(h, normalized=False)
         assert 2 * tv_of(h, normalized=False) <= chi2 + TV_SLACK, (walk, n, t)
         if spec is not None:
@@ -289,7 +289,7 @@ def test_criterion_10_continuous_vs_discrete_divergence():
 def test_criterion_11_monte_carlo_lower_bound():
     n = 200
     t = math.ceil(n * math.log(n) - 3 * n)
-    res = mc.fixed_point_tv_lower(n, t, j=4, n_samples=10**5, seed=20260809, walk="ttr")
+    res = mc.fixed_point_tv_lower(mc.SimConfig("ttr", n, str(t), j=4, n_samples=10**5, seed=20260809))
     ok = res.estimate >= 0.8
     assert report(
         "11 monte-carlo",

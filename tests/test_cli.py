@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import symwalk
-from symwalk import cli
+from symwalk import cli, walks
 from symwalk.montecarlo import MAX_SIMULATE_N
 
 GOLDEN_RT5_ROWS = [
@@ -34,25 +34,25 @@ def read_lines(path):
 
 def test_eval_time_expr():
     n = 200
-    assert cli.eval_time_expr("nlogn-3n", n) == pytest.approx(n * math.log(n) - 3 * n)
-    assert cli.eval_time_expr("0.5*nlogn+2n", n) == pytest.approx(0.5 * n * math.log(n) + 400)
-    assert cli.eval_time_expr("12", n) == 12
-    assert cli.eval_time_expr("n", n) == 200
-    assert cli.eval_time_expr("2n", 7) == 14
-    assert cli.eval_time_expr("-n+nlogn", 10) == pytest.approx(10 * math.log(10) - 10)
+    assert walks.eval_time_expr("nlogn-3n", n) == pytest.approx(n * math.log(n) - 3 * n)
+    assert walks.eval_time_expr("0.5*nlogn+2n", n) == pytest.approx(0.5 * n * math.log(n) + 400)
+    assert walks.eval_time_expr("12", n) == 12
+    assert walks.eval_time_expr("n", n) == 200
+    assert walks.eval_time_expr("2n", 7) == 14
+    assert walks.eval_time_expr("-n+nlogn", 10) == pytest.approx(10 * math.log(10) - 10)
     with pytest.raises(ValueError):
-        cli.eval_time_expr("n^2", 5)
+        walks.eval_time_expr("n^2", 5)
     with pytest.raises(ValueError):
-        cli.eval_time_expr("", 5)
+        walks.eval_time_expr("", 5)
 
 
 def test_eval_time_expr_exponent_literals():
-    assert cli.eval_time_expr("1e3", 5) == 1000
-    assert cli.eval_time_expr("2.5E-1n", 8) == 2
-    assert cli.eval_time_expr("1e+2-n", 10) == 90
+    assert walks.eval_time_expr("1e3", 5) == 1000
+    assert walks.eval_time_expr("2.5E-1n", 8) == 2
+    assert walks.eval_time_expr("1e+2-n", 10) == 90
     for bad in ("1e", "1e400", "1e400-1e400"):
         with pytest.raises(ValueError):
-            cli.eval_time_expr(bad, 5)
+            walks.eval_time_expr(bad, 5)
 
 
 def test_parse_range():
@@ -185,7 +185,9 @@ def test_verify_oracle_suite(tmp_path):
     assert run(["verify", "--suite", "oracle", "--n", "4", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     names = {r["name"] for r in payload["results"]}
-    assert names == {f"oracle:{w}" for w in cli.ORACLE_WALKS}
+    from symwalk.group_oracle import ORACLE_WALKS
+
+    assert names == {f"oracle:{w}" for w in ORACLE_WALKS}
     assert all(r["pass"] for r in payload["results"])
 
 
@@ -288,6 +290,30 @@ def test_verify_rejects_bad_c_and_small_lemma_n(suite, n, c, tmp_path, capsys):
 def test_verify_resource_guard(tmp_path):
     assert run(["verify", "--suite", "oracle", "--n", "8",
                 "--out", str(tmp_path / "x.json")]) == cli.EXIT_RESOURCE
+
+
+def test_oracle_size_guard_runs_before_any_convolution(tmp_path, monkeypatch, capsys):
+    # n = 7 is within the dense-convolution cap, so only the suite's own guard,
+    # checked before any walk, keeps the rt convolutions from running
+    from symwalk import group_oracle
+
+    def no_convolutions(q, t_max):
+        raise AssertionError("convolution made before the oracle size guard")
+
+    monkeypatch.setattr(group_oracle, "convolution_powers_upto", no_convolutions)
+    out = tmp_path / "x.json"
+    assert run(["verify", "--suite", "oracle", "--n", "7", "--out", str(out)]) == cli.EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err == "symwalk: resource guard: oracle verification is capped at n <= 6, got n = 7\n"
+    assert not out.exists()
+
+
+def test_oracle_rejects_n_below_two_naming_the_flag(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    assert run(["verify", "--suite", "oracle", "--n", "1", "--out", str(out)]) == cli.EXIT_BAD_ARGS
+    err = capsys.readouterr().err
+    assert err == "symwalk: invalid arguments: --n must be at least 2 for the oracle suite, got 1\n"
+    assert not out.exists()
 
 
 def test_internal_error_exit_code(monkeypatch, capsys):
@@ -444,7 +470,7 @@ def test_simulate_minimum_samples(tmp_path, capsys):
                 "--N", "500", "--seed", "1", "--out", str(tmp_path / "x.csv")]) == cli.EXIT_BAD_ARGS
     # the library's check is the only one
     assert capsys.readouterr().err == (
-        "symwalk: invalid arguments: need at least 1000 trajectories for the std-error column\n")
+        "symwalk: invalid arguments: --N must be at least 1000 for the std-error column, got 500\n")
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -452,7 +478,14 @@ def test_simulate_minimum_samples(tmp_path, capsys):
     "argv, flag",
     [(["profile", "--walk", "rt", "--n", "0"], "--n"),
      (["simulate", "--walk", "rt", "--n", "10", "--t", "5", "--N", "1000", "--seed", "-1"],
-      "--seed")],
+      "--seed"),
+     (["simulate", "--walk", "rt", "--n", "0", "--t", "5", "--N", "1000", "--seed", "1"], "--n"),
+     (["simulate", "--walk", "rt", "--n", "10", "--t", "-5", "--N", "1000", "--seed", "1"],
+      "--t"),
+     (["simulate", "--walk", "rt", "--n", "0", "--t", "nlogn", "--N", "1000", "--seed", "1"],
+      "--n"),
+     (["simulate", "--walk", "rt", "--n", "5", "--t", "3", "--j", "9", "--N", "1000",
+       "--seed", "1"], "--j")],
 )
 def test_bad_flag_message_names_the_flag(argv, flag, tmp_path, capsys):
     out = tmp_path / "x.csv"
@@ -462,13 +495,19 @@ def test_bad_flag_message_names_the_flag(argv, flag, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_simulate_size_cap_is_resource_guard(tmp_path, capsys):
+def test_simulate_size_cap_is_resource_guard(tmp_path, capsys, monkeypatch):
+    # the cap runs before anything of size n is built, such as a class's cycle type
+    def no_cycle_type(self, n):
+        raise AssertionError("cycle type built before the size guard")
+
+    monkeypatch.setattr(walks.WalkSpec, "cycle_type", no_cycle_type)
     out = tmp_path / "x.csv"
-    assert run(["simulate", "--walk", "rt", "--n", str(MAX_SIMULATE_N + 1), "--t", "1",
-                "--N", "1000", "--seed", "1", "--out", str(out)]) == cli.EXIT_RESOURCE == 3
-    err = capsys.readouterr().err
-    assert err.startswith("symwalk: resource guard:") and err.count("\n") == 1, err
-    assert not out.exists()
+    for walk, n in (("rt", MAX_SIMULATE_N + 1), ("class:3", 2 * 10**9)):
+        assert run(["simulate", "--walk", walk, "--n", str(n), "--t", "1", "--N", "1000",
+                    "--seed", "1", "--out", str(out)]) == cli.EXIT_RESOURCE == 3, walk
+        err = capsys.readouterr().err
+        assert err.startswith("symwalk: resource guard:") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 def test_simulate_manifest_records_stream_version(tmp_path):

@@ -72,11 +72,11 @@ def test_class_measure_element_level():
 
 def test_convolution_power_basics():
     q = go.element_measure("rt", 4)
-    t0 = go.convolution_power(q, 0)
+    t0 = go.convolution_powers_upto(q, 0)[-1]
     assert t0.values[0] == 1.0 and np.sum(t0.values) == 1.0
-    t1 = go.convolution_power(q, 1)
+    t1 = go.convolution_powers_upto(q, 1)[-1]
     assert np.allclose(t1.values, q.values)
-    t5 = go.convolution_power(q, 5)
+    t5 = go.convolution_powers_upto(q, 5)[-1]
     assert np.sum(t5.values) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -94,7 +94,7 @@ def test_convolution_exact_matches_float():
     for _ in range(6):
         exact = {x: sum(exact[go.compose(x, go.invert(y))] * w for y, w in q.items())
                  for x in perms}
-    df = go.convolution_power(go.element_measure("ttr", n), 6)
+    df = go.convolution_powers_upto(go.element_measure("ttr", n), 6)[-1]
     for x, b in zip(perms, df.values):
         assert float(exact[x]) == pytest.approx(b, abs=1e-14)
 
@@ -104,7 +104,7 @@ def test_odd_class_walk_alternates_cosets():
     perms = go.all_permutations(5)
     even = np.array([sum(c - 1 for c in go.cycle_type_of(p)) % 2 == 0 for p in perms])
     for t in range(5):
-        dist = go.convolution_power(q, t)
+        dist = go.convolution_powers_upto(q, t)[-1]
         mass_even = float(np.asarray(dist.values)[even].sum())
         assert mass_even == pytest.approx(1.0 if t % 2 == 0 else 0.0, abs=1e-12)
 
@@ -113,10 +113,9 @@ def test_continuous_law_bookkeeping():
     q = go.element_measure("rt", 4)
     h0, T0 = go.continuous_law(q, 0.0)
     assert T0 == 0 and h0.values[0] == 1.0
-    tol = 1e-14
-    h, T = go.continuous_law(q, 6.0, tail_tol=tol)
-    # retained Poisson mass >= 1 - tol by construction
-    assert 1.0 - float(np.sum(h.values)) < tol
+    h, T = go.continuous_law(q, 6.0)
+    # retained Poisson mass >= 1 - POISSON_TAIL by construction
+    assert 1.0 - float(np.sum(h.values)) < go.POISSON_TAIL
 
 
 def test_continuous_laws_from_shared_powers_equal_standalone_laws(monkeypatch):
@@ -203,8 +202,8 @@ def test_comparison_transfer_inequality():
         qri = go.element_measure("ri", n)
         qrt = go.element_measure("rt", n)
         for t in (1, 2, 4, 8, 16):
-            left = chi_square_of(go.convolution_power(qri, t))
-            h, _ = go.continuous_law(qrt, t / 4, tail_tol=1e-14)
+            left = chi_square_of(go.convolution_powers_upto(qri, t)[-1])
+            h, _ = go.continuous_law(qrt, t / 4)
             right = chi_square_of(h, normalized=False)
             assert left <= right + 1e-10, (n, t)
 
@@ -213,7 +212,7 @@ def test_tv_upper_bounded_by_chi_square():
     for walk in ("rt", "ttr", "ri"):
         q = go.element_measure(walk, 5)
         for t in (0, 1, 3, 7):
-            dist = go.convolution_power(q, t)
+            dist = go.convolution_powers_upto(q, t)[-1]
             assert 2 * tv_of(dist) <= chi_square_of(dist) + 1e-12
 
 
@@ -221,7 +220,7 @@ def test_resource_guards():
     with pytest.raises(go.ResourceGuardError):
         go.element_measure("rt", 9)
     with pytest.raises(go.ResourceGuardError):
-        go.convolution_power(go.element_measure("rt", 8), 1)
+        go.convolution_powers_upto(go.element_measure("rt", 8), 1)[-1]
     with pytest.raises(go.ResourceGuardError):
         go.kernel_matrix(go.element_measure("rt", 7))
 

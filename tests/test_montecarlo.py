@@ -14,35 +14,55 @@ from symwalk.walks import WalkSpec
 
 def test_sim_config_validation():
     with pytest.raises(ValueError):
-        mc.SimConfig(n=1, walk="ttr", t=1, n_samples=10, seed=0)
+        mc.SimConfig("ttr", n=1, t="1", j=2, n_samples=1000, seed=0)
     with pytest.raises(ValueError):
-        mc.SimConfig(n=5, walk="ttr", t=-1, n_samples=10, seed=0)
-    mc.SimConfig(n=mc.MAX_SIMULATE_N, walk="ttr", t=1, n_samples=10, seed=0)
+        mc.SimConfig("ttr", n=5, t="-1", j=2, n_samples=1000, seed=0)
+    mc.SimConfig("ttr", n=mc.MAX_SIMULATE_N, t="1", j=2, n_samples=1000, seed=0)
     with pytest.raises(ResourceGuardError):
-        mc.SimConfig(n=mc.MAX_SIMULATE_N + 1, walk="ttr", t=1, n_samples=10, seed=0)
+        mc.SimConfig("ttr", n=mc.MAX_SIMULATE_N + 1, t="1", j=2, n_samples=1000, seed=0)
     with pytest.raises(ValueError):
         WalkSpec.parse("bogus")
     with pytest.raises(ValueError):
         WalkSpec.parse("lazy:3:2")
     with pytest.raises(ValueError):
-        mc.sample_walk(mc.SimConfig(n=5, walk="class:3:junk", t=1, n_samples=10, seed=0))
+        mc.SimConfig("class:3:junk", n=5, t="1", j=2, n_samples=1000, seed=0)
+
+
+def test_sim_config_checks_in_flag_order():
+    # every field bad at first; mend one at a time and the message moves on
+    # to the next flag: --walk (fits S_n), --n, --t, --j, --N, --seed
+    good = dict(walk="rt", n=6, t="nlogn", j=2, n_samples=1000, seed=0)
+    bad = dict(walk="class:7", n=0, t="-n", j=9, n_samples=999, seed=-1)
+    expected = ["class (7,) does not fit in S_0", "--n must be at least 2, got 0",
+                "--t must be non-negative, got -6", "--j must lie in 2..6, got 9",
+                "--N must be at least 1000 for the std-error column, got 999",
+                "--seed must be a non-negative integer, got -1"]
+    fields = dict(bad)
+    for name, message in zip(good, expected):
+        with pytest.raises(ValueError) as exc:
+            mc.SimConfig(**fields)
+        assert str(exc.value) == message, name
+        fields[name] = good[name]
+    cfg = mc.SimConfig(**fields)
+    assert cfg.walk == WalkSpec("rt")
+    assert cfg.t == math.ceil(6 * math.log(6))
 
 
 def test_t_zero_is_identity():
-    cfg = mc.SimConfig(n=30, walk="rt", t=0, n_samples=500, seed=1)
-    stats = mc.sample_walk(cfg)
-    assert stats.fixed_point_histogram[30] == 500
+    cfg = mc.SimConfig("rt", n=30, t="0", j=2, n_samples=1000, seed=1)
+    hist = mc.sample_walk(cfg)
+    assert hist[30] == 1000
     for j in range(31):
-        assert stats.event_frequency(j) == 1.0
+        assert float(hist[j:].sum()) / cfg.n_samples == 1.0
 
 
 def test_bitwise_reproducibility():
-    cfg = mc.SimConfig(n=12, walk="ri", t=9, n_samples=20000, seed=42)
+    cfg = mc.SimConfig("ri", n=12, t="9", j=2, n_samples=20000, seed=42)
     a = mc.sample_walk(cfg)
     b = mc.sample_walk(cfg)
-    assert np.array_equal(a.fixed_point_histogram, b.fixed_point_histogram)
-    c = mc.sample_walk(mc.SimConfig(n=12, walk="ri", t=9, n_samples=20000, seed=43))
-    assert not np.array_equal(a.fixed_point_histogram, c.fixed_point_histogram)
+    assert np.array_equal(a, b)
+    c = mc.sample_walk(mc.SimConfig("ri", n=12, t="9", j=2, n_samples=20000, seed=43))
+    assert not np.array_equal(a, c)
 
 
 def lehmer_rank(X):
@@ -88,7 +108,7 @@ def test_sampler_one_step_law(walk):
 
 
 def test_tv_lower_bound_at_t_zero():
-    res = mc.fixed_point_tv_lower(20, 0, 3, 2000, seed=5)
+    res = mc.fixed_point_tv_lower(mc.SimConfig("ttr", 20, "0", 3, 2000, seed=5))
     assert res.frequency == 1.0
     assert res.estimate == pytest.approx(1 - float(matching_tail(20, 3).value), rel=1e-12)
 
@@ -97,21 +117,21 @@ def test_tv_lower_bound_is_below_exact_tv():
     # compare against the oracle TV at desk scale, allowing 3 sigma of noise
     for n in (5, 6):
         t, j, N = 3, 2, 40000
-        res = mc.fixed_point_tv_lower(n, t, j, N, seed=9)
-        exact_tv = tv_of(go.convolution_power(go.element_measure("ttr", n), t))
+        res = mc.fixed_point_tv_lower(mc.SimConfig("ttr", n, str(t), j, N, seed=9))
+        exact_tv = tv_of(go.convolution_powers_upto(go.element_measure("ttr", n), t)[-1])
         assert res.estimate <= exact_tv + 3 * math.sqrt(1 / (4 * N))
 
 
 def test_tv_lower_bound_vanishes_when_mixed():
-    res = mc.fixed_point_tv_lower(12, 400, 2, 5000, seed=3)
+    res = mc.fixed_point_tv_lower(mc.SimConfig("ttr", 12, "400", 2, 5000, seed=3))
     assert abs(res.estimate) <= 5 * max(res.std_err, math.sqrt(1 / (4 * 5000)))
 
 
 def test_tv_lower_bound_validation():
     with pytest.raises(ValueError):
-        mc.fixed_point_tv_lower(10, 5, 1, 2000, seed=0)
+        mc.SimConfig("ttr", 10, "5", 1, 2000, seed=0)
     with pytest.raises(ValueError):
-        mc.fixed_point_tv_lower(10, 5, 2, 999, seed=0)
+        mc.SimConfig("ttr", 10, "5", 2, 999, seed=0)
 
 
 def test_coupon_stats():
@@ -151,7 +171,7 @@ def test_matching_tail_is_sampler_limit():
     # well past mixing, the empirical A_2 frequency approaches u(A_2)
     n, N = 12, 50000
     t = int(4 * n * math.log(n))
-    res = mc.fixed_point_tv_lower(n, t, 2, N, seed=21)
+    res = mc.fixed_point_tv_lower(mc.SimConfig("ttr", n, str(t), 2, N, seed=21))
     u = float(matching_tail(n, 2).value)
     assert abs(res.frequency - u) <= 4 * math.sqrt(u * (1 - u) / N)
 
@@ -160,7 +180,7 @@ def test_matching_tail_is_sampler_limit_rt():
     # same stationarity check for the transposition sampler at n = 30
     n, N = 30, 30000
     t = int(2 * n * math.log(n))  # rt mixes by (n/2) log n
-    res = mc.fixed_point_tv_lower(n, t, 2, N, seed=4, walk="rt")
+    res = mc.fixed_point_tv_lower(mc.SimConfig("rt", n, str(t), 2, N, seed=4))
     u = float(matching_tail(n, 2).value)
     assert abs(res.frequency - u) <= 4 * math.sqrt(u * (1 - u) / N)
 
@@ -169,9 +189,8 @@ def test_class_and_lazy_samplers_above_oracle_scale():
     # shape/indexing smoke for the class and lazy steppers at n beyond the
     # brute-force caps: rows must stay permutations
     for walk in ("class:5", "lazy:5,3:1/3"):
-        cfg = mc.SimConfig(n=20, walk=walk, t=8, n_samples=256, seed=2)
-        stats = mc.sample_walk(cfg)
-        assert stats.fixed_point_histogram.sum() == 256
+        cfg = mc.SimConfig(walk, n=20, t="8", j=2, n_samples=1000, seed=2)
+        assert mc.sample_walk(cfg).sum() == 1000
         stepper = mc._Stepper(WalkSpec.parse(walk), 20)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
         X = np.tile(np.arange(20), (64, 1))
@@ -189,8 +208,8 @@ def test_swap_and_insertion_streams_are_pinned():
         "ri": [2612, 3386, 2384, 1103, 376, 112, 23, 4, 0, 0],
     }
     for walk, hist in pinned.items():
-        cfg = mc.SimConfig(n=9, walk=walk, t=11, n_samples=10000, seed=2024)
-        assert mc.sample_walk(cfg).fixed_point_histogram.tolist() == hist, walk
+        cfg = mc.SimConfig(walk, n=9, t="11", j=2, n_samples=10000, seed=2024)
+        assert mc.sample_walk(cfg).tolist() == hist, walk
 
 
 def test_block_seed_equals_spawned_child():
