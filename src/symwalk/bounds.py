@@ -44,7 +44,8 @@ from mpmath.libmp import (
 )
 
 from .distances import DEFAULT_PREC, _positive_sum, _working_prec, l2_curve
-from .spectra import Spectrum, random_transposition_measure, spectrum, uniform_class_measure
+from .spectra import Spectrum, spectrum
+from .walks import WalkSpec
 
 
 def lemma_weight(n: int, j: int) -> int:
@@ -268,7 +269,7 @@ def _rt_time(n: int, c: float) -> float:
 
 
 def _rt_spectrum(n: int) -> Spectrum:
-    return spectrum(random_transposition_measure(n))
+    return spectrum(WalkSpec("rt").class_measure(n))
 
 
 THEOREMS = {
@@ -289,7 +290,7 @@ THEOREMS = {
         lambda c: mp.exp(-(c - 2))),
     # d2(h_c4,t, u) <= e^-(c-2) at the same threshold
     "four_cycle": Theorem(
-        11, 2, _rt_time, lambda n: spectrum(uniform_class_measure((4,) + (1,) * (n - 4))),
+        11, 2, _rt_time, lambda n: spectrum(WalkSpec("class", (4,)).class_measure(n)),
         lambda spec, ts, prec: l2_curve(spec.blocks, ts, "continuous", prec),
         lambda c: mp.exp(-(c - 2))),
     # d2(q_ri^(t), u)^2 <= e^-(c-2) at t = 2n(log n + c), through the Dirichlet
@@ -319,11 +320,6 @@ def theorem_bounds(walk: str, n: int, cs, prec: int = DEFAULT_PREC) -> list[Boun
             BoundReport(walk, n, c, theorem.guaranteed(c), value, t=float(t))
             for c, t, value in zip(cs, times, computed)
         ]
-
-
-def theorem_bound(walk: str, n: int, c: float, prec: int = DEFAULT_PREC) -> BoundReport:
-    """``theorem_bounds`` at one c."""
-    return theorem_bounds(walk, n, [c], prec)[0]
 
 
 # One group per term-table family: the family (looked up at call time, like

@@ -44,13 +44,6 @@ def check_cycle_type(cycles: Iterable[int]) -> CycleType:
     return c
 
 
-def one_cycle_type(n: int, k: int) -> CycleType:
-    """The class of a single k-cycle in S_n: cycle type (k, 1, ..., 1)."""
-    if not 2 <= k <= n:
-        raise ValueError("need 2 <= k <= n")
-    return (k,) + (1,) * (n - k)
-
-
 def support(cycles: CycleType) -> int:
     """Number of non-fixed points of a class element."""
     return sum(c for c in cycles if c > 1)

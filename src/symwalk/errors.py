@@ -3,4 +3,4 @@ can catch them without loading numpy or the brute-force oracle."""
 
 
 class ResourceGuardError(RuntimeError):
-    """A requested oracle computation or simulation exceeds the desk-scale size caps."""
+    """A requested spectrum, oracle computation or simulation exceeds the desk-scale size caps."""

@@ -6,8 +6,13 @@ fixed once and for all as (s*t)(i) = s(t(i)); every formula in this module
 is transcribed against that convention, and the convolution used everywhere
 is f*q(x) = sum_y f(x y^-1) q(y), matching the walk X_t = xi_1 ... xi_t.
 
-All distributions are float64.  Each step weight is summed exactly as a
-Fraction and rounded once, so every weight is the correctly rounded value.
+``element_measure`` reads a parsed ``walks.WalkSpec``: the rt, class and
+lazy laws come from ``WalkSpec.class_measure``, the one builder of a class
+walk, and ttr and ri are written out from their definitions.  The oracle
+still computes independently of the spectra, by convolution rather than by
+characters.  All distributions are float64.  Each step weight is summed
+exactly as a Fraction and rounded once, so every weight is the correctly
+rounded value.
 
 Size guards (n! growth): per-element measures up to n = 8, dense
 convolutions up to n = 7, and dense operator matrices up to n = 6.
@@ -29,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import bounds, distances, spectra, walks
-from .characters import CycleType, check_cycle_type, class_size, support
+from .characters import CycleType, class_size
 from .errors import ResourceGuardError  # re-exported: callers catch it from here
 
 Perm = tuple[int, ...]
@@ -168,14 +173,14 @@ def insertion_cycle(n: int, i: int, j: int) -> Perm:
     return tuple(p)
 
 
-def element_measure(walk, n: int) -> GroupDistribution:
-    """Per-element step distribution of a named walk.
+def element_measure(walk: walks.WalkSpec, n: int) -> GroupDistribution:
+    """Per-element step distribution of a walk.
 
-    ``walk`` is one of "rt", "ttr", "ri", or a cycle type (uniform measure on
-    that conjugacy class).  Weights: rt puts 1/n on e and 2/n^2 on each
-    transposition; ttr puts 1/n on e and on each (1, i); ri puts 1/n^2 on
-    c_{i,j} for every ordered pair, which folds to 1/n on e and 2/n^2 on the
-    adjacent (transposition) cycles.
+    rt, class and lazy put the class measure's hold on e and (1 - hold)/|C|
+    on each element of its class C (``WalkSpec.class_measure``); ttr puts
+    1/n on e and on each (1, i); ri puts 1/n^2 on c_{i,j} for every ordered
+    pair, which folds to 1/n on e and 2/n^2 on the adjacent (transposition)
+    cycles.
     """
     _guard(n, MAX_MEASURE_N, "per-element measures")
     perms, index = _perm_data(n)
@@ -185,17 +190,14 @@ def element_measure(walk, n: int) -> GroupDistribution:
         idx = index[p]
         acc[idx] = acc.get(idx, Fraction(0)) + w
 
-    if walk == "rt":
-        if n < 2:
-            raise ValueError("rt needs n >= 2")
-        add(tuple(range(n)), Fraction(1, n))
-        w = Fraction(2, n * n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                p = list(range(n))
-                p[i], p[j] = p[j], p[i]
-                add(tuple(p), w)
-    elif walk == "ttr":
+    q = walk.class_measure(n)
+    if q is not None:
+        add(perms[0], q.hold)
+        w = (1 - q.hold) / class_size(q.cycles)
+        for p in perms:
+            if cycle_type_of(p) == q.cycles:
+                add(p, w)
+    elif walk.kind == "ttr":
         if n < 2:
             raise ValueError("ttr needs n >= 2")
         w = Fraction(1, n)
@@ -204,36 +206,16 @@ def element_measure(walk, n: int) -> GroupDistribution:
             p = list(range(n))
             p[0], p[i] = p[i], p[0]
             add(tuple(p), w)
-    elif walk == "ri":
+    else:  # ri
         w = Fraction(1, n * n)
         for i in range(n):
             for j in range(n):
                 add(insertion_cycle(n, i, j), w)
-    else:
-        cycles = check_cycle_type(walk)
-        if sum(cycles) != n:
-            raise ValueError(f"class {cycles} has degree {sum(cycles)} != {n}")
-        if support(cycles) == 0:
-            raise ValueError("the identity class does not drive a walk")
-        w = Fraction(1, class_size(cycles))
-        for p in perms:
-            if cycle_type_of(p) == cycles:
-                add(p, w)
 
     arr = np.zeros(len(perms))
     for idx, w in acc.items():
         arr[idx] = float(w)
     return GroupDistribution(n, arr)
-
-
-def lazy_mix(q: GroupDistribution, eps: Fraction) -> GroupDistribution:
-    """eps * (point mass at e) + (1 - eps) * q."""
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie strictly between 0 and 1")
-    arr = (1.0 - float(eps)) * q.values
-    arr[0] += float(eps)
-    return GroupDistribution(q.n, arr)
 
 
 def _support_maps(q: GroupDistribution, inverse: bool) -> list[tuple[np.ndarray, float]]:
@@ -435,7 +417,7 @@ def oracle_checks(n: int, prec: int) -> list[bounds.BoundReport]:
 def _oracle_check(n: int, text: str, spec: walks.WalkSpec, prec: int) -> bounds.BoundReport:
     """Spectral formulas against definitional chi-square from exact convolution,
     at the discrete times 0.._ORACLE_DISCRETE_T and the continuous ones."""
-    qel = spec.element_measure(n)
+    qel = element_measure(spec, n)
     powers = convolution_powers_upto(qel, _ORACLE_DISCRETE_T)
     shared = powers[:]  # every Poisson mixture extends this copy and mixes from it
     laws = [continuous_law(qel, t, powers=shared)[0] for t in _ORACLE_CONTINUOUS_T]

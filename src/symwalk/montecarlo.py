@@ -31,6 +31,8 @@ from .walks import WalkSpec, eval_time_expr
 BLOCK_SIZE = 8192
 #: largest n simulated: blocks of BLOCK_SIZE x n positions, exact u(A_j) in ~n^2 steps
 MAX_SIMULATE_N = 4096
+#: largest simulated work N x t in row steps, over 20x the largest acceptance run (4.6e7)
+MAX_ROW_STEPS = 10**9
 #: version of the map from Philox draws to steps; recorded in the simulate
 #: manifest.  2: O(support) class/lazy steps (ttr, rt, ri unchanged from 1)
 STREAM_VERSION = 2
@@ -43,7 +45,8 @@ class SimConfig:
     """Everything that determines a simulation bit-for-bit, and the one check of
     simulate's flags as given, in flag order with each message naming its flag:
     the walk fits S_n, 2 <= n <= MAX_SIMULATE_N, t >= 0, 2 <= j <= n, N >= 1000,
-    seed >= 0.  ``t``, a time expression in n, is held as steps rounded up."""
+    N x t <= MAX_ROW_STEPS, seed >= 0.  ``t``, a time expression in n, is held
+    as steps rounded up."""
 
     walk: WalkSpec
     n: int
@@ -68,9 +71,13 @@ class SimConfig:
         if n_samples < _MIN_SAMPLES_FOR_STDERR:
             raise ValueError(f"--N must be at least {_MIN_SAMPLES_FOR_STDERR} for the "
                              f"std-error column, got {n_samples}")
+        steps = math.ceil(steps)
+        if n_samples * steps > MAX_ROW_STEPS:
+            raise ResourceGuardError(f"simulation is capped at --N x --t <= {MAX_ROW_STEPS} "
+                                     f"row steps, got {n_samples} x {steps}")
         if seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {seed}")
-        checked = dict(walk=spec, n=n, t=math.ceil(steps), j=j, n_samples=n_samples, seed=seed)
+        checked = dict(walk=spec, n=n, t=steps, j=j, n_samples=n_samples, seed=seed)
         for name, value in checked.items():
             object.__setattr__(self, name, value)  # frozen: each field is set once, here
 

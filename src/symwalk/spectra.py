@@ -2,7 +2,8 @@
 
 A ``ClassMeasure`` holds with probability ``hold`` and otherwise steps
 uniformly in one conjugacy class C, as every walk rt, class:<parts> and
-lazy:<parts>:<eps> does.  Convolution by it acts on each lambda-isotypic
+lazy:<parts>:<eps> does; ``walks.WalkSpec.class_measure`` builds it from the
+parsed walk string.  Convolution by it acts on each lambda-isotypic
 block as the scalar beta_lambda = hold + (1 - hold) chi_lambda(C)/d_lambda,
 with multiplicity d_lambda^2.  Eigenvalues are kept as exact rationals all
 the way; only the distance evaluation layer converts to reals.
@@ -58,8 +59,9 @@ class ClassMeasure:
     to a uniform element of the conjugacy class ``cycles``.
 
     Every walk string that names a class measure (rt, class, lazy) is of
-    this form.  Class measures are automatically symmetric (every class is
-    closed under inversion), so the walks they drive are reversible.
+    this form, built by ``walks.WalkSpec.class_measure``.  Class measures are
+    automatically symmetric (every class is closed under inversion), so the
+    walks they drive are reversible.
     """
 
     n: int
@@ -79,31 +81,6 @@ class ClassMeasure:
     def even_support(self) -> bool:
         """True iff the step class lies in A_n (holding is the even identity)."""
         return is_even_class(self.cycles)
-
-
-def random_transposition_measure(n: int) -> ClassMeasure:
-    """Pick two positions independently uniformly and swap: mass 1/n at the
-    identity, 2/n^2 at each transposition (class weight (n-1)/n)."""
-    if n < 2:
-        raise ValueError("random transposition needs n >= 2")
-    return ClassMeasure(n, (2,) + (1,) * (n - 2), Fraction(1, n), name="rt")
-
-
-def uniform_class_measure(cycles: CycleType) -> ClassMeasure:
-    """Uniform measure on one non-identity conjugacy class."""
-    cycles = check_cycle_type(cycles)
-    name = "class:" + ",".join(str(c) for c in cycles if c > 1)
-    return ClassMeasure(sum(cycles), cycles, name=name)
-
-
-def lazy_class_measure(cycles: CycleType, eps: Fraction) -> ClassMeasure:
-    """Hold with probability eps, otherwise take a uniform class step."""
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError("eps must lie strictly between 0 and 1")
-    step = uniform_class_measure(cycles)
-    name = "lazy" + step.name.removeprefix("class") + f":{eps}"
-    return ClassMeasure(step.n, step.cycles, eps, name=name)
 
 
 # ---------------------------------------------------------------------------

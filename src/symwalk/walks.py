@@ -8,8 +8,11 @@ A walk string names the step measure of a walk on S_n, for an n given later:
 
 <parts> lists positive integers, at least one above 1 (fixed points may be
 written as 1s or left out); <eps> is a fraction or decimal in (0, 1) such as
-1/2, 0.25 or 5e-2.  numpy and the oracle load only when ``element_measure``
-is called, so the spectral path never imports them.
+1/2, 0.25 or 5e-2; ``str`` of a parsed walk gives its canonical string.
+``WalkSpec.class_measure`` is the one builder of a class walk at a given n,
+for the spectra, the theorems and the brute-force oracle alike; it caps n at
+MAX_SPECTRAL_N before anything of size n is built.  This module imports the
+spectral model only: the oracle and the sampler import it, never the reverse.
 
 A time expression such as "nlogn-3n" gives a time as a function of n
 (``eval_time_expr``): profile grids and the simulate step count use it.
@@ -21,14 +24,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .characters import CycleType
-from .spectra import (ClassMeasure, lazy_class_measure, random_transposition_measure,
-                      uniform_class_measure)
-
-if TYPE_CHECKING:
-    from .group_oracle import GroupDistribution
+from .errors import ResourceGuardError
+from .spectra import ClassMeasure
 
 #: the syntax of each walk kind, in the order help texts list them
 SYNTAX = {"rt": "rt", "ttr": "ttr", "ri": "ri",
@@ -37,6 +36,8 @@ _CYCLE_LENGTH = re.compile(r"[1-9][0-9]*")
 # at most three exponent digits: Fraction expands "1e-999999999" to a billion digits
 _EPS_TEXT = re.compile(r"[0-9./]+(?:[eE][+-]?[0-9]{1,3})?")
 _TOKEN_RE = re.compile(r"\d+\.?\d*(?:[eE][+\-]?\d+)?|nlogn|n|[+\-*]")
+#: largest n of a class measure: p(60) = 966,467 diagrams per spectrum build
+MAX_SPECTRAL_N = 60
 
 
 def syntax(*kinds: str) -> str:
@@ -84,31 +85,32 @@ class WalkSpec:
             raise ValueError(f"eps in walk {text!r} must be a number strictly between 0 and 1")
         return cls(kind, cycles, eps)
 
+    def __str__(self) -> str:
+        """The canonical walk string, e.g. "class:3,2" or "lazy:3:1/2"."""
+        parts = ",".join(map(str, self.cycles))
+        forms = {"class": f"class:{parts}", "lazy": f"lazy:{parts}:{self.eps}"}
+        return forms.get(self.kind, self.kind)
+
     def cycle_type(self, n: int) -> CycleType:
-        """The class's cycle type in S_n, fixed points included as 1s."""
-        fixed = n - sum(self.cycles)
+        """The step class's cycle type in S_n, fixed points included as 1s;
+        rt steps in the class of transpositions."""
+        cycles = (2,) if self.kind == "rt" else self.cycles
+        fixed = n - sum(cycles)
         if fixed < 0:
-            raise ValueError(f"class {self.cycles} does not fit in S_{n}")
-        return self.cycles + (1,) * fixed
+            raise ValueError(f"class {cycles} does not fit in S_{n}")
+        return cycles + (1,) * fixed
 
     def class_measure(self, n: int) -> ClassMeasure | None:
-        """The step measure as a class measure; None for ttr and ri (not class measures)."""
-        if self.kind == "rt":
-            return random_transposition_measure(n)
-        if self.kind == "class":
-            return uniform_class_measure(self.cycle_type(n))
-        if self.kind == "lazy":
-            return lazy_class_measure(self.cycle_type(n), self.eps)
-        return None
-
-    def element_measure(self, n: int) -> GroupDistribution:
-        """The step measure as a dense distribution over S_n (oracle scale)."""
-        from . import group_oracle
-
-        if not self.cycles:
-            return group_oracle.element_measure(self.kind, n)
-        q = group_oracle.element_measure(self.cycle_type(n), n)
-        return q if self.eps is None else group_oracle.lazy_mix(q, self.eps)
+        """The step measure as a class measure holding 1/n (rt), eps (lazy) or
+        0 (class); None for ttr and ri, which are not class measures."""
+        if self.kind in ("ttr", "ri"):
+            return None
+        if n > MAX_SPECTRAL_N:
+            raise ResourceGuardError(f"class measures are capped at n <= {MAX_SPECTRAL_N}, "
+                                     f"got n = {n}")
+        cycles = self.cycle_type(n)
+        hold = Fraction(1, n) if self.kind == "rt" else self.eps or Fraction(0)
+        return ClassMeasure(n, cycles, hold, name=str(self))
 
 
 def eval_time_expr(expr: str, n: int) -> float:

@@ -1,6 +1,7 @@
 import pytest
 
-from symwalk.spectra import random_transposition_measure, spectrum
+from symwalk.spectra import spectrum
+from symwalk.walks import WalkSpec
 
 
 @pytest.fixture(scope="session")
@@ -10,7 +11,7 @@ def rt_spectrum():
 
     def get(n: int):
         if n not in cache:
-            cache[n] = spectrum(random_transposition_measure(n))
+            cache[n] = spectrum(WalkSpec("rt").class_measure(n))
         return cache[n]
 
     return get

@@ -9,7 +9,6 @@ The corresponding true statements are covered green in the module suites.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from mpmath import mp
 from symwalk import group_oracle as go
 from symwalk import montecarlo as mc
 from symwalk.bounds import rt_continuous_terms, rt_discrete_terms, ttr_bound_spectrum
-from symwalk.characters import char_ratio, m_moment, one_cycle_type, r4_exact
+from symwalk.characters import char_ratio, m_moment, r4_exact
 from symwalk.distances import (
     chi_square_of,
     l2_continuous,
@@ -27,14 +26,20 @@ from symwalk.distances import (
     tv_of,
 )
 from symwalk.partitions import dimension, dominates, enumerate_partitions, near_square_partition, partitions
-from symwalk.spectra import (
-    lazy_class_measure,
-    random_transposition_measure,
-    spectrum,
-    uniform_class_measure,
-)
+from symwalk.spectra import spectrum
+from symwalk.walks import WalkSpec
 
 TV_SLACK = 1e-12  # numerical slack for inequalities between float quantities
+
+
+def measure(walk: str, n: int):
+    """The class measure of a walk string at n."""
+    return WalkSpec.parse(walk).class_measure(n)
+
+
+def oracle_measure(walk: str, n: int):
+    """The brute-force per-element measure of a walk string at n."""
+    return go.element_measure(WalkSpec.parse(walk), n)
 
 
 def report(name: str, ok: bool, detail: str = "") -> bool:
@@ -71,7 +76,7 @@ def test_criterion_02_ttr_bound_and_oracle():
                 ok = False
                 detail.append(f"sum n={n} c={c}")
     for n in range(2, 8):
-        qel = go.element_measure("ttr", n)
+        qel = oracle_measure("ttr", n)
         t_max = math.ceil(n * (math.log(n) + 2))
         powers = go.convolution_powers_upto(qel, t_max)
         for c in (0, 1, 2):
@@ -100,7 +105,7 @@ def test_criterion_03_rt_continuous_upper_bound(rt_spectrum):
 def test_criterion_04_four_cycle_continuous():
     worst = None
     for n in range(11, 26):
-        q = uniform_class_measure(one_cycle_type(n, 4))
+        q = measure("class:4", n)
         spec = spectrum(q, "sn")
         for c in (2, 3):
             t = (n / 2) * (math.log(n) + c)
@@ -118,17 +123,17 @@ CONTINUOUS_TIMES = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0)
 def _acc5_walk(n: int, walk: str) -> float:
     """Worst absolute disagreement between definitional and spectral values."""
     if walk == "lazy3":
-        qel = go.lazy_mix(go.element_measure(one_cycle_type(n, 3), n), Fraction(1, 2))
-        spec = spectrum(lazy_class_measure(one_cycle_type(n, 3), Fraction(1, 2)))
+        qel = oracle_measure("lazy:3:1/2", n)
+        spec = spectrum(measure("lazy:3:1/2", n))
     elif walk.startswith("class"):
         k = int(walk[-1])
-        qel = go.element_measure(one_cycle_type(n, k), n)
-        spec = spectrum(uniform_class_measure(one_cycle_type(n, k)))
+        qel = oracle_measure(f"class:{k}", n)
+        spec = spectrum(measure(f"class:{k}", n))
     elif walk == "rt":
-        qel = go.element_measure("rt", n)
-        spec = spectrum(random_transposition_measure(n))
+        qel = oracle_measure("rt", n)
+        spec = spectrum(measure("rt", n))
     else:  # ttr, ri: no class-function spectrum
-        qel = go.element_measure(walk, n)
+        qel = oracle_measure(walk, n)
         spec = None
     eig = go.operator_eigenvalues(qel) if walk == "ttr" else None
     worst = 0.0
@@ -164,7 +169,7 @@ def test_criterion_05_oracle_equivalence():
 
 def test_criterion_06_character_cross_validation():
     for n in range(4, 13):
-        four = one_cycle_type(n, 4)
+        four = (4,) + (1,) * (n - 4)
         for lam in partitions(n):
             assert r4_exact(lam) == char_ratio(lam, four), lam
     for n in range(2, 10):
@@ -215,16 +220,16 @@ def test_criterion_07_technical_lemma_sweeps():
 def test_criterion_08_eigenfunction_certificates():
     ok_phi = ok_ttr = ok_wilson_res = ok_wilson_sum = ok_grad = True
     for n in (4, 5, 6, 7):
-        qrt = go.element_measure("rt", n)
+        qrt = oracle_measure("rt", n)
         if go.eigenfunction_residual(go.fixed_points_minus_one(n), qrt, 1 - 2 / n) > 1e-12:
             ok_phi = False
-        qttr = go.element_measure("ttr", n)
+        qttr = oracle_measure("ttr", n)
         f_ttr = go.ttr_remark_eigenfunction(n)
         if go.eigenfunction_residual(f_ttr, qttr, 1 - 1 / n) > 1e-12:
             ok_ttr = False
         if abs(f_ttr.values[0] ** 2 - (n - 1) * (n - 2)) > 1e-9:
             ok_ttr = False
-        qri = go.element_measure("ri", n)
+        qri = oracle_measure("ri", n)
         f_w = go.ri_wilson_function(n)
         if go.eigenfunction_residual(f_w, qri, 1 - 1 / n) > 1e-12:
             ok_wilson_res = False
@@ -251,8 +256,8 @@ def test_criterion_08_eigenfunction_certificates():
 def test_criterion_09_comparison_certificate():
     worst_transfer = worst_literal = 0.0
     for n in (4, 5):
-        qri = go.element_measure("ri", n)
-        qrt = go.element_measure("rt", n)
+        qri = oracle_measure("ri", n)
+        qrt = oracle_measure("rt", n)
         worst_transfer = min(worst_transfer, go.comparison_gap(qri, qrt, 4.0))
         worst_literal = min(worst_literal, go.comparison_gap(qrt, qri, 4.0))
     ok = worst_transfer >= -1e-10 and worst_literal >= -1e-10
@@ -268,7 +273,7 @@ def test_criterion_10_continuous_vs_discrete_divergence():
     discrete_ok = True
     for n in range(12, 29):
         k = 2 * (n // 4) + 1
-        q = uniform_class_measure(one_cycle_type(n, k))
+        q = measure(f"class:{k}", n)
         lam = near_square_partition(n)
         t_cont = 0.8 * (n / 2) * math.log(n)
         singles.append((n, l2_single_term_lower(lam, q, t_cont, "continuous")))

@@ -14,7 +14,6 @@ from symwalk.bounds import (
     rt_continuous_terms,
     rt_discrete_terms,
     stirling_envelope,
-    theorem_bound,
     theorem_bounds,
     ttr_bound_spectrum,
 )
@@ -248,13 +247,13 @@ def test_ttr_continuous_bound_sum():
 
 
 def test_theorem_bound_reports():
-    rep = theorem_bound("rt_discrete", 20, 0.0)
+    rep = theorem_bounds("rt_discrete", 20, [0.0])[0]
     assert isinstance(rep, BoundReport) and rep.passed
     assert rep.as_dict()["pass"] is True
-    assert theorem_bound("ttr", 30, 1.0).passed
-    assert theorem_bound("rt_continuous", 15, 2.0).passed
-    assert theorem_bound("four_cycle", 11, 2.0).passed
-    assert theorem_bound("random_insertion", 12, 2.0).passed
+    assert theorem_bounds("ttr", 30, [1.0])[0].passed
+    assert theorem_bounds("rt_continuous", 15, [2.0])[0].passed
+    assert theorem_bounds("four_cycle", 11, [2.0])[0].passed
+    assert theorem_bounds("random_insertion", 12, [2.0])[0].passed
 
 
 def test_theorem_sweep_builds_one_spectrum_per_n(monkeypatch):
@@ -287,7 +286,7 @@ def test_theorem_bounds_equal_one_c_at_a_time():
         ("random_insertion", 10, [2.0, 5.0]),
     ):
         for prec in (DEFAULT_PREC, 256):
-            single = [theorem_bound(walk, n, c, prec) for c in cs]
+            single = [theorem_bounds(walk, n, [c], prec)[0] for c in cs]
             assert verdicts(theorem_bounds(walk, n, cs, prec)) == verdicts(single), (walk, n)
     with pytest.raises(ValueError):
         theorem_bounds("rt_discrete", 15, [0.0, -1.0])
@@ -307,9 +306,9 @@ def test_theorem_bound_range_checks():
         ("rt_continuous", 12, math.inf),
     ):
         with pytest.raises(ValueError):
-            theorem_bound(walk, n, c)
+            theorem_bounds(walk, n, [c])
     with pytest.raises(ValueError):
-        theorem_bound("no_such_walk", 20, 0.0)
+        theorem_bounds("no_such_walk", 20, [0.0])
 
 
 def test_bound_report_verdict():

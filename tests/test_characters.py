@@ -13,7 +13,6 @@ from symwalk.characters import (
     class_size,
     is_even_class,
     m_moment,
-    one_cycle_type,
     r4_exact,
     remove_skew_hooks,
     support,
@@ -127,10 +126,10 @@ def test_orthogonality_and_ratio_range():
 
 def test_char_ratio_examples():
     for n in (4, 6, 9):
-        assert char_ratio((n,), one_cycle_type(n, 3)) == 1
-        assert char_ratio((n - 1, 1), one_cycle_type(n, 2)) == Fraction(n - 3, n - 1)
+        assert char_ratio((n,), (3,) + (1,) * (n - 3)) == 1
+        assert char_ratio((n - 1, 1), (2,) + (1,) * (n - 2)) == Fraction(n - 3, n - 1)
         # sign character at any odd class is -1
-        assert char_ratio((1,) * n, one_cycle_type(n, 2)) == -1
+        assert char_ratio((1,) * n, (2,) + (1,) * (n - 2)) == -1
     assert char_ratio((4, 1), (2, 1, 1, 1)) == Fraction(1, 2)
 
 
@@ -141,7 +140,7 @@ def test_staircase_characters():
         n = m * (m + 1) // 2
         lam = staircase_partition(m)
         for k in range(2, n + 1):
-            ch = character(lam, one_cycle_type(n, k))
+            ch = character(lam, (k,) + (1,) * (n - k))
             if k % 2 == 0:
                 assert ch == 0, (m, k)
             if k > 2 * m - 1:
@@ -156,7 +155,7 @@ def test_class_numerator_matches_murnaghan_nakayama():
         for k in (2, 3, 4):
             if k > n:
                 continue
-            cycle = one_cycle_type(n, k)
+            cycle = (k,) + (1,) * (n - k)
             for lam in partitions(n):
                 assert class_numerator(lam, k) == char_ratio(lam, cycle) * math.perm(n, k), (lam, k)
     assert class_numerator((4, 1), 2) == m_moment((4, 1), 1)
@@ -214,7 +213,7 @@ def test_r4_examples():
 
 def test_r4_matches_murnaghan_nakayama():
     for n in range(4, 13):
-        four = one_cycle_type(n, 4)
+        four = (4,) + (1,) * (n - 4)
         for lam in partitions(n):
             assert r4_exact(lam) == char_ratio(lam, four), lam
 
@@ -224,14 +223,14 @@ def test_transposition_moment_identity():
     # character at a transposition is M_{lam,2} / (n(n-1)); this is the
     # independent route that backs the large-n transposition spectra
     for n in list(range(2, 15)) + [24]:
-        tau = one_cycle_type(n, 2)
+        tau = (2,) + (1,) * (n - 2)
         for lam in partitions(n):
             assert char_ratio(lam, tau) == Fraction(m_moment(lam, 1), n * (n - 1)), lam
 
 
 def test_char_ratio_bound_transposition():
     for n in range(3, 13):
-        tau = one_cycle_type(n, 2)
+        tau = (2,) + (1,) * (n - 2)
         for lam in partitions(n):
             r = char_ratio(lam, tau)
             assert r <= char_ratio_bound(lam, "transposition"), lam
@@ -256,7 +255,7 @@ def test_char_ratio_bound_four_cycle():
 def test_conjugate_twist_at_odd_class():
     # chi_{lam'}(odd class) = -chi_lam(odd class)
     for n in (4, 6):
-        tau = one_cycle_type(n, 2)
+        tau = (2,) + (1,) * (n - 2)
         for lam in partitions(n):
             assert character(conjugate(lam), tau) == -character(lam, tau)
 

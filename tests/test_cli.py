@@ -3,12 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import symwalk
-from symwalk import cli, walks
+from symwalk import cli, montecarlo, spectra, walks
 from symwalk.montecarlo import MAX_SIMULATE_N
 
 GOLDEN_RT5_ROWS = [
@@ -508,6 +509,43 @@ def test_simulate_size_cap_is_resource_guard(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.startswith("symwalk: resource guard:") and err.count("\n") == 1, err
         assert not out.exists()
+
+
+def test_simulate_work_cap_is_resource_guard(tmp_path, capsys, monkeypatch):
+    # N x t row steps are capped after --N, before any step is taken
+    def no_step(self, X, rng):
+        raise AssertionError("simulation stepped past the work cap")
+
+    monkeypatch.setattr(montecarlo._Stepper, "step", no_step)
+    out = tmp_path / "x.csv"
+    assert run(["simulate", "--walk", "rt", "--n", "10", "--t", "1e12", "--N", "1000",
+                "--seed", "1", "--out", str(out)]) == cli.EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err == ("symwalk: resource guard: simulation is capped at --N x --t <= "
+                   f"{montecarlo.MAX_ROW_STEPS} row steps, got 1000 x 1000000000000\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["profile", "--walk", "rt", "--n", "120", "--t-grid", "1"],
+     ["--threads", "1", "verify", "--suite", "rt-discrete", "--n", "120"],
+     ["profile", "--walk", "class:3", "--n", "2000000000"]],
+)
+def test_spectral_size_cap_is_resource_guard(argv, tmp_path, capsys, monkeypatch):
+    # the n cap of every class measure runs before any diagram is enumerated
+    def no_partitions(n):
+        raise AssertionError("partitions enumerated past the size cap")
+
+    monkeypatch.setattr(spectra, "partitions", no_partitions)
+    out = tmp_path / "x.out"
+    started = time.perf_counter()
+    assert run(argv + ["--out", str(out)]) == cli.EXIT_RESOURCE
+    assert time.perf_counter() - started < 1.0
+    err = capsys.readouterr().err
+    assert err == ("symwalk: resource guard: class measures are capped at "
+                   f"n <= {walks.MAX_SPECTRAL_N}, got n = {argv[argv.index('--n') + 1]}\n")
+    assert not out.exists()
 
 
 def test_simulate_manifest_records_stream_version(tmp_path):

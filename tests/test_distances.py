@@ -7,7 +7,6 @@ from mpmath import mp
 from symwalk import cli
 from symwalk import group_oracle as go
 from symwalk.bounds import ttr_bound_spectrum
-from symwalk.characters import one_cycle_type
 from symwalk.distances import (
     ProfileRow,
     chi_square_of,
@@ -20,18 +19,20 @@ from symwalk.distances import (
     tv_of,
 )
 from symwalk.partitions import near_square_partition, partitions
-from symwalk.spectra import (
-    alternating_blocks,
-    diagram_eigenvalues,
-    lazy_class_measure,
-    random_transposition_measure,
-    spectrum,
-    uniform_class_measure,
-)
+from symwalk.spectra import alternating_blocks, diagram_eigenvalues, spectrum
+from symwalk.walks import WalkSpec
+
+
+def measure(walk, n):
+    return WalkSpec.parse(walk).class_measure(n)
+
+
+def oracle_measure(walk, n):
+    return go.element_measure(WalkSpec.parse(walk), n)
 
 
 def oracle_chi_square(walk, n, t):
-    dist = go.convolution_powers_upto(go.element_measure(walk, n), t)[-1]
+    dist = go.convolution_powers_upto(oracle_measure(walk, n), t)[-1]
     return chi_square_of(dist)
 
 
@@ -50,9 +51,9 @@ def test_l2_discrete_matches_oracle(rt_spectrum):
 
 def test_l2_discrete_matches_oracle_class_walks():
     n = 5
-    for cls in ((3, 1, 1), (4, 1), (2, 2, 1)):
-        spec = spectrum(uniform_class_measure(cls))
-        qel = go.element_measure(cls, n)
+    for cls in ("class:3", "class:4", "class:2,2"):
+        spec = spectrum(measure(cls, n))
+        qel = oracle_measure(cls, n)
         powers = go.convolution_powers_upto(qel, 30)
         for t, dist in enumerate(powers):
             assert abs(float(l2_discrete(spec, t)) - chi_square_of(dist)) < 1e-9, (cls, t)
@@ -74,7 +75,7 @@ def test_l2_continuous_examples(rt_spectrum):
     n = 10
     t = (n / 2) * (math.log(n) + 2)
     assert l2_continuous(rt_spectrum(n), t) <= 1
-    q4 = uniform_class_measure(one_cycle_type(11, 4))
+    q4 = measure("class:4", 11)
     t = (11 / 2) * (math.log(11) + 2)
     assert l2_continuous(spectrum(q4, "sn"), t) <= 1
 
@@ -86,8 +87,8 @@ def test_l2_continuous_strictly_decreasing(rt_spectrum):
 
 
 def test_l2_continuous_matches_oracle_poisson():
-    qel = go.element_measure("rt", 5)
-    spec = spectrum(random_transposition_measure(5))
+    qel = oracle_measure("rt", 5)
+    spec = spectrum(measure("rt", 5))
     for t in (0.5, 2.0, 8.0):
         h, trunc = go.continuous_law(qel, t)
         assert abs(chi_square_of(h, normalized=False) - float(l2_continuous(spec, t))) < 1e-8
@@ -96,7 +97,7 @@ def test_l2_continuous_matches_oracle_poisson():
 
 def test_single_term_lower_examples():
     n = 8
-    q = random_transposition_measure(n)
+    q = measure("rt", n)
     for t in (3, 10):
         val = float(l2_single_term_lower((n - 1, 1), q, t, "discrete"))
         assert val == pytest.approx((n - 1) * (1 - 2 / n) ** t, rel=1e-12)
@@ -108,7 +109,7 @@ def test_single_term_lower_examples():
 
 def test_single_term_below_full_distance(rt_spectrum):
     for n in (5, 7):
-        q = random_transposition_measure(n)
+        q = measure("rt", n)
         spec = rt_spectrum(n)
         for lam in partitions(n):
             if lam == (n,):
@@ -121,7 +122,7 @@ def test_single_term_below_full_distance(rt_spectrum):
 def test_ttr_continuous_oracle_meets_threshold():
     # the continuous-time transpose-top walk obeys sqrt(2) e^-c as well
     for n in (4, 5, 6):
-        qel = go.element_measure("ttr", n)
+        qel = oracle_measure("ttr", n)
         for c in (0, 1, 2):
             t = n * (math.log(n) + c)
             h, _ = go.continuous_law(qel, t)
@@ -132,7 +133,7 @@ def test_ttr_lower_bound_against_oracle():
     # d2(q_ttr^(t))^2 >= (n-1)(n-2)(1-1/n)^(2t): the multiplicity-(n-2)
     # eigenvalue 1 - 1/n inside the (n-1,1) block
     for n in (5, 6):
-        qel = go.element_measure("ttr", n)
+        qel = oracle_measure("ttr", n)
         for t in (1, 3, 6, 12):
             d2sq = oracle_chi_square("ttr", n, t) ** 2
             assert d2sq >= (n - 1) * (n - 2) * (1 - 1 / n) ** (2 * t) - 1e-12
@@ -147,7 +148,7 @@ def test_chi_square_and_tv_definitional():
     uniform = go.GroupDistribution(n, point.values * 0 + 1.0 / g)
     assert chi_square_of(uniform) == pytest.approx(0, abs=1e-12)
     assert tv_of(uniform) == pytest.approx(0, abs=1e-12)
-    dist = go.convolution_powers_upto(go.element_measure("rt", n), 4)[-1]
+    dist = go.convolution_powers_upto(oracle_measure("rt", n), 4)[-1]
     assert 2 * tv_of(dist) <= chi_square_of(dist)
 
 
@@ -163,11 +164,10 @@ def test_profile_even_class_an_discrete_matches_oracle():
     # A_n profile of an even class equals the definitional distance of the
     # walk restricted to A_n; on A_4 the V4 class has a second beta = 1
     # block, which the sign diagram joins
-    for cycles in ((3, 1, 1), (2, 2)):
-        n = sum(cycles)
-        q = uniform_class_measure(cycles)
+    for cycles, n in (("class:3", 5), ("class:2,2", 4)):
+        q = measure(cycles, n)
         profile = class_walk_profile(q, "an", "discrete", [1, 2, 4])
-        qel = go.element_measure(cycles, n)
+        qel = oracle_measure(cycles, n)
         perms = go.all_permutations(n)
         even = [i for i, p in enumerate(perms)
                 if sum(c - 1 for c in go.cycle_type_of(p)) % 2 == 0]
@@ -183,13 +183,13 @@ def test_profile_odd_class_an_discrete_reports_squared_walk():
     # row at time t must equal the A_n distance of q*q after t steps,
     # i.e. the even-support distribution q^(2t)
     n = 5
-    q = uniform_class_measure((4, 1))
+    q = measure("class:4", n)
     profile = class_walk_profile(q, "an", "discrete", [1, 2, 3])
     an_rows = [r for r in profile if r.group == "an"]
     sn_rows = [r for r in profile if r.group == "sn"]
     assert len(an_rows) == 3 and len(sn_rows) == 3
     assert class_walk_profile(q, "an", "discrete", iter([1, 2, 3])) == profile  # one-pass grid
-    qel = go.element_measure((4, 1), n)
+    qel = oracle_measure("class:4", n)
     perms = go.all_permutations(n)
     even = [i for i, p in enumerate(perms) if sum(c - 1 for c in go.cycle_type_of(p)) % 2 == 0]
     g_an = math.factorial(n) // 2
@@ -208,15 +208,13 @@ def test_profile_odd_class_an_discrete_reports_squared_walk():
 def test_profile_an_discrete_rejects_mixed_odd_measures():
     # rt holds with probability 1/n, so its walk never confines to a coset
     with pytest.raises(ValueError):
-        class_walk_profile(random_transposition_measure(5), "an", "discrete", [1, 2])
+        class_walk_profile(measure("rt", 5), "an", "discrete", [1, 2])
     with pytest.raises(ValueError):
-        class_walk_profile(
-            lazy_class_measure((4, 1), Fraction(1, 2)), "an", "discrete", [1, 2]
-        )
+        class_walk_profile(measure("lazy:4:1/2", 5), "an", "discrete", [1, 2])
 
 
 def test_profile_odd_class_continuous_relabels_to_sn():
-    q = uniform_class_measure((4, 1))
+    q = measure("class:4", 5)
     profile = class_walk_profile(q, "an", "continuous", [0.5, 1.0])
     assert all(r.group == "sn" for r in profile)
     spec = spectrum(q, "sn")
@@ -227,7 +225,7 @@ def test_profile_odd_class_continuous_relabels_to_sn():
 def test_tiny_tail_values_survive():
     # dominant term exp(-2t/6) at t = 5000 puts d2 near 1e-361, beneath the
     # smallest positive float64; the mpf pipeline must keep it non-zero
-    spec = spectrum(random_transposition_measure(12))
+    spec = spectrum(measure("rt", 12))
     val = l2_continuous(spec, 5000.0)
     assert 0 < val < mp.mpf("1e-350")
     assert float(val) == 0.0
@@ -299,9 +297,9 @@ def check_profile(q, group, mode, pairs, times, label):
 
 
 def test_blocks_group_integer_multiplicities():
-    cases = [(random_transposition_measure(n), "sn") for n in (2, 5, 9)]
-    cases += [(uniform_class_measure(one_cycle_type(n, 3)), "an") for n in (3, 6, 9)]
-    cases += [(lazy_class_measure(one_cycle_type(8, 3), Fraction(1, 2)), "an")]
+    cases = [(measure("rt", n), "sn") for n in (2, 5, 9)]
+    cases += [(measure("class:3", n), "an") for n in (3, 6, 9)]
+    cases += [(measure("lazy:3:1/2", 8), "an")]
     for q, group in cases:
         spec = spectrum(q, group)
         order = math.factorial(q.n) // (2 if group == "an" else 1)
@@ -311,7 +309,7 @@ def test_blocks_group_integer_multiplicities():
         assert sum(m for _, m in spec.blocks) == order - 1
     for n in (4, 7, 9):
         for cls in (2, 4):
-            blocks = spectrum(uniform_class_measure(one_cycle_type(n, cls))).blocks
+            blocks = spectrum(measure(f"class:{cls}", n)).blocks
             folded = alternating_blocks(tuple((beta * beta, m) for beta, m in blocks))
             assert all(type(m) is int and m > 0 for _, m in folded)
             assert sum(m for _, m in folded) == math.factorial(n) // 2 - 1
@@ -319,20 +317,19 @@ def test_blocks_group_integer_multiplicities():
 
 def test_grouped_rt_matches_per_partition_sum():
     for n in range(2, 13):
-        spec = spectrum(random_transposition_measure(n))
-        pairs = nontrivial_pairs(random_transposition_measure(n))
+        spec = spectrum(measure("rt", n))
+        pairs = nontrivial_pairs(measure("rt", n))
         for t in DISCRETE_TIMES:
             assert_close(l2_discrete(spec, t), per_partition_l2(pairs, t, "discrete"), (n, t))
         for t in CONTINUOUS_TIMES:
             assert_close(l2_continuous(spec, t), per_partition_l2(pairs, t, "continuous"), (n, t))
         for mode, times in (("discrete", DISCRETE_TIMES), ("continuous", CONTINUOUS_TIMES)):
-            check_profile(random_transposition_measure(n), "sn", mode, pairs, times, "sn")
+            check_profile(measure("rt", n), "sn", mode, pairs, times, "sn")
 
 
 def test_grouped_an_profiles_match_per_partition_sum():
     for n in (5, 8, 10):
-        for q in (uniform_class_measure(one_cycle_type(n, 3)),
-                  lazy_class_measure(one_cycle_type(n, 3), Fraction(1, 2))):
+        for q in (measure("class:3", n), measure("lazy:3:1/2", n)):
             pairs = nontrivial_pairs(q, "an")
             check_profile(q, "an", "discrete", pairs, DISCRETE_TIMES, "an")
             check_profile(q, "an", "continuous", pairs, CONTINUOUS_TIMES, "an")
@@ -341,7 +338,7 @@ def test_grouped_an_profiles_match_per_partition_sum():
 def test_grouped_odd_class_fold_matches_per_partition_sum():
     for n in (4, 7, 10):
         for cls in (2, 4):
-            q = uniform_class_measure(one_cycle_type(n, cls))
+            q = measure(f"class:{cls}", n)
             check_profile(q, "an", "discrete", squared_walk_pairs(q), DISCRETE_TIMES, "an")
             check_profile(q, "an", "discrete", nontrivial_pairs(q), DISCRETE_TIMES, "sn")
 
@@ -350,10 +347,10 @@ def test_grouped_matches_exact_rationals_for_small_n():
     # the exact rational sums an earlier small-n fast path returned directly
     times = range(31)
     for n in range(2, 7):
-        walks = [(random_transposition_measure(n), "sn")]
-        walks += [(uniform_class_measure(one_cycle_type(n, k)), "sn") for k in range(2, n + 1)]
+        walks = [(measure("rt", n), "sn")]
+        walks += [(measure(f"class:{k}", n), "sn") for k in range(2, n + 1)]
         if n >= 3:
-            walks.append((lazy_class_measure(one_cycle_type(n, 3), Fraction(1, 2)), "an"))
+            walks.append((measure("lazy:3:1/2", n), "an"))
         for q, group in walks:
             pairs = nontrivial_pairs(q, group)
             check_profile(q, group, "discrete", pairs, times, group)
@@ -365,12 +362,12 @@ def test_grouped_matches_exact_rationals_for_small_n():
 
 
 def test_discrete_times_must_be_integers():
-    spec = spectrum(random_transposition_measure(4))
+    spec = spectrum(measure("rt", 4))
     for bad in (1.5, -1):
         with pytest.raises(ValueError):
             l2_discrete(spec, bad)
         with pytest.raises(ValueError):
-            class_walk_profile(random_transposition_measure(4), "sn", "discrete", [bad])
+            class_walk_profile(measure("rt", 4), "sn", "discrete", [bad])
     with pytest.raises(ValueError):
         l2_continuous(spec, -0.5)
 
@@ -380,10 +377,9 @@ def test_discrete_times_must_be_integers():
 # ---------------------------------------------------------------------------
 
 ACCURACY_SPECTRA = {
-    "rt": lambda: spectrum(random_transposition_measure(9)).blocks,
-    "class:3": lambda: spectrum(uniform_class_measure(one_cycle_type(8, 3)), "an").blocks,
-    "lazy:3:1/2": lambda: spectrum(
-        lazy_class_measure(one_cycle_type(8, 3), Fraction(1, 2)), "an").blocks,
+    "rt": lambda: spectrum(measure("rt", 9)).blocks,
+    "class:3": lambda: spectrum(measure("class:3", 8), "an").blocks,
+    "lazy:3:1/2": lambda: spectrum(measure("lazy:3:1/2", 8), "an").blocks,
     "ttr-bound": lambda: ttr_bound_spectrum(10).blocks,
     "beta=0": lambda: ((Fraction(1, 2), 5), (Fraction(0), 3), (Fraction(-1, 3), 7)),
     "beta=-1": lambda: ((Fraction(-1), 1), (Fraction(1, 3), 4), (Fraction(2, 3), 2)),
@@ -451,7 +447,7 @@ def test_l2_curve_exp_calls_do_not_grow_with_blocks(monkeypatch):
     monkeypatch.setattr(mp, "exp", counting(mp.exp))
     times = [0.5, 3, 0.5, 7.25, 3]
     for n in (6, 12, 16):
-        blocks = spectrum(random_transposition_measure(n)).blocks
+        blocks = spectrum(measure("rt", n)).blocks
         calls.clear()
         l2_curve(blocks, times, "continuous", 128)
         assert 0 < len(calls) <= len(set(times)), n

@@ -6,7 +6,11 @@ import pytest
 
 from symwalk import group_oracle as go
 from symwalk.distances import chi_square_of, l2_continuous, tv_of
-from symwalk.spectra import random_transposition_measure, spectrum
+from symwalk.walks import WalkSpec
+
+
+def measure(walk: str, n: int) -> go.GroupDistribution:
+    return go.element_measure(WalkSpec.parse(walk), n)
 
 
 def test_enumeration_is_lexicographic_with_identity_first():
@@ -34,7 +38,7 @@ def test_translation_maps_equal_the_compose_loop():
 
 
 def test_ttr_measure():
-    q = go.element_measure("ttr", 4)
+    q = measure("ttr", 4)
     perms = go.all_permutations(4)
     expected = {(0, 1, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3), (3, 1, 2, 0)}
     for p, v in zip(perms, q.values):
@@ -42,7 +46,7 @@ def test_ttr_measure():
 
 
 def test_ri_measure():
-    q = go.element_measure("ri", 4)
+    q = measure("ri", 4)
     assert q.values[0] == float(Fraction(1, 4))  # identity mass 1/n
     assert q.total() == 1
     # c_{1,3} in 1-based positions is the 3-cycle sending 1->3, 3->2, 2->1
@@ -56,22 +60,31 @@ def test_ri_measure():
 
 
 def test_rt_measure_element_level():
-    q = go.element_measure("rt", 5)
+    q = measure("rt", 5)
     assert q.values[0] == float(Fraction(1, 5))
     tau = (1, 0, 2, 3, 4)
     assert q.values[go.perm_index(tau)] == float(Fraction(2, 25))
 
 
 def test_class_measure_element_level():
-    q = go.element_measure((3, 1, 1), 5)
+    q = measure("class:3", 5)
     support = [v for v in q.values if v != 0]
     assert len(support) == 20 and all(v == float(Fraction(1, 20)) for v in support)
     with pytest.raises(ValueError):
-        go.element_measure((1, 1, 1, 1, 1), 5)
+        measure("class:6", 5)  # does not fit in S_5
+
+
+def test_lazy_weights_are_correctly_rounded():
+    # hold 1/3 on e and (2/3)/8 = 1/12 on each 3-cycle of S_4, each rounded once
+    # (mixing a rounded 1/8 with a rounded 2/3 gives 0.08333333333333334)
+    q = measure("lazy:3:1/3", 4)
+    for p, v in zip(go.all_permutations(4), q.values):
+        exact = {(1, 1, 1, 1): Fraction(1, 3), (3, 1): Fraction(1, 12)}.get(go.cycle_type_of(p), 0)
+        assert v == float(exact), p
 
 
 def test_convolution_power_basics():
-    q = go.element_measure("rt", 4)
+    q = measure("rt", 4)
     t0 = go.convolution_powers_upto(q, 0)[-1]
     assert t0.values[0] == 1.0 and np.sum(t0.values) == 1.0
     t1 = go.convolution_powers_upto(q, 1)[-1]
@@ -94,13 +107,13 @@ def test_convolution_exact_matches_float():
     for _ in range(6):
         exact = {x: sum(exact[go.compose(x, go.invert(y))] * w for y, w in q.items())
                  for x in perms}
-    df = go.convolution_powers_upto(go.element_measure("ttr", n), 6)[-1]
+    df = go.convolution_powers_upto(measure("ttr", n), 6)[-1]
     for x, b in zip(perms, df.values):
         assert float(exact[x]) == pytest.approx(b, abs=1e-14)
 
 
 def test_odd_class_walk_alternates_cosets():
-    q = go.element_measure((2, 1, 1, 1), 5)
+    q = measure("class:2", 5)
     perms = go.all_permutations(5)
     even = np.array([sum(c - 1 for c in go.cycle_type_of(p)) % 2 == 0 for p in perms])
     for t in range(5):
@@ -110,7 +123,7 @@ def test_odd_class_walk_alternates_cosets():
 
 
 def test_continuous_law_bookkeeping():
-    q = go.element_measure("rt", 4)
+    q = measure("rt", 4)
     h0, T0 = go.continuous_law(q, 0.0)
     assert T0 == 0 and h0.values[0] == 1.0
     h, T = go.continuous_law(q, 6.0)
@@ -119,8 +132,8 @@ def test_continuous_law_bookkeeping():
 
 
 def test_continuous_laws_from_shared_powers_equal_standalone_laws(monkeypatch):
-    for walk in ("rt", "ttr", (3, 1, 1)):
-        q = go.element_measure(walk, 5)
+    for walk in ("rt", "ttr", "class:3"):
+        q = measure(walk, 5)
         powers = go.convolution_powers_upto(q, 12)
         shared = powers[:]
         calls = []
@@ -139,13 +152,13 @@ def test_continuous_laws_from_shared_powers_equal_standalone_laws(monkeypatch):
 
 def test_eigenfunction_certificates():
     for n in (4, 5, 6):
-        qrt = go.element_measure("rt", n)
+        qrt = measure("rt", n)
         f = go.fixed_points_minus_one(n)
         assert go.eigenfunction_residual(f, qrt, 1 - 2 / n) < 1e-12
         const = go.GroupFunction(n, np.ones(math.factorial(n)))
         assert go.eigenfunction_residual(const, qrt, 1.0) < 1e-15
 
-        qttr = go.element_measure("ttr", n)
+        qttr = measure("ttr", n)
         g = go.ttr_remark_eigenfunction(n)
         assert go.eigenfunction_residual(g, qttr, 1 - 1 / n) < 1e-12
         assert g.values[0] ** 2 == pytest.approx((n - 1) * (n - 2), rel=1e-12)
@@ -158,7 +171,7 @@ def test_wilson_function_true_eigenpair():
     # itself, but the exact eigenvalue is (n+1)(n-2)/n^2, not the often
     # quoted 1 - 1/n (off by 2/n^2; both assertions below pin this down).
     for n in (4, 5, 6, 7):
-        qri = go.element_measure("ri", n)
+        qri = measure("ri", n)
         f = go.ri_wilson_function(n)
         beta = (n + 1) * (n - 2) / n**2
         assert go.eigenfunction_residual(f, qri, beta) < 1e-12
@@ -178,7 +191,7 @@ def test_wilson_sum_of_squares_exact():
 
 
 def test_square_gradient_constant_and_rt():
-    q = go.element_measure("rt", 5)
+    q = measure("rt", 5)
     const = go.GroupFunction(5, np.full(120, 3.7))
     assert go.square_gradient_sup(const, q) == 0.0
     f = go.fixed_points_minus_one(5)
@@ -187,8 +200,8 @@ def test_square_gradient_constant_and_rt():
 
 def test_dirichlet_form_and_comparison():
     for n in (4, 5):
-        qri = go.element_measure("ri", n)
-        qrt = go.element_measure("rt", n)
+        qri = measure("ri", n)
+        qrt = measure("rt", n)
         # E_rt <= 4 E_ri certifies the insertion-vs-transposition transfer
         assert go.comparison_gap(qri, qrt, 4.0) >= -1e-10
         # reported only: whether the constant is already tight at desk scale
@@ -199,8 +212,8 @@ def test_dirichlet_form_and_comparison():
 def test_comparison_transfer_inequality():
     # d2(q_ri^(t), u) <= d2(h_rt at t/4, u) on a grid of t
     for n in (4, 5, 6):
-        qri = go.element_measure("ri", n)
-        qrt = go.element_measure("rt", n)
+        qri = measure("ri", n)
+        qrt = measure("rt", n)
         for t in (1, 2, 4, 8, 16):
             left = chi_square_of(go.convolution_powers_upto(qri, t)[-1])
             h, _ = go.continuous_law(qrt, t / 4)
@@ -210,7 +223,7 @@ def test_comparison_transfer_inequality():
 
 def test_tv_upper_bounded_by_chi_square():
     for walk in ("rt", "ttr", "ri"):
-        q = go.element_measure(walk, 5)
+        q = measure(walk, 5)
         for t in (0, 1, 3, 7):
             dist = go.convolution_powers_upto(q, t)[-1]
             assert 2 * tv_of(dist) <= chi_square_of(dist) + 1e-12
@@ -218,13 +231,13 @@ def test_tv_upper_bounded_by_chi_square():
 
 def test_resource_guards():
     with pytest.raises(go.ResourceGuardError):
-        go.element_measure("rt", 9)
+        measure("rt", 9)
     with pytest.raises(go.ResourceGuardError):
-        go.convolution_powers_upto(go.element_measure("rt", 8), 1)[-1]
+        go.convolution_powers_upto(measure("rt", 8), 1)[-1]
     with pytest.raises(go.ResourceGuardError):
-        go.kernel_matrix(go.element_measure("rt", 7))
+        go.kernel_matrix(measure("rt", 7))
 
 
 def test_operator_spectrum_odd_class_has_minus_one():
-    vals = go.operator_eigenvalues(go.element_measure((2, 1, 1), 4))
+    vals = go.operator_eigenvalues(measure("class:2", 4))
     assert vals[-1] == pytest.approx(-1.0, abs=1e-12)

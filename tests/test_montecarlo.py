@@ -85,17 +85,7 @@ def one_step_empirical_tv(walk, n, n_samples, seed):
     assert np.array_equal(lehmer_rank(np.array(perms)), np.arange(len(perms)))
     counts = np.bincount(lehmer_rank(X), minlength=len(perms))
     emp = counts / n_samples
-    if walk.startswith("lazy:"):
-        _, parts_text, eps_text = walk.split(":")
-        parts = tuple(int(x) for x in parts_text.split(","))
-        exact = go.lazy_mix(
-            go.element_measure(parts + (1,) * (n - sum(parts)), n), Fraction(eps_text)
-        )
-    elif walk.startswith("class:"):
-        parts = tuple(int(x) for x in walk.split(":")[1].split(","))
-        exact = go.element_measure(parts + (1,) * (n - sum(parts)), n)
-    else:
-        exact = go.element_measure(walk, n)
+    exact = go.element_measure(WalkSpec.parse(walk), n)
     return 0.5 * float(np.sum(np.abs(emp - np.asarray(exact.values))))
 
 
@@ -118,7 +108,7 @@ def test_tv_lower_bound_is_below_exact_tv():
     for n in (5, 6):
         t, j, N = 3, 2, 40000
         res = mc.fixed_point_tv_lower(mc.SimConfig("ttr", n, str(t), j, N, seed=9))
-        exact_tv = tv_of(go.convolution_powers_upto(go.element_measure("ttr", n), t)[-1])
+        exact_tv = tv_of(go.convolution_powers_upto(go.element_measure(WalkSpec("ttr"), n), t)[-1])
         assert res.estimate <= exact_tv + 3 * math.sqrt(1 / (4 * N))
 
 

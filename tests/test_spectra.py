@@ -7,48 +7,50 @@ import pytest
 from symwalk import characters
 from symwalk import partitions as partition_module
 from symwalk import group_oracle as go
-from symwalk.characters import class_size, one_cycle_type
+from symwalk.characters import class_size
 from symwalk.partitions import dimension, partitions
 from symwalk.spectra import (
     ClassMeasure,
     alternating_blocks,
     diagram_eigenvalues,
     group_blocks,
-    lazy_class_measure,
-    random_transposition_measure,
     spectrum,
-    uniform_class_measure,
     walk_eigenvalue,
 )
+from symwalk.walks import WalkSpec
+
+
+def measure(walk: str, n: int) -> ClassMeasure:
+    return WalkSpec.parse(walk).class_measure(n)
 
 
 def test_rt_measure_weights():
-    q = random_transposition_measure(3)
+    q = measure("rt", 3)
     assert (q.cycles, q.hold) == ((2, 1), Fraction(1, 3))
     for n in range(2, 51):
-        q = random_transposition_measure(n)
-        assert (q.n, q.cycles, q.hold) == (n, one_cycle_type(n, 2), Fraction(1, n))
+        q = measure("rt", n)
+        assert (q.n, q.cycles, q.hold) == (n, (2,) + (1,) * (n - 2), Fraction(1, n))
     # per-element transposition probability 2/n^2 at n = 5
-    q5 = random_transposition_measure(5)
+    q5 = measure("rt", 5)
     assert (1 - q5.hold) / class_size(q5.cycles) == Fraction(2, 25)
 
 
 def test_uniform_class_measure():
-    q = uniform_class_measure((1,) * 7 + (4,))
+    q = measure("class:1,1,1,1,1,1,1,4", 11)
     assert (q.n, q.cycles, q.hold, q.name) == (11, (4,) + (1,) * 7, 0, "class:4")
     assert not q.even_support  # 4-cycles are odd
-    assert uniform_class_measure((3, 1, 1)).even_support
+    assert measure("class:3", 5).even_support
     with pytest.raises(ValueError):
-        uniform_class_measure((1, 1, 1))
+        measure("class:1,1,1", 3)
 
 
 def test_lazy_class_measure():
-    q = lazy_class_measure((3, 1, 1), Fraction(1, 2))
+    q = measure("lazy:3:1/2", 5)
     assert (q.n, q.cycles, q.hold, q.name) == (5, (3, 1, 1), Fraction(1, 2), "lazy:3:1/2")
     assert q.even_support  # holding is the even identity
-    for eps in (Fraction(0), Fraction(1), Fraction(3, 2)):
+    for eps in ("0", "1", "3/2"):
         with pytest.raises(ValueError):
-            lazy_class_measure((3, 1, 1), eps)
+            measure(f"lazy:3:{eps}", 5)
 
 
 def test_measure_weight_validation():
@@ -65,31 +67,30 @@ def test_measure_weight_validation():
 
 
 def test_walk_eigenvalue_examples():
-    assert walk_eigenvalue(random_transposition_measure(10), (9, 1)) == Fraction(4, 5)
+    assert walk_eigenvalue(measure("rt", 10), (9, 1)) == Fraction(4, 5)
     for n in (4, 7, 10):
-        q = random_transposition_measure(n)
+        q = measure("rt", n)
         assert walk_eigenvalue(q, (n,)) == 1
         assert walk_eigenvalue(q, (n - 1, 1)) == 1 - Fraction(2, n)
         assert walk_eigenvalue(q, (1,) * n) == -Fraction(n - 2, n)
     with pytest.raises(ValueError):
-        walk_eigenvalue(random_transposition_measure(5), (3, 1))
+        walk_eigenvalue(measure("rt", 5), (3, 1))
 
 
 def test_lazy_linearity():
     for n in range(3, 11):
-        cls = one_cycle_type(n, 3)
-        base = uniform_class_measure(cls)
+        base = measure("class:3", n)
         for eps in (Fraction(1, 3), Fraction(1, 2)):
-            lazy = lazy_class_measure(cls, eps)
+            lazy = measure(f"lazy:3:{eps}", n)
             for lam in partitions(n):
                 assert walk_eigenvalue(lazy, lam) == eps + (1 - eps) * walk_eigenvalue(base, lam)
 
 
 def test_spectrum_sn():
-    rows = list(diagram_eigenvalues(random_transposition_measure(4)))
+    rows = list(diagram_eigenvalues(measure("rt", 4)))
     assert sorted(int(m) for _, _, m in rows) == [1, 1, 4, 9, 9]
     for n in range(2, 13):
-        rows = list(diagram_eigenvalues(random_transposition_measure(n)))
+        rows = list(diagram_eigenvalues(measure("rt", n)))
         assert sum(m for _, _, m in rows) == math.factorial(n)
         assert all(abs(beta) <= 1 for _, beta, _ in rows)
         ones = [lam for lam, beta, _ in rows if beta == 1]
@@ -97,19 +98,19 @@ def test_spectrum_sn():
 
 
 def test_spectrum_an():
-    q = uniform_class_measure((3, 1, 1))
+    q = measure("class:3", 5)
     blocks = spectrum(q, "an").blocks
     assert sum(m for _, m in blocks) == 59
     assert all(type(m) is int and m > 0 for _, m in blocks)
     with pytest.raises(ValueError):
-        spectrum(uniform_class_measure((2, 1, 1)), "an")  # odd class
+        spectrum(measure("class:2", 4), "an")  # odd class
     with pytest.raises(ValueError):
-        spectrum(random_transposition_measure(4), "an")
+        spectrum(measure("rt", 4), "an")
 
 
 def test_odd_class_periodicity_witness():
     for n in (4, 6):
-        rows = diagram_eigenvalues(uniform_class_measure((2,) + (1,) * (n - 2)))
+        rows = diagram_eigenvalues(measure("class:2", n))
         at_sign = [beta for lam, beta, _ in rows if lam == (1,) * n]
         assert at_sign[0] == -1
 
@@ -124,16 +125,16 @@ def test_spectrum_blocks_equal_murnaghan_nakayama_blocks():
     # content-numerator keys (rt, short cycles, lazy) and the MN fallback
     # (class:2,2 and class:5, holding or not) give the MN blocks in value and order
     for n in range(2, 19):
-        walks = [random_transposition_measure(n)]
-        walks += [uniform_class_measure(one_cycle_type(n, k)) for k in (2, 3, 4) if k <= n]
-        walks += [lazy_class_measure(one_cycle_type(n, k), eps)
+        walks = [measure("rt", n)]
+        walks += [measure(f"class:{k}", n) for k in (2, 3, 4) if k <= n]
+        walks += [measure(f"lazy:{k}:{eps}", n)
                   for k, eps in ((3, Fraction(1, 2)), (4, Fraction(1, 3))) if k <= n]
         if n in (4, 9, 14):
-            walks.append(uniform_class_measure((2, 2) + (1,) * (n - 4)))
-            walks.append(lazy_class_measure((2, 2) + (1,) * (n - 4), Fraction(1, 3)))
+            walks.append(measure("class:2,2", n))
+            walks.append(measure("lazy:2,2:1/3", n))
         if n in (5, 9, 14):
-            walks.append(uniform_class_measure(one_cycle_type(n, 5)))
-            walks.append(lazy_class_measure(one_cycle_type(n, 5), Fraction(1, 2)))
+            walks.append(measure("class:5", n))
+            walks.append(measure("lazy:5:1/2", n))
         for q in walks:
             for group in ("sn", "an") if q.even_support else ("sn",):
                 blocks = spectrum(q, group).blocks
@@ -155,7 +156,7 @@ def assert_build_keeps_module_tables(module):
                 [cache.cache_info().currsize for cache in caches])
 
     before = sizes()
-    spectrum(uniform_class_measure((2, 2) + (1,) * 13))
+    spectrum(measure("class:2,2", 17))
     assert sizes() == before
 
 
@@ -178,9 +179,9 @@ def test_unique_top_eigenvalue_for_generating_classes():
     # odd classes generate S_n, so the S_n spectrum has a single beta = 1;
     # even classes generate A_n, whose spectrum merges sign into trivial
     for n in range(5, 9):
-        assert count_top_eigenvalues(uniform_class_measure((2,) + (1,) * (n - 2))) == 1
-        assert count_top_eigenvalues(uniform_class_measure((3,) + (1,) * (n - 3)), "an") == 1
-        assert count_top_eigenvalues(random_transposition_measure(n)) == 1
+        assert count_top_eigenvalues(measure("class:2", n)) == 1
+        assert count_top_eigenvalues(measure("class:3", n), "an") == 1
+        assert count_top_eigenvalues(measure("rt", n)) == 1
 
 
 def expanded_eigenvalues(spec):
@@ -194,14 +195,14 @@ def expanded_eigenvalues(spec):
 def test_spectrum_matches_brute_force_operator(rt_spectrum):
     for n in range(2, 7):
         expanded = expanded_eigenvalues(rt_spectrum(n))
-        brute = go.operator_eigenvalues(go.element_measure("rt", n))
+        brute = go.operator_eigenvalues(go.element_measure(WalkSpec("rt"), n))
         assert np.max(np.abs(expanded - brute)) < 1e-9
 
 
 def test_spectrum_matches_brute_force_operator_n7():
     # 5040 x 5040 dense eigendecomposition, the largest direct cross-check
-    expanded = expanded_eigenvalues(spectrum(random_transposition_measure(7)))
-    q = go.element_measure("rt", 7)  # build the dense kernel past the size guard
+    expanded = expanded_eigenvalues(spectrum(measure("rt", 7)))
+    q = go.element_measure(WalkSpec("rt"), 7)  # build the dense kernel past the size guard
     size = math.factorial(7)
     Km = np.zeros((size, size))
     rows = np.arange(size)

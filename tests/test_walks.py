@@ -1,11 +1,12 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from symwalk import group_oracle as go
-from symwalk.spectra import lazy_class_measure, random_transposition_measure, uniform_class_measure
-from symwalk.walks import WalkSpec
+from symwalk.characters import class_size
+from symwalk.errors import ResourceGuardError
+from symwalk.spectra import ClassMeasure
+from symwalk.walks import MAX_SPECTRAL_N, WalkSpec
 
 
 @pytest.mark.parametrize(
@@ -54,20 +55,42 @@ def test_cycle_type_pads_and_checks_fit():
         spec.cycle_type(4)
 
 
+def test_str_is_the_canonical_walk_string():
+    for text, canonical in (("rt", "rt"), ("ri", "ri"), ("class:2,3,1", "class:3,2"),
+                            ("lazy:3,1:0.5", "lazy:3:1/2"), ("lazy:5,3:5e-2", "lazy:5,3:1/20")):
+        assert str(WalkSpec.parse(text)) == canonical
+        assert WalkSpec.parse(canonical) == WalkSpec.parse(text)
+
+
 def test_class_measure():
-    assert WalkSpec.parse("rt").class_measure(6) == random_transposition_measure(6)
-    assert WalkSpec.parse("class:3,1").class_measure(6) == uniform_class_measure((3, 1, 1, 1))
-    assert WalkSpec.parse("lazy:3:0.5").class_measure(6) == lazy_class_measure(
-        (3, 1, 1, 1), Fraction(1, 2)
-    )
+    assert WalkSpec.parse("rt").class_measure(6) == ClassMeasure(
+        6, (2, 1, 1, 1, 1), Fraction(1, 6), name="rt")
+    assert WalkSpec.parse("class:3,1").class_measure(6) == ClassMeasure(
+        6, (3, 1, 1, 1), name="class:3")
+    assert WalkSpec.parse("lazy:3:0.5").class_measure(6) == ClassMeasure(
+        6, (3, 1, 1, 1), Fraction(1, 2), name="lazy:3:1/2")
     assert WalkSpec.parse("ttr").class_measure(6) is None
     assert WalkSpec.parse("ri").class_measure(6) is None
+    with pytest.raises(ValueError, match=r"does not fit in S_1$"):
+        WalkSpec.parse("rt").class_measure(1)
+
+
+def test_class_measure_caps_n_before_building_the_cycle_type():
+    assert WalkSpec.parse("rt").class_measure(MAX_SPECTRAL_N).n == MAX_SPECTRAL_N
+    for text in ("rt", "class:3", "lazy:3:1/2"):
+        with pytest.raises(ResourceGuardError):
+            WalkSpec.parse(text).class_measure(MAX_SPECTRAL_N + 1)
+    with pytest.raises(ResourceGuardError):  # a 2e9-entry cycle type would never finish
+        WalkSpec.parse("class:3").class_measure(2 * 10**9)
 
 
 def test_element_measure():
-    for text in ("rt", "ttr", "ri"):
-        got = WalkSpec.parse(text).element_measure(4)
-        assert np.array_equal(got.values, go.element_measure(text, 4).values)
-    got = WalkSpec.parse("lazy:3:1/3").element_measure(5)
-    want = go.lazy_mix(go.element_measure((3, 1, 1), 5), Fraction(1, 3))
-    assert np.array_equal(got.values, want.values)
+    # the oracle law of a class walk is its class measure: hold on e,
+    # (1 - hold)/|C| on each element of C, nothing elsewhere
+    for text in ("rt", "class:2,2", "class:4", "lazy:3:1/2", "lazy:3:1/3"):
+        q = WalkSpec.parse(text).class_measure(4)
+        got = go.element_measure(WalkSpec.parse(text), 4)
+        step = (1 - q.hold) / class_size(q.cycles)
+        for p, v in zip(go.all_permutations(4), got.values):
+            exact = q.hold if p == (0, 1, 2, 3) else step if go.cycle_type_of(p) == q.cycles else 0
+            assert v == float(exact), (text, p)
