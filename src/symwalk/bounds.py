@@ -44,8 +44,19 @@ from mpmath.libmp import (
 )
 
 from .distances import DEFAULT_PREC, _positive_sum, _working_prec, l2_curve
-from .spectra import Spectrum, spectrum
-from .walks import WalkSpec
+from .errors import ResourceGuardError
+from .spectra import Blocks, spectrum
+from .walks import WalkSpec, check_spectral_n
+
+#: largest n of a bound sum or lemma term table: their cost grows faster
+#: than n^2, and n = 2000 takes about a second
+MAX_BOUND_N = 2000
+
+
+def check_bound_n(n: int) -> None:
+    """The cap on bound sums and term tables, checked before any weight."""
+    if n > MAX_BOUND_N:
+        raise ResourceGuardError(f"bound sums are capped at n <= {MAX_BOUND_N}, got n = {n}")
 
 
 def lemma_weight(n: int, j: int) -> int:
@@ -112,6 +123,7 @@ def rt_discrete_terms(n: int, prec: int = DEFAULT_PREC) -> RtDiscreteTerms:
     L = n log n, is exp(L log base)."""
     if n < 14:
         raise ValueError("discrete-time term bounds are stated for n >= 14")
+    check_bound_n(n)
     out = RtDiscreteTerms(n)
     half = n // 2
     # an absolute error in L log(base) is the same relative error in the
@@ -175,6 +187,7 @@ def rt_continuous_terms(n: int, prec: int = DEFAULT_PREC) -> RtContinuousTerms:
     y = n^(-2/n), x = e^-2 and z = x/n."""
     if n < 10:
         raise ValueError("continuous-time term bounds are stated for n >= 10")
+    check_bound_n(n)
     out = RtContinuousTerms(n)
     half = n // 2
     # the ratio walk below carries y to powers up to about n^2/4, which
@@ -207,14 +220,14 @@ def rt_continuous_terms(n: int, prec: int = DEFAULT_PREC) -> RtContinuousTerms:
 # transpose top with random
 # ---------------------------------------------------------------------------
 
-def ttr_bound_spectrum(n: int) -> Spectrum:
+def ttr_bound_spectrum(n: int) -> Blocks:
     """Blocks whose d2^2 is the bound sum sum_{j=1}^{n-1} (n!/(n-j)!)^2 (1/j!) b_j,
     with b_j = (1 - j/n)^(2t) in discrete and e^(-2tj/n) in continuous time:
     eigenvalue 1 - j/n with the integer multiplicity C(n, j) n!/(n-j)!."""
     if n < 1:
         raise ValueError("need n >= 1")
-    blocks = tuple((Fraction(n - j, n), lemma_weight(n, j)) for j in range(1, n))
-    return Spectrum(n, "sn", "ttr-bound", blocks)
+    check_bound_n(n)
+    return tuple((Fraction(n - j, n), lemma_weight(n, j)) for j in range(1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -258,66 +271,77 @@ class BoundReport:
         return out
 
 
-# One row per theorem: least n and c, threshold time, source of the spectrum
-# at n, distance at each threshold of a list, guaranteed constant.
-# Evaluators look distance functions up at call time.
-Theorem = namedtuple("Theorem", "min_n min_c threshold source evaluate guaranteed")
+# One row per theorem, keyed by its verify suite: least n, the cap on n of its
+# blocks, least c, threshold time, the blocks at n, distance at each threshold
+# of a list, guaranteed constant.  Evaluators look distance functions up at
+# call time.
+Theorem = namedtuple("Theorem", "min_n cap min_c threshold source evaluate guaranteed")
 
 
 def _rt_time(n: int, c: float) -> float:
     return (n / 2) * (math.log(n) + c)
 
 
-def _rt_spectrum(n: int) -> Spectrum:
+def _rt_spectrum(n: int) -> Blocks:
     return spectrum(WalkSpec("rt").class_measure(n))
 
 
 THEOREMS = {
     # d2(q_rt^(t), u) <= 2 e^-c at t = ceil((n/2)(log n + c))
-    "rt_discrete": Theorem(
-        15, 0, lambda n, c: math.ceil(_rt_time(n, c)), _rt_spectrum,
-        lambda spec, ts, prec: l2_curve(spec.blocks, ts, "discrete", prec),
+    "rt-discrete": Theorem(
+        15, check_spectral_n, 0, lambda n, c: math.ceil(_rt_time(n, c)), _rt_spectrum,
+        lambda blocks, ts, prec: l2_curve(blocks, ts, "discrete", prec),
         lambda c: 2 * mp.exp(-c)),
+    # d2(h_rt,t, u) <= e^-(c-2) at t = (n/2)(log n + c)
+    "rt-continuous": Theorem(
+        10, check_spectral_n, 2, _rt_time, _rt_spectrum,
+        lambda blocks, ts, prec: l2_curve(blocks, ts, "continuous", prec),
+        lambda c: mp.exp(-(c - 2))),
     # bound sum on d2^2 <= 2 e^-2c at t = ceil(n(log n + c))
     "ttr": Theorem(
-        1, 0, lambda n, c: math.ceil(n * (math.log(n) + c)), ttr_bound_spectrum,
-        lambda spec, ts, prec: [d ** 2 for d in l2_curve(spec.blocks, ts, "discrete", prec)],
+        1, check_bound_n, 0, lambda n, c: math.ceil(n * (math.log(n) + c)), ttr_bound_spectrum,
+        lambda blocks, ts, prec: [d ** 2 for d in l2_curve(blocks, ts, "discrete", prec)],
         lambda c: 2 * mp.exp(-2 * c)),
-    # d2(h_rt,t, u) <= e^-(c-2) at t = (n/2)(log n + c)
-    "rt_continuous": Theorem(
-        10, 2, _rt_time, _rt_spectrum,
-        lambda spec, ts, prec: l2_curve(spec.blocks, ts, "continuous", prec),
-        lambda c: mp.exp(-(c - 2))),
     # d2(h_c4,t, u) <= e^-(c-2) at the same threshold
-    "four_cycle": Theorem(
-        11, 2, _rt_time, lambda n: spectrum(WalkSpec("class", (4,)).class_measure(n)),
-        lambda spec, ts, prec: l2_curve(spec.blocks, ts, "continuous", prec),
+    "four-cycle": Theorem(
+        11, check_spectral_n, 2, _rt_time,
+        lambda n: spectrum(WalkSpec("class", (4,)).class_measure(n)),
+        lambda blocks, ts, prec: l2_curve(blocks, ts, "continuous", prec),
         lambda c: mp.exp(-(c - 2))),
     # d2(q_ri^(t), u)^2 <= e^-(c-2) at t = 2n(log n + c), through the Dirichlet
     # comparison as d2(h_rt, t/4)^2
-    "random_insertion": Theorem(
-        10, 2, lambda n, c: 2 * n * (math.log(n) + c), _rt_spectrum,
-        lambda spec, ts, prec: [
-            d ** 2 for d in l2_curve(spec.blocks, [t / 4 for t in ts], "continuous", prec)],
+    "random-insertion": Theorem(
+        10, check_spectral_n, 2, lambda n, c: 2 * n * (math.log(n) + c), _rt_spectrum,
+        lambda blocks, ts, prec: [
+            d ** 2 for d in l2_curve(blocks, [t / 4 for t in ts], "continuous", prec)],
         lambda c: mp.exp(-(c - 2))),
 }
 
 
-def theorem_bounds(walk: str, n: int, cs, prec: int = DEFAULT_PREC) -> list[BoundReport]:
-    """Exact distance (or bound sum) at a theorem's time threshold vs its
-    constant, for every c of ``cs``: one spectrum and one evaluation of its
-    l2 curve over all thresholds.  ``walk`` names a row of ``THEOREMS``."""
+def check_theorem(walk: str, n: int, cs=None) -> tuple[Theorem, list[float]]:
+    """The row of ``walk`` in THEOREMS and its c list (default: the least c
+    and the next two), once n, every c and the cap of its blocks are checked."""
     theorem = THEOREMS.get(walk)
     if theorem is None:
         raise ValueError(f"unknown bound {walk!r}")
-    cs = list(cs)
+    cs = [float(theorem.min_c + k) for k in range(3)] if cs is None else list(cs)
     if n < theorem.min_n or not all(math.isfinite(c) and c >= theorem.min_c for c in cs):
         raise ValueError(f"{walk} needs n >= {theorem.min_n} and a finite c >= {theorem.min_c}")
+    theorem.cap(n)
+    return theorem, cs
+
+
+def theorem_bounds(walk: str, n: int, cs=None, prec: int = DEFAULT_PREC) -> list[BoundReport]:
+    """Exact distance (or bound sum) at a theorem's time threshold vs its
+    constant, for every c of ``cs`` (see ``check_theorem``): one set of
+    blocks and one evaluation of its l2 curve over all thresholds."""
+    theorem, cs = check_theorem(walk, n, cs)
+    name = walk.replace("-", "_")  # verdict rows say rt_discrete, four_cycle, ...
     with mp.workprec(prec):
         times = [theorem.threshold(n, c) for c in cs]
         computed = theorem.evaluate(theorem.source(n), times, prec)
         return [
-            BoundReport(walk, n, c, theorem.guaranteed(c), value, t=float(t))
+            BoundReport(name, n, c, theorem.guaranteed(c), value, t=float(t))
             for c, t, value in zip(cs, times, computed)
         ]
 
@@ -339,11 +363,17 @@ LEMMAS = (
 )
 
 
-def lemma_checks(n: int, prec: int = DEFAULT_PREC) -> list[BoundReport]:
-    """Every lemma stated at ``n``, building one term table per family."""
+def check_lemma_n(n: int) -> None:
+    """Raise unless some lemma is stated at n and its tables are within the cap."""
     least = min(min_n for _, min_n, _ in LEMMAS)
     if n < least:
         raise ValueError(f"the lemmas are stated for n >= {least}")
+    check_bound_n(n)
+
+
+def lemma_checks(n: int, prec: int = DEFAULT_PREC) -> list[BoundReport]:
+    """Every lemma stated at ``n``, building one term table per family."""
+    check_lemma_n(n)
     out = []
     with mp.workprec(prec):
         for family, min_n, lemmas in LEMMAS:

@@ -46,7 +46,7 @@ EXIT_INTERNAL = 4
 MIN_PRECISION = 53
 MAX_PRECISION = 4096
 
-SUITES = ("rt-discrete", "rt-continuous", "ttr", "four-cycle", "lemmas", "oracle")
+SUITES = (*bounds.THEOREMS, "lemmas", "oracle")
 PROFILE_KINDS = ("rt", "ttr-bound", "class", "lazy")
 PROFILE_WALKS = walks.syntax(*PROFILE_KINDS)
 
@@ -116,17 +116,16 @@ def _write_json(path: str, manifest: RunManifest, results) -> None:
 # small parsers
 # ---------------------------------------------------------------------------
 
-def parse_range(text: str) -> list[int]:
+def parse_range(text: str) -> range:
     """Either a single integer or an inclusive 'a..b' range."""
-    if ".." in text:
-        if text.count("..") != 1:
-            raise ValueError(f"range {text!r} is not of the form a..b")
-        a, b = text.split("..")
-        lo, hi = int(a), int(b)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    if text.count("..") > 1:
+        raise ValueError(f"range {text!r} is not of the form a..b")
+    a, dots, b = text.partition("..")
+    lo = int(a)
+    hi = int(b) if dots else lo
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return range(lo, hi + 1)
 
 
 def _time_grid(spec_text: str, n: int, walk: str, mode: str) -> list[float]:
@@ -154,9 +153,12 @@ def cmd_profile(args) -> int:
     if args.walk == "ttr-bound":
         if args.group != "sn":
             raise ValueError("ttr-bound is a symmetric-group curve")
-        rows = distances.spectrum_profile(bounds.ttr_bound_spectrum(n), args.mode, times, prec)
+        walk = args.walk
+        rows = distances.spectrum_profile(
+            bounds.ttr_bound_spectrum(n), "sn", args.mode, times, prec)
     else:
         spec = walks.WalkSpec.parse(args.walk, kinds=PROFILE_KINDS)
+        walk = str(spec)
         q = spec.class_measure(n)
         if spec.kind == "rt" and args.group != "sn":
             raise ValueError("the random transposition walk lives on S_n")
@@ -181,7 +183,7 @@ def cmd_profile(args) -> int:
         return str(int(t)) if float(t).is_integer() else fmt_real(t)
 
     csv_rows = [
-        [r.walk, r.group, str(r.n), fmt_time(r.t), fmt_real(r.d2), fmt_real(r.log10_d2_sq)]
+        [walk, r.group, str(n), fmt_time(r.t), fmt_real(r.d2), fmt_real(r.log10_d2_sq)]
         for r in rows
     ]
     if args.format == "csv":
@@ -189,9 +191,9 @@ def cmd_profile(args) -> int:
     else:
         results = [
             {
-                "walk": r.walk,
+                "walk": walk,
                 "group": r.group,
-                "n": r.n,
+                "n": n,
                 "t": int(r.t) if float(r.t).is_integer() else float(r.t),
                 "d2": fmt_real(r.d2),  # decimal string: survives sub-float64 tails
                 "log10_d2_sq": float(r.log10_d2_sq),
@@ -206,6 +208,18 @@ def cmd_profile(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+def _suite_check(suite: str, n: int, cs) -> None:
+    """The check that the suite's task at n runs before any work."""
+    if suite == "lemmas":
+        bounds.check_lemma_n(n)
+    elif suite == "oracle":
+        from .group_oracle import check_oracle_n
+
+        check_oracle_n(n)
+    else:
+        bounds.check_theorem(suite, n, cs)
+
+
 def _suite_task(payload) -> list[bounds.BoundReport]:
     suite, n, cs, prec = payload
     if suite == "lemmas":
@@ -214,10 +228,7 @@ def _suite_task(payload) -> list[bounds.BoundReport]:
         from .group_oracle import oracle_checks
 
         return oracle_checks(n, prec)
-    walk = suite.replace("-", "_")  # the suite's row of bounds.THEOREMS
-    if cs is None:  # the theorem's least c and the next two
-        cs = [float(bounds.THEOREMS[walk].min_c + k) for k in range(3)]
-    return bounds.theorem_bounds(walk, n, cs, prec)
+    return bounds.theorem_bounds(suite, n, cs, prec)
 
 
 def requested_threads(env_value: str | None, flag: int) -> int:
@@ -251,6 +262,8 @@ def cmd_verify(args) -> int:
     if args.c is not None and args.suite in ("lemmas", "oracle"):
         raise ValueError(f"--c applies to the theorem suites only, not to {args.suite}")
     cs = None if args.c is None else [float(x) for x in args.c.split(",")]
+    for n in (ns[0], ns[-1]):  # each suite's limits are an interval in n
+        _suite_check(args.suite, n, cs)
     threads = args.effective_threads
     workers = worker_count(threads, len(ns), _usable_cpus())
     tasks = [(args.suite, n, cs, args.precision) for n in ns]

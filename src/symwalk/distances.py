@@ -1,7 +1,7 @@
 """l2 (chi-square) distance profiles from exact spectra.
 
-For a walk whose nontrivial spectrum has distinct eigenvalues beta_b with
-integer multiplicities m_b (the grouped ``Spectrum.blocks``),
+A spectrum is its blocks: the distinct nontrivial eigenvalues beta_b with
+their integer multiplicities m_b (``spectra.Blocks``).  From them alone,
 
     d2(q^(t), u)^2 = sum_b m_b beta_b^(2t)          (discrete time)
     d2(h_t, u)^2   = sum_b m_b exp(-2t(1 - beta_b)) (continuous time)
@@ -24,11 +24,13 @@ documented 1e-12 budget).  Values are returned as mpf so profile tails
 below the float64 underflow threshold survive to the output layer.
 
 ``l2_discrete``/``l2_continuous`` are one-point wrappers and
-``l2_single_term_lower`` a one-block one.  ``spectrum_profile`` labels a
-curve's rows; the odd-class A_n profile is the same evaluator on the
-blocks of q*q, folded by ``spectra.alternating_blocks``.  The definitional
-distances of oracle-scale distributions live here too but load numpy only
-when called, so the spectral path never imports numpy or the oracle.
+``l2_single_term_lower`` a one-block one.  ``spectrum_profile`` turns a
+curve into rows of (group, t, d2), the only labels the math decides; the
+CLI names the walk and n.  The odd-class A_n profile is the same evaluator
+on the blocks of q*q, folded by ``spectra.alternating_blocks``.  The
+definitional distances of oracle-scale distributions live here too but
+load numpy only when called, so the spectral path never imports numpy or
+the oracle.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from .partitions import Partition, check_partition, dimension
 from .spectra import (
     Blocks,
     ClassMeasure,
-    Spectrum,
     alternating_blocks,
     group_blocks,
     spectrum,
@@ -186,14 +187,14 @@ def l2_curve(blocks: Blocks, times, mode: str, prec: int) -> list[mpmath.mpf]:
     return [value[t] for t in keys]
 
 
-def l2_discrete(spec: Spectrum, t: int, prec: int = DEFAULT_PREC) -> mpmath.mpf:
-    """d2(q^(t), u) from the spectrum at integer time t >= 0."""
-    return l2_curve(spec.blocks, [t], "discrete", prec)[0]
+def l2_discrete(blocks: Blocks, t: int, prec: int = DEFAULT_PREC) -> mpmath.mpf:
+    """d2(q^(t), u) from the blocks at integer time t >= 0."""
+    return l2_curve(blocks, [t], "discrete", prec)[0]
 
 
-def l2_continuous(spec: Spectrum, t, prec: int = DEFAULT_PREC) -> mpmath.mpf:
-    """d2(h_t, u) from the spectrum at real time t >= 0."""
-    return l2_curve(spec.blocks, [t], "continuous", prec)[0]
+def l2_continuous(blocks: Blocks, t, prec: int = DEFAULT_PREC) -> mpmath.mpf:
+    """d2(h_t, u) from the blocks at real time t >= 0."""
+    return l2_curve(blocks, [t], "continuous", prec)[0]
 
 
 def l2_single_term_lower(
@@ -251,9 +252,7 @@ def tv_of(dist: GroupDistribution, normalized: bool = True) -> float:
 
 @dataclass(frozen=True)
 class ProfileRow:
-    walk: str
     group: str
-    n: int
     t: float
     d2: mpmath.mpf
 
@@ -267,15 +266,13 @@ class ProfileRow:
 
 
 def spectrum_profile(
-    spec: Spectrum, mode: str, times, prec: int = DEFAULT_PREC
+    blocks: Blocks, group: str, mode: str, times, prec: int = DEFAULT_PREC
 ) -> list[ProfileRow]:
-    """Distance curve of a spectrum over a time grid, one row per time."""
+    """Distance curve of the blocks over a time grid, one row per time."""
     times = list(times)
     cast = int if mode == "discrete" else float
-    return [
-        ProfileRow(spec.name, spec.group, spec.n, cast(t), d2)
-        for t, d2 in zip(times, l2_curve(spec.blocks, times, mode, prec))
-    ]
+    return [ProfileRow(group, cast(t), d2)
+            for t, d2 in zip(times, l2_curve(blocks, times, mode, prec))]
 
 
 def class_walk_profile(
@@ -299,16 +296,15 @@ def class_walk_profile(
     if group not in ("sn", "an"):
         raise ValueError(f"unknown group {group!r}")
     if group == "sn" or q.even_support:
-        return spectrum_profile(spectrum(q, group), mode, times, prec)
-    spec_sn = spectrum(q, "sn")
+        return spectrum_profile(spectrum(q, group), group, mode, times, prec)
+    blocks = spectrum(q, "sn")
     if mode == "continuous":
-        return spectrum_profile(spec_sn, mode, times, prec)
+        return spectrum_profile(blocks, "sn", mode, times, prec)
     if q.hold:
         # a walk that holds never confines itself to one coset,
         # so the q*q restriction does not apply
         raise ValueError("A_n discrete profiles need a pure odd-class measure")
     # q*q is an even walk: the sign diagram's -1 squares to the 1 the fold removes
-    squared = group_blocks((beta * beta, m) for beta, m in spec_sn.blocks)
-    spec_an = Spectrum(q.n, "an", q.name, alternating_blocks(squared))
-    rows = spectrum_profile(spec_an, mode, times, prec)
-    return rows + spectrum_profile(spec_sn, mode, times, prec)
+    squared = group_blocks((beta * beta, m) for beta, m in blocks)
+    rows = spectrum_profile(alternating_blocks(squared), "an", mode, times, prec)
+    return rows + spectrum_profile(blocks, "sn", mode, times, prec)

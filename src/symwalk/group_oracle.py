@@ -404,12 +404,17 @@ _ORACLE_CONTINUOUS_T = (0.5, 1.0, 2.0, 4.0)
 _ORACLE_TOL = 1e-8
 
 
-def oracle_checks(n: int, prec: int) -> list[bounds.BoundReport]:
-    """One ``oracle:<walk>`` report for every walk of ORACLE_WALKS that fits
-    S_n; n is checked before any measure or convolution is made."""
+def check_oracle_n(n: int) -> None:
+    """Raise unless the oracle suite runs at n: 2 <= n <= MAX_DENSE_N."""
     if n < 2:
         raise ValueError(f"--n must be at least 2 for the oracle suite, got {n}")
     _guard(n, MAX_DENSE_N, "oracle verification")
+
+
+def oracle_checks(n: int, prec: int) -> list[bounds.BoundReport]:
+    """One ``oracle:<walk>`` report for every walk of ORACLE_WALKS that fits
+    S_n; n is checked before any measure or convolution is made."""
+    check_oracle_n(n)
     specs = [(text, walks.WalkSpec.parse(text)) for text in ORACLE_WALKS]
     return [_oracle_check(n, text, spec, prec) for text, spec in specs if sum(spec.cycles) <= n]
 
@@ -429,7 +434,7 @@ def _oracle_check(n: int, text: str, spec: walks.WalkSpec, prec: int) -> bounds.
         spectral += [math.sqrt(float(np.sum(np.exp(-2 * t * (1 - nontrivial)))))
                      for t in _ORACLE_CONTINUOUS_T]
     else:
-        blocks = spectra.spectrum(q, "sn").blocks
+        blocks = spectra.spectrum(q, "sn")
         spectral = distances.l2_curve(blocks, range(len(powers)), "discrete", prec)
         spectral += distances.l2_curve(blocks, _ORACLE_CONTINUOUS_T, "continuous", prec)
     chi2 = [distances.chi_square_of(dist) for dist in powers]

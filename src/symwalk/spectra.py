@@ -8,10 +8,10 @@ block as the scalar beta_lambda = hold + (1 - hold) chi_lambda(C)/d_lambda,
 with multiplicity d_lambda^2.  Eigenvalues are kept as exact rationals all
 the way; only the distance evaluation layer converts to reals.
 
-Many diagrams share an eigenvalue, so a ``Spectrum`` is the nontrivial
-part grouped by distinct eigenvalue (``Spectrum.blocks``), which is what
-the distance layer sums over.  ``spectrum`` makes one pass over the
-diagrams, keyed by the integer content numerator of
+Many diagrams share an eigenvalue, so a spectrum is its ``Blocks``: the
+nontrivial part grouped by distinct eigenvalue, (beta_b, m_b) pairs that
+the distance layer sums over and that carry no walk name.  ``spectrum``
+makes one pass over the diagrams, keyed by the integer content numerator of
 ``characters.class_numerator`` when C is one short cycle (rt, class:2/3/4,
 lazy) and by the Murnaghan-Nakayama ratio otherwise, then one Fraction per
 block.  ``diagram_eigenvalues`` yields the Murnaghan-Nakayama S_n rows one
@@ -67,7 +67,6 @@ class ClassMeasure:
     n: int
     cycles: CycleType
     hold: Fraction = Fraction(0)
-    name: str = "walk"
 
     def __post_init__(self) -> None:
         if check_cycle_type(self.cycles) != self.cycles or sum(self.cycles) != self.n:
@@ -118,17 +117,6 @@ def group_blocks(pairs: Iterable[tuple[Fraction, Fraction | int]]) -> Blocks:
     return tuple(blocks)
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """The nontrivial eigenvalues of a walk on S_n or A_n, grouped by
-    distinct eigenvalue (every diagram but the trivial lambda = (n))."""
-
-    n: int
-    group: str  # "sn" | "an"
-    name: str
-    blocks: Blocks
-
-
 def diagram_eigenvalues(q: ClassMeasure) -> Iterator[tuple[Partition, Fraction, int]]:
     """(lambda, beta_lambda, d_lambda^2) for every diagram lambda of n, on S_n,
     by Murnaghan-Nakayama: the reference ``spectrum`` is checked against."""
@@ -144,8 +132,8 @@ def alternating_blocks(blocks: Blocks) -> Blocks:
     return group_blocks((beta, Fraction(m, 2)) for beta, m in without_sign)
 
 
-def spectrum(q: ClassMeasure, group: str = "sn") -> Spectrum:
-    """The grouped spectrum of q on S_n or A_n, without lambda = (n).
+def spectrum(q: ClassMeasure, group: str = "sn") -> Blocks:
+    """The blocks of q on S_n or A_n, every diagram but lambda = (n).
 
     One pass over the diagrams sums d_lambda^2 per key: the content
     numerator (n)_k chi_lambda/d_lambda when q steps by one k-cycle, k <= 4
@@ -175,6 +163,4 @@ def spectrum(q: ClassMeasure, group: str = "sn") -> Spectrum:
         totals[key] = totals.get(key, 0) + dim * dim
     slope = Fraction(1 - q.hold, math.perm(n, k) if content else 1)
     blocks = tuple((q.hold + slope * key, m) for key, m in totals.items())
-    if group == "an":
-        blocks = alternating_blocks(blocks)
-    return Spectrum(n, group, q.name, blocks)
+    return alternating_blocks(blocks) if group == "an" else blocks

@@ -35,7 +35,12 @@ SYNTAX = {"rt": "rt", "ttr": "ttr", "ri": "ri",
 _CYCLE_LENGTH = re.compile(r"[1-9][0-9]*")
 # at most three exponent digits: Fraction expands "1e-999999999" to a billion digits
 _EPS_TEXT = re.compile(r"[0-9./]+(?:[eE][+-]?[0-9]{1,3})?")
-_TOKEN_RE = re.compile(r"\d+\.?\d*(?:[eE][+\-]?\d+)?|nlogn|n|[+\-*]")
+# time expressions: greedy tokens (a character that starts none is its own,
+# invalid token), and the token shape they must have, with f a factor: terms
+# of factors joined by juxtaposition or one '*', joined by + or -, each term
+# after any number of minus signs
+_TOKEN_RE = re.compile(r"\d+\.?\d*(?:[eE][+\-]?\d+)?|nlogn|n|[+\-*]|.")
+_TIME_SHAPE = re.compile(r"-*f(?:\*?f)*(?:[+\-]-*f(?:\*?f)*)*")
 #: largest n of a class measure: p(60) = 966,467 diagrams per spectrum build
 MAX_SPECTRAL_N = 60
 
@@ -105,60 +110,44 @@ class WalkSpec:
         0 (class); None for ttr and ri, which are not class measures."""
         if self.kind in ("ttr", "ri"):
             return None
-        if n > MAX_SPECTRAL_N:
-            raise ResourceGuardError(f"class measures are capped at n <= {MAX_SPECTRAL_N}, "
-                                     f"got n = {n}")
+        check_spectral_n(n)
         cycles = self.cycle_type(n)
         hold = Fraction(1, n) if self.kind == "rt" else self.eps or Fraction(0)
-        return ClassMeasure(n, cycles, hold, name=str(self))
+        return ClassMeasure(n, cycles, hold)
+
+
+def check_spectral_n(n: int) -> None:
+    """The cap on class measures, checked before anything of size n is built."""
+    if n > MAX_SPECTRAL_N:
+        raise ResourceGuardError(f"class measures are capped at n <= {MAX_SPECTRAL_N}, "
+                                 f"got n = {n}")
 
 
 def eval_time_expr(expr: str, n: int) -> float:
-    """Evaluate a time expression in the tokens nlogn, n, numbers, + - *.
+    """Evaluate a time expression: signed terms, each a product of the
+    factors nlogn, n and numbers.
 
     Numbers may carry an exponent ("1e3", "2.5E-1").  Juxtaposition
-    multiplies, so "nlogn-3n" and "0.5*nlogn+2" both work.
+    multiplies, so "nlogn-3n" and "0.5*nlogn+2" both work; a '*' stands
+    between two factors, so "2*-3", "3**2" and "5*" are rejected.
     """
     text = expr.replace("−", "-").replace("·", "*").replace(" ", "")
-    pos = 0
-    tokens: list[str] = []
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ValueError(f"cannot parse time expression {expr!r} at {text[pos:]!r}")
-        tokens.append(m.group())
-        pos = m.end()
-
-    def value_of(tok: str) -> float:
-        if tok == "n":
-            return float(n)
-        if tok == "nlogn":
-            return n * math.log(n)
-        return float(tok)
-
-    # fold juxtaposition into explicit products, then evaluate + and - over products
-    total = 0.0
-    sign = 1.0
-    product: float | None = None
-    for tok in tokens:
-        if tok in "+-":
-            if product is None:
-                if tok == "-":
-                    sign = -sign
-                    continue
-                raise ValueError(f"misplaced operator in {expr!r}")
+    tokens = _TOKEN_RE.findall(text)
+    shape = "".join(t if t in "+-*" else "f" if t[0] in "0123456789n" else "?" for t in tokens)
+    if not _TIME_SHAPE.fullmatch(shape):
+        raise ValueError(f"cannot parse time expression {expr!r}")
+    total, sign, product, previous = 0.0, 1.0, 1.0, "+"
+    for tok in tokens + ["+"]:  # the closing "+" ends the last term
+        if tok in "+-" and previous not in "+-":
             total += sign * product
-            product = None
-            sign = 1.0 if tok == "+" else -1.0
-        elif tok == "*":
-            if product is None:
-                raise ValueError(f"misplaced '*' in {expr!r}")
-        else:
-            v = value_of(tok)
-            product = v if product is None else product * v
-    if product is None:
-        raise ValueError(f"empty time expression {expr!r}")
-    value = total + sign * product
-    if not math.isfinite(value):
+            sign, product = 1.0, 1.0
+        if tok == "-":
+            sign = -sign
+        elif tok == "nlogn":
+            product *= n * math.log(n)
+        elif tok not in "+*":
+            product *= float(n if tok == "n" else tok)
+        previous = tok
+    if not math.isfinite(total):
         raise ValueError(f"time expression {expr!r} is not finite")
-    return value
+    return total

@@ -18,6 +18,7 @@ from symwalk.bounds import (
     ttr_bound_spectrum,
 )
 from symwalk.distances import DEFAULT_PREC, chi_square_of, l2_continuous, l2_discrete
+from symwalk.errors import ResourceGuardError
 from symwalk.spectra import spectrum
 
 
@@ -108,6 +109,17 @@ def test_range_guards():
         rt_discrete_terms(13)
     with pytest.raises(ValueError):
         rt_continuous_terms(9)
+
+
+def test_bound_sums_are_capped_before_any_weight(monkeypatch):
+    def no_weight(n, j):
+        raise AssertionError("weight computed past the cap")
+
+    monkeypatch.setattr(bounds, "lemma_weight", no_weight)
+    n = bounds.MAX_BOUND_N + 1
+    for build in (rt_discrete_terms, rt_continuous_terms, ttr_bound_spectrum):
+        with pytest.raises(ResourceGuardError, match=f"n <= {bounds.MAX_BOUND_N}, got n = {n}$"):
+            build(n)
 
 
 LEMMA_ACCURACY_NS = (10, 14, 17, 31, 64, 100)
@@ -213,10 +225,10 @@ def test_ttr_bound_blocks_match_definitional_sum():
     for n in (5, 17, 60, 200):
         spec = ttr_bound_spectrum(n)
         falling = [math.factorial(n) // math.factorial(n - j) for j in range(n)]
-        assert spec.blocks == tuple(
+        assert spec == tuple(
             (Fraction(n - j, n), Fraction(falling[j] ** 2, math.factorial(j))) for j in range(1, n)
         )
-        assert all(type(m) is int for _, m in spec.blocks)
+        assert all(type(m) is int for _, m in spec)
         for t in (0, 1, n, math.ceil(n * (math.log(n) + 1))):
             for mode in ("discrete", "continuous"):
                 ref = definitional_ttr_sum(n, t, mode)
@@ -247,13 +259,13 @@ def test_ttr_continuous_bound_sum():
 
 
 def test_theorem_bound_reports():
-    rep = theorem_bounds("rt_discrete", 20, [0.0])[0]
+    rep = theorem_bounds("rt-discrete", 20, [0.0])[0]
     assert isinstance(rep, BoundReport) and rep.passed
     assert rep.as_dict()["pass"] is True
     assert theorem_bounds("ttr", 30, [1.0])[0].passed
-    assert theorem_bounds("rt_continuous", 15, [2.0])[0].passed
-    assert theorem_bounds("four_cycle", 11, [2.0])[0].passed
-    assert theorem_bounds("random_insertion", 12, [2.0])[0].passed
+    assert theorem_bounds("rt-continuous", 15, [2.0])[0].passed
+    assert theorem_bounds("four-cycle", 11, [2.0])[0].passed
+    assert theorem_bounds("random-insertion", 12, [2.0])[0].passed
 
 
 def test_theorem_sweep_builds_one_spectrum_per_n(monkeypatch):
@@ -265,7 +277,7 @@ def test_theorem_sweep_builds_one_spectrum_per_n(monkeypatch):
 
     monkeypatch.setattr(bounds, "spectrum", counting_spectrum)
     for n in (15, 16):
-        reports = theorem_bounds("rt_discrete", n, [0.0, 1.0, 2.0])
+        reports = theorem_bounds("rt-discrete", n, [0.0, 1.0, 2.0])
         assert [r.c for r in reports] == [0.0, 1.0, 2.0]
         assert all(r.passed for r in reports)
     assert built == [15, 16]
@@ -278,32 +290,32 @@ def verdicts(reports):
 def test_theorem_bounds_equal_one_c_at_a_time():
     # one l2 evaluation over every threshold gives the per-c verdicts bit for bit
     for walk, n, cs in (
-        ("rt_discrete", 15, [0.0, 1.0, 2.5]),
+        ("rt-discrete", 15, [0.0, 1.0, 2.5]),
         ("ttr", 1, [0.0, 3.0]),
         ("ttr", 30, [0.0, 0.5, 2.0]),
-        ("rt_continuous", 12, [2.0, 3.0, 4.0]),
-        ("four_cycle", 11, [2.0, 2.25]),
-        ("random_insertion", 10, [2.0, 5.0]),
+        ("rt-continuous", 12, [2.0, 3.0, 4.0]),
+        ("four-cycle", 11, [2.0, 2.25]),
+        ("random-insertion", 10, [2.0, 5.0]),
     ):
         for prec in (DEFAULT_PREC, 256):
             single = [theorem_bounds(walk, n, [c], prec)[0] for c in cs]
             assert verdicts(theorem_bounds(walk, n, cs, prec)) == verdicts(single), (walk, n)
     with pytest.raises(ValueError):
-        theorem_bounds("rt_discrete", 15, [0.0, -1.0])
+        theorem_bounds("rt-discrete", 15, [0.0, -1.0])
 
 
 def test_theorem_bound_range_checks():
     for walk, n, c in (
-        ("rt_discrete", 14, 0.0),
-        ("rt_continuous", 9, 2.0),
-        ("rt_continuous", 12, 1.0),
-        ("four_cycle", 10, 2.0),
+        ("rt-discrete", 14, 0.0),
+        ("rt-continuous", 9, 2.0),
+        ("rt-continuous", 12, 1.0),
+        ("four-cycle", 10, 2.0),
         ("ttr", 5, -1.0),
-        ("random_insertion", 9, 2.0),
-        ("rt_continuous", 12, math.nan),
+        ("random-insertion", 9, 2.0),
+        ("rt-continuous", 12, math.nan),
         ("ttr", 5, math.inf),
-        ("rt_discrete", 15, float("1e400")),
-        ("rt_continuous", 12, math.inf),
+        ("rt-discrete", 15, float("1e400")),
+        ("rt-continuous", 12, math.inf),
     ):
         with pytest.raises(ValueError):
             theorem_bounds(walk, n, [c])

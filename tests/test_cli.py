@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import symwalk
-from symwalk import cli, montecarlo, spectra, walks
+from symwalk import bounds, cli, montecarlo, spectra, walks
 from symwalk.montecarlo import MAX_SIMULATE_N
 
 GOLDEN_RT5_ROWS = [
@@ -45,6 +46,10 @@ def test_eval_time_expr():
         walks.eval_time_expr("n^2", 5)
     with pytest.raises(ValueError):
         walks.eval_time_expr("", 5)
+    # a '*' that is not followed by a factor is rejected, not skipped
+    for bad in ("2*-3", "n*-1+20", "3**2", "5*"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            walks.eval_time_expr(bad, 5)
 
 
 def test_eval_time_expr_exponent_literals():
@@ -57,8 +62,9 @@ def test_eval_time_expr_exponent_literals():
 
 
 def test_parse_range():
-    assert cli.parse_range("15..18") == [15, 16, 17, 18]
-    assert cli.parse_range("7") == [7]
+    assert list(cli.parse_range("15..18")) == [15, 16, 17, 18]
+    assert list(cli.parse_range("7")) == [7]
+    assert len(cli.parse_range("1..1000000000")) == 10**9  # a range, not a list
     with pytest.raises(ValueError):
         cli.parse_range("9..5")
     with pytest.raises(ValueError, match="not of the form a..b"):
@@ -546,6 +552,72 @@ def test_spectral_size_cap_is_resource_guard(argv, tmp_path, capsys, monkeypatch
     assert err == ("symwalk: resource guard: class measures are capped at "
                    f"n <= {walks.MAX_SPECTRAL_N}, got n = {argv[argv.index('--n') + 1]}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [(["verify", "--suite", "rt-discrete", "--n", "50..61"],
+      f"class measures are capped at n <= {walks.MAX_SPECTRAL_N}, got n = 61"),
+     (["verify", "--suite", "oracle", "--n", "2..7"],
+      "oracle verification is capped at n <= 6, got n = 7"),
+     (["verify", "--suite", "ttr", "--n", "1..1000000000"],
+      f"bound sums are capped at n <= {bounds.MAX_BOUND_N}, got n = 1000000000")],
+)
+def test_verify_checks_the_whole_range_before_any_work(argv, err, tmp_path, capsys,
+                                                       monkeypatch):
+    # the top of the range is checked before the first n is worked on
+    from symwalk import group_oracle
+
+    def no_work(*args):
+        raise AssertionError("work done before the range was checked")
+
+    monkeypatch.setattr(spectra, "partitions", no_work)
+    monkeypatch.setattr(group_oracle, "convolution_powers_upto", no_work)
+    monkeypatch.setattr(bounds, "lemma_weight", no_work)
+    out = tmp_path / "x.json"
+    started = time.perf_counter()
+    assert run(["--threads", "1"] + argv + ["--out", str(out)]) == cli.EXIT_RESOURCE
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == f"symwalk: resource guard: {err}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["profile", "--walk", "ttr-bound", "--n", "2001", "--t-grid", "1"],
+     ["verify", "--suite", "ttr", "--n", "2001"],
+     ["verify", "--suite", "lemmas", "--n", "2001"],
+     ["verify", "--suite", "lemmas", "--n", "14..5000"]],
+)
+def test_bound_sum_cap_is_resource_guard(argv, tmp_path, capsys, monkeypatch):
+    # the cap runs before any factorial weight of a bound sum or term table
+    def no_weight(n, j):
+        raise AssertionError("weight computed past the bound-sum cap")
+
+    monkeypatch.setattr(bounds, "lemma_weight", no_weight)
+    out = tmp_path / "x.out"
+    started = time.perf_counter()
+    assert run(["--threads", "1"] + argv + ["--out", str(out)]) == cli.EXIT_RESOURCE
+    assert time.perf_counter() - started < 1.0
+    n = argv[argv.index("--n") + 1].split("..")[-1]
+    assert capsys.readouterr().err == ("symwalk: resource guard: bound sums are capped at "
+                                       f"n <= {bounds.MAX_BOUND_N}, got n = {n}\n")
+    assert not out.exists()
+
+
+def least_n(suite):
+    if suite == "lemmas":
+        return min(min_n for _, min_n, _ in bounds.LEMMAS)
+    return 2 if suite == "oracle" else bounds.THEOREMS[suite].min_n
+
+
+@pytest.mark.parametrize("suite", cli.SUITES)
+def test_every_suite_runs_at_its_least_n(suite, tmp_path):
+    out = tmp_path / "x.json"
+    argv = ["--threads", "1", "verify", "--suite", suite, "--n", str(least_n(suite)),
+            "--out", str(out)]
+    assert run(argv) in (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED)
+    assert json.loads(out.read_text())["results"]
 
 
 def test_simulate_manifest_records_stream_version(tmp_path):

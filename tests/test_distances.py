@@ -236,11 +236,11 @@ def test_log10_d2_sq_float_is_correctly_rounded():
     for n in (5, 60, 200):
         for mode in ("discrete", "continuous"):
             times = cli._time_grid("auto", n, "ttr-bound", mode)
-            for row in spectrum_profile(ttr_bound_spectrum(n), mode, times):
+            for row in spectrum_profile(ttr_bound_spectrum(n), "sn", mode, times):
                 with mp.workprec(256):
                     reference = float(2 * mp.log10(row.d2))
                 assert float(row.log10_d2_sq) == reference, (n, mode, row.t)
-    assert ProfileRow("x", "sn", 2, 1, mp.mpf(0)).log10_d2_sq == mp.mpf("-inf")
+    assert ProfileRow("sn", 1, mp.mpf(0)).log10_d2_sq == mp.mpf("-inf")
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +293,7 @@ def check_profile(q, group, mode, pairs, times, label):
     rows = [r for r in class_walk_profile(q, group, mode, times) if r.group == label]
     assert [r.t for r in rows] == list(times)
     for row in rows:
-        assert_close(row.d2, per_partition_l2(pairs, row.t, mode), (q.name, group, mode, row.t))
+        assert_close(row.d2, per_partition_l2(pairs, row.t, mode), (q, group, mode, row.t))
 
 
 def test_blocks_group_integer_multiplicities():
@@ -303,13 +303,13 @@ def test_blocks_group_integer_multiplicities():
     for q, group in cases:
         spec = spectrum(q, group)
         order = math.factorial(q.n) // (2 if group == "an" else 1)
-        betas = [beta for beta, _ in spec.blocks]
+        betas = [beta for beta, _ in spec]
         assert len(betas) == len(set(betas)) <= len(nontrivial_pairs(q, group))
-        assert all(type(m) is int and m > 0 for _, m in spec.blocks)
-        assert sum(m for _, m in spec.blocks) == order - 1
+        assert all(type(m) is int and m > 0 for _, m in spec)
+        assert sum(m for _, m in spec) == order - 1
     for n in (4, 7, 9):
         for cls in (2, 4):
-            blocks = spectrum(measure(f"class:{cls}", n)).blocks
+            blocks = spectrum(measure(f"class:{cls}", n))
             folded = alternating_blocks(tuple((beta * beta, m) for beta, m in blocks))
             assert all(type(m) is int and m > 0 for _, m in folded)
             assert sum(m for _, m in folded) == math.factorial(n) // 2 - 1
@@ -356,7 +356,7 @@ def test_grouped_matches_exact_rationals_for_small_n():
             check_profile(q, group, "discrete", pairs, times, group)
             if q.even_support and group == "sn":
                 check_profile(q, "an", "discrete", nontrivial_pairs(q, "an"), times, "an")
-            if not q.even_support and q.name.startswith("class:"):
+            if not q.even_support and not q.hold:  # a pure odd class
                 pairs = squared_walk_pairs(q)
                 check_profile(q, "an", "discrete", pairs, times, "an")
 
@@ -377,10 +377,10 @@ def test_discrete_times_must_be_integers():
 # ---------------------------------------------------------------------------
 
 ACCURACY_SPECTRA = {
-    "rt": lambda: spectrum(measure("rt", 9)).blocks,
-    "class:3": lambda: spectrum(measure("class:3", 8), "an").blocks,
-    "lazy:3:1/2": lambda: spectrum(measure("lazy:3:1/2", 8), "an").blocks,
-    "ttr-bound": lambda: ttr_bound_spectrum(10).blocks,
+    "rt": lambda: spectrum(measure("rt", 9)),
+    "class:3": lambda: spectrum(measure("class:3", 8), "an"),
+    "lazy:3:1/2": lambda: spectrum(measure("lazy:3:1/2", 8), "an"),
+    "ttr-bound": lambda: ttr_bound_spectrum(10),
     "beta=0": lambda: ((Fraction(1, 2), 5), (Fraction(0), 3), (Fraction(-1, 3), 7)),
     "beta=-1": lambda: ((Fraction(-1), 1), (Fraction(1, 3), 4), (Fraction(2, 3), 2)),
 }
@@ -447,7 +447,7 @@ def test_l2_curve_exp_calls_do_not_grow_with_blocks(monkeypatch):
     monkeypatch.setattr(mp, "exp", counting(mp.exp))
     times = [0.5, 3, 0.5, 7.25, 3]
     for n in (6, 12, 16):
-        blocks = spectrum(measure("rt", n)).blocks
+        blocks = spectrum(measure("rt", n))
         calls.clear()
         l2_curve(blocks, times, "continuous", 128)
         assert 0 < len(calls) <= len(set(times)), n

@@ -37,7 +37,7 @@ def test_rt_measure_weights():
 
 def test_uniform_class_measure():
     q = measure("class:1,1,1,1,1,1,1,4", 11)
-    assert (q.n, q.cycles, q.hold, q.name) == (11, (4,) + (1,) * 7, 0, "class:4")
+    assert (q.n, q.cycles, q.hold) == (11, (4,) + (1,) * 7, 0)
     assert not q.even_support  # 4-cycles are odd
     assert measure("class:3", 5).even_support
     with pytest.raises(ValueError):
@@ -46,7 +46,7 @@ def test_uniform_class_measure():
 
 def test_lazy_class_measure():
     q = measure("lazy:3:1/2", 5)
-    assert (q.n, q.cycles, q.hold, q.name) == (5, (3, 1, 1), Fraction(1, 2), "lazy:3:1/2")
+    assert (q.n, q.cycles, q.hold) == (5, (3, 1, 1), Fraction(1, 2))
     assert q.even_support  # holding is the even identity
     for eps in ("0", "1", "3/2"):
         with pytest.raises(ValueError):
@@ -99,7 +99,7 @@ def test_spectrum_sn():
 
 def test_spectrum_an():
     q = measure("class:3", 5)
-    blocks = spectrum(q, "an").blocks
+    blocks = spectrum(q, "an")
     assert sum(m for _, m in blocks) == 59
     assert all(type(m) is int and m > 0 for _, m in blocks)
     with pytest.raises(ValueError):
@@ -137,8 +137,8 @@ def test_spectrum_blocks_equal_murnaghan_nakayama_blocks():
             walks.append(measure("lazy:5:1/2", n))
         for q in walks:
             for group in ("sn", "an") if q.even_support else ("sn",):
-                blocks = spectrum(q, group).blocks
-                assert blocks == mn_blocks(q, group), (q.name, n, group)
+                blocks = spectrum(q, group)
+                assert blocks == mn_blocks(q, group), (q, n, group)
                 assert all(type(beta) is Fraction and type(m) is int for beta, m in blocks)
 
 
@@ -172,7 +172,7 @@ def test_spectrum_build_leaves_partition_tables_unchanged():
 
 def count_top_eigenvalues(q, group="sn"):
     """Multiplicity of the eigenvalue 1, the trivial block included."""
-    return 1 + sum(m for beta, m in spectrum(q, group).blocks if beta == 1)
+    return 1 + sum(m for beta, m in spectrum(q, group) if beta == 1)
 
 
 def test_unique_top_eigenvalue_for_generating_classes():
@@ -187,7 +187,7 @@ def test_unique_top_eigenvalue_for_generating_classes():
 def expanded_eigenvalues(spec):
     """Every eigenvalue of the walk operator, the trivial 1 included, descending."""
     expanded = [1.0]
-    for beta, m in spec.blocks:
+    for beta, m in spec:
         expanded.extend([float(beta)] * m)
     return np.array(sorted(expanded, reverse=True))
 

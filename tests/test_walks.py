@@ -64,11 +64,11 @@ def test_str_is_the_canonical_walk_string():
 
 def test_class_measure():
     assert WalkSpec.parse("rt").class_measure(6) == ClassMeasure(
-        6, (2, 1, 1, 1, 1), Fraction(1, 6), name="rt")
+        6, (2, 1, 1, 1, 1), Fraction(1, 6))
     assert WalkSpec.parse("class:3,1").class_measure(6) == ClassMeasure(
-        6, (3, 1, 1, 1), name="class:3")
+        6, (3, 1, 1, 1))
     assert WalkSpec.parse("lazy:3:0.5").class_measure(6) == ClassMeasure(
-        6, (3, 1, 1, 1), Fraction(1, 2), name="lazy:3:1/2")
+        6, (3, 1, 1, 1), Fraction(1, 2))
     assert WalkSpec.parse("ttr").class_measure(6) is None
     assert WalkSpec.parse("ri").class_measure(6) is None
     with pytest.raises(ValueError, match=r"does not fit in S_1$"):
