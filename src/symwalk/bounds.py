@@ -46,17 +46,36 @@ from mpmath.libmp import (
 from .distances import DEFAULT_PREC, _positive_sum, _working_prec, l2_curve
 from .errors import ResourceGuardError
 from .spectra import Blocks, spectrum
-from .walks import WalkSpec, check_spectral_n
+from .walks import WalkSpec, check_spectral_sweep
 
 #: largest n of a bound sum or lemma term table: their cost grows faster
 #: than n^2, and n = 2000 takes about a second
 MAX_BOUND_N = 2000
+#: most work, summed n^2 over the --n range, that a sweep of bound sums or
+#: term tables does: ten tables at MAX_BOUND_N
+MAX_BOUND_SWEEP = 10 * MAX_BOUND_N**2
 
 
 def check_bound_n(n: int) -> None:
     """The cap on bound sums and term tables, checked before any weight."""
     if n > MAX_BOUND_N:
         raise ResourceGuardError(f"bound sums are capped at n <= {MAX_BOUND_N}, got n = {n}")
+
+
+def check_bound_sweep(ns: range) -> None:
+    """The caps on a sweep of bound sums or term tables over the non-empty
+    range ``ns`` of positive n: the largest n within MAX_BOUND_N, then the
+    work, counted as the sum of n^2 over ``ns``, within MAX_BOUND_SWEEP.
+    Both are checked before any weight."""
+    check_bound_n(ns[-1])
+
+    def squares(m: int) -> int:  # 1^2 + ... + m^2
+        return m * (m + 1) * (2 * m + 1) // 6
+
+    work = squares(ns[-1]) - squares(ns[0] - 1)
+    if work > MAX_BOUND_SWEEP:
+        raise ResourceGuardError(f"bound-sum sweeps are capped at {MAX_BOUND_SWEEP} "
+                                 f"(the sum of n^2 over --n), got {work}")
 
 
 def lemma_weight(n: int, j: int) -> int:
@@ -271,10 +290,10 @@ class BoundReport:
         return out
 
 
-# One row per theorem, keyed by its verify suite: least n, the cap on n of its
-# blocks, least c, threshold time, the blocks at n, distance at each threshold
-# of a list, guaranteed constant.  Evaluators look distance functions up at
-# call time.
+# One row per theorem, keyed by its verify suite: least n, the caps on a sweep
+# of its blocks over a range of n, least c, threshold time, the blocks at n,
+# distance at each threshold of a list, guaranteed constant.  Evaluators look
+# distance functions up at call time.
 Theorem = namedtuple("Theorem", "min_n cap min_c threshold source evaluate guaranteed")
 
 
@@ -289,45 +308,47 @@ def _rt_spectrum(n: int) -> Blocks:
 THEOREMS = {
     # d2(q_rt^(t), u) <= 2 e^-c at t = ceil((n/2)(log n + c))
     "rt-discrete": Theorem(
-        15, check_spectral_n, 0, lambda n, c: math.ceil(_rt_time(n, c)), _rt_spectrum,
+        15, check_spectral_sweep, 0, lambda n, c: math.ceil(_rt_time(n, c)), _rt_spectrum,
         lambda blocks, ts, prec: l2_curve(blocks, ts, "discrete", prec),
         lambda c: 2 * mp.exp(-c)),
     # d2(h_rt,t, u) <= e^-(c-2) at t = (n/2)(log n + c)
     "rt-continuous": Theorem(
-        10, check_spectral_n, 2, _rt_time, _rt_spectrum,
+        10, check_spectral_sweep, 2, _rt_time, _rt_spectrum,
         lambda blocks, ts, prec: l2_curve(blocks, ts, "continuous", prec),
         lambda c: mp.exp(-(c - 2))),
     # bound sum on d2^2 <= 2 e^-2c at t = ceil(n(log n + c))
     "ttr": Theorem(
-        1, check_bound_n, 0, lambda n, c: math.ceil(n * (math.log(n) + c)), ttr_bound_spectrum,
+        1, check_bound_sweep, 0, lambda n, c: math.ceil(n * (math.log(n) + c)),
+        ttr_bound_spectrum,
         lambda blocks, ts, prec: [d ** 2 for d in l2_curve(blocks, ts, "discrete", prec)],
         lambda c: 2 * mp.exp(-2 * c)),
     # d2(h_c4,t, u) <= e^-(c-2) at the same threshold
     "four-cycle": Theorem(
-        11, check_spectral_n, 2, _rt_time,
+        11, check_spectral_sweep, 2, _rt_time,
         lambda n: spectrum(WalkSpec("class", (4,)).class_measure(n)),
         lambda blocks, ts, prec: l2_curve(blocks, ts, "continuous", prec),
         lambda c: mp.exp(-(c - 2))),
     # d2(q_ri^(t), u)^2 <= e^-(c-2) at t = 2n(log n + c), through the Dirichlet
     # comparison as d2(h_rt, t/4)^2
     "random-insertion": Theorem(
-        10, check_spectral_n, 2, lambda n, c: 2 * n * (math.log(n) + c), _rt_spectrum,
+        10, check_spectral_sweep, 2, lambda n, c: 2 * n * (math.log(n) + c), _rt_spectrum,
         lambda blocks, ts, prec: [
             d ** 2 for d in l2_curve(blocks, [t / 4 for t in ts], "continuous", prec)],
         lambda c: mp.exp(-(c - 2))),
 }
 
 
-def check_theorem(walk: str, n: int, cs=None) -> tuple[Theorem, list[float]]:
+def check_theorem(walk: str, ns: range, cs=None) -> tuple[Theorem, list[float]]:
     """The row of ``walk`` in THEOREMS and its c list (default: the least c
-    and the next two), once n, every c and the cap of its blocks are checked."""
+    and the next two), once the least n of the non-empty range ``ns``, every
+    c and the caps on a sweep of its blocks over ``ns`` are checked."""
     theorem = THEOREMS.get(walk)
     if theorem is None:
         raise ValueError(f"unknown bound {walk!r}")
     cs = [float(theorem.min_c + k) for k in range(3)] if cs is None else list(cs)
-    if n < theorem.min_n or not all(math.isfinite(c) and c >= theorem.min_c for c in cs):
+    if ns[0] < theorem.min_n or not all(math.isfinite(c) and c >= theorem.min_c for c in cs):
         raise ValueError(f"{walk} needs n >= {theorem.min_n} and a finite c >= {theorem.min_c}")
-    theorem.cap(n)
+    theorem.cap(ns)
     return theorem, cs
 
 
@@ -335,7 +356,7 @@ def theorem_bounds(walk: str, n: int, cs=None, prec: int = DEFAULT_PREC) -> list
     """Exact distance (or bound sum) at a theorem's time threshold vs its
     constant, for every c of ``cs`` (see ``check_theorem``): one set of
     blocks and one evaluation of its l2 curve over all thresholds."""
-    theorem, cs = check_theorem(walk, n, cs)
+    theorem, cs = check_theorem(walk, range(n, n + 1), cs)
     name = walk.replace("-", "_")  # verdict rows say rt_discrete, four_cycle, ...
     with mp.workprec(prec):
         times = [theorem.threshold(n, c) for c in cs]
@@ -363,17 +384,18 @@ LEMMAS = (
 )
 
 
-def check_lemma_n(n: int) -> None:
-    """Raise unless some lemma is stated at n and its tables are within the cap."""
+def check_lemma_ns(ns: range) -> None:
+    """Raise unless some lemma is stated at every n of the non-empty range
+    ``ns`` and a sweep of their tables over ``ns`` is within the caps."""
     least = min(min_n for _, min_n, _ in LEMMAS)
-    if n < least:
+    if ns[0] < least:
         raise ValueError(f"the lemmas are stated for n >= {least}")
-    check_bound_n(n)
+    check_bound_sweep(ns)
 
 
 def lemma_checks(n: int, prec: int = DEFAULT_PREC) -> list[BoundReport]:
     """Every lemma stated at ``n``, building one term table per family."""
-    check_lemma_n(n)
+    check_lemma_ns(range(n, n + 1))
     out = []
     with mp.workprec(prec):
         for family, min_n, lemmas in LEMMAS:

@@ -15,9 +15,9 @@ bits) or an output path that cannot be written, 3 resource guard tripped,
 4 internal error (an unexpected exception, reported on one stderr line).
 SYMWALK_THREADS overrides --threads.
 
-Layering: profiles and the spectral sweeps import only the spectral
-layers; the oracle suite and ``simulate`` each load their module
-(``group_oracle``, ``montecarlo``) through one lazy import.
+Layering: profiles (ttr and ri included) and the spectral sweeps import
+only the spectral layers; the oracle suite and ``simulate`` each load
+their module (``group_oracle``, ``montecarlo``) through one lazy import.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ MIN_PRECISION = 53
 MAX_PRECISION = 4096
 
 SUITES = (*bounds.THEOREMS, "lemmas", "oracle")
-PROFILE_KINDS = ("rt", "ttr-bound", "class", "lazy")
+PROFILE_KINDS = ("rt", "ttr", "ri", "ttr-bound", "class", "lazy")
 PROFILE_WALKS = walks.syntax(*PROFILE_KINDS)
 
 
@@ -131,7 +131,8 @@ def parse_range(text: str) -> range:
 def _time_grid(spec_text: str, n: int, walk: str, mode: str) -> list[float]:
     if spec_text != "auto":
         return [walks.eval_time_expr(tok, n) for tok in spec_text.split(",")]
-    t_ref = n * (math.log(n) + 2) if walk == "ttr-bound" else (n / 2) * (math.log(n) + 2)
+    scale = n if walk in ("ttr", "ttr-bound") else n / 2
+    t_ref = scale * (math.log(n) + 2)
     top = 1.3 * t_ref
     if mode == "discrete":
         grid = sorted({int(round(top * i / 24)) for i in range(25)})
@@ -159,10 +160,15 @@ def cmd_profile(args) -> int:
     else:
         spec = walks.WalkSpec.parse(args.walk, kinds=PROFILE_KINDS)
         walk = str(spec)
-        q = spec.class_measure(n)
-        if spec.kind == "rt" and args.group != "sn":
-            raise ValueError("the random transposition walk lives on S_n")
-        rows = distances.class_walk_profile(q, args.group, args.mode, times, prec)
+        if spec.kind in ("ttr", "ri"):
+            times = distances.check_times(times, args.mode)  # before the build
+            rows = distances.spectrum_profile(
+                spec.blocks(n, args.group), "sn", args.mode, times, prec)
+        else:
+            q = spec.class_measure(n)
+            if spec.kind == "rt" and args.group != "sn":
+                raise ValueError("the random transposition walk lives on S_n")
+            rows = distances.class_walk_profile(q, args.group, args.mode, times, prec)
 
     manifest = RunManifest(
         "profile",
@@ -208,16 +214,19 @@ def cmd_profile(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _suite_check(suite: str, n: int, cs) -> None:
-    """The check that the suite's task at n runs before any work."""
+def _suite_check(suite: str, ns: range, cs) -> None:
+    """The suite's check of the whole ``--n`` range, run before any work:
+    the least and largest n, and for the bound-sum and spectral suites the
+    summed work over the range (``bounds.check_bound_sweep``,
+    ``walks.check_spectral_sweep``)."""
     if suite == "lemmas":
-        bounds.check_lemma_n(n)
+        bounds.check_lemma_ns(ns)
     elif suite == "oracle":
-        from .group_oracle import check_oracle_n
+        from .group_oracle import check_oracle_ns
 
-        check_oracle_n(n)
+        check_oracle_ns(ns)
     else:
-        bounds.check_theorem(suite, n, cs)
+        bounds.check_theorem(suite, ns, cs)
 
 
 def _suite_task(payload) -> list[bounds.BoundReport]:
@@ -262,8 +271,7 @@ def cmd_verify(args) -> int:
     if args.c is not None and args.suite in ("lemmas", "oracle"):
         raise ValueError(f"--c applies to the theorem suites only, not to {args.suite}")
     cs = None if args.c is None else [float(x) for x in args.c.split(",")]
-    for n in (ns[0], ns[-1]):  # each suite's limits are an interval in n
-        _suite_check(args.suite, n, cs)
+    _suite_check(args.suite, ns, cs)
     threads = args.effective_threads
     workers = worker_count(threads, len(ns), _usable_cpus())
     tasks = [(args.suite, n, cs, args.precision) for n in ns]

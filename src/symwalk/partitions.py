@@ -8,12 +8,15 @@ sits in row i (from the top) and column j (from the left).
 All dimension arithmetic is exact: d_lambda is computed from the beta
 numbers l_i = lambda_i + len(lambda) - i as n! prod_{i<j} (l_i - l_j) /
 prod_i l_i! using Python integers, never floats.  The hook lengths stay
-as the reference the tests check it against.
+as the reference the tests check it against.  Removing one box moves one
+bead down by one, and ``removal_ratio`` prices that move as the exact
+ratio of the two dimensions without computing either.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -58,6 +61,21 @@ def partitions(n: int) -> Iterator[Partition]:
         parts.extend([size] * full)
         if rest:
             parts.append(rest)
+
+
+def partition_counts(m: int) -> list[int]:
+    """[p(0), p(1), ..., p(m)] by Euler's pentagonal-number recurrence,
+    without enumerating a partition."""
+    counts = [1] + [0] * m
+    for k in range(1, m + 1):
+        j = 1
+        while j * (3 * j - 1) // 2 <= k:
+            sign = 1 if j % 2 else -1
+            counts[k] += sign * counts[k - j * (3 * j - 1) // 2]
+            if j * (3 * j + 1) // 2 <= k:
+                counts[k] += sign * counts[k - j * (3 * j + 1) // 2]
+            j += 1
+    return counts
 
 
 def enumerate_partitions(n: int) -> list[Partition]:
@@ -108,6 +126,29 @@ def beta_dimension(parts: Partition, fact: list[int]) -> int:
     if rem:
         raise ArithmeticError(f"beta-number formula for {parts} is not an integer")
     return quot
+
+
+def removal_ratio(parts: Partition, row: int) -> Fraction:
+    """d_mu/d_lambda for mu = lambda without the last box of ``row`` (1-indexed).
+
+    On the beta numbers l_1 > ... > l_len this moves bead l_i down by one,
+    and n d_mu/d_lambda = l_i prod_{j != i} (l_i - l_j - 1)/(l_i - l_j):
+    O(len(lambda)) integer products.  The ratio is 0 when the row ends in no
+    removable corner, since then l_i - 1 is the next bead.  ``parts`` is not
+    validated.
+    """
+    length = len(parts)
+    if not 1 <= row <= length:
+        raise ValueError(f"row {row} is not a row of {parts}")
+    # l_i - l_j = (lambda_i - i) - (lambda_j - j)
+    shifted = parts[row - 1] - row
+    numerator, denominator = shifted + length, sum(parts)
+    for j, x in enumerate(parts, start=1):
+        if j != row:
+            gap = shifted - x + j
+            numerator *= gap - 1
+            denominator *= gap
+    return Fraction(numerator, denominator)
 
 
 def dimension(parts: Partition) -> int:

@@ -1,4 +1,5 @@
-"""Class walks on S_n and their exact spectra.
+"""Exact spectra: class walks on S_n and A_n, transpose top with random
+and random insertion on S_n.
 
 A ``ClassMeasure`` holds with probability ``hold`` and otherwise steps
 uniformly in one conjugacy class C, as every walk rt, class:<parts> and
@@ -21,10 +22,19 @@ the trivial block and every other multiplicity is halved, to an integer,
 since a pair lambda/lambda' shares its eigenvalue and a self-conjugate
 diagram has even dimension.  The odd-class A_n profile is the same fold on
 the blocks of q*q.
+
+Transpose top with random and random insertion are not class walks, but
+their spectra are known in closed form and come out as the same exact
+``Blocks``, trivial block excluded: ``ttr_blocks`` prices each removable
+corner of a diagram by ``partitions.removal_ratio`` (Jucys-Murphy), and
+``ri_blocks`` sums the horizontal strips of each diagram weighted by
+desarrangement counts (Dieker-Saliola).  ``walks.WalkSpec.blocks`` is the
+one entry point that picks the source of a walk.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,6 +56,7 @@ from .partitions import (
     dimension,
     factorials,
     partitions,
+    removal_ratio,
 )
 
 
@@ -164,3 +175,87 @@ def spectrum(q: ClassMeasure, group: str = "sn") -> Blocks:
     slope = Fraction(1 - q.hold, math.perm(n, k) if content else 1)
     blocks = tuple((q.hold + slope * key, m) for key, m in totals.items())
     return alternating_blocks(blocks) if group == "an" else blocks
+
+
+# ---------------------------------------------------------------------------
+# the walks that are not class walks: transpose top with random, random insertion
+# ---------------------------------------------------------------------------
+
+def _corner_rows(parts: Partition) -> Iterator[int]:
+    """The rows (1-indexed) of the diagram that end in a removable corner."""
+    for row in range(1, len(parts)):
+        if parts[row - 1] > parts[row]:
+            yield row
+    yield len(parts)
+
+
+def ttr_blocks(n: int) -> Blocks:
+    """The nontrivial blocks of transpose top with random on S_n.
+
+    Its step is (e + J_n)/n for the Jucys-Murphy element J_n, the sum of the
+    transpositions that move n.  On the Gelfand-Tsetlin basis of V_lambda,
+    J_n acts by the content c of the box that holds n, so each removable
+    corner of lambda gives eigenvalue (1 + c)/n with multiplicity
+    d_lambda d_(lambda - corner) (Flatto-Odlyzko-Wales 1985).  The blocks
+    are keyed by c, and each corner costs one ``removal_ratio``.
+    """
+    fact = factorials(n)
+    totals: dict[int, int] = {}
+    diagrams = partitions(n)
+    next(diagrams)  # lambda = (n): its one corner is the trivial block
+    for lam in diagrams:
+        dim = beta_dimension(lam, fact)
+        for row in _corner_rows(lam):
+            ratio = removal_ratio(lam, row)
+            content = lam[row - 1] - row
+            totals[content] = (totals.get(content, 0)
+                               + dim * (dim * ratio.numerator // ratio.denominator))
+    return tuple((Fraction(1 + c, n), m) for c, m in totals.items())
+
+
+def _content_key(parts: Partition) -> int:
+    """sum of the contents of the diagram plus m(m+1)/2, for m = |parts|."""
+    m = sum(parts)
+    return sum(x * (x - 1) // 2 - i * x for i, x in enumerate(parts)) + m * (m + 1) // 2
+
+
+def ri_blocks(n: int) -> Blocks:
+    """The nontrivial blocks of random insertion on S_n, 1/n^2 on each
+    ordered pair (take a card, put it back at a uniform position).
+
+    By Dieker-Saliola (Adv. Math. 323, 2018) the eigenvalues are indexed by
+    lambda |- n and mu such that lambda/mu is a horizontal strip, with
+    n^2 beta = (sum of the contents of lambda/mu) + (n(n+1) - m(m+1))/2 for
+    m = |mu|, that is ``_content_key(lambda) - _content_key(mu)``, and
+    multiplicity d_lambda d^mu.  d^mu counts the desarrangement tableaux of
+    shape mu, those whose first ascent is even.  Taking the largest entry
+    out of its corner keeps the first ascent unless the rest is the column
+    1..m-1, so d^mu is the sum of d^(mu - corner) over the corners of mu,
+    except for a column (1^m), where it is 1 for even m and 0 for odd m.
+    One memo, local to the build, holds (key, d^mu) for every mu of size at
+    most n.  The blocks are keyed by n^2 beta.
+    """
+    fact = factorials(n)
+    memo: dict[Partition, tuple[int, int]] = {(): (0, 1)}
+    for size in range(1, n + 1):
+        for mu in partitions(size):
+            if mu[0] == 1:
+                desarrangements = 1 - size % 2
+            else:
+                desarrangements = 0
+                for row in _corner_rows(mu):
+                    smaller = mu[:row - 1] + (mu[row - 1] - 1,) + mu[row:]
+                    desarrangements += memo[smaller if smaller[-1] else smaller[:-1]][1]
+            memo[mu] = (_content_key(mu), desarrangements)
+    totals: dict[int, int] = {}
+    diagrams = partitions(n)
+    next(diagrams)  # lambda = (n): d^mu = 0 for mu = (k), k >= 1, so only the trivial block
+    for lam in diagrams:
+        top, dim = memo[lam][0], beta_dimension(lam, fact)
+        strips = itertools.product(*(range(low, high + 1)
+                                     for high, low in zip(lam, lam[1:] + (0,))))
+        for mu in strips:
+            key, desarrangements = memo[mu if mu[-1] else mu[:-1]]
+            if desarrangements:
+                totals[top - key] = totals.get(top - key, 0) + dim * desarrangements
+    return tuple((Fraction(key, n * n), m) for key, m in totals.items())

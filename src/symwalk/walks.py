@@ -11,8 +11,12 @@ written as 1s or left out); <eps> is a fraction or decimal in (0, 1) such as
 1/2, 0.25 or 5e-2; ``str`` of a parsed walk gives its canonical string.
 ``WalkSpec.class_measure`` is the one builder of a class walk at a given n,
 for the spectra, the theorems and the brute-force oracle alike; it caps n at
-MAX_SPECTRAL_N before anything of size n is built.  This module imports the
-spectral model only: the oracle and the sampler import it, never the reverse.
+MAX_SPECTRAL_N before anything of size n is built.  ``WalkSpec.blocks`` is
+the one spectral source of every walk kind: the class-measure spectrum for
+rt, class and lazy, and the exact ``spectra.ttr_blocks`` and
+``spectra.ri_blocks`` for the two walks that are not class walks, which
+live on S_n only (ri capped at MAX_RI_N).  This module imports the spectral
+model only: the oracle and the sampler import it, never the reverse.
 
 A time expression such as "nlogn-3n" gives a time as a function of n
 (``eval_time_expr``): profile grids and the simulate step count use it.
@@ -25,9 +29,11 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import spectra
 from .characters import CycleType
 from .errors import ResourceGuardError
-from .spectra import ClassMeasure
+from .partitions import partition_counts
+from .spectra import Blocks, ClassMeasure
 
 #: the syntax of each walk kind, in the order help texts list them
 SYNTAX = {"rt": "rt", "ttr": "ttr", "ri": "ri",
@@ -41,8 +47,16 @@ _EPS_TEXT = re.compile(r"[0-9./]+(?:[eE][+-]?[0-9]{1,3})?")
 # after any number of minus signs
 _TOKEN_RE = re.compile(r"\d+\.?\d*(?:[eE][+\-]?\d+)?|nlogn|n|[+\-*]|.")
 _TIME_SHAPE = re.compile(r"-*f(?:\*?f)*(?:[+\-]-*f(?:\*?f)*)*")
-#: largest n of a class measure: p(60) = 966,467 diagrams per spectrum build
+#: largest n of a class measure or a ttr spectrum: p(60) = 966,467 diagrams
+#: per spectrum build
 MAX_SPECTRAL_N = 60
+#: most diagrams, summed p(n) over the --n range, that a sweep of class-measure
+#: spectra builds: about two builds at MAX_SPECTRAL_N
+MAX_SPECTRAL_SWEEP = 2 * 10**6
+#: largest n of an ri spectrum: the build walks every horizontal strip of
+#: every diagram, and took 7.6 to 7.8 s at n = 40 and 10.8 s at n = 41 on one core
+#: of a 2-CPU x86-64 machine (Python 3.11)
+MAX_RI_N = 40
 
 
 def syntax(*kinds: str) -> str:
@@ -115,12 +129,41 @@ class WalkSpec:
         hold = Fraction(1, n) if self.kind == "rt" else self.eps or Fraction(0)
         return ClassMeasure(n, cycles, hold)
 
+    def blocks(self, n: int, group: str = "sn") -> Blocks:
+        """The nontrivial spectrum of the walk on S_n or A_n at n, each cap
+        checked before any diagram is enumerated: ``spectra.spectrum`` of the
+        class measure, or the ttr and ri blocks, which exist on S_n only since
+        those walks step by both parities."""
+        if self.kind not in ("ttr", "ri"):
+            return spectra.spectrum(self.class_measure(n), group)
+        if group != "sn":
+            raise ValueError(f"the {self} walk steps by both parities and lives on S_n only")
+        if n < 2:
+            raise ValueError(f"the {self} walk needs n >= 2, got {n}")
+        if self.kind == "ttr":
+            check_spectral_n(n, "ttr spectra")
+            return spectra.ttr_blocks(n)
+        check_spectral_n(n, "ri spectra", MAX_RI_N)
+        return spectra.ri_blocks(n)
 
-def check_spectral_n(n: int) -> None:
-    """The cap on class measures, checked before anything of size n is built."""
-    if n > MAX_SPECTRAL_N:
-        raise ResourceGuardError(f"class measures are capped at n <= {MAX_SPECTRAL_N}, "
-                                 f"got n = {n}")
+
+def check_spectral_n(n: int, what: str = "class measures", cap: int = MAX_SPECTRAL_N) -> None:
+    """The cap on a spectrum, checked before anything of size n is built."""
+    if n > cap:
+        raise ResourceGuardError(f"{what} are capped at n <= {cap}, got n = {n}")
+
+
+def check_spectral_sweep(ns: range) -> None:
+    """The caps on a sweep of class-measure spectra over the non-empty range
+    ``ns``: the largest n within MAX_SPECTRAL_N, then the work, counted in
+    diagrams as the sum of p(n) over ``ns``, within MAX_SPECTRAL_SWEEP.
+    Both are checked before any diagram is enumerated."""
+    check_spectral_n(ns[-1])
+    counts = partition_counts(ns[-1])
+    work = sum(counts[n] for n in ns)
+    if work > MAX_SPECTRAL_SWEEP:
+        raise ResourceGuardError(f"spectral sweeps are capped at {MAX_SPECTRAL_SWEEP} diagrams "
+                                 f"(the sum of p(n) over --n), got {work}")
 
 
 def eval_time_expr(expr: str, n: int) -> float:

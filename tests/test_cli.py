@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -207,13 +208,13 @@ def test_verify_oracle_small_n_runs_the_walks_that_fit(tmp_path):
                      "oracle:lazy:3:1/2"]
 
 
-def test_verify_oracle_ri_compares_operator_eigenvalues(tmp_path, monkeypatch):
-    # ttr and ri have no class measure; their rows compare the definitional
-    # distance with the dense operator's eigenvalues, so wrong ones fail
-    from symwalk import group_oracle
-
-    exact = group_oracle.operator_eigenvalues
-    monkeypatch.setattr(group_oracle, "operator_eigenvalues", lambda q: exact(q) * (1 - 1e-6))
+def test_verify_oracle_ttr_ri_compare_exact_blocks(tmp_path, monkeypatch):
+    # the ttr and ri rows compare the definitional distance with the exact
+    # blocks of spectra.ttr_blocks and spectra.ri_blocks, so wrong ones fail
+    for name in ("ttr_blocks", "ri_blocks"):
+        exact = getattr(spectra, name)
+        monkeypatch.setattr(spectra, name, lambda n, exact=exact: tuple(
+            (beta * Fraction(999999, 1000000), m) for beta, m in exact(n)))
     out = tmp_path / "oracle.json"
     argv = ["verify", "--suite", "oracle", "--n", "4", "--out", str(out)]
     assert run(argv) == cli.EXIT_VERIFY_FAILED
@@ -224,15 +225,33 @@ def test_verify_oracle_ri_compares_operator_eigenvalues(tmp_path, monkeypatch):
 def test_verify_oracle_ttr_ri_check_continuous_time(tmp_path, monkeypatch):
     # negated eigenvalues leave every discrete reference sum of beta^(2t)
     # unchanged, so only the continuous-time comparison can catch them
-    from symwalk import group_oracle
-
-    exact = group_oracle.operator_eigenvalues
-    monkeypatch.setattr(group_oracle, "operator_eigenvalues", lambda q: -exact(q))
+    for name in ("ttr_blocks", "ri_blocks"):
+        exact = getattr(spectra, name)
+        monkeypatch.setattr(spectra, name, lambda n, exact=exact: tuple(
+            (-beta, m) for beta, m in exact(n)))
     out = tmp_path / "oracle.json"
     argv = ["verify", "--suite", "oracle", "--n", "4", "--out", str(out)]
     assert run(argv) == cli.EXIT_VERIFY_FAILED
     failed = {r["name"] for r in json.loads(out.read_text())["results"] if not r["pass"]}
     assert failed == {"oracle:ttr", "oracle:ri"}
+
+
+def test_verify_oracle_solves_no_dense_eigenproblem(tmp_path, monkeypatch):
+    # every oracle row, ttr and ri included, checks exact blocks against convolution
+    import numpy as np
+
+    from symwalk import group_oracle
+
+    def no_eigensolver(*args, **kwargs):
+        raise AssertionError("dense eigenproblem solved by the oracle suite")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
+    monkeypatch.setattr(group_oracle, "operator_eigenvalues", no_eigensolver)
+    out = tmp_path / "oracle.json"
+    argv = ["--threads", "1", "verify", "--suite", "oracle", "--n", "2..6", "--out", str(out)]
+    assert run(argv) == cli.EXIT_OK
+    results = json.loads(out.read_text())["results"]
+    assert len(results) == 3 + 5 + 3 * 6 and all(r["pass"] for r in results)
 
 
 VERDICT_KEYS = {"name", "n", "c", "guaranteed", "computed", "pass"}
@@ -425,13 +444,19 @@ def test_cli_import_loads_neither_numpy_nor_oracle(tmp_path):
 
 
 def test_spectral_layers_load_neither_mpmath_nor_numpy():
-    # exact combinatorics needs no reals: the spectra and the walk parser
-    # stand below the distance layer
+    # exact combinatorics needs no reals: the spectra, the ttr and ri block
+    # sources and the walk parser stand below the distance layer and never
+    # import the oracle
     src = str(Path(symwalk.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, symwalk.spectra, symwalk.walks; "
-        "print(sorted(m for m in ('mpmath', 'numpy') if m in sys.modules))"
+        "from symwalk.spectra import ri_blocks, ttr_blocks; "
+        "from symwalk.walks import WalkSpec; "
+        "assert ttr_blocks(5) == WalkSpec('ttr').blocks(5); "
+        "assert ri_blocks(5) == WalkSpec('ri').blocks(5); "
+        "print(sorted(m for m in ('mpmath', 'numpy', 'symwalk.group_oracle') "
+        "if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
@@ -561,7 +586,17 @@ def test_spectral_size_cap_is_resource_guard(argv, tmp_path, capsys, monkeypatch
      (["verify", "--suite", "oracle", "--n", "2..7"],
       "oracle verification is capped at n <= 6, got n = 7"),
      (["verify", "--suite", "ttr", "--n", "1..1000000000"],
-      f"bound sums are capped at n <= {bounds.MAX_BOUND_N}, got n = 1000000000")],
+      f"bound sums are capped at n <= {bounds.MAX_BOUND_N}, got n = 1000000000"),
+     # every n is within its cap, but the sums of n^2 and of p(n) are not
+     (["verify", "--suite", "ttr", "--n", "1..2000"],
+      f"bound-sum sweeps are capped at {bounds.MAX_BOUND_SWEEP} (the sum of n^2 over --n), "
+      "got 2668667000"),
+     (["verify", "--suite", "lemmas", "--n", "1900..2000"],
+      f"bound-sum sweeps are capped at {bounds.MAX_BOUND_SWEEP} (the sum of n^2 over --n), "
+      "got 384138350"),
+     (["verify", "--suite", "rt-discrete", "--n", "15..60"],
+      f"spectral sweeps are capped at {walks.MAX_SPECTRAL_SWEEP} diagrams "
+      "(the sum of p(n) over --n), got 6638841")],
 )
 def test_verify_checks_the_whole_range_before_any_work(argv, err, tmp_path, capsys,
                                                        monkeypatch):
@@ -629,12 +664,59 @@ def test_simulate_manifest_records_stream_version(tmp_path):
     assert "stream_version" not in cli.RunManifest("profile", {}, seed=None).as_dict()
 
 
-@pytest.mark.parametrize("walk", ["bogus", "ttr", "ri"])
+@pytest.mark.parametrize("walk", ["bogus"])
 def test_profile_unknown_walk_lists_profile_walks(walk, capsys):
     assert run(["profile", "--walk", walk, "--n", "5"]) == cli.EXIT_BAD_ARGS
     err = capsys.readouterr().err
     assert err == f"symwalk: invalid arguments: walk {walk!r} is not one of {cli.PROFILE_WALKS}\n"
-    assert cli.PROFILE_WALKS == "rt | ttr-bound | class:<parts> | lazy:<parts>:<eps>"
+    assert cli.PROFILE_WALKS == "rt | ttr | ri | ttr-bound | class:<parts> | lazy:<parts>:<eps>"
+
+
+@pytest.mark.parametrize("walk", ["ttr", "ri"])
+def test_profile_ttr_ri_exact_curves(walk, tmp_path):
+    # the profile rows are the exact blocks of WalkSpec.blocks, in both modes
+    from symwalk import distances
+
+    blocks = walks.WalkSpec(walk).blocks(6)
+    for mode, grid in (("discrete", "0,1,5"), ("continuous", "0.5,3")):
+        out = tmp_path / f"{walk}-{mode}.csv"
+        assert run(["profile", "--walk", walk, "--n", "6", "--mode", mode, "--t-grid", grid,
+                    "--out", str(out)]) == cli.EXIT_OK
+        rows = [line.split(",") for line in read_lines(out)[2:]]
+        times = [float(t) for t in grid.split(",")]
+        want = distances.l2_curve(blocks, times, mode, 128)
+        assert [row[:3] for row in rows] == [[walk, "sn", "6"]] * len(times)
+        assert [row[4] for row in rows] == [cli.fmt_real(d) for d in want]
+
+
+@pytest.mark.parametrize("walk", ["ttr", "ri"])
+def test_profile_ttr_ri_live_on_sn_only(walk, capsys, monkeypatch):
+    def no_partitions(n):
+        raise AssertionError("partitions enumerated for a rejected group")
+
+    monkeypatch.setattr(spectra, "partitions", no_partitions)
+    argv = ["profile", "--walk", walk, "--n", "6", "--group", "an", "--t-grid", "1"]
+    assert run(argv) == cli.EXIT_BAD_ARGS
+    err = capsys.readouterr().err
+    assert err == (f"symwalk: invalid arguments: the {walk} walk steps by both parities "
+                   "and lives on S_n only\n")
+
+
+@pytest.mark.parametrize("walk, cap", [("ttr", walks.MAX_SPECTRAL_N), ("ri", walks.MAX_RI_N)])
+def test_profile_ttr_ri_size_cap_is_resource_guard(walk, cap, tmp_path, capsys, monkeypatch):
+    # the cap runs before any diagram is enumerated
+    def no_partitions(n):
+        raise AssertionError("partitions enumerated past the size cap")
+
+    monkeypatch.setattr(spectra, "partitions", no_partitions)
+    out = tmp_path / "x.csv"
+    started = time.perf_counter()
+    assert run(["profile", "--walk", walk, "--n", str(cap + 1), "--t-grid", "1",
+                "--out", str(out)]) == cli.EXIT_RESOURCE
+    assert time.perf_counter() - started < 1.0
+    assert capsys.readouterr().err == (f"symwalk: resource guard: {walk} spectra are capped at "
+                                       f"n <= {cap}, got n = {cap + 1}\n")
+    assert not out.exists()
 
 
 def test_precision_flag_guard():

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,7 +17,9 @@ from symwalk.partitions import (
     factorials,
     hook_lengths,
     near_square_partition,
+    partition_counts,
     partitions,
+    removal_ratio,
     staircase_partition,
 )
 
@@ -29,32 +32,16 @@ def partition_strategy(draw, max_n=12):
     return tuple(sorted(Counter(bins).values(), reverse=True))
 
 
-def euler_partition_count(n: int) -> int:
-    """Independent oracle: pentagonal-number recurrence for p(n)."""
-    p = [1] + [0] * n
-    for m in range(1, n + 1):
-        k = 1
-        while True:
-            g1 = k * (3 * k - 1) // 2
-            g2 = k * (3 * k + 1) // 2
-            if g1 > m and g2 > m:
-                break
-            sign = 1 if k % 2 else -1
-            if g1 <= m:
-                p[m] += sign * p[m - g1]
-            if g2 <= m:
-                p[m] += sign * p[m - g2]
-            k += 1
-    return p[n]
-
-
 def test_enumeration_order_and_counts():
     assert enumerate_partitions(0) == [()]
     assert enumerate_partitions(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert len(enumerate_partitions(10)) == 42
-    for n in range(13):
+    counts = partition_counts(20)
+    # p(60) and p(100) as tabulated by MacMahon
+    assert partition_counts(100)[60::40] == [966467, 190569292]
+    for n in range(21):
         parts = enumerate_partitions(n)
-        assert len(parts) == euler_partition_count(n)
+        assert len(parts) == counts[n]
         assert len(set(parts)) == len(parts)
         assert all(sum(p) == n for p in parts)
         # reverse-lexicographic: strictly decreasing as tuples
@@ -196,3 +183,23 @@ def test_dominates_reflexive_and_topped(lam):
     assert dominates(lam, lam)
     assert dominates((n,), lam)
     assert dominates(lam, (1,) * n)
+
+
+def test_removal_ratio_is_the_dimension_ratio():
+    # every row of every diagram with n <= 14: d_mu/d_lambda when the row
+    # ends in a removable corner, 0 when it does not
+    rows = 0
+    for n in range(1, 15):
+        for lam in partitions(n):
+            for row in range(1, len(lam) + 1):
+                mu = lam[:row - 1] + (lam[row - 1] - 1,) + lam[row:]
+                if row < len(lam) and mu[row - 1] < mu[row]:
+                    want = 0
+                else:
+                    want = Fraction(dimension(tuple(x for x in mu if x)), dimension(lam))
+                assert removal_ratio(lam, row) == want, (lam, row)
+                rows += 1
+    assert rows == 2547
+    for row in (0, 3):
+        with pytest.raises(ValueError):
+            removal_ratio((2, 1), row)

@@ -14,7 +14,9 @@ from symwalk.spectra import (
     alternating_blocks,
     diagram_eigenvalues,
     group_blocks,
+    ri_blocks,
     spectrum,
+    ttr_blocks,
     walk_eigenvalue,
 )
 from symwalk.walks import WalkSpec
@@ -210,3 +212,40 @@ def test_spectrum_matches_brute_force_operator_n7():
         Km[rows, table] += float(w)
     brute = np.linalg.eigvalsh((Km + Km.T) / 2.0)[::-1]
     assert np.max(np.abs(expanded - brute)) < 1e-9
+
+
+EXACT_SOURCES = {"ttr": ttr_blocks, "ri": ri_blocks}
+
+
+@pytest.mark.parametrize("walk", sorted(EXACT_SOURCES))
+def test_ttr_ri_blocks_match_brute_force_operator(walk):
+    for n in range(2, 7):
+        blocks = EXACT_SOURCES[walk](n)
+        brute = go.operator_eigenvalues(go.element_measure(WalkSpec(walk), n))
+        assert np.max(np.abs(expanded_eigenvalues(blocks) - brute)) < 1e-12, (walk, n)
+
+
+@pytest.mark.parametrize("walk", sorted(EXACT_SOURCES))
+def test_ttr_ri_blocks_are_grouped_and_sum_to_the_group(walk):
+    for n in range(2, 17):
+        blocks = EXACT_SOURCES[walk](n)
+        betas = [beta for beta, _ in blocks]
+        assert len(set(betas)) == len(betas) and all(-1 <= beta < 1 for beta in betas)
+        assert all(isinstance(m, int) and m > 0 for _, m in blocks)
+        assert sum(m for _, m in blocks) == math.factorial(n) - 1, (walk, n)
+
+
+def test_ttr_top_eigenvalue():
+    # lambda = (n-1, 1) loses the box of content n - 2
+    for n in range(3, 17):
+        assert max(beta for beta, _ in ttr_blocks(n)) == 1 - Fraction(1, n)
+
+
+def test_ri_top_eigenvalue_and_derangement_kernel():
+    # the true second eigenvalue that criterion 08 reports, for n >= 4
+    for n in range(4, 17):
+        assert max(beta for beta, _ in ri_blocks(n)) == Fraction((n + 1) * (n - 2), n * n)
+    derangements = [1, 0]
+    for n in range(2, 13):
+        derangements.append((n - 1) * (derangements[-1] + derangements[-2]))
+        assert dict(ri_blocks(n))[Fraction(0)] == derangements[n], n

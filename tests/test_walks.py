@@ -5,8 +5,9 @@ import pytest
 from symwalk import group_oracle as go
 from symwalk.characters import class_size
 from symwalk.errors import ResourceGuardError
+from symwalk import spectra
 from symwalk.spectra import ClassMeasure
-from symwalk.walks import MAX_SPECTRAL_N, WalkSpec
+from symwalk.walks import MAX_RI_N, MAX_SPECTRAL_N, WalkSpec
 
 
 @pytest.mark.parametrize(
@@ -94,3 +95,21 @@ def test_element_measure():
         for p, v in zip(go.all_permutations(4), got.values):
             exact = q.hold if p == (0, 1, 2, 3) else step if go.cycle_type_of(p) == q.cycles else 0
             assert v == float(exact), (text, p)
+
+
+def test_blocks_is_the_spectral_source_of_every_walk():
+    for text in ("rt", "class:3", "class:2,2", "lazy:3:1/2"):
+        spec = WalkSpec.parse(text)
+        assert spec.blocks(6) == spectra.spectrum(spec.class_measure(6))
+    assert WalkSpec.parse("class:3").blocks(6, "an") == spectra.spectrum(
+        WalkSpec.parse("class:3").class_measure(6), "an")
+    assert WalkSpec("ttr").blocks(6) == spectra.ttr_blocks(6)
+    assert WalkSpec("ri").blocks(6) == spectra.ri_blocks(6)
+    for walk in ("ttr", "ri"):
+        with pytest.raises(ValueError, match=f"the {walk} walk steps by both parities"):
+            WalkSpec(walk).blocks(6, "an")
+        with pytest.raises(ValueError, match="needs n >= 2"):
+            WalkSpec(walk).blocks(1)
+    for walk, cap in (("ttr", MAX_SPECTRAL_N), ("ri", MAX_RI_N)):
+        with pytest.raises(ResourceGuardError, match=f"capped at n <= {cap}, got n = {cap + 1}$"):
+            WalkSpec(walk).blocks(cap + 1)
