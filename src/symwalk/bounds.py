@@ -45,7 +45,7 @@ from mpmath.libmp import (
 
 from .distances import DEFAULT_PREC, _positive_sum, _working_prec, l2_curve
 from .errors import ResourceGuardError
-from .spectra import Blocks, spectrum
+from .spectra import Blocks
 from .walks import WalkSpec, check_spectral_sweep
 
 #: largest n of a bound sum or lemma term table: their cost grows faster
@@ -301,19 +301,16 @@ def _rt_time(n: int, c: float) -> float:
     return (n / 2) * (math.log(n) + c)
 
 
-def _rt_spectrum(n: int) -> Blocks:
-    return spectrum(WalkSpec("rt").class_measure(n))
-
-
 THEOREMS = {
     # d2(q_rt^(t), u) <= 2 e^-c at t = ceil((n/2)(log n + c))
     "rt-discrete": Theorem(
-        15, check_spectral_sweep, 0, lambda n, c: math.ceil(_rt_time(n, c)), _rt_spectrum,
+        15, check_spectral_sweep, 0, lambda n, c: math.ceil(_rt_time(n, c)),
+        WalkSpec("rt").blocks,
         lambda blocks, ts, prec: l2_curve(blocks, ts, "discrete", prec),
         lambda c: 2 * mp.exp(-c)),
     # d2(h_rt,t, u) <= e^-(c-2) at t = (n/2)(log n + c)
     "rt-continuous": Theorem(
-        10, check_spectral_sweep, 2, _rt_time, _rt_spectrum,
+        10, check_spectral_sweep, 2, _rt_time, WalkSpec("rt").blocks,
         lambda blocks, ts, prec: l2_curve(blocks, ts, "continuous", prec),
         lambda c: mp.exp(-(c - 2))),
     # bound sum on d2^2 <= 2 e^-2c at t = ceil(n(log n + c))
@@ -324,14 +321,14 @@ THEOREMS = {
         lambda c: 2 * mp.exp(-2 * c)),
     # d2(h_c4,t, u) <= e^-(c-2) at the same threshold
     "four-cycle": Theorem(
-        11, check_spectral_sweep, 2, _rt_time,
-        lambda n: spectrum(WalkSpec("class", (4,)).class_measure(n)),
+        11, check_spectral_sweep, 2, _rt_time, WalkSpec("class", (4,)).blocks,
         lambda blocks, ts, prec: l2_curve(blocks, ts, "continuous", prec),
         lambda c: mp.exp(-(c - 2))),
     # d2(q_ri^(t), u)^2 <= e^-(c-2) at t = 2n(log n + c), through the Dirichlet
     # comparison as d2(h_rt, t/4)^2
     "random-insertion": Theorem(
-        10, check_spectral_sweep, 2, lambda n, c: 2 * n * (math.log(n) + c), _rt_spectrum,
+        10, check_spectral_sweep, 2, lambda n, c: 2 * n * (math.log(n) + c),
+        WalkSpec("rt").blocks,
         lambda blocks, ts, prec: [
             d ** 2 for d in l2_curve(blocks, [t / 4 for t in ts], "continuous", prec)],
         lambda c: mp.exp(-(c - 2))),

@@ -1,12 +1,16 @@
 """Command-line surface: distance profiles, bound sweeps, simulations.
 
-The CLI parses, dispatches and writes.  ``bounds`` owns every theorem and
-lemma constant and comparison, ``group_oracle.oracle_checks`` the oracle
-suite's, and ``montecarlo.SimConfig`` checks every simulate input; each
-``verify`` row is one ``bounds.BoundReport``.  Every file embeds a run
-manifest (command, parameters, seed, version, wall time); CSV has a header
-row, '.' decimals and scientific notation below 1e-4, and JSON is one
-object with "manifest" and "results".
+The CLI parses, dispatches and writes.  ``walks.WalkSpec.profile_blocks``
+decides which curves a profile draws on S_n or A_n (the CLI only knows that
+the ttr bound sum, ``ttr-bound``, is an S_n curve), ``bounds`` owns every
+theorem and lemma constant and comparison, ``group_oracle.oracle_checks``
+the oracle suite's, and ``montecarlo.SimConfig`` checks every simulate
+input; each ``verify`` row is one ``bounds.BoundReport``.  Every file
+embeds a run manifest (command, parameters, seed, version, wall time); CSV
+has a header row, '.' decimals and scientific notation below 1e-4 and from
+1e16 up (times included), and JSON is one object with "manifest" and
+"results".  A profile's odd-step walk (rt, ttr, ri, an odd lazy walk, an
+odd class in continuous time) has no A_n curve: --group an exits 2.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments (such
 as a non-integer discrete time, an out-of-range c or n, a negative seed, a
@@ -65,6 +69,19 @@ def fmt_real(x, sig: int = 12) -> str:
     if abs(x) < mp.mpf("1e-4") or abs(x) >= mp.mpf("1e16"):
         return mpmath.nstr(x, sig, min_fixed=1, max_fixed=0)
     return mpmath.nstr(x, sig, min_fixed=-(10**6), max_fixed=10**6)
+
+
+def time_value(t) -> int | float:
+    """A profile time as written: an integral time below 1e16 as an int,
+    any other as a float, so a huge time is never spelt out in full digits."""
+    t = float(t)
+    return int(t) if t.is_integer() and abs(t) < 1e16 else t
+
+
+def fmt_time(t) -> str:
+    """A profile time in CSV: an integer, or ``fmt_real`` from 1e16 up as for d2."""
+    value = time_value(t)
+    return str(value) if isinstance(value, int) else fmt_real(value)
 
 
 @dataclass
@@ -149,26 +166,17 @@ def cmd_profile(args) -> int:
     n, prec = args.n, args.precision
     if n < 1:  # before the grid, whose auto times take log(n)
         raise ValueError(f"--n must be at least 1, got {n}")
-    times = _time_grid(args.t_grid, n, args.walk, args.mode)
-
-    if args.walk == "ttr-bound":
+    # the grid is checked once, before any spectrum is built
+    times = distances.check_times(_time_grid(args.t_grid, n, args.walk, args.mode), args.mode)
+    if args.walk == "ttr-bound":  # the ttr bound sum is not a walk: an S_n curve
         if args.group != "sn":
-            raise ValueError("ttr-bound is a symmetric-group curve")
-        walk = args.walk
-        rows = distances.spectrum_profile(
-            bounds.ttr_bound_spectrum(n), "sn", args.mode, times, prec)
+            raise ValueError("ttr-bound is a symmetric-group curve; use --group sn")
+        walk, curves = args.walk, (("sn", bounds.ttr_bound_spectrum(n)),)
     else:
         spec = walks.WalkSpec.parse(args.walk, kinds=PROFILE_KINDS)
-        walk = str(spec)
-        if spec.kind in ("ttr", "ri"):
-            times = distances.check_times(times, args.mode)  # before the build
-            rows = distances.spectrum_profile(
-                spec.blocks(n, args.group), "sn", args.mode, times, prec)
-        else:
-            q = spec.class_measure(n)
-            if spec.kind == "rt" and args.group != "sn":
-                raise ValueError("the random transposition walk lives on S_n")
-            rows = distances.class_walk_profile(q, args.group, args.mode, times, prec)
+        walk, curves = str(spec), spec.profile_blocks(n, args.group, args.mode)
+    rows = [row for group, blocks in curves
+            for row in distances.spectrum_profile(blocks, group, args.mode, times, prec)]
 
     manifest = RunManifest(
         "profile",
@@ -184,10 +192,6 @@ def cmd_profile(args) -> int:
         wall_time_s=time.perf_counter() - started,
     )
     header = ["walk", "group", "n", "t", "d2", "log10_d2_sq"]
-
-    def fmt_time(t) -> str:
-        return str(int(t)) if float(t).is_integer() else fmt_real(t)
-
     csv_rows = [
         [walk, r.group, str(n), fmt_time(r.t), fmt_real(r.d2), fmt_real(r.log10_d2_sq)]
         for r in rows
@@ -200,7 +204,7 @@ def cmd_profile(args) -> int:
                 "walk": walk,
                 "group": r.group,
                 "n": n,
-                "t": int(r.t) if float(r.t).is_integer() else float(r.t),
+                "t": time_value(r.t),
                 "d2": fmt_real(r.d2),  # decimal string: survives sub-float64 tails
                 "log10_d2_sq": float(r.log10_d2_sq),
             }

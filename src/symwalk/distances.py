@@ -25,12 +25,11 @@ below the float64 underflow threshold survive to the output layer.
 
 ``l2_discrete``/``l2_continuous`` are one-point wrappers and
 ``l2_single_term_lower`` a one-block one.  ``spectrum_profile`` turns a
-curve into rows of (group, t, d2), the only labels the math decides; the
-CLI names the walk and n.  The odd-class A_n profile is the same evaluator
-on the blocks of q*q, folded by ``spectra.alternating_blocks``.  The
-definitional distances of oracle-scale distributions live here too but
-load numpy only when called, so the spectral path never imports numpy or
-the oracle.
+curve into rows of (group, t, d2); ``walks.WalkSpec.profile_blocks``
+decides which blocks a profile draws under which group label, and the CLI
+names the walk and n.  The definitional distances of oracle-scale
+distributions live here too but load numpy only when called, so the
+spectral path never imports numpy or the oracle.
 """
 
 from __future__ import annotations
@@ -53,15 +52,9 @@ from mpmath.libmp import (
     round_nearest,
 )
 
+from .characters import CycleType
 from .partitions import Partition, check_partition, dimension
-from .spectra import (
-    Blocks,
-    ClassMeasure,
-    alternating_blocks,
-    group_blocks,
-    spectrum,
-    walk_eigenvalue,
-)
+from .spectra import Blocks, walk_eigenvalue
 
 if TYPE_CHECKING:
     from .group_oracle import GroupDistribution
@@ -199,17 +192,19 @@ def l2_continuous(blocks: Blocks, t, prec: int = DEFAULT_PREC) -> mpmath.mpf:
 
 def l2_single_term_lower(
     parts: Partition,
-    q: ClassMeasure,
+    cycles: CycleType,
+    hold: Fraction,
     t,
     mode: str = "continuous",
     prec: int = DEFAULT_PREC,
 ) -> mpmath.mpf:
     """One representation's contribution d * |beta|^t (discrete) or
-    d * exp(-t(1-beta)) (continuous); always a lower bound for the full d2."""
+    d * exp(-t(1-beta)) (continuous) for the class walk of ``cycles`` and
+    ``hold`` (``spectra.spectrum``); always a lower bound for the full d2."""
     parts = check_partition(parts)
-    if parts == (q.n,):
+    if parts == (sum(cycles),):
         raise ValueError("the trivial block is excluded from distance bounds")
-    block = (walk_eigenvalue(q, parts), dimension(parts) ** 2)
+    block = (walk_eigenvalue(parts, cycles, hold), dimension(parts) ** 2)
     return l2_curve((block,), [t], mode, prec)[0]
 
 
@@ -273,38 +268,3 @@ def spectrum_profile(
     cast = int if mode == "discrete" else float
     return [ProfileRow(group, cast(t), d2)
             for t, d2 in zip(times, l2_curve(blocks, times, mode, prec))]
-
-
-def class_walk_profile(
-    q: ClassMeasure,
-    group: str,
-    mode: str,
-    times,
-    prec: int = DEFAULT_PREC,
-) -> list[ProfileRow]:
-    """Distance curve of a class-measure walk over a time grid.
-
-    Conventions for odd classes (walks that alternate between cosets of A_n):
-
-    * continuous time is aperiodic, so the distance is always taken on the
-      full symmetric group and rows are labelled ``sn`` whatever was asked;
-    * discrete time with ``group="an"`` reports the walk driven by q*q on
-      A_n (row time t means 2t raw steps), followed by the raw alternating
-      S_n sequence at the same grid for transparency.
-    """
-    times = check_times(times, mode)  # before the build, which can take seconds
-    if group not in ("sn", "an"):
-        raise ValueError(f"unknown group {group!r}")
-    if group == "sn" or q.even_support:
-        return spectrum_profile(spectrum(q, group), group, mode, times, prec)
-    blocks = spectrum(q, "sn")
-    if mode == "continuous":
-        return spectrum_profile(blocks, "sn", mode, times, prec)
-    if q.hold:
-        # a walk that holds never confines itself to one coset,
-        # so the q*q restriction does not apply
-        raise ValueError("A_n discrete profiles need a pure odd-class measure")
-    # q*q is an even walk: the sign diagram's -1 squares to the 1 the fold removes
-    squared = group_blocks((beta * beta, m) for beta, m in blocks)
-    rows = spectrum_profile(alternating_blocks(squared), "an", mode, times, prec)
-    return rows + spectrum_profile(blocks, "sn", mode, times, prec)

@@ -7,12 +7,12 @@ is transcribed against that convention, and the convolution used everywhere
 is f*q(x) = sum_y f(x y^-1) q(y), matching the walk X_t = xi_1 ... xi_t.
 
 ``element_measure`` reads a parsed ``walks.WalkSpec``: the rt, class and
-lazy laws come from ``WalkSpec.class_measure``, the one builder of a class
-walk, and ttr and ri are written out from their definitions.  The oracle
-still computes independently of the spectra, by convolution rather than by
-characters.  All distributions are float64.  Each step weight is summed
-exactly as a Fraction and rounded once, so every weight is the correctly
-rounded value.
+lazy laws come from the walk's class and holding probability
+(``WalkSpec.cycle_type``, ``WalkSpec.hold``), and ttr and ri are written
+out from their definitions.  The oracle still computes independently of the
+spectra, by convolution rather than by characters.  All distributions are
+float64.  Each step weight is summed exactly as a Fraction and rounded
+once, so every weight is the correctly rounded value.
 
 Size guards (n! growth): per-element measures up to n = 8, dense
 convolutions up to n = 7, and dense operator matrices up to n = 6.
@@ -180,13 +180,14 @@ def insertion_cycle(n: int, i: int, j: int) -> Perm:
 def element_measure(walk: walks.WalkSpec, n: int) -> GroupDistribution:
     """Per-element step distribution of a walk.
 
-    rt, class and lazy put the class measure's hold on e and (1 - hold)/|C|
-    on each element of its class C (``WalkSpec.class_measure``); ttr puts
-    1/n on e and on each (1, i); ri puts 1/n^2 on c_{i,j} for every ordered
-    pair, which folds to 1/n on e and 2/n^2 on the adjacent (transposition)
-    cycles.
+    rt, class and lazy put the walk's hold (``WalkSpec.hold``) on e and
+    (1 - hold)/|C| on each element of its class C (``WalkSpec.cycle_type``);
+    ttr puts 1/n on e and on each (1, i); ri puts 1/n^2 on c_{i,j} for every
+    ordered pair, which folds to 1/n on e and 2/n^2 on the adjacent
+    (transposition) cycles.
     """
     _guard(n, MAX_MEASURE_N, "per-element measures")
+    walk.check_n(n)
     perms, index = _perm_data(n)
     acc: dict[int, Fraction] = {}
 
@@ -194,27 +195,25 @@ def element_measure(walk: walks.WalkSpec, n: int) -> GroupDistribution:
         idx = index[p]
         acc[idx] = acc.get(idx, Fraction(0)) + w
 
-    q = walk.class_measure(n)
-    if q is not None:
-        add(perms[0], q.hold)
-        w = (1 - q.hold) / class_size(q.cycles)
-        for p in perms:
-            if cycle_type_of(p) == q.cycles:
-                add(p, w)
-    elif walk.kind == "ttr":
-        if n < 2:
-            raise ValueError("ttr needs n >= 2")
+    if walk.kind == "ttr":
         w = Fraction(1, n)
         add(tuple(range(n)), w)
         for i in range(1, n):
             p = list(range(n))
             p[0], p[i] = p[i], p[0]
             add(tuple(p), w)
-    else:  # ri
+    elif walk.kind == "ri":
         w = Fraction(1, n * n)
         for i in range(n):
             for j in range(n):
                 add(insertion_cycle(n, i, j), w)
+    else:
+        cycles, hold = walk.cycle_type(n), walk.hold(n)
+        add(perms[0], hold)
+        w = (1 - hold) / class_size(cycles)
+        for p in perms:
+            if cycle_type_of(p) == cycles:
+                add(p, w)
 
     arr = np.zeros(len(perms))
     for idx, w in acc.items():

@@ -1,13 +1,14 @@
-"""Exact spectra: class walks on S_n and A_n, transpose top with random
-and random insertion on S_n.
+"""Exact spectra on S_n: class walks, transpose top with random and random
+insertion.
 
-A ``ClassMeasure`` holds with probability ``hold`` and otherwise steps
-uniformly in one conjugacy class C, as every walk rt, class:<parts> and
-lazy:<parts>:<eps> does; ``walks.WalkSpec.class_measure`` builds it from the
-parsed walk string.  Convolution by it acts on each lambda-isotypic
-block as the scalar beta_lambda = hold + (1 - hold) chi_lambda(C)/d_lambda,
-with multiplicity d_lambda^2.  Eigenvalues are kept as exact rationals all
-the way; only the distance evaluation layer converts to reals.
+A class walk holds with probability ``hold`` and otherwise steps uniformly
+in one conjugacy class C, given by its cycle type ``cycles`` with fixed
+points, as every walk rt, class:<parts> and lazy:<parts>:<eps> does;
+``walks.WalkSpec`` parses the walk string and supplies both.  Convolution
+by the step acts on each lambda-isotypic block as the scalar
+beta_lambda = hold + (1 - hold) chi_lambda(C)/d_lambda, with multiplicity
+d_lambda^2.  Eigenvalues are kept as exact rationals all the way; only the
+distance evaluation layer converts to reals.
 
 Many diagrams share an eigenvalue, so a spectrum is its ``Blocks``: the
 nontrivial part grouped by distinct eigenvalue, (beta_b, m_b) pairs that
@@ -17,11 +18,12 @@ makes one pass over the diagrams, keyed by the integer content numerator of
 lazy) and by the Murnaghan-Nakayama ratio otherwise, then one Fraction per
 block.  ``diagram_eigenvalues`` yields the Murnaghan-Nakayama S_n rows one
 diagram at a time, the reference for both keys.  ``alternating_blocks``
-folds the blocks of a walk on an even class to A_n: the sign diagram joins
-the trivial block and every other multiplicity is halved, to an integer,
-since a pair lambda/lambda' shares its eigenvalue and a self-conjugate
-diagram has even dimension.  The odd-class A_n profile is the same fold on
-the blocks of q*q.
+folds the S_n blocks of a walk on an even class to A_n: the sign diagram
+joins the trivial block and every other multiplicity is halved, to an
+integer, since a pair lambda/lambda' shares its eigenvalue and a
+self-conjugate diagram has even dimension.  Which walks have an A_n
+spectrum, and which fold they take, ``walks.WalkSpec.profile_blocks``
+decides.
 
 Transpose top with random and random insertion are not class walks, but
 their spectra are known in closed form and come out as the same exact
@@ -36,23 +38,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .characters import (
     CycleType,
     char_ratio,
-    check_cycle_type,
     content_numerator,
-    is_even_class,
     mn_character,
     support,
 )
 from .partitions import (
     Partition,
     beta_dimension,
-    check_partition,
     dimension,
     factorials,
     partitions,
@@ -61,49 +59,13 @@ from .partitions import (
 
 
 # ---------------------------------------------------------------------------
-# measures
+# class walks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassMeasure:
-    """A class walk on S_n: hold with probability ``hold``, otherwise step
-    to a uniform element of the conjugacy class ``cycles``.
-
-    Every walk string that names a class measure (rt, class, lazy) is of
-    this form, built by ``walks.WalkSpec.class_measure``.  Class measures are
-    automatically symmetric (every class is closed under inversion), so the
-    walks they drive are reversible.
-    """
-
-    n: int
-    cycles: CycleType
-    hold: Fraction = Fraction(0)
-
-    def __post_init__(self) -> None:
-        if check_cycle_type(self.cycles) != self.cycles or sum(self.cycles) != self.n:
-            raise ValueError(f"{self.cycles} is not a canonical cycle type of degree {self.n}")
-        if support(self.cycles) == 0:
-            raise ValueError("the identity class does not drive a walk")
-        if not 0 <= self.hold < 1:
-            raise ValueError(f"holding probability {self.hold} is not in [0, 1)")
-
-    @property
-    def even_support(self) -> bool:
-        """True iff the step class lies in A_n (holding is the even identity)."""
-        return is_even_class(self.cycles)
-
-
-# ---------------------------------------------------------------------------
-# spectra
-# ---------------------------------------------------------------------------
-
-def walk_eigenvalue(q: ClassMeasure, parts: Partition) -> Fraction:
-    """Exact eigenvalue hold + (1 - hold) chi_lambda/d_lambda of convolution
-    by q on the lambda-isotypic block."""
-    parts = check_partition(parts)
-    if sum(parts) != q.n:
-        raise ValueError(f"partition of {sum(parts)} does not match degree {q.n}")
-    return q.hold + (1 - q.hold) * char_ratio(parts, q.cycles)
+def walk_eigenvalue(parts: Partition, cycles: CycleType, hold: Fraction) -> Fraction:
+    """Exact eigenvalue hold + (1 - hold) chi_lambda/d_lambda of the class
+    walk on the lambda-isotypic block."""
+    return hold + (1 - hold) * char_ratio(parts, cycles)
 
 
 #: (eigenvalue, integer multiplicity) per distinct eigenvalue
@@ -128,11 +90,14 @@ def group_blocks(pairs: Iterable[tuple[Fraction, Fraction | int]]) -> Blocks:
     return tuple(blocks)
 
 
-def diagram_eigenvalues(q: ClassMeasure) -> Iterator[tuple[Partition, Fraction, int]]:
-    """(lambda, beta_lambda, d_lambda^2) for every diagram lambda of n, on S_n,
-    by Murnaghan-Nakayama: the reference ``spectrum`` is checked against."""
-    for lam in partitions(q.n):
-        yield lam, walk_eigenvalue(q, lam), dimension(lam) ** 2
+def diagram_eigenvalues(
+    cycles: CycleType, hold: Fraction
+) -> Iterator[tuple[Partition, Fraction, int]]:
+    """(lambda, beta_lambda, d_lambda^2) for every diagram lambda of the class
+    walk's degree, on S_n, by Murnaghan-Nakayama: the reference ``spectrum``
+    is checked against."""
+    for lam in partitions(sum(cycles)):
+        yield lam, walk_eigenvalue(lam, cycles, hold), dimension(lam) ** 2
 
 
 def alternating_blocks(blocks: Blocks) -> Blocks:
@@ -143,23 +108,21 @@ def alternating_blocks(blocks: Blocks) -> Blocks:
     return group_blocks((beta, Fraction(m, 2)) for beta, m in without_sign)
 
 
-def spectrum(q: ClassMeasure, group: str = "sn") -> Blocks:
-    """The blocks of q on S_n or A_n, every diagram but lambda = (n).
+def spectrum(cycles: CycleType, hold: Fraction) -> Blocks:
+    """The blocks on S_n of the class walk that holds with probability
+    ``hold`` and otherwise steps in the class ``cycles`` (fixed points
+    included, so n = sum(cycles)), every diagram but lambda = (n).
 
     One pass over the diagrams sums d_lambda^2 per key: the content
-    numerator (n)_k chi_lambda/d_lambda when q steps by one k-cycle, k <= 4
+    numerator (n)_k chi_lambda/d_lambda when the class is one k-cycle, k <= 4
     (rt, class:2/3/4 and their lazy versions), otherwise chi_lambda/d_lambda
     by Murnaghan-Nakayama with one memo for the build.  Each key then maps
     to its eigenvalue hold + (1 - hold) key/(n)_k (denominator 1 on the
     Murnaghan-Nakayama path), one-to-one since 1 - hold > 0, so blocks keep
     the order in which their eigenvalue first appears.
     """
-    if group not in ("sn", "an"):
-        raise ValueError(f"unknown group {group!r}")
-    if group == "an" and not q.even_support:
-        raise ValueError("A_n spectra need a measure supported on even classes")
-    n, k = q.n, support(q.cycles)
-    content = q.cycles[0] == k <= 4  # a single cycle of length k <= 4
+    n, k = sum(cycles), support(cycles)
+    content = cycles[0] == k <= 4  # a single cycle of length k <= 4
     fact = factorials(n)
     memo: dict = {}
     totals: dict = {}
@@ -170,11 +133,10 @@ def spectrum(q: ClassMeasure, group: str = "sn") -> Blocks:
         if content:
             key = content_numerator(lam, n, k)
         else:
-            key = Fraction(mn_character(lam, q.cycles, memo), dim)
+            key = Fraction(mn_character(lam, cycles, memo), dim)
         totals[key] = totals.get(key, 0) + dim * dim
-    slope = Fraction(1 - q.hold, math.perm(n, k) if content else 1)
-    blocks = tuple((q.hold + slope * key, m) for key, m in totals.items())
-    return alternating_blocks(blocks) if group == "an" else blocks
+    slope = Fraction(1 - hold, math.perm(n, k) if content else 1)
+    return tuple((hold + slope * key, m) for key, m in totals.items())
 
 
 # ---------------------------------------------------------------------------

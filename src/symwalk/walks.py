@@ -9,14 +9,17 @@ A walk string names the step measure of a walk on S_n, for an n given later:
 <parts> lists positive integers, at least one above 1 (fixed points may be
 written as 1s or left out); <eps> is a fraction or decimal in (0, 1) such as
 1/2, 0.25 or 5e-2; ``str`` of a parsed walk gives its canonical string.
-``WalkSpec.class_measure`` is the one builder of a class walk at a given n,
-for the spectra, the theorems and the brute-force oracle alike; it caps n at
-MAX_SPECTRAL_N before anything of size n is built.  ``WalkSpec.blocks`` is
-the one spectral source of every walk kind: the class-measure spectrum for
-rt, class and lazy, and the exact ``spectra.ttr_blocks`` and
-``spectra.ri_blocks`` for the two walks that are not class walks, which
-live on S_n only (ri capped at MAX_RI_N).  This module imports the spectral
-model only: the oracle and the sampler import it, never the reverse.
+
+A parsed ``WalkSpec`` is the one walk model of the spectra, the theorems,
+the brute-force oracle and the sampler.  A class walk (rt, class, lazy)
+is its class at n, ``cycle_type``, and its holding probability, ``hold``.
+``blocks`` is the one spectral source of every walk kind on S_n: the
+class-walk ``spectra.spectrum``, and the exact ``spectra.ttr_blocks`` and
+``spectra.ri_blocks`` for the two walks that are not class walks; each
+kind's cap in SPECTRAL_CAPS is checked before anything of size n is
+built.  ``profile_blocks`` is the only code that decides what a walk is on
+A_n.  This module imports the spectral model only: the oracle and the
+sampler import it, never the reverse.
 
 A time expression such as "nlogn-3n" gives a time as a function of n
 (``eval_time_expr``): profile grids and the simulate step count use it.
@@ -30,10 +33,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import spectra
-from .characters import CycleType
+from .characters import CycleType, is_even_class
 from .errors import ResourceGuardError
 from .partitions import partition_counts
-from .spectra import Blocks, ClassMeasure
+from .spectra import Blocks
 
 #: the syntax of each walk kind, in the order help texts list them
 SYNTAX = {"rt": "rt", "ttr": "ttr", "ri": "ri",
@@ -47,16 +50,17 @@ _EPS_TEXT = re.compile(r"[0-9./]+(?:[eE][+-]?[0-9]{1,3})?")
 # after any number of minus signs
 _TOKEN_RE = re.compile(r"\d+\.?\d*(?:[eE][+\-]?\d+)?|nlogn|n|[+\-*]|.")
 _TIME_SHAPE = re.compile(r"-*f(?:\*?f)*(?:[+\-]-*f(?:\*?f)*)*")
-#: largest n of a class measure or a ttr spectrum: p(60) = 966,467 diagrams
-#: per spectrum build
+#: largest n of a class-walk spectrum: p(60) = 966,467 diagrams per build
 MAX_SPECTRAL_N = 60
-#: most diagrams, summed p(n) over the --n range, that a sweep of class-measure
+#: most diagrams, summed p(n) over the --n range, that a sweep of class-walk
 #: spectra builds: about two builds at MAX_SPECTRAL_N
 MAX_SPECTRAL_SWEEP = 2 * 10**6
-#: largest n of an ri spectrum: the build walks every horizontal strip of
-#: every diagram, and took 7.6 to 7.8 s at n = 40 and 10.8 s at n = 41 on one core
-#: of a 2-CPU x86-64 machine (Python 3.11)
-MAX_RI_N = 40
+#: largest n of each walk kind's spectrum.  The ttr build prices every corner
+#: of every diagram, and the ri build walks every horizontal strip of every
+#: diagram; on one core of a 2-CPU x86-64 machine (Python 3.11) they took
+#: 9.9 s at n = 50 (ttr) and 10.0 s at n = 40 (ri)
+SPECTRAL_CAPS = {"rt": MAX_SPECTRAL_N, "class": MAX_SPECTRAL_N, "lazy": MAX_SPECTRAL_N,
+                 "ttr": 50, "ri": 40}
 
 
 def syntax(*kinds: str) -> str:
@@ -119,37 +123,64 @@ class WalkSpec:
             raise ValueError(f"class {cycles} does not fit in S_{n}")
         return cycles + (1,) * fixed
 
-    def class_measure(self, n: int) -> ClassMeasure | None:
-        """The step measure as a class measure holding 1/n (rt), eps (lazy) or
-        0 (class); None for ttr and ri, which are not class measures."""
-        if self.kind in ("ttr", "ri"):
-            return None
-        check_spectral_n(n)
-        cycles = self.cycle_type(n)
-        hold = Fraction(1, n) if self.kind == "rt" else self.eps or Fraction(0)
-        return ClassMeasure(n, cycles, hold)
+    def hold(self, n: int) -> Fraction:
+        """A class walk's holding probability: 1/n (rt), eps (lazy) or 0 (class)."""
+        return Fraction(1, n) if self.kind == "rt" else self.eps or Fraction(0)
 
-    def blocks(self, n: int, group: str = "sn") -> Blocks:
-        """The nontrivial spectrum of the walk on S_n or A_n at n, each cap
-        checked before any diagram is enumerated: ``spectra.spectrum`` of the
-        class measure, or the ttr and ri blocks, which exist on S_n only since
-        those walks step by both parities."""
+    def check_n(self, n: int) -> None:
+        """Raise ValueError unless the walk steps on S_n: ttr and ri need
+        n >= 2, and a class walk's class must fit (``cycle_type``)."""
         if self.kind not in ("ttr", "ri"):
-            return spectra.spectrum(self.class_measure(n), group)
-        if group != "sn":
-            raise ValueError(f"the {self} walk steps by both parities and lives on S_n only")
-        if n < 2:
+            self.cycle_type(n)
+        elif n < 2:
             raise ValueError(f"the {self} walk needs n >= 2, got {n}")
+
+    def blocks(self, n: int) -> Blocks:
+        """The nontrivial spectrum of the walk on S_n, its kind's cap in
+        SPECTRAL_CAPS checked before anything of size n is built: the class
+        walk's ``spectra.spectrum``, or the exact ttr and ri blocks."""
+        check_spectral_n(self.kind, n)
+        self.check_n(n)
         if self.kind == "ttr":
-            check_spectral_n(n, "ttr spectra")
             return spectra.ttr_blocks(n)
-        check_spectral_n(n, "ri spectra", MAX_RI_N)
-        return spectra.ri_blocks(n)
+        if self.kind == "ri":
+            return spectra.ri_blocks(n)
+        return spectra.spectrum(self.cycle_type(n), self.hold(n))
+
+    def profile_blocks(self, n: int, group: str, mode: str) -> tuple[tuple[str, Blocks], ...]:
+        """The (group label, blocks) pairs of the walk's profile on ``group``,
+        one distance curve each; the only code that decides what a walk is
+        on A_n.
+
+        On S_n, the walk's blocks.  A walk whose step is even (a class or
+        lazy walk on an even class) lives on A_n, with the folded blocks
+        ``spectra.alternating_blocks``.  A pure odd class alternates between
+        the cosets of A_n, so in discrete time its A_n profile is the walk
+        q*q on A_n (row time t means 2t raw steps), followed by the raw S_n
+        blocks.  Any other A_n request raises ValueError before any diagram
+        is enumerated.
+        """
+        if group == "sn":
+            return (("sn", self.blocks(n)),)
+        if group != "an":
+            raise ValueError(f"unknown group {group!r}")
+        if self.kind in ("class", "lazy") and is_even_class(self.cycles):
+            return (("an", spectra.alternating_blocks(self.blocks(n))),)
+        if self.kind == "class" and mode == "discrete":
+            blocks = self.blocks(n)
+            # q*q is an even walk: the sign diagram's -1 squares to the 1 the fold removes
+            squared = spectra.group_blocks((beta * beta, m) for beta, m in blocks)
+            return (("an", spectra.alternating_blocks(squared)), ("sn", blocks))
+        raise ValueError(f"the {self} walk takes odd steps, and on A_n only a pure class walk "
+                         "in discrete time has a profile; use --group sn")
 
 
-def check_spectral_n(n: int, what: str = "class measures", cap: int = MAX_SPECTRAL_N) -> None:
-    """The cap on a spectrum, checked before anything of size n is built."""
+def check_spectral_n(kind: str, n: int) -> None:
+    """The cap in SPECTRAL_CAPS on a spectrum of the walk kind ``kind``,
+    checked before anything of size n is built."""
+    cap = SPECTRAL_CAPS[kind]
     if n > cap:
+        what = f"{kind} spectra" if kind in ("ttr", "ri") else "class measures"
         raise ResourceGuardError(f"{what} are capped at n <= {cap}, got n = {n}")
 
 
@@ -158,7 +189,7 @@ def check_spectral_sweep(ns: range) -> None:
     ``ns``: the largest n within MAX_SPECTRAL_N, then the work, counted in
     diagrams as the sum of p(n) over ``ns``, within MAX_SPECTRAL_SWEEP.
     Both are checked before any diagram is enumerated."""
-    check_spectral_n(ns[-1])
+    check_spectral_n("class", ns[-1])
     counts = partition_counts(ns[-1])
     work = sum(counts[n] for n in ns)
     if work > MAX_SPECTRAL_SWEEP:

@@ -1,6 +1,5 @@
 import pytest
 
-from symwalk.spectra import spectrum
 from symwalk.walks import WalkSpec
 
 
@@ -11,7 +10,7 @@ def rt_spectrum():
 
     def get(n: int):
         if n not in cache:
-            cache[n] = spectrum(WalkSpec("rt").class_measure(n))
+            cache[n] = WalkSpec("rt").blocks(n)
         return cache[n]
 
     return get

@@ -26,15 +26,16 @@ from symwalk.distances import (
     tv_of,
 )
 from symwalk.partitions import dimension, dominates, enumerate_partitions, near_square_partition, partitions
-from symwalk.spectra import spectrum
+from symwalk.spectra import alternating_blocks, spectrum
 from symwalk.walks import WalkSpec
 
 TV_SLACK = 1e-12  # numerical slack for inequalities between float quantities
 
 
 def measure(walk: str, n: int):
-    """The class measure of a walk string at n."""
-    return WalkSpec.parse(walk).class_measure(n)
+    """A class walk at n: its class (fixed points included) and its hold."""
+    spec = WalkSpec.parse(walk)
+    return spec.cycle_type(n), spec.hold(n)
 
 
 def oracle_measure(walk: str, n: int):
@@ -105,8 +106,7 @@ def test_criterion_03_rt_continuous_upper_bound(rt_spectrum):
 def test_criterion_04_four_cycle_continuous():
     worst = None
     for n in range(11, 26):
-        q = measure("class:4", n)
-        spec = spectrum(q, "sn")
+        spec = spectrum(*measure("class:4", n))
         for c in (2, 3):
             t = (n / 2) * (math.log(n) + c)
             val = l2_continuous(spec, t)
@@ -124,14 +124,14 @@ def _acc5_walk(n: int, walk: str) -> float:
     """Worst absolute disagreement between definitional and spectral values."""
     if walk == "lazy3":
         qel = oracle_measure("lazy:3:1/2", n)
-        spec = spectrum(measure("lazy:3:1/2", n))
+        spec = spectrum(*measure("lazy:3:1/2", n))
     elif walk.startswith("class"):
         k = int(walk[-1])
         qel = oracle_measure(f"class:{k}", n)
-        spec = spectrum(measure(f"class:{k}", n))
+        spec = spectrum(*measure(f"class:{k}", n))
     elif walk == "rt":
         qel = oracle_measure("rt", n)
-        spec = spectrum(measure("rt", n))
+        spec = spectrum(*measure("rt", n))
     else:  # ttr, ri: no class-function spectrum
         qel = oracle_measure(walk, n)
         spec = None
@@ -276,9 +276,9 @@ def test_criterion_10_continuous_vs_discrete_divergence():
         q = measure(f"class:{k}", n)
         lam = near_square_partition(n)
         t_cont = 0.8 * (n / 2) * math.log(n)
-        singles.append((n, l2_single_term_lower(lam, q, t_cont, "continuous")))
+        singles.append((n, l2_single_term_lower(lam, *q, t_cont, "continuous")))
         t_disc = math.ceil(4 * (n / k) * math.log(n))
-        if not l2_discrete(spectrum(q, "an"), t_disc) < 1:
+        if not l2_discrete(alternating_blocks(spectrum(*q)), t_disc) < 1:
             discrete_ok = False
     increasing = all(a[1] < b[1] for a, b in zip(singles, singles[1:]))
     seq = ", ".join(f"{n}:{float(v):.2e}" for n, v in singles)

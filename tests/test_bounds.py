@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from symwalk import bounds
+from symwalk import bounds, spectra
 from symwalk import group_oracle as go
 from symwalk.bounds import (
     BoundReport,
@@ -271,11 +271,11 @@ def test_theorem_bound_reports():
 def test_theorem_sweep_builds_one_spectrum_per_n(monkeypatch):
     built = []
 
-    def counting_spectrum(q, group="sn"):
-        built.append(q.n)
-        return spectrum(q, group)
+    def counting_spectrum(cycles, hold):
+        built.append(sum(cycles))
+        return spectrum(cycles, hold)
 
-    monkeypatch.setattr(bounds, "spectrum", counting_spectrum)
+    monkeypatch.setattr(spectra, "spectrum", counting_spectrum)
     for n in (15, 16):
         reports = theorem_bounds("rt-discrete", n, [0.0, 1.0, 2.0])
         assert [r.c for r in reports] == [0.0, 1.0, 2.0]

@@ -112,6 +112,14 @@ def test_profile_json_format(tmp_path):
     assert payload["results"][0]["t"] == 0 and payload["results"][0]["n"] == 5
     assert float(payload["results"][0]["d2"]) == pytest.approx(math.sqrt(119), rel=1e-11)
     assert payload["results"][1]["log10_d2_sq"] == pytest.approx(1.05994188806, rel=1e-9)
+    # a time from 1e16 up is written as d2 is, never as a 301-digit integer
+    argv = ["profile", "--walk", "rt", "--n", "5", "--mode", "continuous", "--t-grid", "1e300,3"]
+    assert run(argv + ["--format", "json", "--out", str(out)]) == 0
+    results = json.loads(out.read_text())["results"]
+    assert [r["t"] for r in results] == [1e300, 3] and type(results[0]["t"]) is float
+    csv = tmp_path / "huge.csv"
+    assert run(argv + ["--out", str(csv)]) == 0
+    assert [line.split(",")[3] for line in read_lines(csv)[2:]] == ["1.0e+300", "3"]
 
 
 def test_profile_rerun_payload_identical(tmp_path):
@@ -163,7 +171,6 @@ def test_verify_rt_discrete_suite(tmp_path):
 
 def test_profile_invalid_args(tmp_path):
     assert run(["profile", "--walk", "bogus", "--n", "5"]) == cli.EXIT_BAD_ARGS
-    assert run(["profile", "--walk", "rt", "--n", "5", "--group", "an"]) == cli.EXIT_BAD_ARGS
     assert run(["profile", "--walk", "class:9", "--n", "5"]) == cli.EXIT_BAD_ARGS
 
 
@@ -401,12 +408,10 @@ def test_discrete_grid_rejects_fractional_times(tmp_path):
 
 
 def test_bad_time_grid_is_rejected_before_the_spectrum(tmp_path, monkeypatch, capsys):
-    from symwalk import distances
-
-    def no_build(q, group="sn"):
+    def no_build(cycles, hold):
         raise AssertionError("spectrum built for a bad time grid")
 
-    monkeypatch.setattr(distances, "spectrum", no_build)
+    monkeypatch.setattr(spectra, "spectrum", no_build)
     out = tmp_path / "x.csv"
     assert run(["profile", "--walk", "rt", "--n", "30", "--mode", "discrete",
                 "--t-grid", "1.5", "--out", str(out)]) == cli.EXIT_BAD_ARGS
@@ -689,20 +694,47 @@ def test_profile_ttr_ri_exact_curves(walk, tmp_path):
         assert [row[4] for row in rows] == [cli.fmt_real(d) for d in want]
 
 
-@pytest.mark.parametrize("walk", ["ttr", "ri"])
-def test_profile_ttr_ri_live_on_sn_only(walk, capsys, monkeypatch):
-    def no_partitions(n):
-        raise AssertionError("partitions enumerated for a rejected group")
+# the A_n rule: per walk, the row labels in discrete and in continuous time
+# (one label per curve at one time), or None where --group an exits 2
+AN_RULE = {
+    "rt": (None, None),
+    "class:2": (["an", "sn"], None),
+    "class:3": (["an"], ["an"]),
+    "class:4": (["an", "sn"], None),
+    "lazy:2:1/2": (None, None),
+    "lazy:3:1/2": (["an"], ["an"]),
+    "ttr": (None, None),
+    "ri": (None, None),
+    "ttr-bound": (None, None),
+}
 
-    monkeypatch.setattr(spectra, "partitions", no_partitions)
-    argv = ["profile", "--walk", walk, "--n", "6", "--group", "an", "--t-grid", "1"]
-    assert run(argv) == cli.EXIT_BAD_ARGS
-    err = capsys.readouterr().err
-    assert err == (f"symwalk: invalid arguments: the {walk} walk steps by both parities "
-                   "and lives on S_n only\n")
+
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+@pytest.mark.parametrize("group", ["sn", "an"])
+@pytest.mark.parametrize("walk", list(AN_RULE))
+def test_profile_group_rule(walk, group, mode, tmp_path, capsys, monkeypatch):
+    # every walk has an S_n profile; on A_n an even step folds, a pure odd
+    # class in discrete time reports q*q and then the raw S_n rows, and every
+    # other walk is refused before any diagram is enumerated
+    labels = ["sn"] if group == "sn" else AN_RULE[walk][mode == "continuous"]
+    if labels is None:
+        def no_partitions(n):
+            raise AssertionError("partitions enumerated for a refused group")
+
+        monkeypatch.setattr(spectra, "partitions", no_partitions)
+    out = tmp_path / "x.csv"
+    code = run(["profile", "--walk", walk, "--n", "6", "--group", group, "--mode", mode,
+                "--t-grid", "1", "--out", str(out)])
+    if labels is None:
+        assert code == cli.EXIT_BAD_ARGS and not out.exists()
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("use --group sn\n"), err
+    else:
+        assert code == cli.EXIT_OK
+        assert [line.split(",")[1] for line in read_lines(out)[2:]] == labels
 
 
-@pytest.mark.parametrize("walk, cap", [("ttr", walks.MAX_SPECTRAL_N), ("ri", walks.MAX_RI_N)])
+@pytest.mark.parametrize("walk, cap", [("ttr", 50), ("ri", 40)])
 def test_profile_ttr_ri_size_cap_is_resource_guard(walk, cap, tmp_path, capsys, monkeypatch):
     # the cap runs before any diagram is enumerated
     def no_partitions(n):
@@ -733,10 +765,10 @@ def test_precision_is_capped_before_the_spectrum(tmp_path, monkeypatch, capsys):
     assert run(["--precision", str(cli.MAX_PRECISION)] + argv) == cli.EXIT_OK
     assert len(read_lines(out)) == 3
 
-    def no_build(q, group="sn"):
+    def no_build(cycles, hold):
         raise AssertionError("spectrum built at a rejected precision")
 
-    monkeypatch.setattr(distances, "spectrum", no_build)
+    monkeypatch.setattr(spectra, "spectrum", no_build)
     out.unlink()
     with pytest.raises(SystemExit) as exc:
         run(["--precision", str(cli.MAX_PRECISION + 1)] + argv)

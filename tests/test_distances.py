@@ -10,7 +10,6 @@ from symwalk.bounds import ttr_bound_spectrum
 from symwalk.distances import (
     ProfileRow,
     chi_square_of,
-    class_walk_profile,
     l2_continuous,
     l2_curve,
     l2_discrete,
@@ -18,13 +17,23 @@ from symwalk.distances import (
     spectrum_profile,
     tv_of,
 )
+from symwalk.characters import is_even_class
 from symwalk.partitions import near_square_partition, partitions
 from symwalk.spectra import alternating_blocks, diagram_eigenvalues, spectrum
 from symwalk.walks import WalkSpec
 
 
 def measure(walk, n):
-    return WalkSpec.parse(walk).class_measure(n)
+    """A class walk at n: its class (fixed points included) and its hold."""
+    spec = WalkSpec.parse(walk)
+    return spec.cycle_type(n), spec.hold(n)
+
+
+def profile(walk, n, group, mode, times):
+    """A walk's profile rows, drawn as ``profile`` draws them: one curve per
+    (label, blocks) pair of ``WalkSpec.profile_blocks``."""
+    return [row for label, blocks in WalkSpec.parse(walk).profile_blocks(n, group, mode)
+            for row in spectrum_profile(blocks, label, mode, times)]
 
 
 def oracle_measure(walk, n):
@@ -52,7 +61,7 @@ def test_l2_discrete_matches_oracle(rt_spectrum):
 def test_l2_discrete_matches_oracle_class_walks():
     n = 5
     for cls in ("class:3", "class:4", "class:2,2"):
-        spec = spectrum(measure(cls, n))
+        spec = spectrum(*measure(cls, n))
         qel = oracle_measure(cls, n)
         powers = go.convolution_powers_upto(qel, 30)
         for t, dist in enumerate(powers):
@@ -77,7 +86,7 @@ def test_l2_continuous_examples(rt_spectrum):
     assert l2_continuous(rt_spectrum(n), t) <= 1
     q4 = measure("class:4", 11)
     t = (11 / 2) * (math.log(11) + 2)
-    assert l2_continuous(spectrum(q4, "sn"), t) <= 1
+    assert l2_continuous(spectrum(*q4), t) <= 1
 
 
 def test_l2_continuous_strictly_decreasing(rt_spectrum):
@@ -88,7 +97,7 @@ def test_l2_continuous_strictly_decreasing(rt_spectrum):
 
 def test_l2_continuous_matches_oracle_poisson():
     qel = oracle_measure("rt", 5)
-    spec = spectrum(measure("rt", 5))
+    spec = spectrum(*measure("rt", 5))
     for t in (0.5, 2.0, 8.0):
         h, trunc = go.continuous_law(qel, t)
         assert abs(chi_square_of(h, normalized=False) - float(l2_continuous(spec, t))) < 1e-8
@@ -99,12 +108,12 @@ def test_single_term_lower_examples():
     n = 8
     q = measure("rt", n)
     for t in (3, 10):
-        val = float(l2_single_term_lower((n - 1, 1), q, t, "discrete"))
+        val = float(l2_single_term_lower((n - 1, 1), *q, t, "discrete"))
         assert val == pytest.approx((n - 1) * (1 - 2 / n) ** t, rel=1e-12)
-    val = float(l2_single_term_lower((n - 1, 1), q, 4.5, "continuous"))
+    val = float(l2_single_term_lower((n - 1, 1), *q, 4.5, "continuous"))
     assert val == pytest.approx((n - 1) * math.exp(-4.5 * 2 / n), rel=1e-12)
     with pytest.raises(ValueError):
-        l2_single_term_lower((n,), q, 1, "discrete")
+        l2_single_term_lower((n,), *q, 1, "discrete")
 
 
 def test_single_term_below_full_distance(rt_spectrum):
@@ -115,8 +124,9 @@ def test_single_term_below_full_distance(rt_spectrum):
             if lam == (n,):
                 continue
             for t in (1, 4, 9):
-                assert l2_single_term_lower(lam, q, t, "discrete") <= l2_discrete(spec, t)
-                assert l2_single_term_lower(lam, q, float(t), "continuous") <= l2_continuous(spec, t)
+                assert l2_single_term_lower(lam, *q, t, "discrete") <= l2_discrete(spec, t)
+                assert l2_single_term_lower(lam, *q, float(t), "continuous") <= l2_continuous(
+                    spec, t)
 
 
 def test_ttr_continuous_oracle_meets_threshold():
@@ -165,14 +175,13 @@ def test_profile_even_class_an_discrete_matches_oracle():
     # walk restricted to A_n; on A_4 the V4 class has a second beta = 1
     # block, which the sign diagram joins
     for cycles, n in (("class:3", 5), ("class:2,2", 4)):
-        q = measure(cycles, n)
-        profile = class_walk_profile(q, "an", "discrete", [1, 2, 4])
+        rows = profile(cycles, n, "an", "discrete", [1, 2, 4])
         qel = oracle_measure(cycles, n)
         perms = go.all_permutations(n)
         even = [i for i, p in enumerate(perms)
                 if sum(c - 1 for c in go.cycle_type_of(p)) % 2 == 0]
         g_an = math.factorial(n) // 2
-        for row in profile:
+        for row in rows:
             dist = go.convolution_powers_upto(qel, int(row.t))[-1]
             vals = [dist.values[i] for i in even]
             d2 = math.sqrt(g_an * sum((v - 1 / g_an) ** 2 for v in vals))
@@ -183,12 +192,10 @@ def test_profile_odd_class_an_discrete_reports_squared_walk():
     # row at time t must equal the A_n distance of q*q after t steps,
     # i.e. the even-support distribution q^(2t)
     n = 5
-    q = measure("class:4", n)
-    profile = class_walk_profile(q, "an", "discrete", [1, 2, 3])
-    an_rows = [r for r in profile if r.group == "an"]
-    sn_rows = [r for r in profile if r.group == "sn"]
+    rows = profile("class:4", n, "an", "discrete", [1, 2, 3])
+    an_rows = [r for r in rows if r.group == "an"]
+    sn_rows = [r for r in rows if r.group == "sn"]
     assert len(an_rows) == 3 and len(sn_rows) == 3
-    assert class_walk_profile(q, "an", "discrete", iter([1, 2, 3])) == profile  # one-pass grid
     qel = oracle_measure("class:4", n)
     perms = go.all_permutations(n)
     even = [i for i, p in enumerate(perms) if sum(c - 1 for c in go.cycle_type_of(p)) % 2 == 0]
@@ -200,32 +207,15 @@ def test_profile_odd_class_an_discrete_reports_squared_walk():
         d2 = math.sqrt(g_an * sum((v - 1 / g_an) ** 2 for v in vals))
         assert abs(float(row.d2) - d2) < 1e-9
     # raw S_n rows alternate and match the plain spectral distance
-    spec = spectrum(q, "sn")
+    spec = WalkSpec.parse("class:4").blocks(n)
     for row in sn_rows:
         assert abs(float(row.d2) - float(l2_discrete(spec, int(row.t)))) < 1e-12
-
-
-def test_profile_an_discrete_rejects_mixed_odd_measures():
-    # rt holds with probability 1/n, so its walk never confines to a coset
-    with pytest.raises(ValueError):
-        class_walk_profile(measure("rt", 5), "an", "discrete", [1, 2])
-    with pytest.raises(ValueError):
-        class_walk_profile(measure("lazy:4:1/2", 5), "an", "discrete", [1, 2])
-
-
-def test_profile_odd_class_continuous_relabels_to_sn():
-    q = measure("class:4", 5)
-    profile = class_walk_profile(q, "an", "continuous", [0.5, 1.0])
-    assert all(r.group == "sn" for r in profile)
-    spec = spectrum(q, "sn")
-    for row in profile:
-        assert abs(float(row.d2) - float(l2_continuous(spec, row.t))) < 1e-12
 
 
 def test_tiny_tail_values_survive():
     # dominant term exp(-2t/6) at t = 5000 puts d2 near 1e-361, beneath the
     # smallest positive float64; the mpf pipeline must keep it non-zero
-    spec = spectrum(measure("rt", 12))
+    spec = spectrum(*measure("rt", 12))
     val = l2_continuous(spec, 5000.0)
     assert 0 < val < mp.mpf("1e-350")
     assert float(val) == 0.0
@@ -270,46 +260,49 @@ def assert_close(got, ref, what):
 
 
 def nontrivial_pairs(q, group="sn"):
-    """One (eigenvalue, multiplicity) pair per nontrivial diagram; on A_n the
-    sign diagram is dropped and every multiplicity halved."""
+    """One (eigenvalue, multiplicity) pair per nontrivial diagram of the
+    class walk q = (cycles, hold); on A_n the sign diagram is dropped and
+    every multiplicity halved."""
+    n = sum(q[0])
     if group == "sn":
-        return [(beta, m) for lam, beta, m in diagram_eigenvalues(q) if lam != (q.n,)]
-    sign = (1,) * q.n
+        return [(beta, m) for lam, beta, m in diagram_eigenvalues(*q) if lam != (n,)]
+    sign = (1,) * n
     return [(beta, Fraction(m, 2))
-            for lam, beta, m in diagram_eigenvalues(q) if lam not in ((q.n,), sign)]
+            for lam, beta, m in diagram_eigenvalues(*q) if lam not in ((n,), sign)]
 
 
 def squared_walk_pairs(q):
-    sign = (1,) * q.n
+    n = sum(q[0])
+    sign = (1,) * n
     return [(beta ** 2, Fraction(m, 2))
-            for lam, beta, m in diagram_eigenvalues(q) if lam not in ((q.n,), sign)]
+            for lam, beta, m in diagram_eigenvalues(*q) if lam not in ((n,), sign)]
 
 
 DISCRETE_TIMES = (0, 1, 2, 5, 17, 40)
 CONTINUOUS_TIMES = (0, 0.5, 3.25, 10.0, 40.0)
 
 
-def check_profile(q, group, mode, pairs, times, label):
-    rows = [r for r in class_walk_profile(q, group, mode, times) if r.group == label]
+def check_profile(walk, n, group, mode, pairs, times, label):
+    rows = [r for r in profile(walk, n, group, mode, times) if r.group == label]
     assert [r.t for r in rows] == list(times)
     for row in rows:
-        assert_close(row.d2, per_partition_l2(pairs, row.t, mode), (q, group, mode, row.t))
+        assert_close(row.d2, per_partition_l2(pairs, row.t, mode), (walk, n, group, mode, row.t))
 
 
 def test_blocks_group_integer_multiplicities():
-    cases = [(measure("rt", n), "sn") for n in (2, 5, 9)]
-    cases += [(measure("class:3", n), "an") for n in (3, 6, 9)]
-    cases += [(measure("lazy:3:1/2", 8), "an")]
-    for q, group in cases:
-        spec = spectrum(q, group)
-        order = math.factorial(q.n) // (2 if group == "an" else 1)
+    cases = [("rt", n, "sn") for n in (2, 5, 9)]
+    cases += [("class:3", n, "an") for n in (3, 6, 9)]
+    cases += [("lazy:3:1/2", 8, "an")]
+    for walk, n, group in cases:
+        ((_, spec),) = WalkSpec.parse(walk).profile_blocks(n, group, "continuous")
+        order = math.factorial(n) // (2 if group == "an" else 1)
         betas = [beta for beta, _ in spec]
-        assert len(betas) == len(set(betas)) <= len(nontrivial_pairs(q, group))
+        assert len(betas) == len(set(betas)) <= len(nontrivial_pairs(measure(walk, n), group))
         assert all(type(m) is int and m > 0 for _, m in spec)
         assert sum(m for _, m in spec) == order - 1
     for n in (4, 7, 9):
         for cls in (2, 4):
-            blocks = spectrum(measure(f"class:{cls}", n))
+            blocks = spectrum(*measure(f"class:{cls}", n))
             folded = alternating_blocks(tuple((beta * beta, m) for beta, m in blocks))
             assert all(type(m) is int and m > 0 for _, m in folded)
             assert sum(m for _, m in folded) == math.factorial(n) // 2 - 1
@@ -317,57 +310,57 @@ def test_blocks_group_integer_multiplicities():
 
 def test_grouped_rt_matches_per_partition_sum():
     for n in range(2, 13):
-        spec = spectrum(measure("rt", n))
+        spec = spectrum(*measure("rt", n))
         pairs = nontrivial_pairs(measure("rt", n))
         for t in DISCRETE_TIMES:
             assert_close(l2_discrete(spec, t), per_partition_l2(pairs, t, "discrete"), (n, t))
         for t in CONTINUOUS_TIMES:
             assert_close(l2_continuous(spec, t), per_partition_l2(pairs, t, "continuous"), (n, t))
         for mode, times in (("discrete", DISCRETE_TIMES), ("continuous", CONTINUOUS_TIMES)):
-            check_profile(measure("rt", n), "sn", mode, pairs, times, "sn")
+            check_profile("rt", n, "sn", mode, pairs, times, "sn")
 
 
 def test_grouped_an_profiles_match_per_partition_sum():
     for n in (5, 8, 10):
-        for q in (measure("class:3", n), measure("lazy:3:1/2", n)):
-            pairs = nontrivial_pairs(q, "an")
-            check_profile(q, "an", "discrete", pairs, DISCRETE_TIMES, "an")
-            check_profile(q, "an", "continuous", pairs, CONTINUOUS_TIMES, "an")
+        for walk in ("class:3", "lazy:3:1/2"):
+            pairs = nontrivial_pairs(measure(walk, n), "an")
+            check_profile(walk, n, "an", "discrete", pairs, DISCRETE_TIMES, "an")
+            check_profile(walk, n, "an", "continuous", pairs, CONTINUOUS_TIMES, "an")
 
 
 def test_grouped_odd_class_fold_matches_per_partition_sum():
     for n in (4, 7, 10):
-        for cls in (2, 4):
-            q = measure(f"class:{cls}", n)
-            check_profile(q, "an", "discrete", squared_walk_pairs(q), DISCRETE_TIMES, "an")
-            check_profile(q, "an", "discrete", nontrivial_pairs(q), DISCRETE_TIMES, "sn")
+        for walk in ("class:2", "class:4"):
+            q = measure(walk, n)
+            check_profile(walk, n, "an", "discrete", squared_walk_pairs(q), DISCRETE_TIMES, "an")
+            check_profile(walk, n, "an", "discrete", nontrivial_pairs(q), DISCRETE_TIMES, "sn")
 
 
 def test_grouped_matches_exact_rationals_for_small_n():
     # the exact rational sums an earlier small-n fast path returned directly
     times = range(31)
     for n in range(2, 7):
-        walks = [(measure("rt", n), "sn")]
-        walks += [(measure(f"class:{k}", n), "sn") for k in range(2, n + 1)]
+        walks = [("rt", "sn")] + [(f"class:{k}", "sn") for k in range(2, n + 1)]
         if n >= 3:
-            walks.append((measure("lazy:3:1/2", n), "an"))
-        for q, group in walks:
+            walks.append(("lazy:3:1/2", "an"))
+        for walk, group in walks:
+            q = measure(walk, n)
             pairs = nontrivial_pairs(q, group)
-            check_profile(q, group, "discrete", pairs, times, group)
-            if q.even_support and group == "sn":
-                check_profile(q, "an", "discrete", nontrivial_pairs(q, "an"), times, "an")
-            if not q.even_support and not q.hold:  # a pure odd class
+            check_profile(walk, n, group, "discrete", pairs, times, group)
+            if is_even_class(q[0]) and group == "sn":
+                check_profile(walk, n, "an", "discrete", nontrivial_pairs(q, "an"), times, "an")
+            if not is_even_class(q[0]) and not q[1]:  # a pure odd class
                 pairs = squared_walk_pairs(q)
-                check_profile(q, "an", "discrete", pairs, times, "an")
+                check_profile(walk, n, "an", "discrete", pairs, times, "an")
 
 
 def test_discrete_times_must_be_integers():
-    spec = spectrum(measure("rt", 4))
+    spec = spectrum(*measure("rt", 4))
     for bad in (1.5, -1):
         with pytest.raises(ValueError):
             l2_discrete(spec, bad)
         with pytest.raises(ValueError):
-            class_walk_profile(measure("rt", 4), "sn", "discrete", [bad])
+            spectrum_profile(spec, "sn", "discrete", [bad])
     with pytest.raises(ValueError):
         l2_continuous(spec, -0.5)
 
@@ -377,9 +370,9 @@ def test_discrete_times_must_be_integers():
 # ---------------------------------------------------------------------------
 
 ACCURACY_SPECTRA = {
-    "rt": lambda: spectrum(measure("rt", 9)),
-    "class:3": lambda: spectrum(measure("class:3", 8), "an"),
-    "lazy:3:1/2": lambda: spectrum(measure("lazy:3:1/2", 8), "an"),
+    "rt": lambda: spectrum(*measure("rt", 9)),
+    "class:3": lambda: alternating_blocks(spectrum(*measure("class:3", 8))),
+    "lazy:3:1/2": lambda: alternating_blocks(spectrum(*measure("lazy:3:1/2", 8))),
     "ttr-bound": lambda: ttr_bound_spectrum(10),
     "beta=0": lambda: ((Fraction(1, 2), 5), (Fraction(0), 3), (Fraction(-1, 3), 7)),
     "beta=-1": lambda: ((Fraction(-1), 1), (Fraction(1, 3), 4), (Fraction(2, 3), 2)),
@@ -447,7 +440,7 @@ def test_l2_curve_exp_calls_do_not_grow_with_blocks(monkeypatch):
     monkeypatch.setattr(mp, "exp", counting(mp.exp))
     times = [0.5, 3, 0.5, 7.25, 3]
     for n in (6, 12, 16):
-        blocks = spectrum(measure("rt", n))
+        blocks = spectrum(*measure("rt", n))
         calls.clear()
         l2_curve(blocks, times, "continuous", 128)
         assert 0 < len(calls) <= len(set(times)), n

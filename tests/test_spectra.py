@@ -7,10 +7,9 @@ import pytest
 from symwalk import characters
 from symwalk import partitions as partition_module
 from symwalk import group_oracle as go
-from symwalk.characters import class_size
+from symwalk.characters import class_size, is_even_class
 from symwalk.partitions import dimension, partitions
 from symwalk.spectra import (
-    ClassMeasure,
     alternating_blocks,
     diagram_eigenvalues,
     group_blocks,
@@ -22,61 +21,59 @@ from symwalk.spectra import (
 from symwalk.walks import WalkSpec
 
 
-def measure(walk: str, n: int) -> ClassMeasure:
-    return WalkSpec.parse(walk).class_measure(n)
+def measure(walk: str, n: int) -> tuple:
+    """A class walk at n: its class (fixed points included) and its hold."""
+    spec = WalkSpec.parse(walk)
+    return spec.cycle_type(n), spec.hold(n)
 
 
 def test_rt_measure_weights():
-    q = measure("rt", 3)
-    assert (q.cycles, q.hold) == ((2, 1), Fraction(1, 3))
+    assert measure("rt", 3) == ((2, 1), Fraction(1, 3))
     for n in range(2, 51):
-        q = measure("rt", n)
-        assert (q.n, q.cycles, q.hold) == (n, (2,) + (1,) * (n - 2), Fraction(1, n))
+        assert measure("rt", n) == ((2,) + (1,) * (n - 2), Fraction(1, n))
     # per-element transposition probability 2/n^2 at n = 5
-    q5 = measure("rt", 5)
-    assert (1 - q5.hold) / class_size(q5.cycles) == Fraction(2, 25)
+    cycles, hold = measure("rt", 5)
+    assert (1 - hold) / class_size(cycles) == Fraction(2, 25)
 
 
 def test_uniform_class_measure():
-    q = measure("class:1,1,1,1,1,1,1,4", 11)
-    assert (q.n, q.cycles, q.hold) == (11, (4,) + (1,) * 7, 0)
-    assert not q.even_support  # 4-cycles are odd
-    assert measure("class:3", 5).even_support
+    cycles, hold = measure("class:1,1,1,1,1,1,1,4", 11)
+    assert (sum(cycles), cycles, hold) == (11, (4,) + (1,) * 7, 0)
+    assert not is_even_class(cycles)  # 4-cycles are odd
+    assert is_even_class(measure("class:3", 5)[0])
     with pytest.raises(ValueError):
         measure("class:1,1,1", 3)
 
 
 def test_lazy_class_measure():
-    q = measure("lazy:3:1/2", 5)
-    assert (q.n, q.cycles, q.hold) == (5, (3, 1, 1), Fraction(1, 2))
-    assert q.even_support  # holding is the even identity
+    cycles, hold = measure("lazy:3:1/2", 5)
+    assert (sum(cycles), cycles, hold) == (5, (3, 1, 1), Fraction(1, 2))
+    assert is_even_class(cycles)  # holding is the even identity
     for eps in ("0", "1", "3/2"):
         with pytest.raises(ValueError):
             measure(f"lazy:3:{eps}", 5)
 
 
 def test_measure_weight_validation():
-    assert ClassMeasure(3, (2, 1), Fraction(1, 2)).hold == Fraction(1, 2)
-    for hold in (Fraction(1), Fraction(-1, 2)):
+    # the walk model checks a class walk's weights once: a hold outside
+    # (0, 1), the identity class and a class that does not fit are refused
+    for text in ("lazy:2:1", "lazy:2:-1/2", "class:1,1,1"):
         with pytest.raises(ValueError):
-            ClassMeasure(3, (2, 1), hold)
-    with pytest.raises(ValueError):
-        ClassMeasure(3, (1, 2))  # not canonical
-    with pytest.raises(ValueError):
-        ClassMeasure(3, (2, 1, 1))  # degree mismatch
-    with pytest.raises(ValueError):
-        ClassMeasure(3, (1, 1, 1))  # the identity class
+            WalkSpec.parse(text)
+    with pytest.raises(ValueError, match="does not fit in S_3"):
+        measure("class:2,2", 3)
+    assert measure("lazy:2:1/2", 3) == ((2, 1), Fraction(1, 2))
 
 
 def test_walk_eigenvalue_examples():
-    assert walk_eigenvalue(measure("rt", 10), (9, 1)) == Fraction(4, 5)
+    assert walk_eigenvalue((9, 1), *measure("rt", 10)) == Fraction(4, 5)
     for n in (4, 7, 10):
         q = measure("rt", n)
-        assert walk_eigenvalue(q, (n,)) == 1
-        assert walk_eigenvalue(q, (n - 1, 1)) == 1 - Fraction(2, n)
-        assert walk_eigenvalue(q, (1,) * n) == -Fraction(n - 2, n)
+        assert walk_eigenvalue((n,), *q) == 1
+        assert walk_eigenvalue((n - 1, 1), *q) == 1 - Fraction(2, n)
+        assert walk_eigenvalue((1,) * n, *q) == -Fraction(n - 2, n)
     with pytest.raises(ValueError):
-        walk_eigenvalue(measure("rt", 5), (3, 1))
+        walk_eigenvalue((3, 1), *measure("rt", 5))
 
 
 def test_lazy_linearity():
@@ -85,14 +82,14 @@ def test_lazy_linearity():
         for eps in (Fraction(1, 3), Fraction(1, 2)):
             lazy = measure(f"lazy:3:{eps}", n)
             for lam in partitions(n):
-                assert walk_eigenvalue(lazy, lam) == eps + (1 - eps) * walk_eigenvalue(base, lam)
+                assert walk_eigenvalue(lam, *lazy) == eps + (1 - eps) * walk_eigenvalue(lam, *base)
 
 
 def test_spectrum_sn():
-    rows = list(diagram_eigenvalues(measure("rt", 4)))
+    rows = list(diagram_eigenvalues(*measure("rt", 4)))
     assert sorted(int(m) for _, _, m in rows) == [1, 1, 4, 9, 9]
     for n in range(2, 13):
-        rows = list(diagram_eigenvalues(measure("rt", n)))
+        rows = list(diagram_eigenvalues(*measure("rt", n)))
         assert sum(m for _, _, m in rows) == math.factorial(n)
         assert all(abs(beta) <= 1 for _, beta, _ in rows)
         ones = [lam for lam, beta, _ in rows if beta == 1]
@@ -100,26 +97,27 @@ def test_spectrum_sn():
 
 
 def test_spectrum_an():
-    q = measure("class:3", 5)
-    blocks = spectrum(q, "an")
+    blocks = alternating_blocks(spectrum(*measure("class:3", 5)))
     assert sum(m for _, m in blocks) == 59
     assert all(type(m) is int and m > 0 for _, m in blocks)
+    assert WalkSpec.parse("class:3").profile_blocks(5, "an", "continuous") == (("an", blocks),)
     with pytest.raises(ValueError):
-        spectrum(measure("class:2", 4), "an")  # odd class
+        WalkSpec.parse("class:2").profile_blocks(4, "an", "continuous")  # odd class
     with pytest.raises(ValueError):
-        spectrum(measure("rt", 4), "an")
+        WalkSpec.parse("rt").profile_blocks(4, "an", "discrete")
 
 
 def test_odd_class_periodicity_witness():
     for n in (4, 6):
-        rows = diagram_eigenvalues(measure("class:2", n))
+        rows = diagram_eigenvalues(*measure("class:2", n))
         at_sign = [beta for lam, beta, _ in rows if lam == (1,) * n]
         assert at_sign[0] == -1
 
 
 def mn_blocks(q, group):
     """The grouped spectrum from the Murnaghan-Nakayama rows."""
-    blocks = group_blocks((beta, m) for lam, beta, m in diagram_eigenvalues(q) if lam != (q.n,))
+    n = sum(q[0])
+    blocks = group_blocks((beta, m) for lam, beta, m in diagram_eigenvalues(*q) if lam != (n,))
     return alternating_blocks(blocks) if group == "an" else blocks
 
 
@@ -127,21 +125,20 @@ def test_spectrum_blocks_equal_murnaghan_nakayama_blocks():
     # content-numerator keys (rt, short cycles, lazy) and the MN fallback
     # (class:2,2 and class:5, holding or not) give the MN blocks in value and order
     for n in range(2, 19):
-        walks = [measure("rt", n)]
-        walks += [measure(f"class:{k}", n) for k in (2, 3, 4) if k <= n]
-        walks += [measure(f"lazy:{k}:{eps}", n)
-                  for k, eps in ((3, Fraction(1, 2)), (4, Fraction(1, 3))) if k <= n]
+        walks = ["rt"] + [f"class:{k}" for k in (2, 3, 4) if k <= n]
+        walks += [f"lazy:{k}:{eps}" for k, eps in ((3, "1/2"), (4, "1/3")) if k <= n]
         if n in (4, 9, 14):
-            walks.append(measure("class:2,2", n))
-            walks.append(measure("lazy:2,2:1/3", n))
+            walks += ["class:2,2", "lazy:2,2:1/3"]
         if n in (5, 9, 14):
-            walks.append(measure("class:5", n))
-            walks.append(measure("lazy:5:1/2", n))
-        for q in walks:
-            for group in ("sn", "an") if q.even_support else ("sn",):
-                blocks = spectrum(q, group)
-                assert blocks == mn_blocks(q, group), (q, n, group)
-                assert all(type(beta) is Fraction and type(m) is int for beta, m in blocks)
+            walks += ["class:5", "lazy:5:1/2"]
+        for walk in walks:
+            q = measure(walk, n)
+            blocks = spectrum(*q)
+            assert blocks == mn_blocks(q, "sn"), (walk, n)
+            assert all(type(beta) is Fraction and type(m) is int for beta, m in blocks)
+            if is_even_class(q[0]):
+                assert WalkSpec.parse(walk).profile_blocks(n, "an", "discrete") == (
+                    ("an", mn_blocks(q, "an")),), (walk, n)
 
 
 def assert_build_keeps_module_tables(module):
@@ -158,7 +155,7 @@ def assert_build_keeps_module_tables(module):
                 [cache.cache_info().currsize for cache in caches])
 
     before = sizes()
-    spectrum(measure("class:2,2", 17))
+    spectrum(*measure("class:2,2", 17))
     assert sizes() == before
 
 
@@ -174,7 +171,10 @@ def test_spectrum_build_leaves_partition_tables_unchanged():
 
 def count_top_eigenvalues(q, group="sn"):
     """Multiplicity of the eigenvalue 1, the trivial block included."""
-    return 1 + sum(m for beta, m in spectrum(q, group) if beta == 1)
+    blocks = spectrum(*q)
+    if group == "an":
+        blocks = alternating_blocks(blocks)
+    return 1 + sum(m for beta, m in blocks if beta == 1)
 
 
 def test_unique_top_eigenvalue_for_generating_classes():
@@ -203,7 +203,7 @@ def test_spectrum_matches_brute_force_operator(rt_spectrum):
 
 def test_spectrum_matches_brute_force_operator_n7():
     # 5040 x 5040 dense eigendecomposition, the largest direct cross-check
-    expanded = expanded_eigenvalues(spectrum(measure("rt", 7)))
+    expanded = expanded_eigenvalues(spectrum(*measure("rt", 7)))
     q = go.element_measure(WalkSpec("rt"), 7)  # build the dense kernel past the size guard
     size = math.factorial(7)
     Km = np.zeros((size, size))
