@@ -225,6 +225,15 @@ def test_ttr_ri_blocks_match_brute_force_operator(walk):
         assert np.max(np.abs(expanded_eigenvalues(blocks) - brute)) < 1e-12, (walk, n)
 
 
+#: n! q^(2)(e), the return probability in two steps times the group order:
+#: ttr returns by the identity twice or one transposition twice; ri by any
+#: pair that undoes the first move
+SECOND_MOMENTS = {
+    "ttr": lambda n: math.factorial(n - 1),
+    "ri": lambda n: math.factorial(n) * (Fraction(1, n**2) + Fraction(n * n + n - 2, n**4)),
+}
+
+
 @pytest.mark.parametrize("walk", sorted(EXACT_SOURCES))
 def test_ttr_ri_blocks_are_grouped_and_sum_to_the_group(walk):
     for n in range(2, 17):
@@ -233,6 +242,10 @@ def test_ttr_ri_blocks_are_grouped_and_sum_to_the_group(walk):
         assert len(set(betas)) == len(betas) and all(-1 <= beta < 1 for beta in betas)
         assert all(isinstance(m, int) and m > 0 for _, m in blocks)
         assert sum(m for _, m in blocks) == math.factorial(n) - 1, (walk, n)
+        # trace moments n! q^(k)(e) - 1 past the trivial block: both walks
+        # hold with probability 1/n
+        assert sum(m * beta for beta, m in blocks) == math.factorial(n - 1) - 1, (walk, n)
+        assert sum(m * beta**2 for beta, m in blocks) == SECOND_MOMENTS[walk](n) - 1, (walk, n)
 
 
 def test_ttr_top_eigenvalue():
