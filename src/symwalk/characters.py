@@ -6,10 +6,11 @@ with fixed points included as 1s, e.g. a transposition in S_5 is
 ``Fraction`` values; nothing here ever touches floating point except the
 closed-form ratio bounds, which are themselves exact rationals.
 
-The recursion removes the largest remaining cycle first and is memoized on
-(partition, remaining cycle multiset) in a dict its caller owns: a fresh
-one per ``character`` call, one per spectrum build, so no table outlives
-the build.  With an all-ones remainder it short circuits to the dimension,
+The recursion removes the largest remaining cycle first, as the border
+strips of ``partitions.bead_moves``, and is memoized on (partition,
+remaining cycle multiset) in a dict its caller owns: a fresh one per
+``character`` call, one per spectrum build, so no table outlives the
+build.  With an all-ones remainder it short circuits to the dimension,
 kept in the same memo, so evaluating a character at a single k-cycle class
 costs one border-strip sweep plus one dimension per remainder.
 
@@ -23,11 +24,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .partitions import Partition, check_partition, dimension
+from .partitions import Partition, bead_moves, check_partition, dimension
 
 CycleType = tuple[int, ...]
 
@@ -64,45 +64,6 @@ def class_size(cycles: CycleType) -> int:
 
 
 # ---------------------------------------------------------------------------
-# border strips
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SkewHookRemoval:
-    """Result of removing one k-cell border strip: what is left and its leg length."""
-
-    remainder: Partition
-    leg_length: int
-
-
-def remove_skew_hooks(parts: Partition, k: int) -> list[SkewHookRemoval]:
-    """All ways to remove a connected rim strip of k cells from the diagram.
-
-    Works on the first-column hook lengths ("beta numbers") B_i = lam_i + m - i:
-    removable k-strips correspond to b in B with b - k >= 0 and b - k not in B,
-    and the strip's leg length is the number of beta values strictly between
-    b - k and b.  Returns an empty list when no strip of size k exists.
-    """
-    parts = check_partition(parts)
-    if k < 1:
-        raise ValueError("strip size must be positive")
-    m = len(parts)
-    beta = [parts[i] + (m - 1 - i) for i in range(m)]
-    beta_set = set(beta)
-    out = []
-    for b in beta:
-        target = b - k
-        if target < 0 or target in beta_set:
-            continue
-        leg = sum(1 for x in beta if target < x < b)
-        new_beta = sorted((beta_set - {b}) | {target}, reverse=True)
-        remainder = tuple(x - (m - 1 - i) for i, x in enumerate(new_beta))
-        remainder = tuple(x for x in remainder if x > 0)
-        out.append(SkewHookRemoval(remainder, leg))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Murnaghan-Nakayama recursion
 # ---------------------------------------------------------------------------
 
@@ -136,9 +97,9 @@ def mn_character(parts: Partition, cycles: CycleType, memo: dict) -> int:
     else:
         total = 0
         rest = cycles[1:]
-        for removal in remove_skew_hooks(parts, cycles[0]):
-            term = mn_character(removal.remainder, rest, memo)
-            total += -term if removal.leg_length % 2 else term
+        for _, mu, crossed in bead_moves(parts, cycles[0]):
+            term = mn_character(mu, rest, memo)
+            total += -term if crossed % 2 else term
     memo[key] = total
     return total
 

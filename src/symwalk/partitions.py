@@ -8,15 +8,14 @@ sits in row i (from the top) and column j (from the left).
 All dimension arithmetic is exact: d_lambda is computed from the beta
 numbers l_i = lambda_i + len(lambda) - i as n! prod_{i<j} (l_i - l_j) /
 prod_i l_i! using Python integers, never floats.  The hook lengths stay
-as the reference the tests check it against.  Removing one box moves one
-bead down by one, and ``removal_ratio`` prices that move as the exact
-ratio of the two dimensions without computing either.
+as the reference the tests check it against.  ``bead_moves`` is the one
+removal of a k-cell border strip, a bead moving down by k; its k = 1
+moves are the corners, whose d_mu sum to d_lambda (the branching rule).
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterable, Iterator
 
 Partition = tuple[int, ...]
@@ -128,27 +127,33 @@ def beta_dimension(parts: Partition, fact: list[int]) -> int:
     return quot
 
 
-def removal_ratio(parts: Partition, row: int) -> Fraction:
-    """d_mu/d_lambda for mu = lambda without the last box of ``row`` (1-indexed).
-
-    On the beta numbers l_1 > ... > l_len this moves bead l_i down by one,
-    and n d_mu/d_lambda = l_i prod_{j != i} (l_i - l_j - 1)/(l_i - l_j):
-    O(len(lambda)) integer products.  The ratio is 0 when the row ends in no
-    removable corner, since then l_i - 1 is the next bead.  ``parts`` is not
-    validated.
-    """
+def bead_moves(parts: Partition, k: int) -> Iterator[tuple[int, Partition, int]]:
+    """(row, mu, crossed) for each bead of the beta numbers of ``parts`` that
+    can move down by k to a free position >= 0, top row first: ``mu`` is the
+    diagram left once the k-cell border strip ending in row ``row``
+    (1-indexed) is removed, and ``crossed``, the number of beads passed
+    over, is its leg length (0 for k = 1, a corner).  ``parts`` is not
+    validated."""
+    if k < 1:
+        raise ValueError("strip size must be positive")
     length = len(parts)
-    if not 1 <= row <= length:
-        raise ValueError(f"row {row} is not a row of {parts}")
-    # l_i - l_j = (lambda_i - i) - (lambda_j - j)
-    shifted = parts[row - 1] - row
-    numerator, denominator = shifted + length, sum(parts)
-    for j, x in enumerate(parts, start=1):
-        if j != row:
-            gap = shifted - x + j
-            numerator *= gap - 1
-            denominator *= gap
-    return Fraction(numerator, denominator)
+    # beads less the constant length - 1: lambda_j - j, 0-indexed; the
+    # padding bead at -length stops every scan, as no target reaches it
+    padded = parts + (0,)
+    for i, x in enumerate(parts):
+        target = x - i - k
+        if target <= -length:
+            return  # every later bead is lower still
+        below = i + 1
+        while (bead := padded[below] - below) > target:
+            below += 1
+        if bead == target:
+            continue
+        # each crossed bead rises a row and loses a cell; the moved one lands below
+        crossed = below - i - 1
+        lowered = tuple([y - 1 for y in parts[i + 1:below]]) if crossed else ()
+        mu = parts[:i] + lowered + (x - k + crossed,) + parts[below:]
+        yield i + 1, mu if mu[-1] else mu[:mu.index(0)], crossed
 
 
 def dimension(parts: Partition) -> int:

@@ -28,10 +28,11 @@ decides.
 Transpose top with random and random insertion are not class walks, but
 their spectra are known in closed form and come out as the same exact
 ``Blocks``, trivial block excluded: ``ttr_blocks`` prices each removable
-corner of a diagram by ``partitions.removal_ratio`` (Jucys-Murphy), and
+corner of a diagram by the dimension of what is left (Jucys-Murphy), and
 ``ri_blocks`` sums the horizontal strips of each diagram weighted by
-desarrangement counts (Dieker-Saliola).  ``walks.WalkSpec.blocks`` is the
-one entry point that picks the source of a walk.
+desarrangement counts (Dieker-Saliola); both take their corners from
+``partitions.bead_moves`` and their dimensions from the branching rule.
+``walks.WalkSpec.blocks`` is the one entry point that picks the source.
 """
 
 from __future__ import annotations
@@ -50,11 +51,11 @@ from .characters import (
 )
 from .partitions import (
     Partition,
+    bead_moves,
     beta_dimension,
     dimension,
     factorials,
     partitions,
-    removal_ratio,
 )
 
 
@@ -143,14 +144,6 @@ def spectrum(cycles: CycleType, hold: Fraction) -> Blocks:
 # the walks that are not class walks: transpose top with random, random insertion
 # ---------------------------------------------------------------------------
 
-def _corner_rows(parts: Partition) -> Iterator[int]:
-    """The rows (1-indexed) of the diagram that end in a removable corner."""
-    for row in range(1, len(parts)):
-        if parts[row - 1] > parts[row]:
-            yield row
-    yield len(parts)
-
-
 def ttr_blocks(n: int) -> Blocks:
     """The nontrivial blocks of transpose top with random on S_n.
 
@@ -159,26 +152,20 @@ def ttr_blocks(n: int) -> Blocks:
     J_n acts by the content c of the box that holds n, so each removable
     corner of lambda gives eigenvalue (1 + c)/n with multiplicity
     d_lambda d_(lambda - corner) (Flatto-Odlyzko-Wales 1985).  The blocks
-    are keyed by c, and each corner costs one ``removal_ratio``.
+    are keyed by c; d_mu comes from one table over mu |- n - 1, and
+    d_lambda is the sum of d_mu over the corners.
     """
-    fact = factorials(n)
+    fact = factorials(n - 1)
+    below = {mu: beta_dimension(mu, fact) for mu in partitions(n - 1)}
     totals: dict[int, int] = {}
     diagrams = partitions(n)
     next(diagrams)  # lambda = (n): its one corner is the trivial block
     for lam in diagrams:
-        dim = beta_dimension(lam, fact)
-        for row in _corner_rows(lam):
-            ratio = removal_ratio(lam, row)
-            content = lam[row - 1] - row
-            totals[content] = (totals.get(content, 0)
-                               + dim * (dim * ratio.numerator // ratio.denominator))
+        corners = [(lam[row - 1] - row, below[mu]) for row, mu, _ in bead_moves(lam, 1)]
+        dim = sum(d for _, d in corners)
+        for content, d in corners:
+            totals[content] = totals.get(content, 0) + dim * d
     return tuple((Fraction(1 + c, n), m) for c, m in totals.items())
-
-
-def _content_key(parts: Partition) -> int:
-    """sum of the contents of the diagram plus m(m+1)/2, for m = |parts|."""
-    m = sum(parts)
-    return sum(x * (x - 1) // 2 - i * x for i, x in enumerate(parts)) + m * (m + 1) // 2
 
 
 def ri_blocks(n: int) -> Blocks:
@@ -188,36 +175,38 @@ def ri_blocks(n: int) -> Blocks:
     By Dieker-Saliola (Adv. Math. 323, 2018) the eigenvalues are indexed by
     lambda |- n and mu such that lambda/mu is a horizontal strip, with
     n^2 beta = (sum of the contents of lambda/mu) + (n(n+1) - m(m+1))/2 for
-    m = |mu|, that is ``_content_key(lambda) - _content_key(mu)``, and
-    multiplicity d_lambda d^mu.  d^mu counts the desarrangement tableaux of
-    shape mu, those whose first ascent is even.  Taking the largest entry
-    out of its corner keeps the first ascent unless the rest is the column
-    1..m-1, so d^mu is the sum of d^(mu - corner) over the corners of mu,
-    except for a column (1^m), where it is 1 for even m and 0 for odd m.
-    One memo, local to the build, holds (key, d^mu) for every mu of size at
-    most n.  The blocks are keyed by n^2 beta.
+    m = |mu|, that is key(lambda) - key(mu) for key(mu) = (content sum of
+    mu) + m(m+1)/2, and multiplicity d_lambda d^mu.  d^mu counts the
+    desarrangement tableaux of shape mu, those whose first ascent is even.
+    Taking the largest entry out of its corner keeps the first ascent unless
+    the rest is the column 1..m-1, so d^mu is the sum of d^(mu - corner)
+    over the corners of mu, except for a column (1^m), where it is 1 for
+    even m and 0 for odd m.  Over the same corners d_mu is the sum of
+    d_(mu - corner), and a corner of content c gives key(mu - corner) + c + m.
+    One memo, local to the build, holds (key, d_mu, d^mu) for every mu of
+    size at most n.  The blocks are keyed by n^2 beta.
     """
-    fact = factorials(n)
-    memo: dict[Partition, tuple[int, int]] = {(): (0, 1)}
+    memo: dict[Partition, tuple[int, int, int]] = {(): (0, 1, 1)}
     for size in range(1, n + 1):
         for mu in partitions(size):
+            dim = desarrangements = 0
+            for row, nu, _ in bead_moves(mu, 1):
+                key, d, des = memo[nu]
+                dim += d
+                desarrangements += des
             if mu[0] == 1:
                 desarrangements = 1 - size % 2
-            else:
-                desarrangements = 0
-                for row in _corner_rows(mu):
-                    smaller = mu[:row - 1] + (mu[row - 1] - 1,) + mu[row:]
-                    desarrangements += memo[smaller if smaller[-1] else smaller[:-1]][1]
-            memo[mu] = (_content_key(mu), desarrangements)
+            # key from the last corner, of content mu_row - row
+            memo[mu] = (key + mu[row - 1] - row + size, dim, desarrangements)
     totals: dict[int, int] = {}
     diagrams = partitions(n)
     next(diagrams)  # lambda = (n): d^mu = 0 for mu = (k), k >= 1, so only the trivial block
     for lam in diagrams:
-        top, dim = memo[lam][0], beta_dimension(lam, fact)
+        top, dim, _ = memo[lam]
         strips = itertools.product(*(range(low, high + 1)
                                      for high, low in zip(lam, lam[1:] + (0,))))
         for mu in strips:
-            key, desarrangements = memo[mu if mu[-1] else mu[:-1]]
+            key, _, desarrangements = memo[mu if mu[-1] else mu[:-1]]
             if desarrangements:
                 totals[top - key] = totals.get(top - key, 0) + dim * desarrangements
     return tuple((Fraction(key, n * n), m) for key, m in totals.items())

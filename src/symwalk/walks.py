@@ -58,7 +58,7 @@ MAX_SPECTRAL_SWEEP = 2 * 10**6
 #: largest n of each walk kind's spectrum.  The ttr build prices every corner
 #: of every diagram, and the ri build walks every horizontal strip of every
 #: diagram; on one core of a 2-CPU x86-64 machine (Python 3.11) they took
-#: 9.9 s at n = 50 (ttr) and 10.0 s at n = 40 (ri)
+#: 4.1 s at n = 50 (ttr) and 6.5 s at n = 40 (ri), median of 3 builds
 SPECTRAL_CAPS = {"rt": MAX_SPECTRAL_N, "class": MAX_SPECTRAL_N, "lazy": MAX_SPECTRAL_N,
                  "ttr": 50, "ri": 40}
 

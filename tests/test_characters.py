@@ -14,10 +14,16 @@ from symwalk.characters import (
     is_even_class,
     m_moment,
     r4_exact,
-    remove_skew_hooks,
     support,
 )
-from symwalk.partitions import conjugate, dimension, enumerate_partitions, partitions, staircase_partition
+from symwalk.partitions import (
+    bead_moves,
+    conjugate,
+    dimension,
+    enumerate_partitions,
+    partitions,
+    staircase_partition,
+)
 
 # The complete S_4 character table, rows indexed by diagram in
 # reverse-lexicographic order, columns by class.  Frozen from the classical
@@ -67,20 +73,25 @@ def test_cycle_type_helpers():
     assert sum(class_size(a) for a in partitions(7)) == math.factorial(7)
 
 
-def test_remove_skew_hooks_examples():
-    rem = remove_skew_hooks((2, 2), 2)
-    assert {(r.remainder, r.leg_length) for r in rem} == {((2,), 0), ((1, 1), 1)}
-    rem = remove_skew_hooks((5,), 5)
-    assert {(r.remainder, r.leg_length) for r in rem} == {((), 0)}
-    assert remove_skew_hooks((2, 2), 4) == []  # the full diagram is not a strip
+def strips(lam, k):
+    """The (remainder, leg length) pairs of ``bead_moves``."""
+    return {(mu, crossed) for _, mu, crossed in bead_moves(lam, k)}
 
 
-def test_remove_skew_hooks_against_brute_force():
+def test_bead_moves_examples():
+    assert list(bead_moves((2, 2), 2)) == [(1, (1, 1), 1), (2, (2,), 0)]
+    assert strips((5,), 5) == {((), 0)}
+    assert list(bead_moves((2, 2), 4)) == []  # the full diagram is not a strip
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            list(bead_moves((2, 2), k))
+
+
+def test_bead_moves_against_brute_force():
     for n in range(1, 9):
         for lam in partitions(n):
             for k in range(1, n + 1):
-                got = {(r.remainder, r.leg_length) for r in remove_skew_hooks(lam, k)}
-                assert got == brute_force_skew_hooks(lam, k), (lam, k)
+                assert strips(lam, k) == brute_force_skew_hooks(lam, k), (lam, k)
 
 
 def test_character_known_table_s4():
@@ -272,6 +283,6 @@ def partition_strategy(draw, max_n=10):
 def test_strip_removal_preserves_size(lam):
     n = sum(lam)
     for k in range(1, n + 1):
-        for rem in remove_skew_hooks(lam, k):
-            assert sum(rem.remainder) == n - k
-            assert rem.leg_length >= 0
+        for row, mu, crossed in bead_moves(lam, k):
+            assert sum(mu) == n - k
+            assert 0 <= crossed and row + crossed <= len(lam)

@@ -1,11 +1,11 @@
 import math
 from collections import Counter
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from symwalk.partitions import (
+    bead_moves,
     beta_dimension,
     check_partition,
     conjugate,
@@ -19,7 +19,6 @@ from symwalk.partitions import (
     near_square_partition,
     partition_counts,
     partitions,
-    removal_ratio,
     staircase_partition,
 )
 
@@ -185,21 +184,19 @@ def test_dominates_reflexive_and_topped(lam):
     assert dominates(lam, (1,) * n)
 
 
-def test_removal_ratio_is_the_dimension_ratio():
-    # every row of every diagram with n <= 14: d_mu/d_lambda when the row
-    # ends in a removable corner, 0 when it does not
-    rows = 0
+def test_corner_moves_are_the_branching_rule():
+    # every diagram with n <= 14: the k = 1 moves are its removable corners,
+    # which cross nothing, and d_lambda is the sum of d_mu over them
+    corners = 0
     for n in range(1, 15):
         for lam in partitions(n):
-            for row in range(1, len(lam) + 1):
-                mu = lam[:row - 1] + (lam[row - 1] - 1,) + lam[row:]
-                if row < len(lam) and mu[row - 1] < mu[row]:
-                    want = 0
-                else:
-                    want = Fraction(dimension(tuple(x for x in mu if x)), dimension(lam))
-                assert removal_ratio(lam, row) == want, (lam, row)
-                rows += 1
-    assert rows == 2547
-    for row in (0, 3):
-        with pytest.raises(ValueError):
-            removal_ratio((2, 1), row)
+            moves = list(bead_moves(lam, 1))
+            rows = [row for row in range(1, len(lam) + 1)
+                    if row == len(lam) or lam[row - 1] > lam[row]]
+            assert [row for row, _, _ in moves] == rows, lam
+            for row, mu, crossed in moves:
+                assert crossed == 0
+                assert mu == tuple(x for x in lam[:row - 1] + (lam[row - 1] - 1,) + lam[row:] if x)
+            assert sum(dimension(mu) for _, mu, _ in moves) == dimension(lam), lam
+            corners += len(moves)
+    assert corners == 1263

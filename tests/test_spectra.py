@@ -201,16 +201,12 @@ def test_spectrum_matches_brute_force_operator(rt_spectrum):
         assert np.max(np.abs(expanded - brute)) < 1e-9
 
 
-def test_spectrum_matches_brute_force_operator_n7():
-    # 5040 x 5040 dense eigendecomposition, the largest direct cross-check
+def test_spectrum_matches_brute_force_operator_n7(monkeypatch):
+    # 5040 x 5040 dense eigendecomposition, the largest direct cross-check,
+    # one past the oracle's dense size guard
+    monkeypatch.setattr(go, "MAX_DENSE_N", 7)
     expanded = expanded_eigenvalues(spectrum(*measure("rt", 7)))
-    q = go.element_measure(WalkSpec("rt"), 7)  # build the dense kernel past the size guard
-    size = math.factorial(7)
-    Km = np.zeros((size, size))
-    rows = np.arange(size)
-    for table, w in go._support_maps(q, inverse=False):
-        Km[rows, table] += float(w)
-    brute = np.linalg.eigvalsh((Km + Km.T) / 2.0)[::-1]
+    brute = go.operator_eigenvalues(go.element_measure(WalkSpec("rt"), 7))
     assert np.max(np.abs(expanded - brute)) < 1e-9
 
 
