@@ -292,9 +292,9 @@ class BoundReport:
 
 # One row per theorem, keyed by its verify suite: least n, the caps on a sweep
 # of its blocks over a range of n, least c, threshold time, the blocks at n,
-# distance at each threshold of a list, guaranteed constant.  Evaluators look
-# distance functions up at call time.
-Theorem = namedtuple("Theorem", "min_n cap min_c threshold source evaluate guaranteed")
+# the l2 curve's mode, the factor on the threshold time at which the curve is
+# read, whether the bound is on d2 squared, and the guaranteed constant.
+Theorem = namedtuple("Theorem", "min_n cap min_c threshold source mode scale squared guaranteed")
 
 
 def _rt_time(n: int, c: float) -> float:
@@ -305,33 +305,24 @@ THEOREMS = {
     # d2(q_rt^(t), u) <= 2 e^-c at t = ceil((n/2)(log n + c))
     "rt-discrete": Theorem(
         15, check_spectral_sweep, 0, lambda n, c: math.ceil(_rt_time(n, c)),
-        WalkSpec("rt").blocks,
-        lambda blocks, ts, prec: l2_curve(blocks, ts, "discrete", prec),
-        lambda c: 2 * mp.exp(-c)),
+        WalkSpec("rt").blocks, "discrete", 1, False, lambda c: 2 * mp.exp(-c)),
     # d2(h_rt,t, u) <= e^-(c-2) at t = (n/2)(log n + c)
     "rt-continuous": Theorem(
-        10, check_spectral_sweep, 2, _rt_time, WalkSpec("rt").blocks,
-        lambda blocks, ts, prec: l2_curve(blocks, ts, "continuous", prec),
+        10, check_spectral_sweep, 2, _rt_time, WalkSpec("rt").blocks, "continuous", 1, False,
         lambda c: mp.exp(-(c - 2))),
     # bound sum on d2^2 <= 2 e^-2c at t = ceil(n(log n + c))
     "ttr": Theorem(
         1, check_bound_sweep, 0, lambda n, c: math.ceil(n * (math.log(n) + c)),
-        ttr_bound_spectrum,
-        lambda blocks, ts, prec: [d ** 2 for d in l2_curve(blocks, ts, "discrete", prec)],
-        lambda c: 2 * mp.exp(-2 * c)),
+        ttr_bound_spectrum, "discrete", 1, True, lambda c: 2 * mp.exp(-2 * c)),
     # d2(h_c4,t, u) <= e^-(c-2) at the same threshold
     "four-cycle": Theorem(
-        11, check_spectral_sweep, 2, _rt_time, WalkSpec("class", (4,)).blocks,
-        lambda blocks, ts, prec: l2_curve(blocks, ts, "continuous", prec),
-        lambda c: mp.exp(-(c - 2))),
+        11, check_spectral_sweep, 2, _rt_time, WalkSpec("class", (4,)).blocks, "continuous", 1,
+        False, lambda c: mp.exp(-(c - 2))),
     # d2(q_ri^(t), u)^2 <= e^-(c-2) at t = 2n(log n + c), through the Dirichlet
     # comparison as d2(h_rt, t/4)^2
     "random-insertion": Theorem(
         10, check_spectral_sweep, 2, lambda n, c: 2 * n * (math.log(n) + c),
-        WalkSpec("rt").blocks,
-        lambda blocks, ts, prec: [
-            d ** 2 for d in l2_curve(blocks, [t / 4 for t in ts], "continuous", prec)],
-        lambda c: mp.exp(-(c - 2))),
+        WalkSpec("rt").blocks, "continuous", 0.25, True, lambda c: mp.exp(-(c - 2))),
 }
 
 
@@ -357,15 +348,16 @@ def theorem_bounds(walk: str, n: int, cs=None, prec: int = DEFAULT_PREC) -> list
     name = walk.replace("-", "_")  # verdict rows say rt_discrete, four_cycle, ...
     with mp.workprec(prec):
         times = [theorem.threshold(n, c) for c in cs]
-        computed = theorem.evaluate(theorem.source(n), times, prec)
+        curve = l2_curve(theorem.source(n), [t * theorem.scale for t in times], theorem.mode, prec)
+        computed = [d ** 2 for d in curve] if theorem.squared else curve
         return [
             BoundReport(name, n, c, theorem.guaranteed(c), value, t=float(t))
             for c, t, value in zip(cs, times, computed)
         ]
 
 
-# One group per term-table family: the family (looked up at call time, like
-# the theorem evaluators), its least n, and per lemma the name, the
+# One group per term-table family: the family (looked up at call time, as
+# theorem_bounds looks up l2_curve), its least n, and per lemma the name, the
 # attribute of the family's table at n it reads and the guaranteed bound at n.
 LEMMAS = (
     (lambda n, prec: rt_discrete_terms(n, prec), 14, (

@@ -5,12 +5,16 @@ decides which curves a profile draws on S_n or A_n (the CLI only knows that
 the ttr bound sum, ``ttr-bound``, is an S_n curve), ``bounds`` owns every
 theorem and lemma constant and comparison, ``group_oracle.oracle_checks``
 the oracle suite's, and ``montecarlo.SimConfig`` checks every simulate
-input; each ``verify`` row is one ``bounds.BoundReport``.  Every file
-embeds a run manifest (command, parameters, seed, version, wall time); CSV
-has a header row, '.' decimals and scientific notation below 1e-4 and from
-1e16 up (times included), and JSON is one object with "manifest" and
-"results".  A profile's odd-step walk (rt, ttr, ri, an odd lazy walk, an
-odd class in continuous time) has no A_n curve: --group an exits 2.
+input; each ``verify`` row is one ``bounds.BoundReport``.  Each command
+hands ``write_run``, the one writer, its params and one list of typed
+rows.  Every file embeds a run manifest (command, parameters, seed,
+version, wall time from dispatch); CSV has a header row of the row keys,
+'.' decimals and scientific notation below 1e-4 and from 1e16 up (times
+included), and JSON is one object with "manifest" and "results".  An
+empty CSV field or JSON null is a d2 whose decimal exponent has more than
+15 digits, or in JSON a non-finite number (CSV writes -inf).  A profile's
+odd-step walk (rt, ttr, ri, an odd lazy walk, an odd class in continuous
+time) has no A_n curve: --group an exits 2.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid arguments (such
 as a non-integer discrete time, an out-of-range c or n, a negative seed, a
@@ -32,7 +36,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import mpmath
 from mpmath import mp
@@ -49,6 +53,8 @@ EXIT_INTERNAL = 4
 # working precision bounds in bits: a float's 53 up to a bounded cost
 MIN_PRECISION = 53
 MAX_PRECISION = 4096
+# past this many exponent digits (~300 for d2 at t = 1e300) a number is written as no value
+MAX_EXPONENT_DIGITS = 15
 
 SUITES = (*bounds.THEOREMS, "lemmas", "oracle")
 PROFILE_KINDS = ("rt", "ttr", "ri", "ttr-bound", "class", "lazy")
@@ -59,15 +65,18 @@ PROFILE_WALKS = walks.syntax(*PROFILE_KINDS)
 # formatting and manifests
 # ---------------------------------------------------------------------------
 
-def fmt_real(x, sig: int = 12) -> str:
-    """Decimal rendering: fixed notation, switching to scientific below 1e-4."""
+def fmt_real(x, sig: int = 12) -> str | None:
+    """Decimal rendering: fixed notation, switching to scientific below 1e-4
+    and from 1e16 up; None for a number whose decimal exponent has more than
+    MAX_EXPONENT_DIGITS digits, which no reader of the file can use."""
     x = mp.mpf(x)
     if x == 0:
         return "0.0"
     if mp.isnan(x):
         return "nan"
     if abs(x) < mp.mpf("1e-4") or abs(x) >= mp.mpf("1e16"):
-        return mpmath.nstr(x, sig, min_fixed=1, max_fixed=0)
+        text = mpmath.nstr(x, sig, min_fixed=1, max_fixed=0)
+        return text if len(text.partition("e")[2].lstrip("+-")) <= MAX_EXPONENT_DIGITS else None
     return mpmath.nstr(x, sig, min_fixed=-(10**6), max_fixed=10**6)
 
 
@@ -78,31 +87,20 @@ def time_value(t) -> int | float:
     return int(t) if t.is_integer() and abs(t) < 1e16 else t
 
 
-def fmt_time(t) -> str:
-    """A profile time in CSV: an integer, or ``fmt_real`` from 1e16 up as for d2."""
-    value = time_value(t)
-    return str(value) if isinstance(value, int) else fmt_real(value)
-
-
 @dataclass
 class RunManifest:
     command: str
     params: dict
-    seed: int | None
+    seed: int | None = None
     version: str = __version__
     wall_time_s: float = 0.0
     stream_version: int | None = None  # simulate: which random draws make a step
 
     def as_dict(self) -> dict:
-        out = {
-            "command": self.command,
-            "params": self.params,
-            "seed": self.seed,
-            "version": self.version,
-            "wall_time_s": round(self.wall_time_s, 3),
-        }
-        if self.stream_version is not None:
-            out["stream_version"] = self.stream_version
+        out = asdict(self)
+        out["wall_time_s"] = round(self.wall_time_s, 3)
+        if self.stream_version is None:
+            del out["stream_version"]
         return out
 
 
@@ -117,16 +115,41 @@ def _emit(path: str, text: str) -> None:
         raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _write_csv(path: str, manifest: RunManifest, header: list[str], rows: list[list[str]]) -> None:
+def _csv_cell(value) -> str:
+    """A CSV field: a string as it is, an int in full, any other number by
+    ``fmt_real``, and no value (None) as an empty field."""
+    if isinstance(value, (str, int)):  # no bool reaches a CSV row
+        return str(value)
+    return "" if value is None else fmt_real(value) or ""
+
+
+def _json_value(value):
+    """A JSON value: an mpf as its float, a non-finite number as null."""
+    if isinstance(value, mpmath.mpf):
+        value = float(value)
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _write_csv(path: str, manifest: RunManifest, rows: list[dict]) -> None:
     lines = ["# manifest: " + json.dumps(manifest.as_dict(), sort_keys=True)]
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
+    lines.append(",".join(rows[0]))
+    lines.extend(",".join(_csv_cell(value) for value in row.values()) for row in rows)
     _emit(path, "\n".join(lines) + "\n")
 
 
-def _write_json(path: str, manifest: RunManifest, results) -> None:
+def _write_json(path: str, manifest: RunManifest, rows: list[dict]) -> None:
+    results = [{key: _json_value(value) for key, value in row.items()} for row in rows]
     payload = {"manifest": manifest.as_dict(), "results": results}
-    _emit(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _emit(path, json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
+def write_run(args, params: tuple[str, ...], rows: list[dict], **manifest) -> None:
+    """The one writer of every command: a manifest of the flags named in
+    ``params`` (and any further ``RunManifest`` field), timed from dispatch,
+    and the typed rows, in ``args.format`` to ``args.out``."""
+    manifest = RunManifest(args.command, {name: getattr(args, name) for name in params},
+                           wall_time_s=time.perf_counter() - args.started, **manifest)
+    (_write_csv if args.format == "csv" else _write_json)(args.out, manifest, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +185,6 @@ def _time_grid(spec_text: str, n: int, walk: str, mode: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def cmd_profile(args) -> int:
-    started = time.perf_counter()
     n, prec = args.n, args.precision
     if n < 1:  # before the grid, whose auto times take log(n)
         raise ValueError(f"--n must be at least 1, got {n}")
@@ -175,42 +197,12 @@ def cmd_profile(args) -> int:
     else:
         spec = walks.WalkSpec.parse(args.walk, kinds=PROFILE_KINDS)
         walk, curves = str(spec), spec.profile_blocks(n, args.group, args.mode)
-    rows = [row for group, blocks in curves
-            for row in distances.spectrum_profile(blocks, group, args.mode, times, prec)]
-
-    manifest = RunManifest(
-        "profile",
-        {
-            "walk": args.walk,
-            "n": n,
-            "group": args.group,
-            "mode": args.mode,
-            "t_grid": args.t_grid,
-            "precision": prec,
-        },
-        seed=None,
-        wall_time_s=time.perf_counter() - started,
-    )
-    header = ["walk", "group", "n", "t", "d2", "log10_d2_sq"]
-    csv_rows = [
-        [walk, r.group, str(n), fmt_time(r.t), fmt_real(r.d2), fmt_real(r.log10_d2_sq)]
-        for r in rows
-    ]
-    if args.format == "csv":
-        _write_csv(args.out, manifest, header, csv_rows)
-    else:
-        results = [
-            {
-                "walk": walk,
-                "group": r.group,
-                "n": n,
-                "t": time_value(r.t),
-                "d2": fmt_real(r.d2),  # decimal string: survives sub-float64 tails
-                "log10_d2_sq": float(r.log10_d2_sq),
-            }
-            for r in rows
-        ]
-        _write_json(args.out, manifest, results)
+    rows = [{"walk": walk, "group": r.group, "n": n, "t": time_value(r.t),
+             "d2": fmt_real(r.d2),  # decimal string: survives sub-float64 tails
+             "log10_d2_sq": r.log10_d2_sq}
+            for group, blocks in curves
+            for r in distances.spectrum_profile(blocks, group, args.mode, times, prec)]
+    write_run(args, ("walk", "n", "group", "mode", "t_grid", "precision"), rows)
     return EXIT_OK
 
 
@@ -270,14 +262,12 @@ def _usable_cpus() -> int:
 
 
 def cmd_verify(args) -> int:
-    started = time.perf_counter()
     ns = parse_range(args.n)
     if args.c is not None and args.suite in ("lemmas", "oracle"):
         raise ValueError(f"--c applies to the theorem suites only, not to {args.suite}")
     cs = None if args.c is None else [float(x) for x in args.c.split(",")]
     _suite_check(args.suite, ns, cs)
-    threads = args.effective_threads
-    workers = worker_count(threads, len(ns), _usable_cpus())
+    workers = worker_count(args.threads, len(ns), _usable_cpus())
     tasks = [(args.suite, n, cs, args.precision) for n in ns]
     if workers > 1:
         # processes, not threads: mpmath keeps the working precision in its
@@ -289,19 +279,8 @@ def cmd_verify(args) -> int:
     else:
         parts = map(_suite_task, tasks)
     reports = [report for part in parts for report in part]
-    manifest = RunManifest(
-        "verify",
-        {
-            "suite": args.suite,
-            "n": args.n,
-            "c": args.c,
-            "precision": args.precision,
-            "threads": threads,
-        },
-        seed=None,
-        wall_time_s=time.perf_counter() - started,
-    )
-    _write_json(args.out, manifest, [report.as_dict() for report in reports])
+    write_run(args, ("suite", "n", "c", "precision", "threads"),
+              [report.as_dict() for report in reports])
     failed = sum(not report.passed for report in reports)
     if failed:
         print(f"symwalk verify: {failed} of {len(reports)} checks failed", file=sys.stderr)
@@ -316,29 +295,13 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     from . import montecarlo
 
-    started = time.perf_counter()
     cfg = montecarlo.SimConfig(args.walk, args.n, args.t, args.j, args.N, args.seed)
     result = montecarlo.fixed_point_tv_lower(cfg, progress=True)
-    manifest = RunManifest(
-        "simulate",
-        {"walk": args.walk, "n": args.n, "t": args.t, "j": args.j, "N": args.N},
-        seed=args.seed,
-        wall_time_s=time.perf_counter() - started,
-        stream_version=montecarlo.STREAM_VERSION,
-    )
-    header = ["walk", "n", "t", "j", "n_samples", "seed", "tv_lower", "std_err", "u_exact"]
-    row = [
-        args.walk,
-        str(args.n),
-        str(cfg.t),
-        str(args.j),
-        str(args.N),
-        str(args.seed),
-        fmt_real(result.estimate),
-        fmt_real(result.std_err),
-        fmt_real(result.u_exact),
-    ]
-    _write_csv(args.out, manifest, header, [row])
+    row = {"walk": args.walk, "n": args.n, "t": cfg.t, "j": args.j, "n_samples": args.N,
+           "seed": args.seed, "tv_lower": result.estimate, "std_err": result.std_err,
+           "u_exact": result.u_exact}
+    write_run(args, ("walk", "n", "t", "j", "N"), [row], seed=args.seed,
+              stream_version=montecarlo.STREAM_VERSION)
     return EXIT_OK
 
 
@@ -365,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-grid", default="auto", dest="t_grid",
                    help="'auto' or comma-separated expressions in n, nlogn, numbers")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default="-", help="output path ('-' for stdout)")
     p.set_defaults(func=cmd_profile)
 
     v = sub.add_parser("verify", help="run a verification sweep")
@@ -373,8 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", required=True, help="single value or inclusive a..b range")
     v.add_argument("--c", default=None,
                    help="theorem suites only: comma-separated finite c (default: least c, +1, +2)")
-    v.add_argument("--out", default="-", help="output path ('-' for stdout)")
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_verify, format="json")
 
     s = sub.add_parser("simulate", help="Monte Carlo TV lower bound")
     s.add_argument("--walk", default="ttr", help=walks.syntax(*walks.SYNTAX))
@@ -383,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--j", type=int, default=4, help="fixed-point threshold")
     s.add_argument("--N", type=int, required=True, help="trajectory count (>= 1000)")
     s.add_argument("--seed", type=int, required=True)
-    s.add_argument("--out", default="-", help="output path ('-' for stdout)")
-    s.set_defaults(func=cmd_simulate)
+    s.set_defaults(func=cmd_simulate, format="csv")
+    for command in (p, v, s):  # verify writes JSON and simulate CSV, each to --out
+        command.add_argument("--out", default="-", help="output path ('-' for stdout)")
     return parser
 
 
@@ -394,7 +356,8 @@ def main(argv: list[str] | None = None) -> int:
     if not MIN_PRECISION <= args.precision <= MAX_PRECISION:
         parser.error(f"--precision must lie in {MIN_PRECISION}..{MAX_PRECISION} bits")
     try:
-        args.effective_threads = requested_threads(os.environ.get("SYMWALK_THREADS"), args.threads)
+        args.threads = requested_threads(os.environ.get("SYMWALK_THREADS"), args.threads)
+        args.started = time.perf_counter()  # the one timing of the run, read by write_run
         return args.func(args)
     except ResourceGuardError as exc:
         print(f"symwalk: resource guard: {exc}", file=sys.stderr)

@@ -373,10 +373,13 @@ def kernel_matrix(q: GroupDistribution) -> np.ndarray:
 
 
 def operator_eigenvalues(q: GroupDistribution) -> np.ndarray:
-    """All n! eigenvalues of convolution by q, descending."""
-    K = kernel_matrix(q)
-    vals = np.linalg.eigvalsh((K + K.T) / 2.0)
-    return vals[::-1]
+    """All n! eigenvalues of convolution by q, descending.  q must be
+    symmetric, q(x) = q(x^-1), which is checked on the measure: then its one
+    dense matrix is symmetric, and no second n! x n! array is made."""
+    perms, index = _perm_data(q.n)
+    if any(q.values[index[invert(perms[i])]] != q.values[i] for i in q.support()):
+        raise ValueError("operator_eigenvalues needs a symmetric measure, q(x) = q(x^-1)")
+    return np.linalg.eigvalsh(kernel_matrix(q))[::-1]
 
 
 def comparison_gap(q: GroupDistribution, q_tilde: GroupDistribution, a: float) -> float:

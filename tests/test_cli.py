@@ -35,6 +35,15 @@ def read_lines(path):
     return path.read_text().strip().split("\n")
 
 
+def _not_json(constant):
+    raise ValueError(f"{constant} is not JSON (RFC 8259)")
+
+
+def read_json(text):
+    """Parse strictly: NaN, Infinity and -Infinity are rejected."""
+    return json.loads(text, parse_constant=_not_json)
+
+
 def test_eval_time_expr():
     n = 200
     assert walks.eval_time_expr("nlogn-3n", n) == pytest.approx(n * math.log(n) - 3 * n)
@@ -85,7 +94,7 @@ def test_profile_golden_csv(tmp_path):
                 "--t-grid", "0,1,2,6", "--out", str(out)]) == 0
     lines = read_lines(out)
     assert lines[0].startswith("# manifest: ")
-    manifest = json.loads(lines[0].split("# manifest: ", 1)[1])
+    manifest = read_json(lines[0].split("# manifest: ", 1)[1])
     assert manifest["command"] == "profile" and manifest["version"]
     assert manifest["params"]["walk"] == "rt"
     assert lines[1] == "walk,group,n,t,d2,log10_d2_sq"
@@ -106,7 +115,7 @@ def test_profile_json_format(tmp_path):
     out = tmp_path / "rt5.json"
     assert run(["profile", "--walk", "rt", "--n", "5", "--mode", "discrete",
                 "--t-grid", "0,1", "--format", "json", "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
+    payload = read_json(out.read_text())
     assert set(payload) == {"manifest", "results"}
     assert payload["results"][0]["walk"] == "rt"
     assert payload["results"][0]["t"] == 0 and payload["results"][0]["n"] == 5
@@ -115,11 +124,69 @@ def test_profile_json_format(tmp_path):
     # a time from 1e16 up is written as d2 is, never as a 301-digit integer
     argv = ["profile", "--walk", "rt", "--n", "5", "--mode", "continuous", "--t-grid", "1e300,3"]
     assert run(argv + ["--format", "json", "--out", str(out)]) == 0
-    results = json.loads(out.read_text())["results"]
+    results = read_json(out.read_text())["results"]
     assert [r["t"] for r in results] == [1e300, 3] and type(results[0]["t"]) is float
     csv = tmp_path / "huge.csv"
     assert run(argv + ["--out", str(csv)]) == 0
     assert [line.split(",")[3] for line in read_lines(csv)[2:]] == ["1.0e+300", "3"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--walk", "rt", "--n", "2", "--t-grid", "0,1"],
+    ["--walk", "ttr-bound", "--n", "1"],
+    ["--walk", "class:2", "--n", "2", "--group", "an", "--mode", "discrete"],
+])
+def test_profile_json_is_strict_where_d2_is_zero(argv, tmp_path):
+    # log10 d2^2 is -inf at d2 = 0: null in JSON, -inf in CSV
+    out, csv = tmp_path / "p.json", tmp_path / "p.csv"
+    assert run(["profile", *argv, "--format", "json", "--out", str(out)]) == cli.EXIT_OK
+    results = read_json(out.read_text())["results"]
+    assert any(r["d2"] == "0.0" for r in results)
+    for r in results:
+        assert (r["log10_d2_sq"] is None) == (r["d2"] == "0.0"), r
+    assert run(["profile", *argv, "--out", str(csv)]) == cli.EXIT_OK
+    rows = [line.split(",") for line in read_lines(csv)[2:]]
+    assert [row[5] == "-inf" for row in rows] == [r["d2"] == "0.0" for r in results]
+
+
+def test_profile_d2_exponent_is_bounded(tmp_path):
+    # d2 at t = 1e300 and 1e20 has a decimal exponent of over 15 digits: no
+    # value, while log10_d2_sq (about -3.47e299 at t = 1e300) is still written
+    argv = ["profile", "--walk", "rt", "--n", "5", "--mode", "continuous",
+            "--t-grid", "1e300,1e20,1e6,3"]
+    csv, out = tmp_path / "p.csv", tmp_path / "p.json"
+    assert run(argv + ["--out", str(csv)]) == cli.EXIT_OK
+    rows = [line.split(",") for line in read_lines(csv)[2:]]
+    assert all(len(field) <= 32 for row in rows for field in row)
+    assert [row[4] for row in rows[:2]] == ["", ""]
+    assert rows[2][4].endswith("e-173718")  # t = 1e6: d2 is still written
+    assert all(math.isfinite(float(row[5])) for row in rows)
+    assert run(argv + ["--format", "json", "--out", str(out)]) == cli.EXIT_OK
+    results = read_json(out.read_text())["results"]
+    assert [r["d2"] is None for r in results] == [True, True, False, False]
+    assert all(math.isfinite(r["log10_d2_sq"]) for r in results)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--walk", "rt", "--n", "6", "--t-grid", "0,1,5,40"],
+    ["--walk", "class:3", "--n", "7", "--group", "an", "--mode", "continuous",
+     "--t-grid", "0,0.5,2.25,1e6"],
+    ["--walk", "ttr-bound", "--n", "12"],  # the auto grid
+])
+def test_profile_csv_and_json_carry_the_same_rows(argv, tmp_path):
+    csv, out = tmp_path / "p.csv", tmp_path / "p.json"
+    assert run(["profile", *argv, "--out", str(csv)]) == cli.EXIT_OK
+    assert run(["profile", *argv, "--format", "json", "--out", str(out)]) == cli.EXIT_OK
+    lines = read_lines(csv)
+    header, rows = lines[1].split(","), [line.split(",") for line in lines[2:]]
+    results = read_json(out.read_text())["results"]
+    assert len(rows) == len(results) > 1
+    for row, result in zip(rows, results):
+        cells = dict(zip(header, row))
+        assert set(cells) == set(result)
+        assert [cells[k] for k in ("walk", "group", "d2")] == [result[k] for k in ("walk", "group", "d2")]
+        assert int(cells["n"]) == result["n"] and float(cells["t"]) == result["t"]
+        assert float(cells["log10_d2_sq"]) == pytest.approx(result["log10_d2_sq"], rel=1e-11)
 
 
 def test_profile_rerun_payload_identical(tmp_path):
@@ -163,7 +230,7 @@ def test_verify_rt_discrete_suite(tmp_path):
     out = tmp_path / "rt.json"
     assert run(["verify", "--suite", "rt-discrete", "--n", "15..16", "--c", "0",
                 "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
+    payload = read_json(out.read_text())
     assert [r["n"] for r in payload["results"]] == [15, 16]
     for r in payload["results"]:
         assert r["pass"] and r["computed"] <= r["guaranteed"] == 2.0
@@ -178,7 +245,7 @@ def test_verify_ttr_suite(tmp_path):
     out = tmp_path / "ttr.json"
     assert run(["verify", "--suite", "ttr", "--n", "5..10", "--c", "0,1",
                 "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
+    payload = read_json(out.read_text())
     assert len(payload["results"]) == 12
     assert all(r["pass"] for r in payload["results"])
     assert payload["results"][0]["name"] == "ttr"
@@ -190,7 +257,7 @@ def test_verify_exit_code_on_failure(tmp_path):
     out = tmp_path / "lem.json"
     assert run(["verify", "--suite", "lemmas", "--n", "15",
                 "--out", str(out)]) == cli.EXIT_VERIFY_FAILED
-    payload = json.loads(out.read_text())
+    payload = read_json(out.read_text())
     failed = [r for r in payload["results"] if not r["pass"]]
     assert [r["name"] for r in failed] == ["lemma:phi1"]
 
@@ -198,7 +265,7 @@ def test_verify_exit_code_on_failure(tmp_path):
 def test_verify_oracle_suite(tmp_path):
     out = tmp_path / "oracle.json"
     assert run(["verify", "--suite", "oracle", "--n", "4", "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
+    payload = read_json(out.read_text())
     names = {r["name"] for r in payload["results"]}
     from symwalk.group_oracle import ORACLE_WALKS
 
@@ -210,7 +277,7 @@ def test_verify_oracle_small_n_runs_the_walks_that_fit(tmp_path):
     # class:4 does not fit in S_3; the other walks still run
     out = tmp_path / "oracle3.json"
     assert run(["verify", "--suite", "oracle", "--n", "3", "--out", str(out)]) == cli.EXIT_OK
-    names = [r["name"] for r in json.loads(out.read_text())["results"]]
+    names = [r["name"] for r in read_json(out.read_text())["results"]]
     assert names == ["oracle:rt", "oracle:ttr", "oracle:ri", "oracle:class:3",
                      "oracle:lazy:3:1/2"]
 
@@ -225,7 +292,7 @@ def test_verify_oracle_ttr_ri_compare_exact_blocks(tmp_path, monkeypatch):
     out = tmp_path / "oracle.json"
     argv = ["verify", "--suite", "oracle", "--n", "4", "--out", str(out)]
     assert run(argv) == cli.EXIT_VERIFY_FAILED
-    failed = {r["name"] for r in json.loads(out.read_text())["results"] if not r["pass"]}
+    failed = {r["name"] for r in read_json(out.read_text())["results"] if not r["pass"]}
     assert failed == {"oracle:ttr", "oracle:ri"}
 
 
@@ -239,7 +306,7 @@ def test_verify_oracle_ttr_ri_check_continuous_time(tmp_path, monkeypatch):
     out = tmp_path / "oracle.json"
     argv = ["verify", "--suite", "oracle", "--n", "4", "--out", str(out)]
     assert run(argv) == cli.EXIT_VERIFY_FAILED
-    failed = {r["name"] for r in json.loads(out.read_text())["results"] if not r["pass"]}
+    failed = {r["name"] for r in read_json(out.read_text())["results"] if not r["pass"]}
     assert failed == {"oracle:ttr", "oracle:ri"}
 
 
@@ -257,7 +324,7 @@ def test_verify_oracle_solves_no_dense_eigenproblem(tmp_path, monkeypatch):
     out = tmp_path / "oracle.json"
     argv = ["--threads", "1", "verify", "--suite", "oracle", "--n", "2..6", "--out", str(out)]
     assert run(argv) == cli.EXIT_OK
-    results = json.loads(out.read_text())["results"]
+    results = read_json(out.read_text())["results"]
     assert len(results) == 3 + 5 + 3 * 6 and all(r["pass"] for r in results)
 
 
@@ -273,7 +340,7 @@ def test_verify_row_shape(suite, n, detail, tmp_path):
     # every suite writes BoundReport rows; only theorem rows carry t
     out = tmp_path / "rows.json"
     assert run(["verify", "--suite", suite, "--n", n, "--out", str(out)]) == cli.EXIT_OK
-    rows = json.loads(out.read_text())["results"]
+    rows = read_json(out.read_text())["results"]
     assert rows
     for row in rows:
         if detail == "threshold_time":
@@ -291,7 +358,7 @@ def test_verify_row_shape(suite, n, detail, tmp_path):
 def test_verify_default_c_starts_at_least_c(suite, n, cs, tmp_path):
     out = tmp_path / "c.json"
     assert run(["verify", "--suite", suite, "--n", n, "--out", str(out)]) == cli.EXIT_OK
-    assert [r["c"] for r in json.loads(out.read_text())["results"]] == cs
+    assert [r["c"] for r in read_json(out.read_text())["results"]] == cs
     assert f'"c": {cs[0]!r}' in out.read_text()  # written as a float
 
 
@@ -299,7 +366,7 @@ def test_verify_ttr_n1_threshold_time_zero(tmp_path):
     # t = ceil(1 * (log 1 + 0)) = 0 is a threshold time, not a missing one
     out = tmp_path / "ttr1.json"
     assert run(["verify", "--suite", "ttr", "--n", "1", "--out", str(out)]) == cli.EXIT_OK
-    first = json.loads(out.read_text())["results"][0]
+    first = read_json(out.read_text())["results"][0]
     assert first["t"] == first["details"]["threshold_time"] == 0.0
     assert first["pass"] is True
 
@@ -363,7 +430,7 @@ def test_verify_threads_env_override(tmp_path, monkeypatch):
     out = tmp_path / "ttr.json"
     assert run(["--threads", "4", "verify", "--suite", "ttr", "--n", "5..6",
                 "--out", str(out)]) == 0
-    payload = json.loads(out.read_text())
+    payload = read_json(out.read_text())
     assert payload["manifest"]["params"]["threads"] == 1
 
 
@@ -657,14 +724,14 @@ def test_every_suite_runs_at_its_least_n(suite, tmp_path):
     argv = ["--threads", "1", "verify", "--suite", suite, "--n", str(least_n(suite)),
             "--out", str(out)]
     assert run(argv) in (cli.EXIT_OK, cli.EXIT_VERIFY_FAILED)
-    assert json.loads(out.read_text())["results"]
+    assert read_json(out.read_text())["results"]
 
 
 def test_simulate_manifest_records_stream_version(tmp_path):
     out = tmp_path / "s.csv"
     assert run(["simulate", "--walk", "class:3", "--n", "8", "--t", "4", "--j", "2",
                 "--N", "1000", "--seed", "3", "--out", str(out)]) == 0
-    manifest = json.loads(read_lines(out)[0][len("# manifest: "):])
+    manifest = read_json(read_lines(out)[0][len("# manifest: "):])
     assert manifest["stream_version"] == 2
     assert "stream_version" not in cli.RunManifest("profile", {}, seed=None).as_dict()
 

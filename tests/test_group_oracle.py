@@ -241,3 +241,14 @@ def test_resource_guards():
 def test_operator_spectrum_odd_class_has_minus_one():
     vals = go.operator_eigenvalues(measure("class:2", 4))
     assert vals[-1] == pytest.approx(-1.0, abs=1e-12)
+
+
+def test_operator_eigenvalues_rejects_a_non_symmetric_measure():
+    # all mass on the 3-cycle x = (0 1 2), whose inverse carries none: q(x) != q(x^-1)
+    q = go.GroupDistribution(3, np.zeros(6))
+    q.values[go.perm_index((1, 2, 0))] = 1.0
+    with pytest.raises(ValueError, match="symmetric measure"):
+        go.operator_eigenvalues(q)
+    # a symmetric one goes through: both 3-cycles, half each
+    q.values[go.perm_index((2, 0, 1))] = q.values[go.perm_index((1, 2, 0))] = 0.5
+    assert go.operator_eigenvalues(q)[0] == pytest.approx(1.0)
