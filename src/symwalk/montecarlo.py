@@ -31,11 +31,16 @@ from .walks import WalkSpec, eval_time_expr
 BLOCK_SIZE = 8192
 #: largest n simulated: blocks of BLOCK_SIZE x n positions, exact u(A_j) in ~n^2 steps
 MAX_SIMULATE_N = 4096
-#: largest simulated work N x t in row steps, over 20x the largest acceptance run (4.6e7)
+#: largest simulated work N x t in row steps, over 20x the largest acceptance run (4.6e7),
+#: and largest N x n, the positions a run stores and counts
 MAX_ROW_STEPS = 10**9
 #: version of the map from Philox draws to steps; recorded in the simulate
 #: manifest.  2: O(support) class/lazy steps (ttr, rt, ri unchanged from 1)
 STREAM_VERSION = 2
+#: bytes added to each row of a block: a row of BLOCK_SIZE entries spans a
+#: multiple of 4096 bytes, so without them one column of every row shares an
+#: L1 cache set and the scattered swaps and rotations evict each other
+_ROW_PAD_BYTES = 64
 _PROGRESS_EVERY = 10**6
 _MIN_SAMPLES_FOR_STDERR = 1000
 
@@ -45,8 +50,8 @@ class SimConfig:
     """Everything that determines a simulation bit-for-bit, and the one check of
     simulate's flags as given, in flag order with each message naming its flag:
     the walk fits S_n, 2 <= n <= MAX_SIMULATE_N, t >= 0, 2 <= j <= n, N >= 1000,
-    N x t <= MAX_ROW_STEPS, seed >= 0.  ``t``, a time expression in n, is held
-    as steps rounded up."""
+    N x t <= MAX_ROW_STEPS, N x n <= MAX_ROW_STEPS, seed >= 0.  ``t``, a time
+    expression in n, is held as steps rounded up."""
 
     walk: WalkSpec
     n: int
@@ -75,6 +80,9 @@ class SimConfig:
         if n_samples * steps > MAX_ROW_STEPS:
             raise ResourceGuardError(f"simulation is capped at --N x --t <= {MAX_ROW_STEPS} "
                                      f"row steps, got {n_samples} x {steps}")
+        if n_samples * n > MAX_ROW_STEPS:
+            raise ResourceGuardError(f"simulation is capped at --N x --n <= {MAX_ROW_STEPS} "
+                                     f"positions, got {n_samples} x {n}")
         if seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {seed}")
         checked = dict(walk=spec, n=n, t=steps, j=j, n_samples=n_samples, seed=seed)
@@ -82,18 +90,41 @@ class SimConfig:
             object.__setattr__(self, name, value)  # frozen: each field is set once, here
 
 
-def trajectory_dtype(n: int) -> type[np.signedinteger]:
-    """The smallest signed dtype the stepper stores positions 0..n-1 in."""
-    return np.int16 if n - 1 <= np.iinfo(np.int16).max else np.int32
+def trajectory_dtype(n: int) -> type[np.unsignedinteger]:
+    """The smallest unsigned dtype the stepper stores positions 0..n-1 in."""
+    return np.min_scalar_type(n - 1).type
+
+
+def new_block(n: int, m: int) -> np.ndarray:
+    """An uninitialised block of m trajectories: shape (n, m) in the trajectory
+    dtype, each row padded by _ROW_PAD_BYTES."""
+    dtype = np.dtype(trajectory_dtype(n))
+    return np.empty((n, m + _ROW_PAD_BYTES // dtype.itemsize), dtype=dtype)[:, :m]
+
+
+def _flat_view(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """X with unit-stride rows (a contiguous copy if its rows are not), a 1-D
+    view that writes through to it, and its row stride: X[p, r] is
+    flat[p * row + r]."""
+    size = X.itemsize
+    if X.strides[1] != size or X.strides[0] % size or X.strides[0] < X.shape[1] * size:
+        X = np.ascontiguousarray(X)
+    row = X.strides[0] // size
+    flat = np.lib.stride_tricks.as_strided(X, ((X.shape[0] - 1) * row + X.shape[1],), (size,))
+    return X, flat, row
 
 
 class _Stepper:
-    """Vectorized one-step kernels; X has one trajectory per row and the
-    update is always the right multiplication X <- X o xi.
+    """Vectorized one-step kernels on a block X of shape (n, m): column r is
+    trajectory r, ``X[p, r]`` its card at position p, and the update is
+    always the right multiplication X <- X o xi.
 
-    Each kernel touches only the positions its step moves: swaps and the
-    class rotation go through flat indices ``rows * n + position`` of the
-    C-contiguous X, and ri shifts one segment per row with masked copies.
+    Each kernel touches only the positions its step moves, in place: swaps
+    and the class rotation go through flat indices ``position * row + column``
+    (``row`` is X's row stride, m plus any padding), and ri shifts one segment
+    per column by arithmetic blends of adjacent rows, exact mod 2^k in X's
+    unsigned dtype.  An X whose rows are not unit-stride is stepped as its
+    contiguous copy.
     """
 
     def __init__(self, spec: WalkSpec, n: int):
@@ -102,36 +133,63 @@ class _Stepper:
         self.cycles = spec.cycles
         self.eps = None if spec.eps is None else float(spec.eps)
         self.positions = np.arange(n, dtype=trajectory_dtype(n))
-        self._base = np.zeros(0, dtype=np.int64)
+        # support row order that rotates each cycle one place: X[pos_k] <- X[pos_k+1]
+        rotate, start = [], 0
+        for c in self.cycles:
+            rotate += [start + (q + 1) % c for q in range(c)]
+            start += c
+        self._rotate = np.array(rotate, dtype=np.intp)
+        self._columns = np.zeros(0, dtype=np.int64)
 
     def _distinct_positions(self, m: int, rng: np.random.Generator) -> np.ndarray:
-        """Per row, a uniform ordered tuple of sum(cycles) distinct positions.
+        """Per column, a uniform ordered tuple of sum(cycles) distinct positions,
+        as rows of an (s, m) array.
 
         Sequential skipping: the k-th pick is uniform over the n-k positions
         still free, found by adding 1 for each earlier pick at or below it,
-        taking the earlier picks in ascending order.
+        taking the earlier picks in ascending order; those are kept sorted
+        per column by one min/max insertion pass per pick.
         """
         s = sum(self.cycles)
-        picks = np.empty((m, s), dtype=np.int64)
+        picks = np.empty((s, m), dtype=np.int64)
+        ascending = np.empty((s - 1, m), dtype=np.int64)
         for k in range(s):
             p = rng.integers(0, self.n - k, size=m)
-            for earlier in np.sort(picks[:, :k], axis=1).T:
+            for earlier in ascending[:k]:
                 p += earlier <= p
-            picks[:, k] = p
+            picks[k] = p
+            if k == s - 1:
+                break
+            carry = p.copy()
+            for earlier in ascending[:k]:
+                low = np.minimum(earlier, carry)
+                np.maximum(earlier, carry, out=carry)
+                earlier[:] = low
+            ascending[k] = carry
         return picks
 
     def step(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         n = self.n
-        m = X.shape[0]
-        X = np.ascontiguousarray(X)  # the flat view below must write through
-        flat = X.reshape(-1)
-        if len(self._base) != m:  # flat index of each row's start, once per block size
-            self._base = np.arange(m, dtype=np.int64) * n
-        base = self._base
+        m = X.shape[1]
+        X, flat, row = _flat_view(X)
+        if len(self._columns) != m:  # once per block size
+            self._columns = np.arange(m, dtype=np.int64)
+
+        def at(p: np.ndarray) -> np.ndarray:
+            """Flat indices of positions p in their columns, computed in place."""
+            p *= row
+            p += self._columns
+            return p
+
         if self.kind in ("ttr", "rt"):
             # swap position a with the top (ttr) or with a second uniform b (rt)
-            a = base + rng.integers(0, n, size=m)
-            b = base if self.kind == "ttr" else base + rng.integers(0, n, size=m)
+            a = at(rng.integers(0, n, size=m))
+            if self.kind == "ttr":
+                top = X[0].copy()
+                X[0] = flat[a]
+                flat[a] = top
+                return X
+            b = at(rng.integers(0, n, size=m))
             tmp = flat[a]
             flat[a] = flat[b]
             flat[b] = tmp
@@ -140,26 +198,30 @@ class _Stepper:
             # the card at j moves to i; the cards between shift one place toward j's side
             i = rng.integers(0, n, size=m)
             j = rng.integers(0, n, size=m)
-            # compare in the compact dtype: the masks are most of the step's cost
-            i_col, j_col = (v.astype(self.positions.dtype)[:, None] for v in (i, j))
-            right, left = self.positions[1:], self.positions[:-1]
-            new = X.copy()
-            np.copyto(new[:, 1:], X[:, :-1], where=(i_col < right) & (right <= j_col))
-            np.copyto(new[:, :-1], X[:, 1:], where=(j_col <= left) & (left < i_col))
-            new.reshape(-1)[base + i] = flat[base + j]
-            return new
+            # masks in the compact dtype; blends, not masked copies, apply them
+            i_row, j_row = (v.astype(self.positions.dtype) for v in (i, j))
+            right, left = self.positions[1:, None], self.positions[:-1, None]
+            moved = flat[at(j)]  # read before X changes
+            # one blend per direction, in place: a column that one shifts, the
+            # other leaves alone; masks and differences reuse their buffers
+            diff = X[:-1] - X[1:]  # X[p] - X[p + 1], mod 2^k in an unsigned X
+            mask = i_row < right
+            mask &= right <= j_row  # p in (i, j]
+            diff *= mask
+            X[1:] += diff
+            np.subtract(X[1:], X[:-1], out=diff)
+            np.less_equal(j_row, left, out=mask)
+            mask &= left < i_row  # p in [j, i)
+            diff *= mask
+            X[:-1] += diff
+            flat[at(i)] = moved
+            return X
         # class/lazy: xi is a uniform element of the class, given by its support
         # positions in cycle order; the step rotates X's values along each cycle
-        idx = base[:, None] + self._distinct_positions(m, rng)
-        vals = flat[idx]
-        start = 0
-        for c in self.cycles:
-            vals[:, start:start + c] = np.roll(vals[:, start:start + c], -1, axis=1)
-            start += c
+        idx = at(self._distinct_positions(m, rng))
         if self.kind == "lazy":
-            move = rng.random(m) >= self.eps
-            idx, vals = idx[move], vals[move]
-        flat[idx] = vals
+            idx = idx[:, rng.random(m) >= self.eps]
+        flat[idx] = flat[idx[self._rotate]]
         return X
 
 
@@ -174,15 +236,19 @@ def sample_walk(cfg: SimConfig, progress: bool = False) -> np.ndarray:
     hist = np.zeros(cfg.n + 1, dtype=np.int64)
     n_blocks = -(-cfg.n_samples // BLOCK_SIZE)
     target = stepper.positions
+    block = new_block(cfg.n, min(BLOCK_SIZE, cfg.n_samples))  # every block's storage
     done = 0
     next_progress = _PROGRESS_EVERY
     for b in range(n_blocks):
         m = min(BLOCK_SIZE, cfg.n_samples - b * BLOCK_SIZE)
         rng = np.random.Generator(np.random.Philox(block_seed(cfg.seed, b)))
-        X = np.tile(target, (m, 1))
+        X = block[:, :m]
+        X[...] = target[:, None]
         for _ in range(cfg.t):
             X = stepper.step(X, rng)
-        counts = (X == target[None, :]).sum(axis=1)
+        counts = np.zeros(m, dtype=np.int64)
+        for p, row in zip(target, X):  # one position row at a time: no n x m mask
+            counts += row == p
         hist += np.bincount(counts, minlength=cfg.n + 1)
         done += m
         if progress and done >= next_progress:

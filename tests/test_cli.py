@@ -629,6 +629,26 @@ def test_simulate_work_cap_is_resource_guard(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_simulate_position_cap_is_resource_guard(tmp_path, capsys, monkeypatch):
+    # N x n positions are capped right after N x t: at --t 0 no step bounds the run,
+    # which would otherwise build and count blocks for hours
+    def no_step(self, X, rng):
+        raise AssertionError("simulation stepped past the position cap")
+
+    def no_block(n, m):
+        raise AssertionError("block built past the position cap")
+
+    monkeypatch.setattr(montecarlo._Stepper, "step", no_step)
+    monkeypatch.setattr(montecarlo, "new_block", no_block)
+    out = tmp_path / "x.csv"
+    assert run(["simulate", "--walk", "rt", "--n", "10", "--t", "0", "--N", "1000000000000",
+                "--seed", "1", "--out", str(out)]) == cli.EXIT_RESOURCE
+    err = capsys.readouterr().err
+    assert err == ("symwalk: resource guard: simulation is capped at --N x --n <= "
+                   f"{montecarlo.MAX_ROW_STEPS} positions, got 1000000000000 x 10\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["profile", "--walk", "rt", "--n", "120", "--t-grid", "1"],
