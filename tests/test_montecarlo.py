@@ -206,6 +206,33 @@ def test_swap_and_insertion_streams_are_pinned():
         assert mc.sample_walk(cfg).tolist() == hist, walk
 
 
+def test_uint16_streams_are_pinned():
+    # n = 300 stores uint16 trajectories, where ri's blends wrap mod 2^16;
+    # each histogram is pinned as (fewest fixed points seen, counts from there on)
+    pinned = {
+        "ttr": (292, [925, 52, 23]),
+        "rt": (286, [739, 210, 44, 6, 1]),
+        "ri": (2, [2, 0, 1, 0, 0, 1, 2, 1, 1, 5, 8, 0, 3, 0, 4, 2, 6, 5, 7, 1, 3, 5, 5, 5, 3, 2, 4,
+                   4, 2, 7, 5, 7, 2, 5, 11, 7, 7, 10, 5, 9, 3, 4, 8, 5, 10, 5, 5, 5, 10, 6, 8, 4, 7,
+                   7, 2, 5, 5, 4, 9, 7, 10, 9, 10, 6, 14, 6, 7, 6, 7, 5, 13, 8, 5, 12, 8, 11, 9, 8,
+                   9, 9, 6, 8, 7, 9, 15, 6, 5, 9, 7, 10, 9, 5, 9, 7, 9, 9, 8, 5, 7, 7, 7, 7, 9, 14,
+                   10, 7, 6, 4, 4, 7, 9, 9, 5, 7, 5, 3, 7, 4, 9, 7, 12, 7, 6, 8, 2, 2, 8, 7, 7, 9,
+                   5, 5, 7, 3, 8, 4, 0, 4, 3, 2, 1, 7, 4, 5, 5, 2, 1, 7, 5, 3, 11, 3, 7, 5, 4, 2, 4,
+                   1, 3, 4, 0, 2, 6, 3, 1, 3, 0, 2, 2, 2, 0, 2, 1, 1, 3, 3, 0, 3, 0, 2, 5, 0, 0, 1,
+                   4, 0, 1, 0, 1, 0, 1, 0, 3, 1, 1, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0,
+                   0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                   0, 0, 1]),
+        "class:3,2": (265, [179, 341, 266, 151, 50, 10, 2, 1]),
+        "lazy:4:1/3": (272, [22, 25, 14, 3, 87, 87, 22, 13, 163, 102, 19, 5, 194, 60, 8, 1, 117,
+                             17, 3, 0, 27, 2, 0, 0, 9]),
+    }
+    for walk, (low, counts) in pinned.items():
+        cfg = mc.SimConfig(walk, n=300, t="7", j=2, n_samples=1000, seed=2024)
+        assert mc.trajectory_dtype(cfg.n) == np.uint16
+        hist = [0] * low + counts
+        assert mc.sample_walk(cfg).tolist() == hist + [0] * (301 - len(hist)), walk
+
+
 def test_block_seed_equals_spawned_child():
     for seed in (0, 2024):
         children = np.random.SeedSequence(seed).spawn(8)
