@@ -11,8 +11,9 @@ strips of ``partitions.bead_moves``, and is memoized on (partition,
 remaining cycle multiset) in a dict its caller owns: a fresh one per
 ``character`` call, one per spectrum build, so no table outlives the
 build.  With an all-ones remainder it short circuits to the dimension,
-kept in the same memo, so evaluating a character at a single k-cycle class
-costs one border-strip sweep plus one dimension per remainder.
+kept in the same memo and computed on one factorial table per build, so
+evaluating a character at a single k-cycle class costs one border-strip
+sweep plus one dimension per remainder.
 
 For a single cycle of length k <= 4 the content polynomials of
 ``class_numerator`` give (n)_k chi_lambda/d_lambda as one integer with no
@@ -27,7 +28,14 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable
 
-from .partitions import Partition, bead_moves, check_partition, dimension
+from .partitions import (
+    Partition,
+    bead_moves,
+    beta_dimension,
+    check_partition,
+    dimension,
+    factorials,
+)
 
 CycleType = tuple[int, ...]
 
@@ -80,12 +88,13 @@ def character(parts: Partition, cycles: CycleType) -> int:
         raise ValueError(
             f"degree mismatch: partition of {sum(parts)} vs class of {sum(cycles)}"
         )
-    return mn_character(parts, cycles, {})
+    return mn_character(parts, cycles, {}, factorials(sum(parts)))
 
 
-def mn_character(parts: Partition, cycles: CycleType, memo: dict) -> int:
+def mn_character(parts: Partition, cycles: CycleType, memo: dict, fact: list[int]) -> int:
     """``character`` without validation, memoized in ``memo`` on (partition,
-    remaining cycles): one dict serves every diagram of one spectrum build."""
+    remaining cycles), with ``fact[k] = k!`` for k <= |parts|: one dict and
+    one table serve every diagram of one spectrum build."""
     if not parts:
         return 1
     key = (parts, cycles)
@@ -93,12 +102,12 @@ def mn_character(parts: Partition, cycles: CycleType, memo: dict) -> int:
     if cached is not None:
         return cached
     if cycles[0] == 1:  # only fixed points left
-        total = dimension(parts)
+        total = beta_dimension(parts, fact)
     else:
         total = 0
         rest = cycles[1:]
         for _, mu, crossed in bead_moves(parts, cycles[0]):
-            term = mn_character(mu, rest, memo)
+            term = mn_character(mu, rest, memo, fact)
             total += -term if crossed % 2 else term
     memo[key] = total
     return total

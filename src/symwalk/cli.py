@@ -296,7 +296,7 @@ def cmd_simulate(args) -> int:
     from . import montecarlo
 
     cfg = montecarlo.SimConfig(args.walk, args.n, args.t, args.j, args.N, args.seed)
-    result = montecarlo.fixed_point_tv_lower(cfg, progress=True)
+    result = montecarlo.fixed_point_tv_lower(cfg)
     row = {"walk": args.walk, "n": args.n, "t": cfg.t, "j": args.j, "n_samples": args.N,
            "seed": args.seed, "tv_lower": result.estimate, "std_err": result.std_err,
            "u_exact": result.u_exact}

@@ -65,15 +65,16 @@ MODES = ("discrete", "continuous")
 
 def check_times(times, mode: str) -> list:
     """The time grid as a list, after checking every time against ``mode``:
-    discrete times are non-negative integers, continuous ones non-negative."""
+    discrete times are non-negative integers, continuous ones non-negative
+    and finite."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     times = list(times)
     for t in times:
         if mode == "discrete" and not (0 <= t < math.inf and t == int(t)):
             raise ValueError(f"discrete time {t} must be a non-negative integer")
-        if mode == "continuous" and not t >= 0:
-            raise ValueError(f"continuous time {t} must be non-negative")
+        if mode == "continuous" and not 0 <= t < math.inf:
+            raise ValueError(f"continuous time {t} must be non-negative and finite")
     return times
 
 

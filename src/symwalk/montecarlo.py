@@ -102,33 +102,29 @@ def new_block(n: int, m: int) -> np.ndarray:
     return np.empty((n, m + _ROW_PAD_BYTES // dtype.itemsize), dtype=dtype)[:, :m]
 
 
-def _flat_view(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """X with unit-stride rows (a contiguous copy if its rows are not), a 1-D
-    view that writes through to it, and its row stride: X[p, r] is
-    flat[p * row + r]."""
-    size = X.itemsize
-    if X.strides[1] != size or X.strides[0] % size or X.strides[0] < X.shape[1] * size:
-        X = np.ascontiguousarray(X)
-    row = X.strides[0] // size
-    flat = np.lib.stride_tricks.as_strided(X, ((X.shape[0] - 1) * row + X.shape[1],), (size,))
-    return X, flat, row
-
-
 class _Stepper:
-    """Vectorized one-step kernels on a block X of shape (n, m): column r is
-    trajectory r, ``X[p, r]`` its card at position p, and the update is
-    always the right multiplication X <- X o xi.
+    """Vectorized one-step kernels bound to one block X of shape (n, m):
+    column r is trajectory r, ``X[p, r]`` its card at position p, and each
+    step is the right multiplication X <- X o xi, in place.
 
-    Each kernel touches only the positions its step moves, in place: swaps
-    and the class rotation go through flat indices ``position * row + column``
-    (``row`` is X's row stride, m plus any padding), and ri shifts one segment
-    per column by arithmetic blends of adjacent rows, exact mod 2^k in X's
-    unsigned dtype.  An X whose rows are not unit-stride is stepped as its
-    contiguous copy.
+    Each kernel touches only the positions its step moves: swaps and the
+    class rotation go through flat indices ``position * row + column``
+    (``row`` is X's row stride, m plus any padding), and ri shifts one
+    segment per column by arithmetic blends of adjacent rows, exact mod 2^k
+    in X's unsigned dtype.  X's rows must be unit-stride, as ``new_block``'s
+    are; any other X is rejected, not copied.
     """
 
-    def __init__(self, spec: WalkSpec, n: int):
-        self.n = n
+    def __init__(self, spec: WalkSpec, X: np.ndarray):
+        n, m = X.shape
+        size = X.itemsize
+        if X.strides[1] != size or X.strides[0] % size or X.strides[0] < m * size:
+            raise ValueError("block rows must be unit-stride and not overlap, "
+                             f"got strides {X.strides}")
+        self.X = X
+        self.row = X.strides[0] // size
+        self.flat = np.lib.stride_tricks.as_strided(X, ((n - 1) * self.row + m,), (size,))
+        self.columns = np.arange(m, dtype=np.int64)
         self.kind = spec.kind
         self.cycles = spec.cycles
         self.eps = None if spec.eps is None else float(spec.eps)
@@ -139,9 +135,14 @@ class _Stepper:
             rotate += [start + (q + 1) % c for q in range(c)]
             start += c
         self._rotate = np.array(rotate, dtype=np.intp)
-        self._columns = np.zeros(0, dtype=np.int64)
 
-    def _distinct_positions(self, m: int, rng: np.random.Generator) -> np.ndarray:
+    def _at(self, p: np.ndarray) -> np.ndarray:
+        """Flat indices of positions p in their columns, computed in place."""
+        p *= self.row
+        p += self.columns
+        return p
+
+    def _distinct_positions(self, rng: np.random.Generator) -> np.ndarray:
         """Per column, a uniform ordered tuple of sum(cycles) distinct positions,
         as rows of an (s, m) array.
 
@@ -150,11 +151,11 @@ class _Stepper:
         taking the earlier picks in ascending order; those are kept sorted
         per column by one min/max insertion pass per pick.
         """
-        s = sum(self.cycles)
+        s, (n, m) = sum(self.cycles), self.X.shape
         picks = np.empty((s, m), dtype=np.int64)
         ascending = np.empty((s - 1, m), dtype=np.int64)
         for k in range(s):
-            p = rng.integers(0, self.n - k, size=m)
+            p = rng.integers(0, n - k, size=m)
             for earlier in ascending[:k]:
                 p += earlier <= p
             picks[k] = p
@@ -168,32 +169,21 @@ class _Stepper:
             ascending[k] = carry
         return picks
 
-    def step(self, X: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        n = self.n
-        m = X.shape[1]
-        X, flat, row = _flat_view(X)
-        if len(self._columns) != m:  # once per block size
-            self._columns = np.arange(m, dtype=np.int64)
-
-        def at(p: np.ndarray) -> np.ndarray:
-            """Flat indices of positions p in their columns, computed in place."""
-            p *= row
-            p += self._columns
-            return p
-
+    def step(self, rng: np.random.Generator) -> None:
+        X, flat, (n, m) = self.X, self.flat, self.X.shape
         if self.kind in ("ttr", "rt"):
             # swap position a with the top (ttr) or with a second uniform b (rt)
-            a = at(rng.integers(0, n, size=m))
+            a = self._at(rng.integers(0, n, size=m))
             if self.kind == "ttr":
                 top = X[0].copy()
                 X[0] = flat[a]
                 flat[a] = top
-                return X
-            b = at(rng.integers(0, n, size=m))
+                return
+            b = self._at(rng.integers(0, n, size=m))
             tmp = flat[a]
             flat[a] = flat[b]
             flat[b] = tmp
-            return X
+            return
         if self.kind == "ri":
             # the card at j moves to i; the cards between shift one place toward j's side
             i = rng.integers(0, n, size=m)
@@ -201,7 +191,7 @@ class _Stepper:
             # masks in the compact dtype; blends, not masked copies, apply them
             i_row, j_row = (v.astype(self.positions.dtype) for v in (i, j))
             right, left = self.positions[1:, None], self.positions[:-1, None]
-            moved = flat[at(j)]  # read before X changes
+            moved = flat[self._at(j)]  # read before X changes
             # one blend per direction, in place: a column that one shifts, the
             # other leaves alone; masks and differences reuse their buffers
             diff = X[:-1] - X[1:]  # X[p] - X[p + 1], mod 2^k in an unsigned X
@@ -214,15 +204,14 @@ class _Stepper:
             mask &= left < i_row  # p in [j, i)
             diff *= mask
             X[:-1] += diff
-            flat[at(i)] = moved
-            return X
+            flat[self._at(i)] = moved
+            return
         # class/lazy: xi is a uniform element of the class, given by its support
         # positions in cycle order; the step rotates X's values along each cycle
-        idx = at(self._distinct_positions(m, rng))
+        idx = self._at(self._distinct_positions(rng))
         if self.kind == "lazy":
             idx = idx[:, rng.random(m) >= self.eps]
         flat[idx] = flat[idx[self._rotate]]
-        return X
 
 
 def block_seed(seed: int, b: int) -> np.random.SeedSequence:
@@ -230,29 +219,27 @@ def block_seed(seed: int, b: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed, spawn_key=(b,))
 
 
-def sample_walk(cfg: SimConfig, progress: bool = False) -> np.ndarray:
-    """Run n_samples trajectories of t steps; the counts of phi(X_t) = 0..n."""
-    stepper = _Stepper(cfg.walk, cfg.n)
+def sample_walk(cfg: SimConfig) -> np.ndarray:
+    """Run n_samples trajectories of t steps; the counts of phi(X_t) = 0..n.
+    A line on stderr marks every 10^6 trajectories done."""
     hist = np.zeros(cfg.n + 1, dtype=np.int64)
-    n_blocks = -(-cfg.n_samples // BLOCK_SIZE)
-    target = stepper.positions
     block = new_block(cfg.n, min(BLOCK_SIZE, cfg.n_samples))  # every block's storage
-    done = 0
+    target = np.arange(cfg.n, dtype=block.dtype)
     next_progress = _PROGRESS_EVERY
-    for b in range(n_blocks):
-        m = min(BLOCK_SIZE, cfg.n_samples - b * BLOCK_SIZE)
-        rng = np.random.Generator(np.random.Philox(block_seed(cfg.seed, b)))
+    for b, start in enumerate(range(0, cfg.n_samples, BLOCK_SIZE)):
+        m = min(BLOCK_SIZE, cfg.n_samples - start)
         X = block[:, :m]
         X[...] = target[:, None]
+        stepper = _Stepper(cfg.walk, X)
+        rng = np.random.Generator(np.random.Philox(block_seed(cfg.seed, b)))
         for _ in range(cfg.t):
-            X = stepper.step(X, rng)
+            stepper.step(rng)
         counts = np.zeros(m, dtype=np.int64)
         for p, row in zip(target, X):  # one position row at a time: no n x m mask
             counts += row == p
         hist += np.bincount(counts, minlength=cfg.n + 1)
-        done += m
-        if progress and done >= next_progress:
-            print(f"symwalk: {done} trajectories done", file=sys.stderr)
+        if start + m >= next_progress:
+            print(f"symwalk: {start + m} trajectories done", file=sys.stderr)
             next_progress += _PROGRESS_EVERY
     return hist
 
@@ -265,9 +252,9 @@ class TVLowerBound:
     u_exact: float      # exact stationary mass of A_j
 
 
-def fixed_point_tv_lower(cfg: SimConfig, progress: bool = False) -> TVLowerBound:
+def fixed_point_tv_lower(cfg: SimConfig) -> TVLowerBound:
     """Noisy TV lower bound q^(t)(A_j) - u(A_j) with exact u(A_j)."""
-    hist = sample_walk(cfg, progress=progress)
+    hist = sample_walk(cfg)
     p_hat = float(hist[cfg.j:].sum()) / cfg.n_samples
     u = float(matching_tail(cfg.n, cfg.j).value)
     se = math.sqrt(max(p_hat * (1.0 - p_hat), 0.0) / cfg.n_samples)

@@ -134,7 +134,7 @@ def spectrum(cycles: CycleType, hold: Fraction) -> Blocks:
         if content:
             key = content_numerator(lam, n, k)
         else:
-            key = Fraction(mn_character(lam, cycles, memo), dim)
+            key = Fraction(mn_character(lam, cycles, memo, fact), dim)
         totals[key] = totals.get(key, 0) + dim * dim
     slope = Fraction(1 - hold, math.perm(n, k) if content else 1)
     return tuple((hold + slope * key, m) for key, m in totals.items())

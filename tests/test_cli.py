@@ -616,7 +616,7 @@ def test_simulate_size_cap_is_resource_guard(tmp_path, capsys, monkeypatch):
 
 def test_simulate_work_cap_is_resource_guard(tmp_path, capsys, monkeypatch):
     # N x t row steps are capped after --N, before any step is taken
-    def no_step(self, X, rng):
+    def no_step(self, rng):
         raise AssertionError("simulation stepped past the work cap")
 
     monkeypatch.setattr(montecarlo._Stepper, "step", no_step)
@@ -632,7 +632,7 @@ def test_simulate_work_cap_is_resource_guard(tmp_path, capsys, monkeypatch):
 def test_simulate_position_cap_is_resource_guard(tmp_path, capsys, monkeypatch):
     # N x n positions are capped right after N x t: at --t 0 no step bounds the run,
     # which would otherwise build and count blocks for hours
-    def no_step(self, X, rng):
+    def no_step(self, rng):
         raise AssertionError("simulation stepped past the position cap")
 
     def no_block(n, m):

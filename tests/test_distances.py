@@ -363,6 +363,9 @@ def test_discrete_times_must_be_integers():
             spectrum_profile(spec, "sn", "discrete", [bad])
     with pytest.raises(ValueError):
         l2_continuous(spec, -0.5)
+    for bad in (math.inf, math.nan):  # no exact power of e^-t at a non-finite t
+        with pytest.raises(ValueError):
+            l2_curve(WalkSpec("rt").blocks(5), [bad], "continuous", 128)
 
 
 # ---------------------------------------------------------------------------

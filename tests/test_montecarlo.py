@@ -76,14 +76,20 @@ def lehmer_rank(X):
     return rank
 
 
+def identity_block(n, m):
+    """A ``new_block`` of m trajectories at the identity."""
+    X = mc.new_block(n, m)
+    X[...] = np.arange(n)[:, None]
+    return X
+
+
 def one_step_empirical_tv(walk, n, n_samples, seed):
-    stepper = mc._Stepper(WalkSpec.parse(walk), n)
+    X = identity_block(n, n_samples)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    X = np.tile(np.arange(n), (n_samples, 1))
-    X = stepper.step(X.T, rng).T
+    mc._Stepper(WalkSpec.parse(walk), X).step(rng)
     perms = go.all_permutations(n)
     assert np.array_equal(lehmer_rank(np.array(perms)), np.arange(len(perms)))
-    counts = np.bincount(lehmer_rank(X), minlength=len(perms))
+    counts = np.bincount(lehmer_rank(X.T), minlength=len(perms))
     emp = counts / n_samples
     exact = go.element_measure(WalkSpec.parse(walk), n)
     return 0.5 * float(np.sum(np.abs(emp - np.asarray(exact.values))))
@@ -181,12 +187,12 @@ def test_class_and_lazy_samplers_above_oracle_scale():
     for walk in ("class:5", "lazy:5,3:1/3"):
         cfg = mc.SimConfig(walk, n=20, t="8", j=2, n_samples=1000, seed=2)
         assert mc.sample_walk(cfg).sum() == 1000
-        stepper = mc._Stepper(WalkSpec.parse(walk), 20)
+        X = identity_block(20, 64)
+        stepper = mc._Stepper(WalkSpec.parse(walk), X)
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
-        X = np.tile(np.arange(20), (64, 1))
         for _ in range(5):
-            X = stepper.step(X.T, rng).T
-        assert np.array_equal(np.sort(X, axis=1), np.tile(np.arange(20), (64, 1)))
+            stepper.step(rng)
+        assert np.array_equal(np.sort(X, axis=0), identity_block(20, 64))
 
 
 def test_swap_and_insertion_streams_are_pinned():
@@ -252,26 +258,33 @@ def test_trajectory_dtype():
 
 @pytest.mark.parametrize("walk", ["ttr", "rt", "ri", "class:3,2", "lazy:4:1/3"])
 def test_step_kernels_agree_across_dtypes(walk):
-    # equal RNG states give equal rows whatever integer dtype X has, rows
-    # stay permutations, and a non-contiguous X is stepped as its copy;
-    # n = 300 stores uint16, where ri's blends wrap mod 2^16
+    # equal RNG states give equal blocks whatever integer dtype they store, and
+    # columns stay permutations; n = 300 stores uint16, where ri's blends wrap
+    # mod 2^16, and the unpadded int64 block is the reference that never wraps
     for n in (20, 300):
         m = 300
-        stepper = mc._Stepper(WalkSpec.parse(walk), n)
-        start = np.random.default_rng(5).permuted(np.tile(np.arange(n), (m, 1)), axis=1)
-        views = {
-            "int64": start.copy(),
-            "compact": start.astype(mc.trajectory_dtype(n)),
-            "fortran": np.asfortranarray(start),
-            "strided": np.repeat(start, 2, axis=0)[::2],
-        }
-        for name, X in views.items():
+        start = np.random.default_rng(5).permuted(np.tile(np.arange(n)[:, None], (1, m)), axis=0)
+        compact = mc.new_block(n, m)
+        compact[...] = start
+        reference = start.copy()
+        for X in (reference, compact):
+            stepper = mc._Stepper(WalkSpec.parse(walk), X)
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(17)))
             for _ in range(6):
-                X = stepper.step(X.T, rng).T
-            views[name] = X
-        for name, X in views.items():
-            assert np.array_equal(X, views["compact"]), name
-            assert np.array_equal(np.sort(X, axis=1), np.tile(np.arange(n), (m, 1))), name
-        assert views["compact"].dtype == mc.trajectory_dtype(n)
-        assert not np.array_equal(views["compact"], start)
+                stepper.step(rng)
+        assert np.array_equal(compact, reference)
+        assert np.array_equal(np.sort(compact, axis=0), identity_block(n, m))
+        assert compact.dtype == mc.trajectory_dtype(n)
+        assert not np.array_equal(compact, start)
+
+
+def test_stepper_rejects_blocks_without_unit_stride_rows():
+    # the stepper writes through a flat view of its block, so a block whose
+    # rows are not unit-stride, or overlap, is refused rather than copied
+    n, m = 6, 8
+    rows = np.zeros((n, 2 * m), dtype=np.uint8)
+    for X in (np.asfortranarray(rows[:, :m]), rows[:, ::2], rows[::-1, :m],
+              np.lib.stride_tricks.as_strided(rows, (n, m), (1, 1))):
+        with pytest.raises(ValueError, match="unit-stride"):
+            mc._Stepper(WalkSpec("rt"), X)
+    mc._Stepper(WalkSpec("rt"), rows[::2, :m])  # a wider row stride is fine
