@@ -15,7 +15,7 @@ rounded once, so each has relative error at most 2^(2 - prec).
 
 Naming note: the fixed-point sets {phi >= j} and the bound summands are
 both called A_j in the usual notation; here the sets live behind
-``matching_tail`` and the summands behind ``a_terms``/``b_terms``.
+``montecarlo.matching_tail`` and the summands behind ``a_terms``/``b_terms``.
 """
 
 from __future__ import annotations
@@ -397,33 +397,8 @@ def lemma_checks(n: int, prec: int = DEFAULT_PREC) -> list[BoundReport]:
 
 
 # ---------------------------------------------------------------------------
-# matching problem, Stirling, calculus helper
+# Stirling, Poisson window, calculus helper
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MatchingTail:
-    """u(A_j): uniform mass of permutations with at least j fixed points."""
-
-    value: Fraction
-    bound: float | None  # e^-1 / (j-1)! for j >= 2
-
-
-def matching_tail(n: int, j: int) -> MatchingTail:
-    """Exact u(A_j) = sum_{m=j}^n (1/m!) sum_{v=0}^{n-m} (-1)^v / v!.
-
-    Counted in integers: the permutations with exactly m fixed points number
-    C(n, m) D_{n-m}, with derangement numbers D_k = k D_{k-1} + (-1)^k.
-    """
-    if not 1 <= j <= n:
-        raise ValueError("need 1 <= j <= n")
-    derangements = [1]
-    for k in range(1, n - j + 1):
-        derangements.append(k * derangements[-1] + (-1) ** k)
-    count = sum(math.comb(n, m) * derangements[n - m] for m in range(j, n + 1))
-    total = Fraction(count, math.factorial(n))
-    bound = math.exp(-1) / math.factorial(j - 1) if j >= 2 else None
-    return MatchingTail(total, bound)
-
 
 def stirling_envelope(n: int, prec: int = DEFAULT_PREC) -> tuple[mpmath.mpf, mpmath.mpf]:
     """(sqrt(2 pi n)(n/e)^n, e^(1/12n) sqrt(2 pi n)(n/e)^n), bracketing n!."""
@@ -432,6 +407,16 @@ def stirling_envelope(n: int, prec: int = DEFAULT_PREC) -> tuple[mpmath.mpf, mpm
     with mp.workprec(prec):
         lower = mp.sqrt(2 * mp.pi * n) * mp.exp(n * (mp.log(n) - 1))
         return lower, mp.exp(mp.mpf(1) / (12 * n)) * lower
+
+
+def poisson_window_mass(k: float, alpha: float) -> float:
+    """P(X <= k + k^alpha) for X ~ Poisson(k); tends to 1 as k grows."""
+    if k <= 0:
+        raise ValueError("k must be positive")
+    if not 0.5 < alpha < 1.0:
+        raise ValueError("alpha must lie in (1/2, 1)")
+    m = math.floor(k + k**alpha)
+    return float(mp.gammainc(m + 1, a=k, regularized=True))
 
 
 def calculus_claim(w: float, x: float) -> bool:

@@ -23,9 +23,13 @@ bits) or an output path that cannot be written, 3 resource guard tripped,
 4 internal error (an unexpected exception, reported on one stderr line).
 SYMWALK_THREADS overrides --threads.
 
-Layering: profiles (ttr and ri included) and the spectral sweeps import
-only the spectral layers; the oracle suite and ``simulate`` each load
-their module (``group_oracle``, ``montecarlo``) through one lazy import.
+Layering: importing this module loads only the walk parser and the exact
+spectral layers below it, neither mpmath nor numpy; each command imports
+what it runs when it runs.  A profile loads ``distances`` (and ``bounds``
+for the ttr bound sum), a theorem or lemma sweep ``bounds``, the oracle
+suite ``group_oracle`` and ``simulate`` ``montecarlo`` with numpy alone,
+so a simulation never loads mpmath.  Floats are formatted with the
+``decimal`` module, exactly as ``mpmath.nstr`` would write them.
 """
 
 from __future__ import annotations
@@ -37,12 +41,14 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from decimal import ROUND_HALF_UP, Context, Decimal
+from typing import TYPE_CHECKING
 
-import mpmath
-from mpmath import mp
-
-from . import __version__, bounds, distances, walks
+from . import __version__, walks
 from .errors import ResourceGuardError
+
+if TYPE_CHECKING:
+    from .bounds import BoundReport
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -56,7 +62,10 @@ MAX_PRECISION = 4096
 # past this many exponent digits (~300 for d2 at t = 1e300) a number is written as no value
 MAX_EXPONENT_DIGITS = 15
 
-SUITES = (*bounds.THEOREMS, "lemmas", "oracle")
+# bounds.THEOREMS, then the lemma and oracle suites; a literal, so that
+# parsing the flags loads no bound
+SUITES = ("rt-discrete", "rt-continuous", "ttr", "four-cycle", "random-insertion",
+          "lemmas", "oracle")
 PROFILE_KINDS = ("rt", "ttr", "ri", "ttr-bound", "class", "lazy")
 PROFILE_WALKS = walks.syntax(*PROFILE_KINDS)
 
@@ -68,12 +77,34 @@ PROFILE_WALKS = walks.syntax(*PROFILE_KINDS)
 def fmt_real(x, sig: int = 12) -> str | None:
     """Decimal rendering: fixed notation, switching to scientific below 1e-4
     and from 1e16 up; None for a number whose decimal exponent has more than
-    MAX_EXPONENT_DIGITS digits, which no reader of the file can use."""
-    x = mp.mpf(x)
+    MAX_EXPONENT_DIGITS digits, which no reader of the file can use.
+
+    The text is ``mpmath.nstr``'s: ``sig`` digits rounded half up from the
+    exact value, trailing zeros stripped to at least one decimal.  An int or
+    float is rounded exactly by ``decimal``, so writing one loads no mpmath;
+    only an mpf, which exists only once mpmath is loaded, goes through it."""
+    if not isinstance(x, (int, float)):
+        return _fmt_mpf(x, sig)
     if x == 0:
         return "0.0"
-    if mp.isnan(x):
+    if math.isnan(x):
         return "nan"
+    if math.isinf(x):
+        return "+inf" if x > 0 else "-inf"
+    d = Context(prec=sig, rounding=ROUND_HALF_UP).plus(Decimal(x))
+    layout = "e" if abs(x) < 1e-4 or abs(x) >= 1e16 else "f"
+    mantissa, e, exponent = f"{d:{layout}}".partition("e")
+    whole, _, fraction = mantissa.partition(".")
+    return f"{whole}.{fraction.rstrip('0') or '0'}{e}{exponent}"
+
+
+def _fmt_mpf(x, sig: int) -> str | None:
+    """fmt_real of an mpf (or any other number mpmath takes), through
+    ``mpmath.nstr`` at mpmath's working precision."""
+    import mpmath
+    from mpmath import mp
+
+    x = mp.mpf(x)  # nstr writes 0 as "0.0" and nan as "nan" in either layout
     if abs(x) < mp.mpf("1e-4") or abs(x) >= mp.mpf("1e16"):
         text = mpmath.nstr(x, sig, min_fixed=1, max_fixed=0)
         return text if len(text.partition("e")[2].lstrip("+-")) <= MAX_EXPONENT_DIGITS else None
@@ -124,8 +155,9 @@ def _csv_cell(value) -> str:
 
 
 def _json_value(value):
-    """A JSON value: an mpf as its float, a non-finite number as null."""
-    if isinstance(value, mpmath.mpf):
+    """A JSON value: a str, int, float, None or object as it is, any other
+    number (an mpf) as its float, and a non-finite float as null."""
+    if not isinstance(value, (str, int, float, dict, type(None))):
         value = float(value)
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
@@ -157,12 +189,14 @@ def write_run(args, params: tuple[str, ...], rows: list[dict], **manifest) -> No
 # ---------------------------------------------------------------------------
 
 def parse_range(text: str) -> range:
-    """Either a single integer or an inclusive 'a..b' range."""
-    if text.count("..") > 1:
-        raise ValueError(f"range {text!r} is not of the form a..b")
+    """--n of verify: either a single integer or an inclusive 'a..b' range."""
     a, dots, b = text.partition("..")
-    lo = int(a)
-    hi = int(b) if dots else lo
+    try:
+        lo = int(a)
+        hi = int(b) if dots else lo  # a second '..' leaves b no integer
+    except ValueError:
+        raise ValueError(
+            f"--n must be an integer or an inclusive a..b range, got {text!r}") from None
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     return range(lo, hi + 1)
@@ -185,6 +219,8 @@ def _time_grid(spec_text: str, n: int, walk: str, mode: str) -> list[float]:
 # ---------------------------------------------------------------------------
 
 def cmd_profile(args) -> int:
+    from . import distances
+
     n, prec = args.n, args.precision
     if n < 1:  # before the grid, whose auto times take log(n)
         raise ValueError(f"--n must be at least 1, got {n}")
@@ -193,7 +229,9 @@ def cmd_profile(args) -> int:
     if args.walk == "ttr-bound":  # the ttr bound sum is not a walk: an S_n curve
         if args.group != "sn":
             raise ValueError("ttr-bound is a symmetric-group curve; use --group sn")
-        walk, curves = args.walk, (("sn", bounds.ttr_bound_spectrum(n)),)
+        from .bounds import ttr_bound_spectrum
+
+        walk, curves = args.walk, (("sn", ttr_bound_spectrum(n)),)
     else:
         spec = walks.WalkSpec.parse(args.walk, kinds=PROFILE_KINDS)
         walk, curves = str(spec), spec.profile_blocks(n, args.group, args.mode)
@@ -215,6 +253,8 @@ def _suite_check(suite: str, ns: range, cs) -> None:
     the least and largest n, and for the bound-sum and spectral suites the
     summed work over the range (``bounds.check_bound_sweep``,
     ``walks.check_spectral_sweep``)."""
+    from . import bounds
+
     if suite == "lemmas":
         bounds.check_lemma_ns(ns)
     elif suite == "oracle":
@@ -225,7 +265,9 @@ def _suite_check(suite: str, ns: range, cs) -> None:
         bounds.check_theorem(suite, ns, cs)
 
 
-def _suite_task(payload) -> list[bounds.BoundReport]:
+def _suite_task(payload) -> list[BoundReport]:
+    from . import bounds
+
     suite, n, cs, prec = payload
     if suite == "lemmas":
         return bounds.lemma_checks(n, prec)

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
 
-from .bounds import matching_tail
 from .errors import ResourceGuardError
 from .walks import WalkSpec, eval_time_expr
 
@@ -79,7 +77,7 @@ class SimConfig:
         steps = math.ceil(steps)
         if n_samples * steps > MAX_ROW_STEPS:
             raise ResourceGuardError(f"simulation is capped at --N x --t <= {MAX_ROW_STEPS} "
-                                     f"row steps, got {n_samples} x {steps}")
+                                     f"row steps, got {n_samples} x {steps:g}")
         if n_samples * n > MAX_ROW_STEPS:
             raise ResourceGuardError(f"simulation is capped at --N x --n <= {MAX_ROW_STEPS} "
                                      f"positions, got {n_samples} x {n}")
@@ -245,6 +243,31 @@ def sample_walk(cfg: SimConfig) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class MatchingTail:
+    """u(A_j): uniform mass of permutations with at least j fixed points."""
+
+    value: Fraction
+    bound: float | None  # e^-1 / (j-1)! for j >= 2
+
+
+def matching_tail(n: int, j: int) -> MatchingTail:
+    """Exact u(A_j) = sum_{m=j}^n (1/m!) sum_{v=0}^{n-m} (-1)^v / v!.
+
+    Counted in integers: the permutations with exactly m fixed points number
+    C(n, m) D_{n-m}, with derangement numbers D_k = k D_{k-1} + (-1)^k.
+    """
+    if not 1 <= j <= n:
+        raise ValueError("need 1 <= j <= n")
+    derangements = [1]
+    for k in range(1, n - j + 1):
+        derangements.append(k * derangements[-1] + (-1) ** k)
+    count = sum(math.comb(n, m) * derangements[n - m] for m in range(j, n + 1))
+    total = Fraction(count, math.factorial(n))
+    bound = math.exp(-1) / math.factorial(j - 1) if j >= 2 else None
+    return MatchingTail(total, bound)
+
+
+@dataclass(frozen=True)
 class TVLowerBound:
     estimate: float     # empirical q^(t)(A_j) - u(A_j)
     std_err: float      # binomial standard error of the empirical term
@@ -304,13 +327,3 @@ def coupon_stats(n: int, j: int, c: float | None = None) -> CouponStats:
         variance_upper=Fraction(n * n, j),
         chebyshev_tail=tail,
     )
-
-
-def poisson_window_mass(k: float, alpha: float) -> float:
-    """P(X <= k + k^alpha) for X ~ Poisson(k); tends to 1 as k grows."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if not 0.5 < alpha < 1.0:
-        raise ValueError("alpha must lie in (1/2, 1)")
-    m = math.floor(k + k**alpha)
-    return float(mp.gammainc(m + 1, a=k, regularized=True))

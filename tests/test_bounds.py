@@ -10,7 +10,6 @@ from symwalk.bounds import (
     BoundReport,
     calculus_claim,
     lemma_checks,
-    matching_tail,
     rt_continuous_terms,
     rt_discrete_terms,
     stirling_envelope,
@@ -19,6 +18,7 @@ from symwalk.bounds import (
 )
 from symwalk.distances import DEFAULT_PREC, chi_square_of, l2_continuous, l2_discrete
 from symwalk.errors import ResourceGuardError
+from symwalk.montecarlo import matching_tail
 from symwalk.spectra import spectrum
 
 

@@ -5,10 +5,14 @@ import re
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath import mp
 
 import symwalk
 from symwalk import bounds, cli, montecarlo, spectra, walks
@@ -77,7 +81,7 @@ def test_parse_range():
     assert len(cli.parse_range("1..1000000000")) == 10**9  # a range, not a list
     with pytest.raises(ValueError):
         cli.parse_range("9..5")
-    with pytest.raises(ValueError, match="not of the form a..b"):
+    with pytest.raises(ValueError, match="an inclusive a..b range, got '1..2..3'"):
         cli.parse_range("1..2..3")
 
 
@@ -86,6 +90,55 @@ def test_fmt_real():
     assert cli.fmt_real(26.8141750871234) == "26.8141750871"
     assert "e-5" in cli.fmt_real(2.68e-5)
     assert "e" not in cli.fmt_real(0.000123)
+
+
+def nstr_reference(x: float, sig: int = 12) -> str:
+    """What fmt_real wrote through mpmath for every float: ``mpmath.nstr`` in
+    scientific layout below 1e-4 and from 1e16 up, fixed layout between."""
+    x = mp.mpf(x)
+    if x == 0:
+        return "0.0"
+    if mp.isnan(x):
+        return "nan"
+    if abs(x) < mp.mpf("1e-4") or abs(x) >= mp.mpf("1e16"):
+        return mpmath.nstr(x, sig, min_fixed=1, max_fixed=0)
+    return mpmath.nstr(x, sig, min_fixed=-(10**6), max_fixed=10**6)
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+@settings(max_examples=1000)
+def test_fmt_real_writes_floats_as_mpmath_does(x):
+    assert cli.fmt_real(x) == nstr_reference(x)
+
+
+def decimal_ties() -> list[float]:
+    """Dyadic m * 2^k whose exact decimal has 13 significant digits, the last
+    a 5: halfway between two 12-digit numbers, in both layouts."""
+    ties = [float(T * 10**k) for T in (10**12 + 5, 5555555555555, 9999999999995)
+            for k in range(5)]  # m = T * 5^k < 2^53, up to about 1e17
+    for k in range(1, 19):  # m * 2^-k = m * 5^k / 10^k, from about 1e12 down to 4e-6
+        lo, hi = -(-10**12 // 5**k) | 1, (10**13 - 1) // 5**k
+        ties += [math.ldexp(m, -k) for m in range(lo, hi + 1, 2)[:: max(1, (hi - lo) // 20)]]
+    return ties
+
+
+def test_fmt_real_layout_edges_and_ties_match_mpmath():
+    cases = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, sys.float_info.max,
+             sys.float_info.min, 9999999999999.5, 0.99999999999951]
+    for edge in (1e-4, 1e16):  # where the layout switches, and the floats either side
+        below = above = edge
+        for _ in range(4):
+            below, above = math.nextafter(below, 0), math.nextafter(above, math.inf)
+            cases += [below, above]
+        cases.append(edge)
+    ties = decimal_ties()
+    for x in ties:
+        digits = Decimal(x).normalize().as_tuple().digits
+        assert len(digits) == 13 and digits[-1] == 5, x
+    assert min(ties) < 1e-4 and max(ties) >= 1e16
+    cases += ties
+    for x in cases + [-x for x in cases]:
+        assert cli.fmt_real(x) == nstr_reference(x), x
 
 
 def test_profile_golden_csv(tmp_path):
@@ -497,22 +550,33 @@ def test_unwritable_output_is_bad_args(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_cli_import_loads_neither_numpy_nor_oracle(tmp_path):
-    # neither the import nor a profile run (which parses its walk string)
-    # may load numpy, the oracle or the sampler
+@pytest.mark.parametrize(
+    "argv, absent",
+    [(None, ("mpmath", "numpy")),
+     (["profile", "--walk", "lazy:3:1/2", "--n", "5", "--group", "an", "--t-grid", "0,1"],
+      ("numpy", "symwalk.group_oracle", "symwalk.montecarlo")),
+     (["simulate", "--walk", "class:3", "--n", "6", "--t", "2", "--N", "1000", "--seed", "1"],
+      ("mpmath", "symwalk.bounds", "symwalk.distances", "symwalk.group_oracle"))],
+    ids=["import", "profile", "simulate"],
+)
+def test_each_command_loads_only_its_layers(argv, absent, tmp_path):
+    # the import loads no reals and no arrays; a profile (which parses its walk
+    # string) never loads numpy, the oracle or the sampler; a simulation needs
+    # numpy and the exact u(A_j), never mpmath or the distance and bound layers
     src = str(Path(symwalk.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = ["profile", "--walk", "lazy:3:1/2", "--n", "5", "--group", "an",
-            "--t-grid", "0,1", "--out", str(tmp_path / "p.csv")]
-    code = (
-        "import sys, symwalk.cli; "
-        f"assert symwalk.cli.main({argv!r}) == 0; "
-        "print(sorted(m for m in ('numpy', 'symwalk.group_oracle', 'symwalk.montecarlo') "
-        "if m in sys.modules))"
-    )
+    code = "import sys, symwalk.cli; "
+    if argv is not None:
+        code += f"assert symwalk.cli.main({argv + ['--out', str(tmp_path / 'x.csv')]!r}) == 0; "
+    code += f"print(sorted(m for m in {absent!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_suites_are_the_theorems_then_lemmas_and_oracle():
+    # a literal in the CLI, so that parsing the flags loads no bound
+    assert cli.SUITES == (*bounds.THEOREMS, "lemmas", "oracle")
 
 
 def test_spectral_layers_load_neither_mpmath_nor_numpy():
@@ -589,7 +653,8 @@ def test_simulate_minimum_samples(tmp_path, capsys):
      (["simulate", "--walk", "rt", "--n", "0", "--t", "nlogn", "--N", "1000", "--seed", "1"],
       "--n"),
      (["simulate", "--walk", "rt", "--n", "5", "--t", "3", "--j", "9", "--N", "1000",
-       "--seed", "1"], "--j")],
+       "--seed", "1"], "--j"),
+     (["verify", "--suite", "rt-discrete", "--n", "15..x"], "--n")],
 )
 def test_bad_flag_message_names_the_flag(argv, flag, tmp_path, capsys):
     out = tmp_path / "x.csv"
@@ -621,12 +686,13 @@ def test_simulate_work_cap_is_resource_guard(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(montecarlo._Stepper, "step", no_step)
     out = tmp_path / "x.csv"
-    assert run(["simulate", "--walk", "rt", "--n", "10", "--t", "1e12", "--N", "1000",
-                "--seed", "1", "--out", str(out)]) == cli.EXIT_RESOURCE
-    err = capsys.readouterr().err
-    assert err == ("symwalk: resource guard: simulation is capped at --N x --t <= "
-                   f"{montecarlo.MAX_ROW_STEPS} row steps, got 1000 x 1000000000000\n")
-    assert not out.exists()
+    for t, steps in (("1e12", "1e+12"), ("1e300", "1e+300")):  # the step count is never spelt out
+        assert run(["simulate", "--walk", "rt", "--n", "10", "--t", t, "--N", "1000",
+                    "--seed", "1", "--out", str(out)]) == cli.EXIT_RESOURCE
+        err = capsys.readouterr().err
+        assert err == ("symwalk: resource guard: simulation is capped at --N x --t <= "
+                       f"{montecarlo.MAX_ROW_STEPS} row steps, got 1000 x {steps}\n")
+        assert not out.exists()
 
 
 def test_simulate_position_cap_is_resource_guard(tmp_path, capsys, monkeypatch):

@@ -6,9 +6,10 @@ import pytest
 
 from symwalk import group_oracle as go
 from symwalk import montecarlo as mc
-from symwalk.bounds import matching_tail
+from symwalk.bounds import poisson_window_mass
 from symwalk.distances import tv_of
 from symwalk.errors import ResourceGuardError
+from symwalk.montecarlo import matching_tail
 from symwalk.walks import WalkSpec
 
 
@@ -149,18 +150,18 @@ def test_coupon_stats():
 
 
 def test_poisson_window_mass():
-    assert mc.poisson_window_mass(100, 0.75) >= 0.99
-    masses = [mc.poisson_window_mass(100, a) for a in (0.55, 0.65, 0.75, 0.85, 0.95)]
+    assert poisson_window_mass(100, 0.75) >= 0.99
+    masses = [poisson_window_mass(100, a) for a in (0.55, 0.65, 0.75, 0.85, 0.95)]
     assert all(a <= b for a, b in zip(masses, masses[1:]))
     # for fixed alpha the window spans k^(alpha-1/2) standard deviations,
     # so the mass increases to 1 along growing k
-    trend = [mc.poisson_window_mass(k, 0.6) for k in (100, 1000, 10**4)]
+    trend = [poisson_window_mass(k, 0.6) for k in (100, 1000, 10**4)]
     assert all(a < b for a, b in zip(trend, trend[1:]))
     assert trend[-1] > 0.99
     with pytest.raises(ValueError):
-        mc.poisson_window_mass(100, 0.4)
+        poisson_window_mass(100, 0.4)
     with pytest.raises(ValueError):
-        mc.poisson_window_mass(0, 0.6)
+        poisson_window_mass(0, 0.6)
 
 
 def test_matching_tail_is_sampler_limit():
