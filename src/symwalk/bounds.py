@@ -10,8 +10,11 @@ exps per table; in discrete time each A_j costs one log and one exp, and
 the B_j are products of one exp per prime up to n/2.  As in
 ``distances.l2_curve``, the powers run at the caller's precision plus
 guard bits for the largest exponent and the term count, the weighted sums
-are fixed point (``distances._positive_sum``), and every term and sum is
-rounded once, so each has relative error at most 2^(2 - prec).
+are fixed point (``distances._positive_sum``, fed the (man, exp) pairs of
+the raw mpmath.libmp powers here), and every term and sum is rounded once,
+so each has relative error at most 2^(2 - prec).  The transpose-top bound
+sum is ``spectra.ttr_bound_spectrum``, whose weights and cap
+(``lemma_weight``, ``check_bound_n``) the term tables share.
 
 Naming note: the fixed-point sets {phi >= j} and the bound summands are
 both called A_j in the usual notation; here the sets live behind
@@ -23,20 +26,19 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import mpmath
 from mpmath import libmp, mp
 from mpmath.libmp import (
     fone,
     from_int,
+    from_man_exp,
     fzero,
     mpf_div,
     mpf_log,
     mpf_mul,
     mpf_mul_int,
     mpf_neg,
-    mpf_pos,
     mpf_pow_int,
     mpf_shift,
     mpf_sub,
@@ -45,21 +47,12 @@ from mpmath.libmp import (
 
 from .distances import DEFAULT_PREC, _positive_sum, _working_prec, l2_curve
 from .errors import ResourceGuardError
-from .spectra import Blocks
+from .spectra import MAX_BOUND_N, check_bound_n, lemma_weight, ttr_bound_spectrum
 from .walks import WalkSpec, check_spectral_sweep
 
-#: largest n of a bound sum or lemma term table: their cost grows faster
-#: than n^2, and n = 2000 takes about a second
-MAX_BOUND_N = 2000
 #: most work, summed n^2 over the --n range, that a sweep of bound sums or
 #: term tables does: ten tables at MAX_BOUND_N
 MAX_BOUND_SWEEP = 10 * MAX_BOUND_N**2
-
-
-def check_bound_n(n: int) -> None:
-    """The cap on bound sums and term tables, checked before any weight."""
-    if n > MAX_BOUND_N:
-        raise ResourceGuardError(f"bound sums are capped at n <= {MAX_BOUND_N}, got n = {n}")
 
 
 def check_bound_sweep(ns: range) -> None:
@@ -78,11 +71,6 @@ def check_bound_sweep(ns: range) -> None:
                                  f"(the sum of n^2 over --n), got {work}")
 
 
-def lemma_weight(n: int, j: int) -> int:
-    """(n!/(n-j)!)^2 / j! = C(n, j) n!/(n-j)!, exactly."""
-    return math.comb(n, j) * math.perm(n, j)
-
-
 def _lemma_table(n: int, powers: dict, wp: int, prec: int, *ranges) -> tuple[dict, list]:
     """The terms lemma_weight(n, j) p_j of the raw powers p_j, each rounded
     once to ``prec`` bits, and their sums over each range of j, summed in
@@ -93,8 +81,8 @@ def _lemma_table(n: int, powers: dict, wp: int, prec: int, *ranges) -> tuple[dic
         for j, w in weights.items()
     }
     sums = [
-        mp.make_mpf(mpf_pos(
-            _positive_sum([weights[j] for j in js], [powers[j] for j in js], wp),
+        mp.make_mpf(from_man_exp(
+            *_positive_sum([weights[j] for j in js], [powers[j][1:3] for j in js], wp),
             prec, round_nearest))
         for js in ranges
     ]
@@ -236,20 +224,6 @@ def rt_continuous_terms(n: int, prec: int = DEFAULT_PREC) -> RtContinuousTerms:
 
 
 # ---------------------------------------------------------------------------
-# transpose top with random
-# ---------------------------------------------------------------------------
-
-def ttr_bound_spectrum(n: int) -> Blocks:
-    """Blocks whose d2^2 is the bound sum sum_{j=1}^{n-1} (n!/(n-j)!)^2 (1/j!) b_j,
-    with b_j = (1 - j/n)^(2t) in discrete and e^(-2tj/n) in continuous time:
-    eigenvalue 1 - j/n with the integer multiplicity C(n, j) n!/(n-j)!."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    check_bound_n(n)
-    return tuple((Fraction(n - j, n), lemma_weight(n, j)) for j in range(1, n))
-
-
-# ---------------------------------------------------------------------------
 # theorem reproduction
 # ---------------------------------------------------------------------------
 
@@ -349,7 +323,7 @@ def theorem_bounds(walk: str, n: int, cs=None, prec: int = DEFAULT_PREC) -> list
     with mp.workprec(prec):
         times = [theorem.threshold(n, c) for c in cs]
         curve = l2_curve(theorem.source(n), [t * theorem.scale for t in times], theorem.mode, prec)
-        computed = [d ** 2 for d in curve] if theorem.squared else curve
+        computed = [mp.mpf(d) ** 2 for d in curve] if theorem.squared else curve
         return [
             BoundReport(name, n, c, theorem.guaranteed(c), value, t=float(t))
             for c, t, value in zip(cs, times, computed)

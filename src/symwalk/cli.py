@@ -24,11 +24,13 @@ bits) or an output path that cannot be written, 3 resource guard tripped,
 SYMWALK_THREADS overrides --threads.
 
 Layering: importing this module loads only the walk parser and the exact
-spectral layers below it, neither mpmath nor numpy; each command imports
-what it runs when it runs.  A profile loads ``distances`` (and ``bounds``
-for the ttr bound sum), a theorem or lemma sweep ``bounds``, the oracle
-suite ``group_oracle`` and ``simulate`` ``montecarlo`` with numpy alone,
-so a simulation never loads mpmath.  Floats are formatted with the
+spectral layers below it, neither mpmath, numpy nor ``dataclasses``; each
+command imports what it runs when it runs.  A profile, the ttr bound sum
+included (``spectra.ttr_bound_spectrum``), loads ``distances`` alone, whose
+sums run in Python integers, so it loads neither mpmath nor ``bounds``; a
+theorem or lemma sweep loads ``bounds``, the oracle suite ``group_oracle``
+and ``simulate`` ``montecarlo`` with numpy alone, so a simulation never
+loads mpmath either.  Numbers are formatted with integers and the
 ``decimal`` module, exactly as ``mpmath.nstr`` would write them.
 """
 
@@ -40,9 +42,8 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
-from decimal import ROUND_HALF_UP, Context, Decimal
-from typing import TYPE_CHECKING
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_UP, Context, Decimal
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import __version__, walks
 from .errors import ResourceGuardError
@@ -79,36 +80,74 @@ def fmt_real(x, sig: int = 12) -> str | None:
     and from 1e16 up; None for a number whose decimal exponent has more than
     MAX_EXPONENT_DIGITS digits, which no reader of the file can use.
 
-    The text is ``mpmath.nstr``'s: ``sig`` digits rounded half up from the
-    exact value, trailing zeros stripped to at least one decimal.  An int or
-    float is rounded exactly by ``decimal``, so writing one loads no mpmath;
-    only an mpf, which exists only once mpmath is loaded, goes through it."""
+    The text is ``mpmath.nstr``'s at mpmath's default 53 bits: ``sig``
+    digits rounded half up from the exact value, trailing zeros stripped to
+    at least one decimal.  An int or float is rounded exactly by
+    ``decimal``; a ``distances.Dyadic`` is first rounded to 53 bits, as
+    mpmath converts it, and then written as that float or, out of the float
+    range, from its first digits (``_leading_digits``)."""
     if not isinstance(x, (int, float)):
-        return _fmt_mpf(x, sig)
+        x = x.rounded(53)
+        top = x.man.bit_length() + x.exp  # 2^(top - 1) <= x < 2^top
+        if -1000 < top < 1000:
+            x = math.ldexp(x.man, x.exp)
+        else:
+            digits = _leading_digits(x.man, x.exp, top)
+            return None if digits is None else _layout(digits, "e", sig)
     if x == 0:
         return "0.0"
     if math.isnan(x):
         return "nan"
     if math.isinf(x):
         return "+inf" if x > 0 else "-inf"
-    d = Context(prec=sig, rounding=ROUND_HALF_UP).plus(Decimal(x))
-    layout = "e" if abs(x) < 1e-4 or abs(x) >= 1e16 else "f"
+    return _layout(Decimal(x), "e" if abs(x) < 1e-4 or abs(x) >= 1e16 else "f", sig)
+
+
+def _layout(d: Decimal, layout: str, sig: int) -> str | None:
+    """``d`` rounded half up to ``sig`` digits and written in ``layout``
+    ("e" or "f") as fmt_real writes it."""
+    d = Context(prec=sig, rounding=ROUND_HALF_UP, Emin=MIN_EMIN, Emax=MAX_EMAX).plus(d)
     mantissa, e, exponent = f"{d:{layout}}".partition("e")
+    if len(exponent.lstrip("+-")) > MAX_EXPONENT_DIGITS:
+        return None
     whole, _, fraction = mantissa.partition(".")
     return f"{whole}.{fraction.rstrip('0') or '0'}{e}{exponent}"
 
 
-def _fmt_mpf(x, sig: int) -> str | None:
-    """fmt_real of an mpf (or any other number mpmath takes), through
-    ``mpmath.nstr`` at mpmath's working precision."""
-    import mpmath
-    from mpmath import mp
+def _leading_digits(man: int, exp: int, top: int) -> Decimal | None:
+    """man * 2^exp, for man > 0 and 2^(top - 1) <= man * 2^exp < 2^top, cut
+    to its first 18 to 21 decimal digits, which rounding half up to fewer
+    digits cannot tell from the exact value; None when its decimal exponent
+    has more than MAX_EXPONENT_DIGITS digits.  The cut is exact while the
+    power of ten that scales the value has at most _EXACT_POW10 digits, and
+    beyond that uses one rounded to _POW10_BITS bits."""
+    if abs(top) > 4 * 10**MAX_EXPONENT_DIGITS:  # past 1.2 * 10^MAX_EXPONENT_DIGITS
+        return None
+    scale = 18 - math.floor((top - 1) * math.log10(2))  # the float is within 1 of the floor
+    if abs(scale) <= _EXACT_POW10:
+        if scale >= 0:
+            man *= 10**scale
+            cut = man << exp if exp >= 0 else man >> -exp
+        else:
+            den = 10**-scale
+            cut = (man << exp) // den if exp >= 0 else man // (den << -exp)
+    else:
+        from .distances import _pow  # a Dyadic exists: distances is loaded
 
-    x = mp.mpf(x)  # nstr writes 0 as "0.0" and nan as "nan" in either layout
-    if abs(x) < mp.mpf("1e-4") or abs(x) >= mp.mpf("1e16"):
-        text = mpmath.nstr(x, sig, min_fixed=1, max_fixed=0)
-        return text if len(text.partition("e")[2].lstrip("+-")) <= MAX_EXPONENT_DIGITS else None
-    return mpmath.nstr(x, sig, min_fixed=-(10**6), max_fixed=10**6)
+        pman, pexp = _pow(10, 0, abs(scale), _POW10_BITS)
+        if scale > 0:
+            man, exp = man * pman, exp + pexp
+        else:
+            shift = _POW10_BITS + 64
+            man, exp = (man << shift) // pman, exp - pexp - shift
+        cut = man << exp if exp >= 0 else man >> -exp
+    return Decimal(f"{cut}e{-scale}")
+
+
+#: largest power of ten a value is scaled by exactly: 10^4000 has 13,288 bits
+_EXACT_POW10 = 4000
+#: bits of a larger power of ten
+_POW10_BITS = 192
 
 
 def time_value(t) -> int | float:
@@ -118,8 +157,7 @@ def time_value(t) -> int | float:
     return int(t) if t.is_integer() and abs(t) < 1e16 else t
 
 
-@dataclass
-class RunManifest:
+class RunManifest(NamedTuple):
     command: str
     params: dict
     seed: int | None = None
@@ -128,7 +166,7 @@ class RunManifest:
     stream_version: int | None = None  # simulate: which random draws make a step
 
     def as_dict(self) -> dict:
-        out = asdict(self)
+        out = self._asdict()
         out["wall_time_s"] = round(self.wall_time_s, 3)
         if self.stream_version is None:
             del out["stream_version"]
@@ -155,10 +193,7 @@ def _csv_cell(value) -> str:
 
 
 def _json_value(value):
-    """A JSON value: a str, int, float, None or object as it is, any other
-    number (an mpf) as its float, and a non-finite float as null."""
-    if not isinstance(value, (str, int, float, dict, type(None))):
-        value = float(value)
+    """A JSON value: a non-finite float as null, any other value as it is."""
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
@@ -198,7 +233,7 @@ def parse_range(text: str) -> range:
         raise ValueError(
             f"--n must be an integer or an inclusive a..b range, got {text!r}") from None
     if hi < lo:
-        raise ValueError(f"empty range {text!r}")
+        raise ValueError(f"--n {text!r} is an empty range")
     return range(lo, hi + 1)
 
 
@@ -229,7 +264,7 @@ def cmd_profile(args) -> int:
     if args.walk == "ttr-bound":  # the ttr bound sum is not a walk: an S_n curve
         if args.group != "sn":
             raise ValueError("ttr-bound is a symmetric-group curve; use --group sn")
-        from .bounds import ttr_bound_spectrum
+        from .spectra import ttr_bound_spectrum
 
         walk, curves = args.walk, (("sn", ttr_bound_spectrum(n)),)
     else:

@@ -33,6 +33,10 @@ corner of a diagram by the dimension of what is left (Jucys-Murphy), and
 desarrangement counts (Dieker-Saliola); both take their corners from
 ``partitions.bead_moves`` and their dimensions from the branching rule.
 ``walks.WalkSpec.blocks`` is the one entry point that picks the source.
+
+``ttr_bound_spectrum`` writes the transpose-top bound sum of ``bounds`` as
+blocks of the same kind, with its factorial weights (``lemma_weight``) as
+multiplicities, so that a profile draws it as it draws a walk.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ from .characters import (
     mn_character,
     support,
 )
+from .errors import ResourceGuardError
 from .partitions import (
     Partition,
     bead_moves,
@@ -210,3 +215,33 @@ def ri_blocks(n: int) -> Blocks:
             if desarrangements:
                 totals[top - key] = totals.get(top - key, 0) + dim * desarrangements
     return tuple((Fraction(key, n * n), m) for key, m in totals.items())
+
+
+# ---------------------------------------------------------------------------
+# the transpose-top bound sum
+# ---------------------------------------------------------------------------
+
+#: largest n of a bound sum or lemma term table: their cost grows faster
+#: than n^2, and n = 2000 takes about a second
+MAX_BOUND_N = 2000
+
+
+def check_bound_n(n: int) -> None:
+    """The cap on bound sums and term tables, checked before any weight."""
+    if n > MAX_BOUND_N:
+        raise ResourceGuardError(f"bound sums are capped at n <= {MAX_BOUND_N}, got n = {n}")
+
+
+def lemma_weight(n: int, j: int) -> int:
+    """(n!/(n-j)!)^2 / j! = C(n, j) n!/(n-j)!, exactly."""
+    return math.comb(n, j) * math.perm(n, j)
+
+
+def ttr_bound_spectrum(n: int) -> Blocks:
+    """Blocks whose d2^2 is the bound sum sum_{j=1}^{n-1} (n!/(n-j)!)^2 (1/j!) b_j,
+    with b_j = (1 - j/n)^(2t) in discrete and e^(-2tj/n) in continuous time:
+    eigenvalue 1 - j/n with the integer multiplicity C(n, j) n!/(n-j)!."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    check_bound_n(n)
+    return tuple((Fraction(n - j, n), lemma_weight(n, j)) for j in range(1, n))

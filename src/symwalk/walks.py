@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import spectra
 from .characters import CycleType, is_even_class
@@ -68,8 +68,7 @@ def syntax(*kinds: str) -> str:
     return " | ".join(SYNTAX.get(kind, kind) for kind in kinds)
 
 
-@dataclass(frozen=True)
-class WalkSpec:
+class WalkSpec(NamedTuple):
     """A parsed walk string: ``cycles`` holds the cycle lengths above 1,
     non-increasing (empty for rt, ttr, ri), ``eps`` a lazy walk's holding
     probability."""

@@ -72,7 +72,7 @@ def test_criterion_02_ttr_bound_and_oracle():
         for c in (0, 1, 2):
             t = math.ceil(n * (math.log(n) + c))
             with mp.workprec(128):
-                bound_sum = l2_discrete(spec, t) ** 2  # d2^2 of the ttr-bound blocks
+                bound_sum = mp.mpf(l2_discrete(spec, t)) ** 2  # d2^2 of the ttr-bound blocks
             if not bound_sum <= 2 * math.exp(-2 * c):
                 ok = False
                 detail.append(f"sum n={n} c={c}")

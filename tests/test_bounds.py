@@ -116,6 +116,7 @@ def test_bound_sums_are_capped_before_any_weight(monkeypatch):
         raise AssertionError("weight computed past the cap")
 
     monkeypatch.setattr(bounds, "lemma_weight", no_weight)
+    monkeypatch.setattr(spectra, "lemma_weight", no_weight)
     n = bounds.MAX_BOUND_N + 1
     for build in (rt_discrete_terms, rt_continuous_terms, ttr_bound_spectrum):
         with pytest.raises(ResourceGuardError, match=f"n <= {bounds.MAX_BOUND_N}, got n = {n}$"):
@@ -202,7 +203,7 @@ def ttr_bound_sum(n, t, mode="discrete"):
     """The transpose-top bound sum as d2^2 of the ``ttr-bound`` blocks."""
     l2 = l2_discrete if mode == "discrete" else l2_continuous
     with mp.workprec(DEFAULT_PREC):
-        return l2(ttr_bound_spectrum(n), t) ** 2
+        return mp.mpf(l2(ttr_bound_spectrum(n), t)) ** 2
 
 
 def definitional_ttr_sum(n, t, mode):

@@ -92,16 +92,18 @@ def test_fmt_real():
     assert "e" not in cli.fmt_real(0.000123)
 
 
-def nstr_reference(x: float, sig: int = 12) -> str:
-    """What fmt_real wrote through mpmath for every float: ``mpmath.nstr`` in
-    scientific layout below 1e-4 and from 1e16 up, fixed layout between."""
+def nstr_reference(x, sig: int = 12) -> str | None:
+    """What fmt_real wrote through mpmath for every float or mpf input:
+    ``mpmath.nstr`` at 53 bits in scientific layout below 1e-4 and from 1e16
+    up, fixed layout between, and no value past 15 exponent digits."""
     x = mp.mpf(x)
     if x == 0:
         return "0.0"
     if mp.isnan(x):
         return "nan"
     if abs(x) < mp.mpf("1e-4") or abs(x) >= mp.mpf("1e16"):
-        return mpmath.nstr(x, sig, min_fixed=1, max_fixed=0)
+        text = mpmath.nstr(x, sig, min_fixed=1, max_fixed=0)
+        return text if len(text.partition("e")[2].lstrip("+-")) <= 15 else None
     return mpmath.nstr(x, sig, min_fixed=-(10**6), max_fixed=10**6)
 
 
@@ -139,6 +141,30 @@ def test_fmt_real_layout_edges_and_ties_match_mpmath():
     cases += ties
     for x in cases + [-x for x in cases]:
         assert cli.fmt_real(x) == nstr_reference(x), x
+
+
+def test_fmt_real_writes_dyadics_as_mpmath_does():
+    # a profile's d2 is written from its exact binary value with no mpmath:
+    # the text must be nstr's of the same value converted to an mpf
+    import random
+
+    from symwalk.distances import Dyadic
+
+    rng = random.Random(7)
+    cases = [(rng.getrandbits(rng.randint(1, 300)) | 1, rng.randint(-lo, lo))
+             for lo in (1100, 20000, 10**7, 10**30) for _ in range(150)]
+    for x in decimal_ties():  # 12-digit half-way values, all within the float range
+        num, den = x.as_integer_ratio()
+        cases.append((num, 1 - den.bit_length()))
+    # the 13-digit ties T * 10^k out of the float range, near ties once rounded to 53 bits
+    cases += [(T * 5**k, k) for T in (10**12 + 5, 9999999999995) for k in (330, 1000, 1050)]
+    # decimal exponents of 15 and 16 digits: 2^e is about 10^(10^15) at e = 3.3219e15
+    edge = int(10**15 / math.log10(2))
+    cases += [(rng.getrandbits(60) | 1, sign * edge + shift)
+              for sign in (1, -1) for shift in range(-300, 300, 7)]
+    for man, exp in cases:
+        assert cli.fmt_real(Dyadic(man, exp)) == nstr_reference(mp.mpf((man, exp))), (man, exp)
+    assert cli.fmt_real(Dyadic(0)) == "0.0"
 
 
 def test_profile_golden_csv(tmp_path):
@@ -552,17 +578,24 @@ def test_unwritable_output_is_bad_args(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv, absent",
-    [(None, ("mpmath", "numpy")),
+    [(None, ("mpmath", "numpy", "dataclasses")),
      (["profile", "--walk", "lazy:3:1/2", "--n", "5", "--group", "an", "--t-grid", "0,1"],
-      ("numpy", "symwalk.group_oracle", "symwalk.montecarlo")),
+      ("mpmath", "numpy", "dataclasses", "symwalk.bounds", "symwalk.group_oracle",
+       "symwalk.montecarlo")),
+     (["profile", "--walk", "ttr-bound", "--n", "6", "--mode", "continuous",
+       "--t-grid", "0,1,1e300"],
+      ("mpmath", "numpy", "dataclasses", "symwalk.bounds", "symwalk.group_oracle",
+       "symwalk.montecarlo")),
      (["simulate", "--walk", "class:3", "--n", "6", "--t", "2", "--N", "1000", "--seed", "1"],
       ("mpmath", "symwalk.bounds", "symwalk.distances", "symwalk.group_oracle"))],
-    ids=["import", "profile", "simulate"],
+    ids=["import", "profile", "profile-ttr-bound", "simulate"],
 )
 def test_each_command_loads_only_its_layers(argv, absent, tmp_path):
-    # the import loads no reals and no arrays; a profile (which parses its walk
-    # string) never loads numpy, the oracle or the sampler; a simulation needs
-    # numpy and the exact u(A_j), never mpmath or the distance and bound layers
+    # the import loads no reals, no arrays and no dataclasses; a profile (which
+    # parses its walk string), the ttr bound sum included, sums in integers and
+    # never loads mpmath, the bounds, numpy, the oracle or the sampler; a
+    # simulation needs numpy and the exact u(A_j), never mpmath or the distance
+    # and bound layers
     src = str(Path(symwalk.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, symwalk.cli; "
@@ -654,7 +687,8 @@ def test_simulate_minimum_samples(tmp_path, capsys):
       "--n"),
      (["simulate", "--walk", "rt", "--n", "5", "--t", "3", "--j", "9", "--N", "1000",
        "--seed", "1"], "--j"),
-     (["verify", "--suite", "rt-discrete", "--n", "15..x"], "--n")],
+     (["verify", "--suite", "rt-discrete", "--n", "15..x"], "--n"),
+     (["verify", "--suite", "rt-discrete", "--n", "9..5"], "--n")],
 )
 def test_bad_flag_message_names_the_flag(argv, flag, tmp_path, capsys):
     out = tmp_path / "x.csv"
@@ -767,6 +801,7 @@ def test_verify_checks_the_whole_range_before_any_work(argv, err, tmp_path, caps
     monkeypatch.setattr(spectra, "partitions", no_work)
     monkeypatch.setattr(group_oracle, "convolution_powers_upto", no_work)
     monkeypatch.setattr(bounds, "lemma_weight", no_work)
+    monkeypatch.setattr(spectra, "lemma_weight", no_work)
     out = tmp_path / "x.json"
     started = time.perf_counter()
     assert run(["--threads", "1"] + argv + ["--out", str(out)]) == cli.EXIT_RESOURCE
@@ -788,6 +823,7 @@ def test_bound_sum_cap_is_resource_guard(argv, tmp_path, capsys, monkeypatch):
         raise AssertionError("weight computed past the bound-sum cap")
 
     monkeypatch.setattr(bounds, "lemma_weight", no_weight)
+    monkeypatch.setattr(spectra, "lemma_weight", no_weight)
     out = tmp_path / "x.out"
     started = time.perf_counter()
     assert run(["--threads", "1"] + argv + ["--out", str(out)]) == cli.EXIT_RESOURCE

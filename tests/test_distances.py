@@ -413,7 +413,7 @@ def continuous_reference(blocks, t, prec):
             for beta, m in blocks))
 
 
-@pytest.mark.parametrize("prec", [53, 128, 256])
+@pytest.mark.parametrize("prec", [53, 128, 256, 4096])
 def test_l2_curve_relative_error_at_most_four_ulps(prec):
     for name, make in ACCURACY_SPECTRA.items():
         blocks = make()
@@ -429,7 +429,7 @@ def test_l2_curve_relative_error_at_most_four_ulps(prec):
 
 
 def test_l2_curve_exp_calls_do_not_grow_with_blocks(monkeypatch):
-    import mpmath
+    from symwalk import distances
 
     calls = []
 
@@ -439,8 +439,7 @@ def test_l2_curve_exp_calls_do_not_grow_with_blocks(monkeypatch):
             return original(*args, **kwargs)
         return spy
 
-    monkeypatch.setattr(mpmath.libmp, "mpf_exp", counting(mpmath.libmp.mpf_exp))
-    monkeypatch.setattr(mp, "exp", counting(mp.exp))
+    monkeypatch.setattr(distances, "_exp_neg", counting(distances._exp_neg))
     times = [0.5, 3, 0.5, 7.25, 3]
     for n in (6, 12, 16):
         blocks = spectrum(*measure("rt", n))
