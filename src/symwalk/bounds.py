@@ -7,14 +7,18 @@ weight (n!/(n-j)!)^2/j!, the exact integer C(n, j) n!/(n-j)!
 (``lemma_weight``), times an integer power of a few constants.  In
 continuous time the powers are walked in j by ratio updates from three
 exps per table; in discrete time each A_j costs one log and one exp, and
-the B_j are products of one exp per prime up to n/2.  As in
+the B_j are products of one exp per prime up to n/2.  Everything runs on
+the integer binary floats of ``distances`` (``_exp_neg``, ``_log``,
+``_pow``, ``_positive_sum``), so no bound loads mpmath.  As in
 ``distances.l2_curve``, the powers run at the caller's precision plus
-guard bits for the largest exponent and the term count, the weighted sums
-are fixed point (``distances._positive_sum``, fed the (man, exp) pairs of
-the raw mpmath.libmp powers here), and every term and sum is rounded once,
-so each has relative error at most 2^(2 - prec).  The transpose-top bound
-sum is ``spectra.ttr_bound_spectrum``, whose weights and cap
-(``lemma_weight``, ``check_bound_n``) the term tables share.
+guard bits for the largest exponent and the term count, with every log in
+fixed point at those bits, the weighted sums are fixed point, and every
+term and sum is rounded once, so each has relative error at most
+2^(2 - prec).  Each guaranteed constant of THEOREMS and LEMMAS is one exp
+of an exact or fixed-point argument, rounded once to ``prec`` (2, 2/3 and
+1/4 are exact).  The transpose-top bound sum is
+``spectra.ttr_bound_spectrum``, whose weights and cap (``lemma_weight``,
+``check_bound_n``) the term tables share.
 
 Naming note: the fixed-point sets {phi >= j} and the bound summands are
 both called A_j in the usual notation; here the sets live behind
@@ -25,30 +29,27 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from fractions import Fraction
+from typing import TYPE_CHECKING, NamedTuple
 
-import mpmath
-from mpmath import libmp, mp
-from mpmath.libmp import (
-    fone,
-    from_int,
-    from_man_exp,
-    fzero,
-    mpf_div,
-    mpf_log,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_neg,
-    mpf_pow_int,
-    mpf_shift,
-    mpf_sub,
-    round_nearest,
+from .distances import (
+    DEFAULT_PREC,
+    Dyadic,
+    _exp_neg,
+    _log,
+    _pow,
+    _positive_sum,
+    _quotient,
+    _round,
+    _working_prec,
+    l2_curve,
 )
-
-from .distances import DEFAULT_PREC, _positive_sum, _working_prec, l2_curve
 from .errors import ResourceGuardError
 from .spectra import MAX_BOUND_N, check_bound_n, lemma_weight, ttr_bound_spectrum
 from .walks import WalkSpec, check_spectral_sweep
+
+if TYPE_CHECKING:
+    import mpmath
 
 #: most work, summed n^2 over the --n range, that a sweep of bound sums or
 #: term tables does: ten tables at MAX_BOUND_N
@@ -72,20 +73,15 @@ def check_bound_sweep(ns: range) -> None:
 
 
 def _lemma_table(n: int, powers: dict, wp: int, prec: int, *ranges) -> tuple[dict, list]:
-    """The terms lemma_weight(n, j) p_j of the raw powers p_j, each rounded
-    once to ``prec`` bits, and their sums over each range of j, summed in
-    fixed point at ``wp`` bits and rounded once."""
+    """The terms lemma_weight(n, j) p_j of the binary floats p_j, each
+    rounded once to ``prec`` bits, and their sums over each range of j,
+    summed in fixed point at ``wp`` bits and rounded once."""
     weights = {j: lemma_weight(n, j) for j in powers}
-    terms = {
-        j: mp.make_mpf(mpf_mul_int(powers[j], w, prec, round_nearest))
-        for j, w in weights.items()
-    }
-    sums = [
-        mp.make_mpf(from_man_exp(
-            *_positive_sum([weights[j] for j in js], [powers[j][1:3] for j in js], wp),
-            prec, round_nearest))
-        for js in ranges
-    ]
+    terms = {j: Dyadic(*_round(w * powers[j][0], powers[j][1], prec))
+             for j, w in weights.items()}
+    sums = [Dyadic(*_round(*_positive_sum([weights[j] for j in js], [powers[j] for j in js], wp),
+                           prec))
+            for js in ranges]
     return terms, sums
 
 
@@ -100,12 +96,18 @@ def _smallest_prime_factors(m: int) -> list[int]:
     return spf
 
 
+def _product(wp: int):
+    """The product of two binary floats, rounded to ``wp`` bits."""
+    def mul(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+        return _round(p[0] * q[0], p[1] + q[1], wp)
+    return mul
+
+
 # ---------------------------------------------------------------------------
 # random transposition, discrete time
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RtDiscreteTerms:
+class RtDiscreteTerms(NamedTuple):
     """Discrete-time bound terms at the reference exponent n*log(n).
 
     a_terms[j] = (n!/(n-j)!)^2 (1/j!) (1 - (2j/n)(1-(j-1)/n))^(n log n) for
@@ -115,13 +117,13 @@ class RtDiscreteTerms:
     """
 
     n: int
-    a_terms: dict = field(default_factory=dict)
-    b_terms: dict = field(default_factory=dict)
-    phi0: mpmath.mpf = mp.mpf(0)
-    phi1: mpmath.mpf = mp.mpf(0)
-    phi2: mpmath.mpf = mp.mpf(0)
+    a_terms: dict
+    b_terms: dict
+    phi0: Dyadic
+    phi1: Dyadic
+    phi2: Dyadic
     #: 2 + phi1 + phi2, the computable stand-in for the B^2 constant
-    b_square_bound: mpmath.mpf = mp.mpf(2)
+    b_square_bound: Dyadic
 
 
 def rt_discrete_terms(n: int, prec: int = DEFAULT_PREC) -> RtDiscreteTerms:
@@ -131,48 +133,39 @@ def rt_discrete_terms(n: int, prec: int = DEFAULT_PREC) -> RtDiscreteTerms:
     if n < 14:
         raise ValueError("discrete-time term bounds are stated for n >= 14")
     check_bound_n(n)
-    out = RtDiscreteTerms(n)
     half = n // 2
     # an absolute error in L log(base) is the same relative error in the
     # power, and those exponents reach L log(n^2) in size
     wp = _working_prec(prec, math.ceil(2 * n * math.log(n) ** 2), n + 1)
-    log_n = mpf_log(from_int(n), wp, round_nearest)
-    big_l = mpf_mul(from_int(n), log_n, wp, round_nearest)
+    mul = _product(wp)
+    log_n = _log(n, wp)  # every log here is fixed point at wp bits
+    big_l = n * log_n
 
-    def power(log_base):
-        return libmp.mpf_exp(mpf_mul(big_l, log_base, wp, round_nearest), wp, round_nearest)
+    def power(log_base: int) -> tuple[int, int]:
+        return _exp_neg(-(big_l * log_base >> wp), -wp, wp)
 
-    log_n2 = mpf_shift(log_n, 1)
-    a = {
-        j: power(mpf_sub(
-            mpf_log(from_int(n * n - 2 * j * (n - j + 1)), wp, round_nearest),
-            log_n2, wp, round_nearest))
-        for j in range(1, half + 1)
-    }
+    a = {j: power(_log(n * n - 2 * j * (n - j + 1), wp) - 2 * log_n)
+         for j in range(1, half + 1)}
     # k^L as the product of p^L over the prime factors p of k: one exp per prime
     spf = _smallest_prime_factors(half)
-    k_power = [fzero, fone]
+    k_power = [(0, 0), (1, 0)]
     for k in range(2, half + 1):
         p = spf[k]
-        k_power.append(power(mpf_log(from_int(k), wp, round_nearest)) if p == k
-                       else mpf_mul(k_power[p], k_power[k // p], wp, round_nearest))
-    n_power = power(mpf_neg(log_n))  # n^-L
-    b = {j: mpf_mul(k_power[n - j], n_power, wp, round_nearest)
-         for j in range(-(-n // 2), n + 1)}
-    out.a_terms, (out.phi0, out.phi1) = _lemma_table(
+        k_power.append(power(_log(k, wp)) if p == k else mul(k_power[p], k_power[k // p]))
+    n_power = power(-log_n)  # n^-L
+    b = {j: mul(k_power[n - j], n_power) for j in range(-(-n // 2), n + 1)}
+    a_terms, (phi0, phi1) = _lemma_table(
         n, a, wp, prec, range(1, n // 4 + 1), range(-(-n // 4), half + 1))
-    out.b_terms, (out.phi2,) = _lemma_table(n, b, wp, prec, b.keys())
-    with mp.workprec(prec):
-        out.b_square_bound = 2 + out.phi1 + out.phi2
-    return out
+    b_terms, (phi2,) = _lemma_table(n, b, wp, prec, b.keys())
+    b_square = _positive_sum((2, 1, 1), ((1, 0), (phi1.man, phi1.exp), (phi2.man, phi2.exp)), wp)
+    return RtDiscreteTerms(n, a_terms, b_terms, phi0, phi1, phi2, Dyadic(*_round(*b_square, prec)))
 
 
 # ---------------------------------------------------------------------------
 # random transposition, continuous time
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RtContinuousTerms:
+class RtContinuousTerms(NamedTuple):
     """Continuous-time analogues with exponent -2j log(n) (1 - j/n) - 2j.
 
     b_terms carry the squared factorial ratio (n!/(n-j)!)^2 exactly like
@@ -182,11 +175,11 @@ class RtContinuousTerms:
     """
 
     n: int
-    a_terms: dict = field(default_factory=dict)
-    b_terms: dict = field(default_factory=dict)
-    sum_a_low: mpmath.mpf = mp.mpf(0)   # j = 1 .. floor(n/4)
-    sum_a_mid: mpmath.mpf = mp.mpf(0)   # j = ceil(n/4) .. floor(n/2)
-    gamma: mpmath.mpf = mp.mpf(0)       # j = ceil(n/2) .. n
+    a_terms: dict
+    b_terms: dict
+    sum_a_low: Dyadic   # j = 1 .. floor(n/4)
+    sum_a_mid: Dyadic   # j = ceil(n/4) .. floor(n/2)
+    gamma: Dyadic       # j = ceil(n/2) .. n
 
 
 def rt_continuous_terms(n: int, prec: int = DEFAULT_PREC) -> RtContinuousTerms:
@@ -195,51 +188,52 @@ def rt_continuous_terms(n: int, prec: int = DEFAULT_PREC) -> RtContinuousTerms:
     if n < 10:
         raise ValueError("continuous-time term bounds are stated for n >= 10")
     check_bound_n(n)
-    out = RtContinuousTerms(n)
     half = n // 2
     # the ratio walk below carries y to powers up to about n^2/4, which
     # multiply its relative error
     wp = _working_prec(prec, n * n, n + 1)
-    x = libmp.mpf_exp(from_int(-2), wp, round_nearest)
-    log_y = mpf_div(mpf_shift(mpf_log(from_int(n), wp, round_nearest), 1), from_int(-n),
-                    wp, round_nearest)
-    y = libmp.mpf_exp(log_y, wp, round_nearest)
-    y_inv2 = libmp.mpf_exp(mpf_shift(mpf_neg(log_y), 1), wp, round_nearest)
+    mul = _product(wp)
+    x = _exp_neg(2, 0, wp)
+    log_y = -2 * _log(n, wp) // n  # fixed point at wp bits
+    y = _exp_neg(-log_y, -wp, wp)
+    y_inv2 = _exp_neg(2 * log_y, -wp, wp)
     # a_(j+1)/a_j has the power part r_j = y^(n-2j-1) x, and r_(j+1) = r_j y^-2
     a = {}
-    power = fone
-    ratio = mpf_mul(mpf_pow_int(y, n - 1, wp, round_nearest), x, wp, round_nearest)
+    power = (1, 0)
+    ratio = mul(_pow(*y, n - 1, wp), x)
     for j in range(1, half + 1):
-        power = a[j] = mpf_mul(power, ratio, wp, round_nearest)
-        ratio = mpf_mul(ratio, y_inv2, wp, round_nearest)
-    z = mpf_div(x, from_int(n), wp, round_nearest)
+        power = a[j] = mul(power, ratio)
+        ratio = mul(ratio, y_inv2)
+    man, exp = _quotient(x[0], n, wp)
+    z = (man, exp + x[1])
     first = -(-n // 2)
-    b = {first: mpf_pow_int(z, first, wp, round_nearest)}
+    b = {first: _pow(*z, first, wp)}
     for j in range(first + 1, n + 1):
-        b[j] = mpf_mul(b[j - 1], z, wp, round_nearest)
-    out.a_terms, (out.sum_a_low, out.sum_a_mid) = _lemma_table(
+        b[j] = mul(b[j - 1], z)
+    a_terms, (sum_a_low, sum_a_mid) = _lemma_table(
         n, a, wp, prec, range(1, n // 4 + 1), range(-(-n // 4), half + 1))
-    out.b_terms, (out.gamma,) = _lemma_table(n, b, wp, prec, b.keys())
-    return out
+    b_terms, (gamma,) = _lemma_table(n, b, wp, prec, b.keys())
+    return RtContinuousTerms(n, a_terms, b_terms, sum_a_low, sum_a_mid, gamma)
 
 
 # ---------------------------------------------------------------------------
 # theorem reproduction
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BoundReport:
+class BoundReport(NamedTuple):
     """One ``verify`` verdict: does ``computed <= guaranteed`` hold?
 
-    ``t`` is a theorem's threshold time; ``tv_inequality`` is the oracle's
-    side condition 2 TV <= chi-square, which must hold as well when present.
+    The two sides are ``distances.Dyadic`` values, exact rationals, floats
+    or mpmath numbers.  ``t`` is a theorem's threshold time;
+    ``tv_inequality`` is the oracle's side condition 2 TV <= chi-square,
+    which must hold as well when present.
     """
 
     name: str
     n: int
     c: float | None
-    guaranteed: mpmath.mpf | float
-    computed: mpmath.mpf | float
+    guaranteed: Dyadic | Fraction | float
+    computed: Dyadic | float
     t: float | None = None
     tv_inequality: bool | None = None
 
@@ -264,10 +258,27 @@ class BoundReport:
         return out
 
 
+def _exp_real(x: Fraction, prec: int, scale: int = 0) -> Dyadic:
+    """2^scale exp(x) for a rational x with a power-of-two denominator (a
+    float's exact value), rounded once to ``prec`` bits."""
+    man, exp = _exp_neg(-x.numerator, 1 - x.denominator.bit_length(), prec)
+    return Dyadic(man, exp + scale)
+
+
+def _exp_log(a: int, b: int, m: int, d: int, prec: int, scale: int = 0) -> Dyadic:
+    """2^scale exp((a + b log m)/d) for integers a, b, m >= 1 and d >= 1,
+    rounded once to ``prec`` bits: the argument is fixed point, with guard
+    bits for the error of b log m."""
+    wp = _working_prec(prec, abs(b), 1)
+    man, exp = _exp_neg(-(((a << wp) + b * _log(m, wp)) // d), -wp, prec)
+    return Dyadic(man, exp + scale)
+
+
 # One row per theorem, keyed by its verify suite: least n, the caps on a sweep
 # of its blocks over a range of n, least c, threshold time, the blocks at n,
 # the l2 curve's mode, the factor on the threshold time at which the curve is
-# read, whether the bound is on d2 squared, and the guaranteed constant.
+# read, whether the bound is on d2 squared, and the guaranteed constant at c
+# and a precision.
 Theorem = namedtuple("Theorem", "min_n cap min_c threshold source mode scale squared guaranteed")
 
 
@@ -279,24 +290,27 @@ THEOREMS = {
     # d2(q_rt^(t), u) <= 2 e^-c at t = ceil((n/2)(log n + c))
     "rt-discrete": Theorem(
         15, check_spectral_sweep, 0, lambda n, c: math.ceil(_rt_time(n, c)),
-        WalkSpec("rt").blocks, "discrete", 1, False, lambda c: 2 * mp.exp(-c)),
+        WalkSpec("rt").blocks, "discrete", 1, False,
+        lambda c, prec: _exp_real(-Fraction(c), prec, 1)),
     # d2(h_rt,t, u) <= e^-(c-2) at t = (n/2)(log n + c)
     "rt-continuous": Theorem(
         10, check_spectral_sweep, 2, _rt_time, WalkSpec("rt").blocks, "continuous", 1, False,
-        lambda c: mp.exp(-(c - 2))),
+        lambda c, prec: _exp_real(2 - Fraction(c), prec)),
     # bound sum on d2^2 <= 2 e^-2c at t = ceil(n(log n + c))
     "ttr": Theorem(
         1, check_bound_sweep, 0, lambda n, c: math.ceil(n * (math.log(n) + c)),
-        ttr_bound_spectrum, "discrete", 1, True, lambda c: 2 * mp.exp(-2 * c)),
+        ttr_bound_spectrum, "discrete", 1, True,
+        lambda c, prec: _exp_real(-2 * Fraction(c), prec, 1)),
     # d2(h_c4,t, u) <= e^-(c-2) at the same threshold
     "four-cycle": Theorem(
         11, check_spectral_sweep, 2, _rt_time, WalkSpec("class", (4,)).blocks, "continuous", 1,
-        False, lambda c: mp.exp(-(c - 2))),
+        False, lambda c, prec: _exp_real(2 - Fraction(c), prec)),
     # d2(q_ri^(t), u)^2 <= e^-(c-2) at t = 2n(log n + c), through the Dirichlet
     # comparison as d2(h_rt, t/4)^2
     "random-insertion": Theorem(
         10, check_spectral_sweep, 2, lambda n, c: 2 * n * (math.log(n) + c),
-        WalkSpec("rt").blocks, "continuous", 0.25, True, lambda c: mp.exp(-(c - 2))),
+        WalkSpec("rt").blocks, "continuous", 0.25, True,
+        lambda c, prec: _exp_real(2 - Fraction(c), prec)),
 }
 
 
@@ -317,32 +331,37 @@ def check_theorem(walk: str, ns: range, cs=None) -> tuple[Theorem, list[float]]:
 def theorem_bounds(walk: str, n: int, cs=None, prec: int = DEFAULT_PREC) -> list[BoundReport]:
     """Exact distance (or bound sum) at a theorem's time threshold vs its
     constant, for every c of ``cs`` (see ``check_theorem``): one set of
-    blocks and one evaluation of its l2 curve over all thresholds."""
+    blocks and one evaluation of its l2 curve over all thresholds.  A
+    squared bound squares each d2 exactly and rounds it once."""
     theorem, cs = check_theorem(walk, range(n, n + 1), cs)
     name = walk.replace("-", "_")  # verdict rows say rt_discrete, four_cycle, ...
-    with mp.workprec(prec):
-        times = [theorem.threshold(n, c) for c in cs]
-        curve = l2_curve(theorem.source(n), [t * theorem.scale for t in times], theorem.mode, prec)
-        computed = [mp.mpf(d) ** 2 for d in curve] if theorem.squared else curve
-        return [
-            BoundReport(name, n, c, theorem.guaranteed(c), value, t=float(t))
-            for c, t, value in zip(cs, times, computed)
-        ]
+    times = [theorem.threshold(n, c) for c in cs]
+    curve = l2_curve(theorem.source(n), [t * theorem.scale for t in times], theorem.mode, prec)
+    if theorem.squared:
+        curve = [Dyadic(*_round(d.man * d.man, 2 * d.exp, prec)) for d in curve]
+    return [
+        BoundReport(name, n, c, theorem.guaranteed(c, prec), value, t=float(t))
+        for c, t, value in zip(cs, times, curve)
+    ]
 
 
 # One group per term-table family: the family (looked up at call time, as
 # theorem_bounds looks up l2_curve), its least n, and per lemma the name, the
-# attribute of the family's table at n it reads and the guaranteed bound at n.
+# attribute of the family's table at n it reads and the guaranteed bound at n
+# and a precision.
 LEMMAS = (
     (lambda n, prec: rt_discrete_terms(n, prec), 14, (
-        ("phi0<=2", "phi0", lambda n: mp.mpf(2)),
-        ("phi1", "phi1", lambda n: mp.exp(2 - n * mp.log(n) / 6)),
-        ("phi2", "phi2", lambda n: mp.exp(1 - mp.mpf(3) * n * mp.log(n) / 1000)),
+        ("phi0<=2", "phi0", lambda n, prec: 2),
+        # exp(2 - n log n/6)
+        ("phi1", "phi1", lambda n, prec: _exp_log(12, -n, n, 6, prec)),
+        # exp(1 - 3 n log n/1000)
+        ("phi2", "phi2", lambda n, prec: _exp_log(1000, -3 * n, n, 1000, prec)),
     )),
     (lambda n, prec: rt_continuous_terms(n, prec), 10, (
-        ("cont_sum_a_low<=2/3", "sum_a_low", lambda n: mp.mpf(2) / 3),
-        ("cont_sum_a_mid<=1/4", "sum_a_mid", lambda n: mp.mpf(1) / 4),
-        ("cont_gamma", "gamma", lambda n: 2 * mp.exp(mp.mpf(3) * n / 2 * (mp.log(2) - 1))),
+        ("cont_sum_a_low<=2/3", "sum_a_low", lambda n, prec: Fraction(2, 3)),
+        ("cont_sum_a_mid<=1/4", "sum_a_mid", lambda n, prec: Fraction(1, 4)),
+        # 2 exp(3n/2 (log 2 - 1))
+        ("cont_gamma", "gamma", lambda n, prec: _exp_log(-3 * n, 3 * n, 2, 2, prec, 1)),
     )),
 )
 
@@ -360,13 +379,12 @@ def lemma_checks(n: int, prec: int = DEFAULT_PREC) -> list[BoundReport]:
     """Every lemma stated at ``n``, building one term table per family."""
     check_lemma_ns(range(n, n + 1))
     out = []
-    with mp.workprec(prec):
-        for family, min_n, lemmas in LEMMAS:
-            if n >= min_n:
-                terms = family(n, prec)
-                for name, attr, guaranteed in lemmas:
-                    computed = getattr(terms, attr)
-                    out.append(BoundReport(f"lemma:{name}", n, None, guaranteed(n), computed))
+    for family, min_n, lemmas in LEMMAS:
+        if n >= min_n:
+            terms = family(n, prec)
+            for name, attr, guaranteed in lemmas:
+                out.append(BoundReport(f"lemma:{name}", n, None, guaranteed(n, prec),
+                                       getattr(terms, attr)))
     return out
 
 
@@ -378,6 +396,8 @@ def stirling_envelope(n: int, prec: int = DEFAULT_PREC) -> tuple[mpmath.mpf, mpm
     """(sqrt(2 pi n)(n/e)^n, e^(1/12n) sqrt(2 pi n)(n/e)^n), bracketing n!."""
     if n < 1:
         raise ValueError("n must be positive")
+    from mpmath import mp
+
     with mp.workprec(prec):
         lower = mp.sqrt(2 * mp.pi * n) * mp.exp(n * (mp.log(n) - 1))
         return lower, mp.exp(mp.mpf(1) / (12 * n)) * lower
@@ -390,6 +410,8 @@ def poisson_window_mass(k: float, alpha: float) -> float:
     if not 0.5 < alpha < 1.0:
         raise ValueError("alpha must lie in (1/2, 1)")
     m = math.floor(k + k**alpha)
+    from mpmath import mp
+
     return float(mp.gammainc(m + 1, a=k, regularized=True))
 
 

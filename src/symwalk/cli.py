@@ -28,10 +28,12 @@ spectral layers below it, neither mpmath, numpy nor ``dataclasses``; each
 command imports what it runs when it runs.  A profile, the ttr bound sum
 included (``spectra.ttr_bound_spectrum``), loads ``distances`` alone, whose
 sums run in Python integers, so it loads neither mpmath nor ``bounds``; a
-theorem or lemma sweep loads ``bounds``, the oracle suite ``group_oracle``
-and ``simulate`` ``montecarlo`` with numpy alone, so a simulation never
-loads mpmath either.  Numbers are formatted with integers and the
-``decimal`` module, exactly as ``mpmath.nstr`` would write them.
+theorem or lemma sweep loads ``bounds``, whose tables and constants run on
+the same integer kernel, so it loads neither mpmath nor numpy; the oracle
+suite loads ``group_oracle`` with numpy, and ``simulate`` ``montecarlo``
+with numpy, and neither loads mpmath.  No command loads ``dataclasses``.
+Numbers are formatted with integers and the ``decimal`` module, exactly as
+``mpmath.nstr`` would write them.
 """
 
 from __future__ import annotations
@@ -347,8 +349,8 @@ def cmd_verify(args) -> int:
     workers = worker_count(args.threads, len(ns), _usable_cpus())
     tasks = [(args.suite, n, cs, args.precision) for n in ns]
     if workers > 1:
-        # processes, not threads: mpmath keeps the working precision in its
-        # one global mp context, so mp.workprec is not thread-safe
+        # processes, not threads: the sums run in Python integers under the
+        # interpreter lock, so threads would take turns
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -19,7 +19,9 @@ with x = exp(-2t/D): one exp per time point (``_exp_neg``: reduction by a
 multiple of ln 2, a Taylor series of the rest scaled by 2^-s, s
 squarings), then integer powers walked in ascending j_b.  The m_b-weighted
 terms, all non-negative, are summed as integers in fixed point below the
-largest one (``_positive_sum``, which ``bounds`` shares).  Everything runs
+largest one (``_positive_sum``).  ``bounds`` shares this kernel, with
+``_exp_neg`` taking a signed argument and ``_log``, a fixed-point log of a
+positive integer, for its term tables and constants.  Everything runs
 at the caller's precision plus guard bits for the largest exponent (t or
 j_b) and the number of terms and is rounded once, at the final square root
 (``math.isqrt``), so every d2 (and d2^2) has relative error at most
@@ -61,7 +63,8 @@ class Dyadic:
     """The exact non-negative real man * 2^exp, for integers man >= 0 and exp
     of any size, kept with man odd (or 0) as mpmath keeps its mantissas.
 
-    Ordered exactly against other Dyadic values, ints and finite floats.
+    Ordered exactly against other Dyadic values, ints, Fractions and finite
+    floats.
     ``_mpf_`` is mpmath's raw form, so ``mp.mpf(x)``, mpf arithmetic and mpf
     comparisons take a Dyadic with no import here."""
 
@@ -96,6 +99,7 @@ class Dyadic:
             return math.inf
 
     def _cmp(self, other):
+        mine = self.man
         if isinstance(other, Dyadic):
             man, exp = other.man, other.exp
         elif isinstance(other, int):
@@ -103,16 +107,19 @@ class Dyadic:
         elif isinstance(other, float) and math.isfinite(other):
             man, den = other.as_integer_ratio()
             exp = 1 - den.bit_length()  # den is a power of two
+        elif isinstance(other, Fraction):
+            man, exp = other.numerator, 0
+            mine *= other.denominator  # self * den against the numerator
         else:
             return NotImplemented
         if man < 0:
             return 1
-        if not man or not self.man:
-            return (self.man > 0) - (man > 0)
-        top, other_top = self.man.bit_length() + self.exp, man.bit_length() + exp
+        if not man or not mine:
+            return (mine > 0) - (man > 0)
+        top, other_top = mine.bit_length() + self.exp, man.bit_length() + exp
         if top != other_top:
             return 1 if top > other_top else -1
-        mine, shift = self.man, self.exp - exp  # equal tops: the shift is below both lengths
+        shift = self.exp - exp  # equal tops: the shift is below both lengths
         if shift >= 0:
             mine <<= shift
         else:
@@ -267,17 +274,40 @@ def _exp_fixed(x: int, prec: int) -> int:
 
 
 def _exp_neg(man: int, exp: int, bits: int) -> tuple[int, int]:
-    """exp(-man * 2^exp) rounded to ``bits`` bits: man * 2^exp = k ln 2 + r
-    with 0 <= r < ln 2, so the value is 2^-k exp(-r)."""
+    """exp(-man * 2^exp) for a signed integer man, rounded to ``bits`` bits:
+    |man| * 2^exp = k ln 2 + r with 0 <= r < ln 2, so the value is
+    2^-k exp(-r) for man > 0 and 2^k exp(r) for man < 0."""
     if not man:
         return 1, 0
+    sign = 1 if man > 0 else -1
+    man = abs(man)
     mag = max(0, man.bit_length() + exp)  # bits of the argument's integer part
     frac = bits + _EXP_GUARD
     work = frac + mag  # k ln 2 needs mag more bits than r
     shift = exp + work
     arg = man << shift if shift >= 0 else man >> -shift
     k, r = divmod(arg, _ln2(work))
-    return _round(_exp_fixed(-(r >> mag), frac), -k - frac, bits)
+    return _round(_exp_fixed(-sign * (r >> mag), frac), -sign * k - frac, bits)
+
+
+def _log(m: int, bits: int) -> int:
+    """log m for an integer m >= 1 in fixed point at ``bits`` fractional
+    bits, within 2^-bits: from y, the float log m cut to the working bits,
+    log m = y + 2 atanh(z) for z = (m - e^y)/(m + e^y), about 2^-54 log m
+    in size, whose series gains over 80 bits a term."""
+    wp = bits + _GUARD_MARGIN
+    num, den = math.log(m).as_integer_ratio()
+    y = (num << wp) // den
+    man, exp = _exp_neg(-y, -wp, wp)  # e^y >= 1, so exp >= -wp
+    power, scaled = man << (exp + wp), m << wp
+    z = (abs(scaled - power) << wp) // (scaled + power)
+    square, total, k = z * z >> wp, 0, 1
+    while z:
+        total += z // k
+        z = z * square >> wp
+        k += 2
+    y += 2 * total if scaled >= power else -2 * total
+    return (y + (1 << (_GUARD_MARGIN - 1))) >> _GUARD_MARGIN
 
 
 def _positive_sum(ms, powers, wp: int) -> tuple[int, int]:

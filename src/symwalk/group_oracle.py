@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,8 +139,7 @@ def _translation_map(n: int, s: Perm) -> np.ndarray:
 # distributions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GroupDistribution:
+class GroupDistribution(NamedTuple):
     """Dense float64 probability vector over S_n in enumeration order."""
 
     n: int
@@ -296,8 +295,7 @@ def continuous_law(
 # functions on the group, eigen-checks, comparison forms
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GroupFunction:
+class GroupFunction(NamedTuple):
     n: int
     values: np.ndarray
 

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,14 +43,7 @@ _PROGRESS_EVERY = 10**6
 _MIN_SAMPLES_FOR_STDERR = 1000
 
 
-@dataclass(frozen=True, init=False)
-class SimConfig:
-    """Everything that determines a simulation bit-for-bit, and the one check of
-    simulate's flags as given, in flag order with each message naming its flag:
-    the walk fits S_n, 2 <= n <= MAX_SIMULATE_N, t >= 0, 2 <= j <= n, N >= 1000,
-    N x t <= MAX_ROW_STEPS, N x n <= MAX_ROW_STEPS, seed >= 0.  ``t``, a time
-    expression in n, is held as steps rounded up."""
-
+class _SimFields(NamedTuple):
     walk: WalkSpec
     n: int
     t: int
@@ -58,7 +51,17 @@ class SimConfig:
     n_samples: int
     seed: int
 
-    def __init__(self, walk: str, n: int, t: str, j: int, n_samples: int, seed: int) -> None:
+
+class SimConfig(_SimFields):
+    """Everything that determines a simulation bit-for-bit, and the one check of
+    simulate's flags as given, in flag order with each message naming its flag:
+    the walk fits S_n, 2 <= n <= MAX_SIMULATE_N, t >= 0, 2 <= j <= n, N >= 1000,
+    N x t <= MAX_ROW_STEPS, N x n <= MAX_ROW_STEPS, seed >= 0.  ``t``, a time
+    expression in n, is held as steps rounded up.  Immutable, as a tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, walk: str, n: int, t: str, j: int, n_samples: int, seed: int) -> SimConfig:
         spec = WalkSpec.parse(walk)
         if sum(spec.cycles) > n:  # not spec.cycle_type(n): that builds n entries before the cap
             raise ValueError(f"class {spec.cycles} does not fit in S_{n}")
@@ -83,9 +86,7 @@ class SimConfig:
                                      f"positions, got {n_samples} x {n}")
         if seed < 0:
             raise ValueError(f"--seed must be a non-negative integer, got {seed}")
-        checked = dict(walk=spec, n=n, t=steps, j=j, n_samples=n_samples, seed=seed)
-        for name, value in checked.items():
-            object.__setattr__(self, name, value)  # frozen: each field is set once, here
+        return super().__new__(cls, spec, n, steps, j, n_samples, seed)
 
 
 def trajectory_dtype(n: int) -> type[np.unsignedinteger]:
@@ -242,8 +243,7 @@ def sample_walk(cfg: SimConfig) -> np.ndarray:
     return hist
 
 
-@dataclass(frozen=True)
-class MatchingTail:
+class MatchingTail(NamedTuple):
     """u(A_j): uniform mass of permutations with at least j fixed points."""
 
     value: Fraction
@@ -267,8 +267,7 @@ def matching_tail(n: int, j: int) -> MatchingTail:
     return MatchingTail(total, bound)
 
 
-@dataclass(frozen=True)
-class TVLowerBound:
+class TVLowerBound(NamedTuple):
     estimate: float     # empirical q^(t)(A_j) - u(A_j)
     std_err: float      # binomial standard error of the empirical term
     frequency: float    # empirical q^(t)(A_j)
@@ -288,8 +287,7 @@ def fixed_point_tv_lower(cfg: SimConfig) -> TVLowerBound:
 # coupon collector bounds
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CouponStats:
+class CouponStats(NamedTuple):
     """Balls-in-boxes waiting time V_{n-j}: exact moments and their bounds.
 
     The mean sum runs over i = 1..n-j-1 (empty range contributes 0); the

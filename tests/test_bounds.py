@@ -174,9 +174,53 @@ def test_lemma_tables_relative_error(prec):
                     assert abs(got - ref) <= mp.mpf(2) ** (2 - prec) * ref, name
 
 
-def test_lemma_table_exp_calls(monkeypatch):
-    import mpmath
+def as_mpf(x):
+    """A guaranteed constant as an mpf at the working precision."""
+    return mp.mpf(x.numerator) / x.denominator if isinstance(x, Fraction) else mp.mpf(x)
 
+
+@pytest.mark.parametrize("prec", [53, 128, 256, 4096])
+def test_guaranteed_constants_within_four_ulps(prec):
+    # every THEOREMS constant at the least c, the next two and 7.5, and every
+    # LEMMAS constant at LEMMA_ACCURACY_NS, within 2^(2 - prec) of its formula
+    # at 256 more bits
+    with mp.workprec(prec + 256):
+        theorems = {
+            "rt-discrete": lambda c: 2 * mp.exp(-c),
+            "rt-continuous": lambda c: mp.exp(-(c - 2)),
+            "ttr": lambda c: 2 * mp.exp(-2 * c),
+            "four-cycle": lambda c: mp.exp(-(c - 2)),
+            "random-insertion": lambda c: mp.exp(-(c - 2)),
+        }
+        lemmas = {
+            "phi0<=2": lambda n: mp.mpf(2),
+            "phi1": lambda n: mp.exp(2 - n * mp.log(n) / 6),
+            "phi2": lambda n: mp.exp(1 - mp.mpf(3) * n * mp.log(n) / 1000),
+            "cont_sum_a_low<=2/3": lambda n: mp.mpf(2) / 3,
+            "cont_sum_a_mid<=1/4": lambda n: mp.mpf(1) / 4,
+            "cont_gamma": lambda n: 2 * mp.exp(mp.mpf(3) * n / 2 * (mp.log(2) - 1)),
+        }
+        pairs = []
+        for walk, theorem in bounds.THEOREMS.items():
+            for c in [float(theorem.min_c + k) for k in range(3)] + [7.5]:
+                pairs.append((theorem.guaranteed(c, prec), theorems[walk](mp.mpf(c)), (walk, c)))
+        for n in LEMMA_ACCURACY_NS:
+            for _, min_n, rows in bounds.LEMMAS:
+                if n >= min_n:
+                    pairs += [(guaranteed(n, prec), lemmas[name](n), (name, n))
+                              for name, _, guaranteed in rows]
+        assert len(pairs) == 5 * 4 + 6 * 3 + 5 * 3
+        for got, ref, what in pairs:
+            assert abs(as_mpf(got) - ref) <= mp.mpf(2) ** (2 - prec) * ref, what
+    exact = {name: guaranteed(14, prec) for _, _, rows in bounds.LEMMAS
+             for name, _, guaranteed in rows}
+    assert (exact["phi0<=2"], exact["cont_sum_a_low<=2/3"], exact["cont_sum_a_mid<=1/4"]) == (
+        2, Fraction(2, 3), Fraction(1, 4))
+
+
+def test_lemma_table_exp_calls(monkeypatch):
+    # the exps the tables call for their powers; each log's own exp is part
+    # of the log
     calls = []
 
     def counting(original):
@@ -185,8 +229,7 @@ def test_lemma_table_exp_calls(monkeypatch):
             return original(*args, **kwargs)
         return spy
 
-    monkeypatch.setattr(mpmath.libmp, "mpf_exp", counting(mpmath.libmp.mpf_exp))
-    monkeypatch.setattr(mp, "exp", counting(mp.exp))
+    monkeypatch.setattr(bounds, "_exp_neg", counting(bounds._exp_neg))
     continuous = []
     for n in (20, 60, 100):
         calls.clear()

@@ -513,6 +513,32 @@ def test_verify_threads_env_override(tmp_path, monkeypatch):
     assert payload["manifest"]["params"]["threads"] == 1
 
 
+def test_verify_process_pool_gives_the_serial_rows(tmp_path, monkeypatch):
+    # the rows, Dyadic and Fraction values in BoundReport tuples, cross the
+    # process boundary by pickle
+    import concurrent.futures
+
+    pools = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.delenv("SYMWALK_THREADS", raising=False)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    results = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"lemmas{threads}.json"
+        status = run(["--threads", threads, "verify", "--suite", "lemmas", "--n", "14..17",
+                      "--out", str(out)])
+        assert status == cli.EXIT_VERIFY_FAILED  # phi1 fails from n = 15 on, by design
+        results[threads] = read_json(out.read_text())["results"]
+    assert pools == [2]
+    assert results["2"] == results["1"] and len(results["1"]) == 4 * 6
+
+
 def test_thread_settings_rejected(tmp_path, monkeypatch):
     argv = ["verify", "--suite", "ttr", "--n", "5", "--out", str(tmp_path / "x.json")]
     for bad in ("abc", "0", "-2", "1.5"):
@@ -586,16 +612,27 @@ def test_unwritable_output_is_bad_args(tmp_path, capsys):
        "--t-grid", "0,1,1e300"],
       ("mpmath", "numpy", "dataclasses", "symwalk.bounds", "symwalk.group_oracle",
        "symwalk.montecarlo")),
+     (["verify", "--suite", "rt-discrete", "--n", "15"],
+      ("mpmath", "numpy", "dataclasses", "symwalk.group_oracle", "symwalk.montecarlo")),
+     (["verify", "--suite", "lemmas", "--n", "14"],
+      ("mpmath", "numpy", "dataclasses", "symwalk.group_oracle", "symwalk.montecarlo")),
+     (["verify", "--suite", "ttr", "--n", "10"],
+      ("mpmath", "numpy", "dataclasses", "symwalk.group_oracle", "symwalk.montecarlo")),
+     (["verify", "--suite", "oracle", "--n", "4"],
+      ("mpmath", "dataclasses", "symwalk.montecarlo")),
      (["simulate", "--walk", "class:3", "--n", "6", "--t", "2", "--N", "1000", "--seed", "1"],
-      ("mpmath", "symwalk.bounds", "symwalk.distances", "symwalk.group_oracle"))],
-    ids=["import", "profile", "profile-ttr-bound", "simulate"],
+      ("mpmath", "dataclasses", "symwalk.bounds", "symwalk.distances", "symwalk.group_oracle"))],
+    ids=["import", "profile", "profile-ttr-bound", "verify-rt-discrete", "verify-lemmas",
+         "verify-ttr", "verify-oracle", "simulate"],
 )
 def test_each_command_loads_only_its_layers(argv, absent, tmp_path):
     # the import loads no reals, no arrays and no dataclasses; a profile (which
     # parses its walk string), the ttr bound sum included, sums in integers and
     # never loads mpmath, the bounds, numpy, the oracle or the sampler; a
+    # theorem or lemma sweep runs the bounds in integers too, with neither
+    # mpmath nor numpy; the oracle suite needs numpy but not mpmath; a
     # simulation needs numpy and the exact u(A_j), never mpmath or the distance
-    # and bound layers
+    # and bound layers; no command loads dataclasses
     src = str(Path(symwalk.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, symwalk.cli; "

@@ -428,6 +428,47 @@ def test_l2_curve_relative_error_at_most_four_ulps(prec):
                 assert abs(d2 - ref) <= mp.mpf(2) ** (2 - prec) * ref, (name, prec, t)
 
 
+def test_dyadic_orders_exactly_against_ints_floats_and_fractions():
+    from symwalk.distances import Dyadic
+
+    # 2/3 at 128 bits, rounded down and up: strictly on either side of 2/3
+    low = Dyadic((2 << 128) // 3, -128)
+    high = Dyadic((2 << 128) // 3 + 1, -128)
+    assert low < Fraction(2, 3) < high and Fraction(2, 3) > low and high >= Fraction(2, 3)
+    assert low != Fraction(2, 3) and Dyadic(1, -2) == Fraction(1, 4) <= Dyadic(1, -2)
+    assert Dyadic(0) == 0 < Dyadic(1, -2000) < Fraction(1, 10**600) and Dyadic(0) > Fraction(-1, 3)
+    assert Dyadic(3, -1) == 1.5 and Dyadic(3, -1) < 2 and Dyadic(5, 100) > 2.0**100
+    assert Dyadic(6, 0) == Dyadic(3, 1) and Dyadic(7, -3) < Dyadic(1, 0)
+
+
+# m = 1, powers of two, primes and the discrete-time bases n^2 - 2j(n - j + 1)
+LOG_ARGUMENTS = (1, 2, 4, 2**20, 2**61, 3, 97, 9973, 2**61 - 1, *(
+    n * n - 2 * j * (n - j + 1) for n in (14, 31, 100) for j in (1, n // 4, n // 2)))
+# (man, exp) of exp(-man * 2^exp): arguments below, at and above zero, from
+# 2^-60 up to 700 in size; -man = 1 - 3 * 14 * log(14)/1000 at 60 bits is
+# phi_2's positive argument at n = 14
+EXP_ARGUMENTS = ((0, 0), (1, -60), (-1, -60), (3, -2), (-3, -2), (1, 0), (-1, 0), (2, 0),
+                 (-7, 1), (700, 0), (-700, 0), (123456789, -20), (-123456789, -20),
+                 (-round((1 - 3 * 14 * math.log(14) / 1000) * 2**60), -60))
+
+
+@pytest.mark.parametrize("prec", [53, 128, 256, 4096])
+def test_log_and_signed_exp_within_four_ulps(prec):
+    # the fixed-point log within 2^(2 - prec) absolutely, the exp relatively,
+    # of mpmath at 256 more bits
+    from symwalk.distances import _exp_neg, _log
+
+    with mp.workprec(prec + 256):
+        tol = mp.mpf(2) ** (2 - prec)
+        for m in LOG_ARGUMENTS:
+            got = mp.mpf(_log(m, prec)) * mp.mpf(2) ** -prec
+            assert abs(got - mp.log(m)) <= tol, m
+        for man, exp in EXP_ARGUMENTS:
+            got = mp.mpf(_exp_neg(man, exp, prec))
+            ref = mp.exp(-man * mp.mpf(2) ** exp)
+            assert abs(got - ref) <= tol * ref, (man, exp)
+
+
 def test_l2_curve_exp_calls_do_not_grow_with_blocks(monkeypatch):
     from symwalk import distances
 
