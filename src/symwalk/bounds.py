@@ -56,11 +56,11 @@ if TYPE_CHECKING:
 MAX_BOUND_SWEEP = 10 * MAX_BOUND_N**2
 
 
-def check_bound_sweep(ns: range) -> None:
+def check_bound_sweep(ns: range) -> float:
     """The caps on a sweep of bound sums or term tables over the non-empty
     range ``ns`` of positive n: the largest n within MAX_BOUND_N, then the
     work, counted as the sum of n^2 over ``ns``, within MAX_BOUND_SWEEP.
-    Both are checked before any weight."""
+    Both are checked before any weight; returns the work over the cap."""
     check_bound_n(ns[-1])
 
     def squares(m: int) -> int:  # 1^2 + ... + m^2
@@ -70,6 +70,7 @@ def check_bound_sweep(ns: range) -> None:
     if work > MAX_BOUND_SWEEP:
         raise ResourceGuardError(f"bound-sum sweeps are capped at {MAX_BOUND_SWEEP} "
                                  f"(the sum of n^2 over --n), got {work}")
+    return work / MAX_BOUND_SWEEP
 
 
 def _lemma_table(n: int, powers: dict, wp: int, prec: int, *ranges) -> tuple[dict, list]:
@@ -275,7 +276,8 @@ def _exp_log(a: int, b: int, m: int, d: int, prec: int, scale: int = 0) -> Dyadi
 
 
 # One row per theorem, keyed by its verify suite: least n, the caps on a sweep
-# of its blocks over a range of n, least c, threshold time, the blocks at n,
+# of its blocks over a range of n (which return the sweep's work over its
+# cap), least c, threshold time, the blocks at n,
 # the l2 curve's mode, the factor on the threshold time at which the curve is
 # read, whether the bound is on d2 squared, and the guaranteed constant at c
 # and a precision.
@@ -314,18 +316,18 @@ THEOREMS = {
 }
 
 
-def check_theorem(walk: str, ns: range, cs=None) -> tuple[Theorem, list[float]]:
-    """The row of ``walk`` in THEOREMS and its c list (default: the least c
-    and the next two), once the least n of the non-empty range ``ns``, every
-    c and the caps on a sweep of its blocks over ``ns`` are checked."""
+def check_theorem(walk: str, ns: range, cs=None) -> tuple[Theorem, list[float], float]:
+    """The row of ``walk`` in THEOREMS, its c list (default: the least c
+    and the next two) and the sweep's work over its cap, once the least n of
+    the non-empty range ``ns``, every c and the caps on a sweep of its
+    blocks over ``ns`` are checked."""
     theorem = THEOREMS.get(walk)
     if theorem is None:
         raise ValueError(f"unknown bound {walk!r}")
     cs = [float(theorem.min_c + k) for k in range(3)] if cs is None else list(cs)
     if ns[0] < theorem.min_n or not all(math.isfinite(c) and c >= theorem.min_c for c in cs):
         raise ValueError(f"{walk} needs n >= {theorem.min_n} and a finite c >= {theorem.min_c}")
-    theorem.cap(ns)
-    return theorem, cs
+    return theorem, cs, theorem.cap(ns)
 
 
 def theorem_bounds(walk: str, n: int, cs=None, prec: int = DEFAULT_PREC) -> list[BoundReport]:
@@ -333,7 +335,7 @@ def theorem_bounds(walk: str, n: int, cs=None, prec: int = DEFAULT_PREC) -> list
     constant, for every c of ``cs`` (see ``check_theorem``): one set of
     blocks and one evaluation of its l2 curve over all thresholds.  A
     squared bound squares each d2 exactly and rounds it once."""
-    theorem, cs = check_theorem(walk, range(n, n + 1), cs)
+    theorem, cs, _ = check_theorem(walk, range(n, n + 1), cs)
     name = walk.replace("-", "_")  # verdict rows say rt_discrete, four_cycle, ...
     times = [theorem.threshold(n, c) for c in cs]
     curve = l2_curve(theorem.source(n), [t * theorem.scale for t in times], theorem.mode, prec)
@@ -366,13 +368,14 @@ LEMMAS = (
 )
 
 
-def check_lemma_ns(ns: range) -> None:
+def check_lemma_ns(ns: range) -> float:
     """Raise unless some lemma is stated at every n of the non-empty range
-    ``ns`` and a sweep of their tables over ``ns`` is within the caps."""
+    ``ns`` and a sweep of their tables over ``ns`` is within the caps;
+    returns the sweep's work over its cap."""
     least = min(min_n for _, min_n, _ in LEMMAS)
     if ns[0] < least:
         raise ValueError(f"the lemmas are stated for n >= {least}")
-    check_bound_sweep(ns)
+    return check_bound_sweep(ns)
 
 
 def lemma_checks(n: int, prec: int = DEFAULT_PREC) -> list[BoundReport]:

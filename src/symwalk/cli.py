@@ -21,7 +21,9 @@ as a non-integer discrete time, an out-of-range c or n, a negative seed, a
 thread count below 1 or not an integer, or a --precision outside 53..4096
 bits) or an output path that cannot be written, 3 resource guard tripped,
 4 internal error (an unexpected exception, reported on one stderr line).
-SYMWALK_THREADS overrides --threads.
+SYMWALK_THREADS overrides --threads; with neither, verify runs one
+process for a sweep whose work is below POOL_MIN_WORK of its cap and one
+per usable CPU above it, and the manifest records the count it ran.
 
 Layering: importing this module loads only the walk parser and the exact
 spectral layers below it, neither mpmath, numpy nor ``dataclasses``; each
@@ -30,8 +32,10 @@ included (``spectra.ttr_bound_spectrum``), loads ``distances`` alone, whose
 sums run in Python integers, so it loads neither mpmath nor ``bounds``; a
 theorem or lemma sweep loads ``bounds``, whose tables and constants run on
 the same integer kernel, so it loads neither mpmath nor numpy; the oracle
-suite loads ``group_oracle`` with numpy, and ``simulate`` ``montecarlo``
-with numpy, and neither loads mpmath.  No command loads ``dataclasses``.
+suite loads ``group_oracle``, whose convolutions on conjugation orbits run
+in Python integers, so it loads neither either; only ``simulate`` loads
+numpy, with ``montecarlo``, and never mpmath.  No command loads
+``dataclasses``.
 Numbers are formatted with integers and the ``decimal`` module, exactly as
 ``mpmath.nstr`` would write them.
 """
@@ -71,6 +75,14 @@ SUITES = ("rt-discrete", "rt-continuous", "ttr", "four-cycle", "random-insertion
           "lemmas", "oracle")
 PROFILE_KINDS = ("rt", "ttr", "ri", "ttr-bound", "class", "lazy")
 PROFILE_WALKS = walks.syntax(*PROFILE_KINDS)
+# the summed work of a sweep, over its suite's cap, from which a verify
+# without --threads or SYMWALK_THREADS starts one worker per usable CPU.
+# On 2 CPUs (x86-64, Python 3.11), two workers against one took 0.75
+# against 0.70 s for rt-discrete --n 15..33 (0.027 of the cap) and 0.44
+# against 0.40 s for lemmas --n 14..160 (0.034), but 1.16 against 1.47 s
+# for rt-discrete --n 30..38 (0.062) and 0.32 against 0.66 s for lemmas
+# --n 14..200 (0.067)
+POOL_MIN_WORK = 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +297,22 @@ def cmd_profile(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _suite_check(suite: str, ns: range, cs) -> None:
+def _suite_check(suite: str, ns: range, cs) -> float:
     """The suite's check of the whole ``--n`` range, run before any work:
     the least and largest n, and for the bound-sum and spectral suites the
     summed work over the range (``bounds.check_bound_sweep``,
-    ``walks.check_spectral_sweep``)."""
+    ``walks.check_spectral_sweep``).  Returns that work over its cap, and 0
+    for the oracle suite, whose whole range takes about a tenth of a second."""
     from . import bounds
 
     if suite == "lemmas":
-        bounds.check_lemma_ns(ns)
-    elif suite == "oracle":
+        return bounds.check_lemma_ns(ns)
+    if suite == "oracle":
         from .group_oracle import check_oracle_ns
 
         check_oracle_ns(ns)
-    else:
-        bounds.check_theorem(suite, ns, cs)
+        return 0.0
+    return bounds.check_theorem(suite, ns, cs)[2]
 
 
 def _suite_task(payload) -> list[BoundReport]:
@@ -315,8 +328,9 @@ def _suite_task(payload) -> list[BoundReport]:
     return bounds.theorem_bounds(suite, n, cs, prec)
 
 
-def requested_threads(env_value: str | None, flag: int) -> int:
-    """The worker count asked for: SYMWALK_THREADS when set, else --threads."""
+def requested_threads(env_value: str | None, flag: int | None) -> int | None:
+    """The worker count asked for: SYMWALK_THREADS when set, else --threads;
+    None when neither is given."""
     if env_value:
         try:
             threads = int(env_value)
@@ -324,7 +338,7 @@ def requested_threads(env_value: str | None, flag: int) -> int:
             raise ValueError(f"SYMWALK_THREADS must be an integer, got {env_value!r}") from None
     else:
         threads = flag
-    if threads < 1:
+    if threads is not None and threads < 1:
         raise ValueError(f"the thread count must be at least 1, got {threads}")
     return threads
 
@@ -345,8 +359,12 @@ def cmd_verify(args) -> int:
     if args.c is not None and args.suite in ("lemmas", "oracle"):
         raise ValueError(f"--c applies to the theorem suites only, not to {args.suite}")
     cs = None if args.c is None else [float(x) for x in args.c.split(",")]
-    _suite_check(args.suite, ns, cs)
-    workers = worker_count(args.threads, len(ns), _usable_cpus())
+    work = _suite_check(args.suite, ns, cs)
+    cpus = _usable_cpus()
+    requested = args.threads
+    if requested is None:  # a pool pays for its start only on a large sweep
+        requested = cpus if work >= POOL_MIN_WORK else 1
+    args.threads = workers = worker_count(requested, len(ns), cpus)  # the manifest's count
     tasks = [(args.suite, n, cs, args.precision) for n in ns]
     if workers > 1:
         # processes, not threads: the sums run in Python integers under the
@@ -395,8 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--precision", type=int, default=128, metavar="BITS",
                         help="working precision in bits, 53..4096 (default 128)")
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="worker processes for sweeps (SYMWALK_THREADS overrides)")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="worker processes for sweeps (default: 1 for a sweep below "
+                             f"{POOL_MIN_WORK:g} of its work cap, else the usable CPUs; "
+                             "SYMWALK_THREADS overrides)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("profile", help="distance curve of one walk")

@@ -13,11 +13,14 @@ exp(-2t)), so each power is a binary float (man, exp): an integer mantissa
 rounded to the working precision, to nearest with ties to even, and an
 exponent of any size.  In discrete time beta_b^2 is an exact rational and
 each block's beta_b^(2t) is carried along the sorted times by one power
-(beta_b^2)^(dt) per step.  In continuous time every gap 1 - beta_b is
-j_b/D over the common denominator D, so exp(-2t(1 - beta_b)) = x^(j_b)
-with x = exp(-2t/D): one exp per time point (``_exp_neg``: reduction by a
-multiple of ln 2, a Taylor series of the rest scaled by 2^-s, s
-squarings), then integer powers walked in ascending j_b.  The m_b-weighted
+(beta_b^2)^(dt) per step; a block is dropped once a bound shows that its
+term stays below what the sum keeps, so a huge time pays for the few
+blocks of largest |beta_b| only, with every bit unchanged.  In continuous
+time every gap 1 - beta_b is j_b/D over the common denominator D, so
+exp(-2t(1 - beta_b)) = x^(j_b) with x = exp(-2t/D): one exp per time
+point (``_exp_neg``: reduction by a multiple of ln 2, a Taylor series of
+the rest scaled by 2^-s, s squarings), then integer powers walked in
+ascending j_b.  The m_b-weighted
 terms, all non-negative, are summed as integers in fixed point below the
 largest one (``_positive_sum``).  ``bounds`` shares this kernel, with
 ``_exp_neg`` taking a signed argument and ``_log``, a fixed-point log of a
@@ -34,9 +37,9 @@ and a profile loads neither mpmath nor ``bounds``.
 ``l2_single_term_lower`` a one-block one.  ``spectrum_profile`` turns a
 curve into rows of (group, t, d2); ``walks.WalkSpec.profile_blocks``
 decides which blocks a profile draws under which group label, and the CLI
-names the walk and n.  The definitional distances of oracle-scale
-distributions live here too but load numpy only when called, so the
-spectral path never imports numpy or the oracle.
+names the walk and n.  This module imports neither numpy nor the
+oracle: the definitional distances of oracle-scale distributions live in
+``group_oracle``, above it.
 """
 
 from __future__ import annotations
@@ -45,14 +48,11 @@ import functools
 import math
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .characters import CycleType
 from .partitions import Partition, check_partition, dimension
 from .spectra import Blocks, walk_eigenvalue
-
-if TYPE_CHECKING:
-    from .group_oracle import GroupDistribution
 
 DEFAULT_PREC = 128
 MODES = ("discrete", "continuous")
@@ -323,19 +323,59 @@ def _positive_sum(ms, powers, wp: int) -> tuple[int, int]:
                 for man, exp in terms), base)
 
 
+def _log2_above(p: int, q: int) -> float:
+    """A float at or above log2(p/q) for integers p >= 0 and q > 0 (-inf at
+    p = 0): the float logs are each within a few units of their last place,
+    and the slack is 16 units of both."""
+    if not p:
+        return -math.inf
+    a, b = math.log2(p), math.log2(q)
+    return a - b + 2.0**-48 * (abs(a) + abs(b) + 1)
+
+
+def _decay_bounds(blocks: Blocks) -> tuple[list[float], list[float]]:
+    """For each block b, floats (offset_b, slope_b) with offset_b + t slope_b
+    at or above log2 of m_b beta_b^(2t) / (m_top beta_top^(2t)) for every
+    t >= 0, taking t as float(t) and rounding as floats do, where top is a
+    block of largest |beta|.  slope_b <= 0: the bound never grows in t."""
+    top, m_top = max(blocks, key=lambda block: (abs(block[0]), block[1]))
+    offsets, slopes = [], []
+    for beta, m in blocks:
+        offsets.append(_log2_above(m, m_top))
+        ratio = _log2_above(abs(beta.numerator) * top.denominator,
+                            beta.denominator * abs(top.numerator))
+        # shrink the slope by more than the roundings of float(t) and t * slope
+        slopes.append(2 * min(0.0, ratio) * (1 - 2.0**-50))
+    return offsets, slopes
+
+
 def _discrete_sums(blocks: Blocks, times: list[int], prec: int):
     """sum_b m_b beta_b^(2t) as (man, exp) for each of the ascending distinct
     ``times``: each beta_b^(2t) is carried from the previous time by one
-    (beta_b^2)^dt."""
+    (beta_b^2)^dt.  A block is dropped at the first time its term is
+    provably below 2^(-wp - 3) of the largest-|beta| block's term
+    (``_decay_bounds``): that ratio never grows, and the carried powers are
+    far more accurate than the factor 8 it leaves to spare, so
+    ``_positive_sum``, which keeps 2^-wp of the largest term, would cut the
+    term to 0 then and at every later time.  A huge time then pays for the
+    few blocks of largest |beta| only."""
     wp = _working_prec(prec, max(times, default=0), len(blocks))
     squares = [_quotient(b.numerator ** 2, b.denominator ** 2, wp) for b, _ in blocks]
     ms = [m for _, m in blocks]
     powers = [(1, 0)] * len(blocks)
+    offsets, slopes = _decay_bounds(blocks) if blocks else ([], [])
+    cut = -wp - 3
     tables: dict[int, list] = {}
     prev = 0
     for t in times:
         dt = t - prev
         if dt:
+            x = float(min(t, 10**300))  # a smaller t gives a larger bound
+            keep = [i for i, (a, b) in enumerate(zip(offsets, slopes)) if a + x * b >= cut]
+            if len(keep) < len(ms):
+                squares, ms, powers, offsets, slopes = (
+                    [seq[i] for i in keep] for seq in (squares, ms, powers, offsets, slopes))
+                tables = {d: [step[i] for i in keep] for d, step in tables.items()}
             step = tables.get(dt)
             if step is None:
                 if len(tables) == _STEP_TABLES:
@@ -421,39 +461,6 @@ def l2_single_term_lower(
         raise ValueError("the trivial block is excluded from distance bounds")
     block = (walk_eigenvalue(parts, cycles, hold), dimension(parts) ** 2)
     return l2_curve((block,), [t], mode, prec)[0]
-
-
-# ---------------------------------------------------------------------------
-# definitional distances for oracle-scale distributions
-# ---------------------------------------------------------------------------
-
-def _check_normalized(dist: GroupDistribution) -> None:
-    if abs(dist.total() - 1.0) > 1e-12:
-        raise ValueError(f"distribution sums to {dist.total()!r}, expected 1")
-
-
-def chi_square_of(dist: GroupDistribution, normalized: bool = True) -> float:
-    """Definitional d2: sqrt(|G| * sum_x |q(x) - 1/|G||^2).
-
-    Pass ``normalized=False`` for sub-probability inputs such as truncated
-    Poisson mixtures (the tiny mass defect is part of the approximation).
-    """
-    if normalized:
-        _check_normalized(dist)
-    g = math.factorial(dist.n)
-    import numpy as np
-
-    return float(math.sqrt(g * float(np.sum((dist.values - 1.0 / g) ** 2))))
-
-
-def tv_of(dist: GroupDistribution, normalized: bool = True) -> float:
-    """Total variation distance to uniform: (1/2) sum |q(x) - 1/|G||."""
-    if normalized:
-        _check_normalized(dist)
-    g = math.factorial(dist.n)
-    import numpy as np
-
-    return float(np.sum(np.abs(dist.values - 1.0 / g))) / 2.0
 
 
 # ---------------------------------------------------------------------------

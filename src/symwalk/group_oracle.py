@@ -6,13 +6,30 @@ fixed once and for all as (s*t)(i) = s(t(i)); every formula in this module
 is transcribed against that convention, and the convolution used everywhere
 is f*q(x) = sum_y f(x y^-1) q(y), matching the walk X_t = xi_1 ... xi_t.
 
-``element_measure`` reads a parsed ``walks.WalkSpec``: the rt, class and
-lazy laws come from the walk's class and holding probability
-(``WalkSpec.cycle_type``, ``WalkSpec.hold``), and ttr and ri are written
-out from their definitions.  The oracle still computes independently of the
-spectra, by convolution rather than by characters.  All distributions are
-float64.  Each step weight is summed exactly as a Fraction and rounded
-once, so every weight is the correctly rounded value.
+``step_law`` reads a parsed ``walks.WalkSpec`` as exact rational weights
+on elements: the rt, class and lazy laws come from the walk's class and
+holding probability (``WalkSpec.cycle_type``, ``WalkSpec.hold``), and ttr
+and ri are written out from their definitions.  The oracle computes
+independently of the spectra, by convolution rather than by characters.
+
+The oracle suite convolves on orbits, in Python integers.  If conjugation
+by every element of a subgroup H fixes the step law, it fixes every
+convolution power, so a power is one value per H-orbit of S_n, kept at one
+representative per orbit (``Orbits``).  The class walks take H = S_n and
+the conjugacy classes (their cycle types); ttr takes the stabiliser of
+position 0, whose orbits are a cycle type with the length of the cycle
+through 0; ri takes {e, w0} for the reversal w0 (p -> n-1-p), whose orbits
+are the pairs {x, w0 x w0}.  ``orbit_powers`` checks that each generator
+of H fixes the law, then, with L the least common denominator of the
+weights, gives every L^t q^(t) as an exact integer vector over the orbits.
+``chi_square_of`` and ``tv_of`` are the definitional distances to uniform
+over orbit values and sizes (a dense distribution is the case where every
+size is 1), exact and rounded once.
+
+The dense float64 helpers (``element_measure``, ``convolution_powers_upto``,
+``continuous_law``, ``convolve``, the eigenfunction checks, ``kernel_matrix``,
+``operator_eigenvalues`` and ``comparison_gap``) are the tests' references
+and import numpy when called; the oracle suite never loads numpy.
 
 Size guards (n! growth): per-element measures up to n = 8, dense
 convolutions up to n = 7, and dense operator matrices up to n = 6.
@@ -21,10 +38,8 @@ computation.
 
 ``oracle_checks`` gives the rows of ``verify --suite oracle`` and owns the
 suite's walks, times, tolerance and size cap.  Each row checks the walk's
-exact blocks, ``WalkSpec.blocks``, against convolution: no row solves a
-dense eigenproblem.  ``operator_eigenvalues`` and ``kernel_matrix`` remain
-as the reference the tests compare the blocks with, and for
-``comparison_gap``.
+exact blocks, ``WalkSpec.blocks``, against the exact orbit powers: no row
+solves a dense eigenproblem.
 """
 
 from __future__ import annotations
@@ -33,13 +48,15 @@ import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
-
-import numpy as np
+from operator import itemgetter, mul
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import bounds, distances, walks
 from .characters import CycleType, class_size
 from .errors import ResourceGuardError  # re-exported: callers catch it from here
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Perm = tuple[int, ...]
 
@@ -81,6 +98,13 @@ def compose(s: Perm, t: Perm) -> Perm:
     return tuple(s[t[i]] for i in range(len(s)))
 
 
+def _times(s: Perm):
+    """x -> x*s on one-line tuples: (x*s)(i) = x(s(i))."""
+    if len(s) < 2:  # itemgetter of one index returns the entry, not a tuple
+        return lambda x: compose(x, s)
+    return itemgetter(*s)
+
+
 def invert(p: Perm) -> Perm:
     out = [0] * len(p)
     for i, v in enumerate(p):
@@ -104,59 +128,35 @@ def cycle_type_of(p: Perm) -> CycleType:
     return tuple(sorted(lengths, reverse=True))
 
 
+def _cycle_length(p: Perm, i: int) -> int:
+    """Length of the cycle of p through i."""
+    length, j = 1, p[i]
+    while j != i:
+        length, j = length + 1, p[j]
+    return length
+
+
 def fixed_point_counts(n: int) -> np.ndarray:
     """phi(sigma) for every sigma, indexed by enumeration order."""
+    import numpy as np
+
     perms = all_permutations(n)
     return np.array([sum(1 for i, v in enumerate(p) if i == v) for p in perms])
 
 
 @lru_cache(maxsize=None)
-def _perm_array(n: int) -> np.ndarray:
-    """S_n in enumeration order as an n! x n array of one-line rows."""
-    perms = _perm_data(n)[0]
-    return np.array(perms, dtype=np.int64).reshape(len(perms), n)
-
-
-def _lehmer_ranks(rows: np.ndarray) -> np.ndarray:
-    """Enumeration index of every one-line row: sum_i c_i (n-1-i)!, with c_i
-    the number of entries right of position i that are below row[i]."""
-    n = rows.shape[1]
-    ranks = np.zeros(len(rows), dtype=np.int64)
-    for i in range(n - 1):
-        smaller = np.count_nonzero(rows[:, i + 1:] < rows[:, i:i + 1], axis=1)
-        ranks += smaller * math.factorial(n - 1 - i)
-    return ranks
-
-
-@lru_cache(maxsize=None)
 def _translation_map(n: int, s: Perm) -> np.ndarray:
-    """idx(x * s) for every x; right translation as an index gather table.
-    Row x of the permutation array gathered at the columns s is x * s."""
-    return _lehmer_ranks(_perm_array(n)[:, list(s)])
+    """idx(x * s) for every x; right translation as an index gather table."""
+    import numpy as np
+
+    perms, index = _perm_data(n)
+    times = _times(s)
+    return np.array([index[times(x)] for x in perms], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
-# distributions
+# step laws
 # ---------------------------------------------------------------------------
-
-class GroupDistribution(NamedTuple):
-    """Dense float64 probability vector over S_n in enumeration order."""
-
-    n: int
-    values: np.ndarray
-
-    def total(self) -> float:
-        return float(np.sum(self.values))
-
-    def support(self) -> list[int]:
-        return [int(i) for i in np.nonzero(self.values)[0]]
-
-
-def point_mass(n: int) -> GroupDistribution:
-    arr = np.zeros(math.factorial(n))
-    arr[0] = 1.0
-    return GroupDistribution(n, arr)
-
 
 def insertion_cycle(n: int, i: int, j: int) -> Perm:
     """The cycle c_{i,j} moved by taking the card at position i to position j.
@@ -176,8 +176,8 @@ def insertion_cycle(n: int, i: int, j: int) -> Perm:
     return tuple(p)
 
 
-def element_measure(walk: walks.WalkSpec, n: int) -> GroupDistribution:
-    """Per-element step distribution of a walk.
+def step_law(walk: walks.WalkSpec, n: int) -> dict[int, Fraction]:
+    """The exact step law of a walk: element index -> weight, on its support.
 
     rt, class and lazy put the walk's hold (``WalkSpec.hold``) on e and
     (1 - hold)/|C| on each element of its class C (``WalkSpec.cycle_type``);
@@ -208,14 +208,213 @@ def element_measure(walk: walks.WalkSpec, n: int) -> GroupDistribution:
                 add(insertion_cycle(n, i, j), w)
     else:
         cycles, hold = walk.cycle_type(n), walk.hold(n)
-        add(perms[0], hold)
+        if hold:
+            add(perms[0], hold)
         w = (1 - hold) / class_size(cycles)
         for p in perms:
             if cycle_type_of(p) == cycles:
                 add(p, w)
+    return acc
 
-    arr = np.zeros(len(perms))
-    for idx, w in acc.items():
+
+# ---------------------------------------------------------------------------
+# the exact engine: convolution powers on conjugation orbits
+# ---------------------------------------------------------------------------
+
+class Orbits(NamedTuple):
+    """The orbits of S_n under conjugation by the subgroup H that
+    ``generators`` generate: ``of`` gives each element's orbit in
+    enumeration order, ``reps`` each orbit's first element and ``sizes``
+    its number of elements."""
+
+    n: int
+    of: tuple[int, ...]
+    reps: tuple[int, ...]
+    sizes: tuple[int, ...]
+    generators: tuple[Perm, ...]
+
+
+def _orbits(n: int, key, generators: tuple[Perm, ...]) -> Orbits:
+    """The orbits as the classes of equal ``key``, numbered in order of
+    their first element."""
+    ids: dict = {}
+    of, reps, sizes = [], [], []
+    for i, p in enumerate(_perm_data(n)[0]):
+        orbit = ids.setdefault(key(p), len(reps))
+        if orbit == len(reps):
+            reps.append(i)
+            sizes.append(0)
+        sizes[orbit] += 1
+        of.append(orbit)
+    return Orbits(n, tuple(of), tuple(reps), tuple(sizes), generators)
+
+
+def _symmetric_generators(n: int, first: int) -> tuple[Perm, ...]:
+    """A transposition and a long cycle generating the symmetric group of
+    the positions first..n-1 (no generator for fewer than two positions)."""
+    if n - first < 2:
+        return ()
+    swap, cycle = list(range(n)), list(range(n))
+    swap[first], swap[first + 1] = first + 1, first
+    for i in range(first, n):
+        cycle[i] = i + 1 if i < n - 1 else first
+    return tuple(swap), tuple(cycle)
+
+
+@lru_cache(maxsize=None)
+def class_orbits(n: int) -> Orbits:
+    """H = S_n: the conjugacy classes, one per cycle type."""
+    return _orbits(n, cycle_type_of, _symmetric_generators(n, 0))
+
+
+@lru_cache(maxsize=None)
+def top_orbits(n: int) -> Orbits:
+    """H = the stabiliser of position 0: a cycle type together with the
+    length of the cycle through 0."""
+    return _orbits(n, lambda p: (cycle_type_of(p), _cycle_length(p, 0)),
+                   _symmetric_generators(n, 1))
+
+
+@lru_cache(maxsize=None)
+def reversal_orbits(n: int) -> Orbits:
+    """H = {e, w0} with w0 the reversal p -> n-1-p: the pairs {x, w0 x w0}."""
+    top = n - 1
+    return _orbits(n, lambda p: min(p, tuple(top - v for v in reversed(p))),
+                   (tuple(range(top, -1, -1)),))
+
+
+def walk_orbits(walk: walks.WalkSpec, n: int) -> Orbits:
+    """The orbits the walk's law is constant on: reversal pairs for ri,
+    the top stabiliser's orbits for ttr, the conjugacy classes otherwise."""
+    return {"ttr": top_orbits, "ri": reversal_orbits}.get(walk.kind, class_orbits)(n)
+
+
+def orbit_powers(law: dict[int, Fraction], orbits: Orbits,
+                 t_max: int) -> tuple[list[list[int]], int]:
+    """[L^t q^(t) for t = 0..t_max] as integer vectors over ``orbits``, and
+    L, the least common denominator of the step law's weights: q^(t)(x) is
+    powers[t][orbits.of[x]] / L^t.
+
+    Raises ValueError unless conjugation by each generator of the orbits'
+    subgroup fixes the law.  Each step is (f*q)(x) = sum_y q(y) f(x y^-1) at
+    every representative x, from one table built here of the orbits of
+    the x y^-1, the weights L q(y) of the y that land in one orbit summed
+    into one integer coefficient."""
+    perms, index = _perm_data(orbits.n)
+    for h in orbits.generators:
+        conjugate = _times(invert(h))  # y -> y h^-1
+        if any(law.get(index[compose(h, conjugate(perms[y]))]) != w
+               for y, w in law.items()):
+            raise ValueError(f"the step law is not constant on the orbits of "
+                             f"conjugation by {h} in S_{orbits.n}")
+    L = math.lcm(*(w.denominator for w in law.values()))
+    steps = [(w.numerator * (L // w.denominator), _times(invert(perms[y])))
+             for y, w in law.items()]
+    of, table = orbits.of, []
+    for x in orbits.reps:
+        x = perms[x]
+        row: dict[int, int] = {}
+        for weight, times in steps:
+            orbit = of[index[times(x)]]
+            row[orbit] = row.get(orbit, 0) + weight
+        table.append((tuple(row), tuple(row.values())))
+    f = [0] * len(orbits.reps)
+    f[of[0]] = 1
+    powers = [f]
+    for _ in range(t_max):
+        f = [sum(map(mul, map(f.__getitem__, orbits_in), coefficients))
+             for orbits_in, coefficients in table]
+        powers.append(f)
+    return powers, L
+
+
+# ---------------------------------------------------------------------------
+# definitional distances to uniform, exact and rounded once
+# ---------------------------------------------------------------------------
+
+def _deviations(values, sizes, den: int, normalized: bool) -> tuple[list[tuple[int, int]], int, int]:
+    """For the distribution of ``chi_square_of``: the pairs (size, g v - D)
+    for each value v brought over one common denominator D, with g the sum
+    of the sizes, then g and D.  With ``normalized``, raises ValueError
+    unless the mass is 1 within 1e-12."""
+    values = list(values)
+    if not all(type(v) is int for v in values):
+        exact = [Fraction(v) for v in values]
+        common = math.lcm(*(v.denominator for v in exact))
+        values, den = [v.numerator * (common // v.denominator) for v in exact], den * common
+    sizes = (1,) * len(values) if sizes is None else sizes
+    if normalized:
+        total = Fraction(sum(map(mul, sizes, values)), den)
+        if abs(total - 1) > 1e-12:
+            raise ValueError(f"distribution sums to {float(total)!r}, expected 1")
+    g = sum(sizes)
+    return [(size, g * v - den) for size, v in zip(sizes, values)], g, den
+
+
+def _sqrt_ratio(p: int, q: int) -> float:
+    """sqrt(p/q) for integers p >= 0 and q > 0, correctly rounded to a float."""
+    shift = max(0, 110 - p.bit_length() + q.bit_length())
+    shift += shift & 1
+    square, rest = divmod(p << shift, q)
+    root = math.isqrt(square)
+    man, exp = distances._round(root, -shift // 2, 53, bool(rest) or root * root != square)
+    return math.ldexp(man, exp)
+
+
+def chi_square_of(values, sizes=None, den: int = 1, normalized: bool = True) -> float:
+    """Definitional d2 of the distribution that puts values[i] / den on each
+    of sizes[i] elements of a group of sum(sizes) elements:
+    sqrt(|G| sum_x |q(x) - 1/|G||^2), computed exactly and rounded once.
+    The values are ints, Fractions or floats, each taken exactly; ``sizes``
+    None means one element per value (a dense distribution).
+
+    Pass ``normalized=False`` for sub-probability inputs such as truncated
+    Poisson mixtures (the tiny mass defect is part of the approximation).
+    """
+    deviations, g, den = _deviations(values, sizes, den, normalized)
+    return _sqrt_ratio(sum(size * d * d for size, d in deviations), g * den * den)
+
+
+def tv_of(values, sizes=None, den: int = 1, normalized: bool = True) -> float:
+    """Total variation distance to uniform, (1/2) sum_x |q(x) - 1/|G||, of
+    the distribution of ``chi_square_of``, exact and rounded once."""
+    deviations, g, den = _deviations(values, sizes, den, normalized)
+    return float(Fraction(sum(size * abs(d) for size, d in deviations), 2 * g * den))
+
+
+# ---------------------------------------------------------------------------
+# dense float64 distributions: the tests' references
+# ---------------------------------------------------------------------------
+
+class GroupDistribution(NamedTuple):
+    """Dense float64 probability vector over S_n in enumeration order."""
+
+    n: int
+    values: np.ndarray
+
+    def total(self) -> float:
+        return float(self.values.sum())
+
+    def support(self) -> list[int]:
+        return [int(i) for i in self.values.nonzero()[0]]
+
+
+def point_mass(n: int) -> GroupDistribution:
+    import numpy as np
+
+    arr = np.zeros(math.factorial(n))
+    arr[0] = 1.0
+    return GroupDistribution(n, arr)
+
+
+def element_measure(walk: walks.WalkSpec, n: int) -> GroupDistribution:
+    """``step_law`` as a dense float64 vector: each weight is summed exactly
+    and rounded once, so every weight is the correctly rounded value."""
+    import numpy as np
+
+    law = step_law(walk, n)
+    arr = np.zeros(math.factorial(n))
+    for idx, w in law.items():
         arr[idx] = float(w)
     return GroupDistribution(n, arr)
 
@@ -235,43 +434,27 @@ def convolve(f_values: np.ndarray, q: GroupDistribution, maps=None) -> np.ndarra
     """(f*q)(x) = sum_y f(x y^-1) q(y) for a dense vector of f-values."""
     if maps is None:
         maps = _support_maps(q, inverse=True)
-    out = np.zeros_like(f_values)
+    out = f_values * 0.0
     for table, w in maps:
         out += w * f_values[table]
     return out
 
 
-def _extend_powers(q: GroupDistribution, powers: list[GroupDistribution], t_max: int) -> None:
-    """Append q^(s) to ``powers`` = [q^(0), ...] until it reaches q^(t_max)."""
-    if len(powers) > t_max:
-        return
-    maps = _support_maps(q, inverse=True)
-    while len(powers) <= t_max:
-        powers.append(GroupDistribution(q.n, convolve(powers[-1].values, q, maps)))
-
-
 def convolution_powers_upto(q: GroupDistribution, t_max: int) -> list[GroupDistribution]:
     """[q^(0), q^(1), ..., q^(t_max)] sharing one pass of convolutions."""
     _guard(q.n, MAX_CONVOLUTION_N, "dense convolutions")
+    maps = _support_maps(q, inverse=True)
     powers = [point_mass(q.n)]
-    _extend_powers(q, powers, t_max)
+    while len(powers) <= t_max:
+        powers.append(GroupDistribution(q.n, convolve(powers[-1].values, q, maps)))
     return powers
 
 
-def continuous_law(
-    q: GroupDistribution, t: float, powers: list[GroupDistribution] | None = None,
-) -> tuple[GroupDistribution, int]:
-    """Poisson mixture h_t = e^-t sum_s t^s/s! q^(s), truncated at tail < POISSON_TAIL.
-
-    Returns the (sub-probability) mixture and the truncation point T; the
-    omitted Poisson tail mass beyond T is below ``POISSON_TAIL``.  ``powers``,
-    a list [q^(0), q^(1), ...] as ``convolution_powers_upto`` returns, is
-    mixed from and extended in place up to q^(T), so laws at several t
-    share one pass of convolutions.
-    """
+def _poisson_weights(t: float) -> list[float]:
+    """e^-t t^s/s! for s = 0..T, with T the least that leaves a tail of
+    less than POISSON_TAIL."""
     if t < 0:
         raise ValueError("t must be non-negative")
-    _guard(q.n, MAX_CONVOLUTION_N, "dense convolutions")
     # log pmf recurrence keeps this stable for all oracle-scale t
     log_pmf = -t
     weights = [math.exp(log_pmf)]
@@ -282,10 +465,19 @@ def continuous_law(
         log_pmf += math.log(t) - math.log(len(weights))
         weights.append(math.exp(log_pmf))
         cum += weights[-1]
-    if powers is None:
-        powers = [point_mass(q.n)]
-    _extend_powers(q, powers, len(weights) - 1)
-    mix = np.zeros(math.factorial(q.n))
+    return weights
+
+
+def continuous_law(q: GroupDistribution, t: float) -> tuple[GroupDistribution, int]:
+    """Poisson mixture h_t = e^-t sum_s t^s/s! q^(s), truncated at tail < POISSON_TAIL.
+
+    Returns the (sub-probability) mixture and the truncation point T; the
+    omitted Poisson tail mass beyond T is below ``POISSON_TAIL``.
+    """
+    weights = _poisson_weights(t)
+    _guard(q.n, MAX_CONVOLUTION_N, "dense convolutions")
+    powers = convolution_powers_upto(q, len(weights) - 1)
+    mix = powers[0].values * 0.0
     for w, power in zip(weights, powers):
         mix += w * power.values
     return GroupDistribution(q.n, mix), len(weights) - 1
@@ -302,7 +494,7 @@ class GroupFunction(NamedTuple):
 
 def fixed_points_minus_one(n: int) -> GroupFunction:
     """phi(sigma) - 1, an eigenfunction of every class-measure convolution."""
-    return GroupFunction(n, fixed_point_counts(n).astype(np.float64) - 1.0)
+    return GroupFunction(n, fixed_point_counts(n).astype(float) - 1.0)
 
 
 def ttr_remark_eigenfunction(n: int) -> GroupFunction:
@@ -314,8 +506,10 @@ def ttr_remark_eigenfunction(n: int) -> GroupFunction:
     """
     if n < 3:
         raise ValueError("needs n >= 3")
+    import numpy as np
+
     perms = all_permutations(n)
-    phi = fixed_point_counts(n).astype(np.float64)
+    phi = fixed_point_counts(n).astype(float)
     scale = math.sqrt((n - 1) / (n - 2))
     fixes_top = np.array([p[0] == 0 for p in perms])
     vals = np.where(fixes_top, phi - 2.0, phi - 1.0 + 1.0 / (n - 1))
@@ -336,6 +530,8 @@ def ri_wilson_function(n: int) -> GroupFunction:
     """
     if n < 2:
         raise ValueError("needs n >= 2")
+    import numpy as np
+
     sums = position_weighted_sums(n)
     vals = np.array([-n + 4.0 * s / (n - 1) ** 2 for s in sums])
     return GroupFunction(n, vals)
@@ -346,22 +542,24 @@ def eigenfunction_residual(f: GroupFunction, q: GroupDistribution, beta: float) 
     if f.n != q.n:
         raise ValueError("degree mismatch")
     conv = convolve(f.values, q)
-    return float(np.max(np.abs(conv - beta * f.values)))
+    return float(abs(conv - beta * f.values).max())
 
 
 def square_gradient_sup(f: GroupFunction, q: GroupDistribution) -> float:
     """sup_x (1/2) sum_y |f(x) - f(y)|^2 K(x, y) with K(x, y) = q(x^-1 y)."""
     if f.n != q.n:
         raise ValueError("degree mismatch")
-    acc = np.zeros_like(f.values)
+    acc = f.values * 0.0
     for table, w in _support_maps(q, inverse=False):
         acc += w * (f.values - f.values[table]) ** 2
-    return float(np.max(acc)) / 2.0
+    return float(acc.max()) / 2.0
 
 
 def kernel_matrix(q: GroupDistribution) -> np.ndarray:
     """Dense K(x, y) = q(x^-1 y); symmetric whenever q is."""
     _guard(q.n, MAX_DENSE_N, "dense operator matrices")
+    import numpy as np
+
     size = math.factorial(q.n)
     K = np.zeros((size, size))
     rows = np.arange(size)
@@ -377,6 +575,8 @@ def operator_eigenvalues(q: GroupDistribution) -> np.ndarray:
     perms, index = _perm_data(q.n)
     if any(q.values[index[invert(perms[i])]] != q.values[i] for i in q.support()):
         raise ValueError("operator_eigenvalues needs a symmetric measure, q(x) = q(x^-1)")
+    import numpy as np
+
     return np.linalg.eigvalsh(kernel_matrix(q))[::-1]
 
 
@@ -390,6 +590,8 @@ def comparison_gap(q: GroupDistribution, q_tilde: GroupDistribution, a: float) -
     if q.n != q_tilde.n:
         raise ValueError("degree mismatch")
     _guard(q.n, MAX_DENSE_N, "comparison-form eigenproblems")
+    import numpy as np
+
     size = math.factorial(q.n)
     eye = np.eye(size)
     form = (a * (eye - kernel_matrix(q)) - (eye - kernel_matrix(q_tilde))) / size
@@ -426,17 +628,35 @@ def oracle_checks(n: int, prec: int) -> list[bounds.BoundReport]:
 
 def _oracle_check(n: int, text: str, spec: walks.WalkSpec, prec: int) -> bounds.BoundReport:
     """The walk's exact blocks (``WalkSpec.blocks``) against definitional
-    chi-square from exact convolution, at the discrete times
-    0.._ORACLE_DISCRETE_T and the continuous ones: one path for every walk."""
-    qel = element_measure(spec, n)
-    powers = convolution_powers_upto(qel, _ORACLE_DISCRETE_T)
-    shared = powers[:]  # every Poisson mixture extends this copy and mixes from it
-    laws = [continuous_law(qel, t, powers=shared)[0] for t in _ORACLE_CONTINUOUS_T]
+    chi-square from the exact orbit powers, at the discrete times
+    0.._ORACLE_DISCRETE_T and the continuous ones: one path for every walk.
+    A continuous law mixes the exact powers with the float Poisson weights,
+    each taken exactly, so every distance is rounded once."""
+    orbits = walk_orbits(spec, n)
+    mixes = [_poisson_weights(t) for t in _ORACLE_CONTINUOUS_T]
+    t_max = max(_ORACLE_DISCRETE_T, *(len(weights) - 1 for weights in mixes))
+    powers, L = orbit_powers(step_law(spec, n), orbits, t_max)
     blocks = spec.blocks(n)
-    spectral = distances.l2_curve(blocks, range(len(powers)), "discrete", prec)
+    spectral = distances.l2_curve(blocks, range(_ORACLE_DISCRETE_T + 1), "discrete", prec)
     spectral += distances.l2_curve(blocks, _ORACLE_CONTINUOUS_T, "continuous", prec)
-    chi2 = [distances.chi_square_of(dist) for dist in powers]
-    tv_ok = all(2 * distances.tv_of(dist) <= x + 1e-12 for dist, x in zip(powers, chi2))
-    chi2 += [distances.chi_square_of(h, normalized=False) for h in laws]
+    laws = [(powers[t], orbits.sizes, L**t) for t in range(_ORACLE_DISCRETE_T + 1)]
+    chi2 = [chi_square_of(*law) for law in laws]
+    tv_ok = all(2 * tv_of(*law) <= x + 1e-12 for law, x in zip(laws, chi2))
+    for weights in mixes:
+        nums, den = _mix(powers, L, weights)
+        chi2.append(chi_square_of(nums, orbits.sizes, den, normalized=False))
     worst = max(abs(x - float(y)) for x, y in zip(chi2, spectral))
     return bounds.BoundReport(f"oracle:{text}", n, None, _ORACLE_TOL, worst, tv_inequality=tv_ok)
+
+
+def _mix(powers: list[list[int]], L: int, weights: list[float]) -> tuple[list[int], int]:
+    """sum_s w_s q^(s), exactly, from the orbit powers L^s q^(s) of
+    ``orbit_powers`` and floats w_s = a_s / 2^(k_s): integers over the
+    orbits and their one denominator 2^K L^S, for K the largest k_s and S
+    the last s."""
+    ratios = [w.as_integer_ratio() for w in weights]
+    K, S = max(den.bit_length() - 1 for _, den in ratios), len(weights) - 1
+    coefficients = [a << (K - den.bit_length() + 1) for a, den in ratios]
+    coefficients = [c * L ** (S - s) for s, c in enumerate(coefficients)]
+    return ([sum(c * f[o] for c, f in zip(coefficients, powers)) for o in range(len(powers[0]))],
+            L ** S << K)

@@ -183,17 +183,19 @@ def check_spectral_n(kind: str, n: int) -> None:
         raise ResourceGuardError(f"{what} are capped at n <= {cap}, got n = {n}")
 
 
-def check_spectral_sweep(ns: range) -> None:
+def check_spectral_sweep(ns: range) -> float:
     """The caps on a sweep of class-measure spectra over the non-empty range
     ``ns``: the largest n within MAX_SPECTRAL_N, then the work, counted in
     diagrams as the sum of p(n) over ``ns``, within MAX_SPECTRAL_SWEEP.
-    Both are checked before any diagram is enumerated."""
+    Both are checked before any diagram is enumerated; returns the work
+    over the cap."""
     check_spectral_n("class", ns[-1])
     counts = partition_counts(ns[-1])
     work = sum(counts[n] for n in ns)
     if work > MAX_SPECTRAL_SWEEP:
         raise ResourceGuardError(f"spectral sweeps are capped at {MAX_SPECTRAL_SWEEP} diagrams "
                                  f"(the sum of p(n) over --n), got {work}")
+    return work / MAX_SPECTRAL_SWEEP
 
 
 def eval_time_expr(expr: str, n: int) -> float:

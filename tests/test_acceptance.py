@@ -18,13 +18,8 @@ from symwalk import group_oracle as go
 from symwalk import montecarlo as mc
 from symwalk.bounds import rt_continuous_terms, rt_discrete_terms, ttr_bound_spectrum
 from symwalk.characters import char_ratio, m_moment, r4_exact
-from symwalk.distances import (
-    chi_square_of,
-    l2_continuous,
-    l2_discrete,
-    l2_single_term_lower,
-    tv_of,
-)
+from symwalk.distances import l2_continuous, l2_discrete, l2_single_term_lower
+from symwalk.group_oracle import chi_square_of, tv_of
 from symwalk.partitions import dimension, dominates, enumerate_partitions, near_square_partition, partitions
 from symwalk.spectra import alternating_blocks, spectrum
 from symwalk.walks import WalkSpec
@@ -82,7 +77,7 @@ def test_criterion_02_ttr_bound_and_oracle():
         powers = go.convolution_powers_upto(qel, t_max)
         for c in (0, 1, 2):
             t = math.ceil(n * (math.log(n) + c))
-            d2 = chi_square_of(powers[t])
+            d2 = chi_square_of(powers[t].values)
             if not d2 <= math.sqrt(2) * math.exp(-c) + TV_SLACK:
                 ok = False
                 detail.append(f"oracle n={n} c={c} d2={d2}")
@@ -139,8 +134,8 @@ def _acc5_walk(n: int, walk: str) -> float:
     worst = 0.0
     powers = go.convolution_powers_upto(qel, 20)
     for t, dist in enumerate(powers):
-        chi2 = chi_square_of(dist)
-        assert 2 * tv_of(dist) <= chi2 + TV_SLACK, (walk, n, t)
+        chi2 = chi_square_of(dist.values)
+        assert 2 * tv_of(dist.values) <= chi2 + TV_SLACK, (walk, n, t)
         if spec is not None:
             worst = max(worst, abs(chi2 - float(l2_discrete(spec, t))))
         elif eig is not None:
@@ -148,8 +143,8 @@ def _acc5_walk(n: int, walk: str) -> float:
             worst = max(worst, abs(chi2 - ref))
     for t in CONTINUOUS_TIMES:
         h, _ = go.continuous_law(qel, t)
-        chi2 = chi_square_of(h, normalized=False)
-        assert 2 * tv_of(h, normalized=False) <= chi2 + TV_SLACK, (walk, n, t)
+        chi2 = chi_square_of(h.values, normalized=False)
+        assert 2 * tv_of(h.values, normalized=False) <= chi2 + TV_SLACK, (walk, n, t)
         if spec is not None:
             worst = max(worst, abs(chi2 - float(l2_continuous(spec, t))))
         elif eig is not None:

@@ -16,7 +16,7 @@ from symwalk.bounds import (
     theorem_bounds,
     ttr_bound_spectrum,
 )
-from symwalk.distances import DEFAULT_PREC, chi_square_of, l2_continuous, l2_discrete
+from symwalk.distances import DEFAULT_PREC, l2_continuous, l2_discrete
 from symwalk.errors import ResourceGuardError
 from symwalk.montecarlo import matching_tail
 from symwalk.spectra import spectrum

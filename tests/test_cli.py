@@ -472,14 +472,14 @@ def test_verify_resource_guard(tmp_path):
 
 
 def test_oracle_size_guard_runs_before_any_convolution(tmp_path, monkeypatch, capsys):
-    # n = 7 is within the dense-convolution cap, so only the suite's own guard,
+    # n = 7 is within the step-law cap, so only the suite's own guard,
     # checked before any walk, keeps the rt convolutions from running
     from symwalk import group_oracle
 
-    def no_convolutions(q, t_max):
+    def no_convolutions(law, orbits, t_max):
         raise AssertionError("convolution made before the oracle size guard")
 
-    monkeypatch.setattr(group_oracle, "convolution_powers_upto", no_convolutions)
+    monkeypatch.setattr(group_oracle, "orbit_powers", no_convolutions)
     out = tmp_path / "x.json"
     assert run(["verify", "--suite", "oracle", "--n", "7", "--out", str(out)]) == cli.EXIT_RESOURCE
     err = capsys.readouterr().err
@@ -528,15 +528,20 @@ def test_verify_process_pool_gives_the_serial_rows(tmp_path, monkeypatch):
     monkeypatch.delenv("SYMWALK_THREADS", raising=False)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    results = {}
-    for threads in ("1", "2"):
-        out = tmp_path / f"lemmas{threads}.json"
-        status = run(["--threads", threads, "verify", "--suite", "lemmas", "--n", "14..17",
-                      "--out", str(out)])
+    # --threads 1 and 2, then no --threads: 14..17 is 1e-4 of the lemma
+    # sweep cap, below POOL_MIN_WORK, so it runs in this process, and with
+    # the crossover at 0 on every usable CPU; the manifest says which
+    results, threads = [], []
+    for flags, least in ((["--threads", "1"], 1), (["--threads", "2"], 1), ([], 1), ([], 0)):
+        monkeypatch.setattr(cli, "POOL_MIN_WORK", least)
+        out = tmp_path / "lemmas.json"
+        status = run(flags + ["verify", "--suite", "lemmas", "--n", "14..17", "--out", str(out)])
         assert status == cli.EXIT_VERIFY_FAILED  # phi1 fails from n = 15 on, by design
-        results[threads] = read_json(out.read_text())["results"]
-    assert pools == [2]
-    assert results["2"] == results["1"] and len(results["1"]) == 4 * 6
+        payload = read_json(out.read_text())
+        results.append(payload["results"])
+        threads.append(payload["manifest"]["params"]["threads"])
+    assert pools == [2, 2] and threads == [1, 2, 1, 2]
+    assert all(rows == results[0] for rows in results) and len(results[0]) == 4 * 6
 
 
 def test_thread_settings_rejected(tmp_path, monkeypatch):
@@ -552,6 +557,8 @@ def test_thread_settings_rejected(tmp_path, monkeypatch):
 
 def test_requested_threads():
     assert cli.requested_threads(None, 3) == 3
+    assert cli.requested_threads(None, None) is None  # the sweep's work decides
+    assert cli.requested_threads("2", None) == 2
     assert cli.requested_threads("", 3) == 3
     assert cli.requested_threads("2", 8) == 2
     for env, flag in (("x", 1), ("0", 4), (None, 0), (None, -1)):
@@ -619,7 +626,7 @@ def test_unwritable_output_is_bad_args(tmp_path, capsys):
      (["verify", "--suite", "ttr", "--n", "10"],
       ("mpmath", "numpy", "dataclasses", "symwalk.group_oracle", "symwalk.montecarlo")),
      (["verify", "--suite", "oracle", "--n", "4"],
-      ("mpmath", "dataclasses", "symwalk.montecarlo")),
+      ("mpmath", "numpy", "dataclasses", "symwalk.montecarlo")),
      (["simulate", "--walk", "class:3", "--n", "6", "--t", "2", "--N", "1000", "--seed", "1"],
       ("mpmath", "dataclasses", "symwalk.bounds", "symwalk.distances", "symwalk.group_oracle"))],
     ids=["import", "profile", "profile-ttr-bound", "verify-rt-discrete", "verify-lemmas",
@@ -630,7 +637,7 @@ def test_each_command_loads_only_its_layers(argv, absent, tmp_path):
     # parses its walk string), the ttr bound sum included, sums in integers and
     # never loads mpmath, the bounds, numpy, the oracle or the sampler; a
     # theorem or lemma sweep runs the bounds in integers too, with neither
-    # mpmath nor numpy; the oracle suite needs numpy but not mpmath; a
+    # mpmath nor numpy; the oracle suite convolves in integers, with neither; a
     # simulation needs numpy and the exact u(A_j), never mpmath or the distance
     # and bound layers; no command loads dataclasses
     src = str(Path(symwalk.__file__).resolve().parent.parent)
@@ -836,7 +843,7 @@ def test_verify_checks_the_whole_range_before_any_work(argv, err, tmp_path, caps
         raise AssertionError("work done before the range was checked")
 
     monkeypatch.setattr(spectra, "partitions", no_work)
-    monkeypatch.setattr(group_oracle, "convolution_powers_upto", no_work)
+    monkeypatch.setattr(group_oracle, "orbit_powers", no_work)
     monkeypatch.setattr(bounds, "lemma_weight", no_work)
     monkeypatch.setattr(spectra, "lemma_weight", no_work)
     out = tmp_path / "x.json"

@@ -9,15 +9,14 @@ from symwalk import group_oracle as go
 from symwalk.bounds import ttr_bound_spectrum
 from symwalk.distances import (
     ProfileRow,
-    chi_square_of,
     l2_continuous,
     l2_curve,
     l2_discrete,
     l2_single_term_lower,
     spectrum_profile,
-    tv_of,
 )
 from symwalk.characters import is_even_class
+from symwalk.group_oracle import chi_square_of, tv_of
 from symwalk.partitions import near_square_partition, partitions
 from symwalk.spectra import alternating_blocks, diagram_eigenvalues, spectrum
 from symwalk.walks import WalkSpec
@@ -42,7 +41,7 @@ def oracle_measure(walk, n):
 
 def oracle_chi_square(walk, n, t):
     dist = go.convolution_powers_upto(oracle_measure(walk, n), t)[-1]
-    return chi_square_of(dist)
+    return chi_square_of(dist.values)
 
 
 def test_l2_discrete_at_zero(rt_spectrum):
@@ -65,7 +64,7 @@ def test_l2_discrete_matches_oracle_class_walks():
         qel = oracle_measure(cls, n)
         powers = go.convolution_powers_upto(qel, 30)
         for t, dist in enumerate(powers):
-            assert abs(float(l2_discrete(spec, t)) - chi_square_of(dist)) < 1e-9, (cls, t)
+            assert abs(float(l2_discrete(spec, t)) - chi_square_of(dist.values)) < 1e-9, (cls, t)
 
 
 def test_l2_discrete_threshold_value(rt_spectrum):
@@ -100,7 +99,7 @@ def test_l2_continuous_matches_oracle_poisson():
     spec = spectrum(*measure("rt", 5))
     for t in (0.5, 2.0, 8.0):
         h, trunc = go.continuous_law(qel, t)
-        assert abs(chi_square_of(h, normalized=False) - float(l2_continuous(spec, t))) < 1e-8
+        assert abs(chi_square_of(h.values, normalized=False) - float(l2_continuous(spec, t))) < 1e-8
         assert trunc >= t
 
 
@@ -136,7 +135,7 @@ def test_ttr_continuous_oracle_meets_threshold():
         for c in (0, 1, 2):
             t = n * (math.log(n) + c)
             h, _ = go.continuous_law(qel, t)
-            assert chi_square_of(h, normalized=False) <= math.sqrt(2) * math.exp(-c) + 1e-10
+            assert chi_square_of(h.values, normalized=False) <= math.sqrt(2) * math.exp(-c) + 1e-10
 
 
 def test_ttr_lower_bound_against_oracle():
@@ -153,21 +152,21 @@ def test_chi_square_and_tv_definitional():
     n = 5
     g = math.factorial(n)
     point = go.point_mass(n)
-    assert chi_square_of(point) == pytest.approx(math.sqrt(g - 1), rel=1e-12)
-    assert tv_of(point) == pytest.approx(1 - 1 / g, rel=1e-12)
+    assert chi_square_of(point.values) == pytest.approx(math.sqrt(g - 1), rel=1e-12)
+    assert tv_of(point.values) == pytest.approx(1 - 1 / g, rel=1e-12)
     uniform = go.GroupDistribution(n, point.values * 0 + 1.0 / g)
-    assert chi_square_of(uniform) == pytest.approx(0, abs=1e-12)
-    assert tv_of(uniform) == pytest.approx(0, abs=1e-12)
+    assert chi_square_of(uniform.values) == pytest.approx(0, abs=1e-12)
+    assert tv_of(uniform.values) == pytest.approx(0, abs=1e-12)
     dist = go.convolution_powers_upto(oracle_measure("rt", n), 4)[-1]
-    assert 2 * tv_of(dist) <= chi_square_of(dist)
+    assert 2 * tv_of(dist.values) <= chi_square_of(dist.values)
 
 
 def test_unnormalized_rejected():
     bad = go.GroupDistribution(3, go.point_mass(3).values * 0.5)
     with pytest.raises(ValueError):
-        chi_square_of(bad)
+        chi_square_of(bad.values)
     with pytest.raises(ValueError):
-        tv_of(bad)
+        tv_of(bad.values)
 
 
 def test_profile_even_class_an_discrete_matches_oracle():
@@ -490,3 +489,24 @@ def test_l2_curve_exp_calls_do_not_grow_with_blocks(monkeypatch):
         calls.clear()
         l2_curve(blocks, [0, 9, 4, 9, 100], "discrete", 128)
         assert not calls, n
+
+
+@pytest.mark.parametrize("walk, n", [("ri", 5), ("rt", 5), ("class:3,2", 5)])
+def test_dropping_decayed_blocks_leaves_every_bit(walk, n, monkeypatch):
+    # a block is dropped once its term is provably below what the fixed-point
+    # sum keeps; the sums are bit for bit those of every block carried along
+    from symwalk import distances
+
+    blocks = WalkSpec.parse(walk).blocks(n)
+    times = [0, 1, 3, 40, 700, 1e20, 1e300]
+    powers = []
+    real_pow = distances._pow
+    monkeypatch.setattr(distances, "_pow", lambda *a: powers.append(1) or real_pow(*a))
+    dropped = {prec: l2_curve(blocks, times, "discrete", prec) for prec in (53, 128, 256, 4096)}
+    calls = len(powers)
+    # bounds of 0 never drop a block
+    monkeypatch.setattr(distances, "_decay_bounds", lambda b: ([0.0] * len(b), [0.0] * len(b)))
+    for prec, curve in dropped.items():
+        full = l2_curve(blocks, times, "discrete", prec)
+        assert [(d.man, d.exp) for d in curve] == [(d.man, d.exp) for d in full], prec
+    assert calls < len(powers) - calls  # some powers were never taken

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from symwalk import group_oracle as go
-from symwalk.distances import chi_square_of, l2_continuous, tv_of
+from symwalk.distances import l2_curve
+from symwalk.group_oracle import chi_square_of, tv_of
 from symwalk.walks import WalkSpec
 
 
@@ -131,25 +132,6 @@ def test_continuous_law_bookkeeping():
     assert 1.0 - float(np.sum(h.values)) < go.POISSON_TAIL
 
 
-def test_continuous_laws_from_shared_powers_equal_standalone_laws(monkeypatch):
-    for walk in ("rt", "ttr", "class:3"):
-        q = measure(walk, 5)
-        powers = go.convolution_powers_upto(q, 12)
-        shared = powers[:]
-        calls = []
-        real = go.convolve
-        monkeypatch.setattr(go, "convolve", lambda *a, **k: calls.append(1) or real(*a, **k))
-        laws = [go.continuous_law(q, t, powers=shared) for t in (0.5, 4.0, 1.0, 2.0)]
-        monkeypatch.setattr(go, "convolve", real)
-        for t, (law, trunc) in zip((0.5, 4.0, 1.0, 2.0), laws):
-            alone, trunc_alone = go.continuous_law(q, t)
-            assert trunc == trunc_alone and np.array_equal(law.values, alone.values), (walk, t)
-        # the list grew once, to the longest truncation, and kept q^(0..12)
-        assert len(shared) == max(trunc for _, trunc in laws) + 1 > len(powers)
-        assert len(calls) == len(shared) - len(powers)
-        assert all(a is b for a, b in zip(powers, shared))
-
-
 def test_eigenfunction_certificates():
     for n in (4, 5, 6):
         qrt = measure("rt", n)
@@ -215,9 +197,9 @@ def test_comparison_transfer_inequality():
         qri = measure("ri", n)
         qrt = measure("rt", n)
         for t in (1, 2, 4, 8, 16):
-            left = chi_square_of(go.convolution_powers_upto(qri, t)[-1])
+            left = chi_square_of(go.convolution_powers_upto(qri, t)[-1].values)
             h, _ = go.continuous_law(qrt, t / 4)
-            right = chi_square_of(h, normalized=False)
+            right = chi_square_of(h.values, normalized=False)
             assert left <= right + 1e-10, (n, t)
 
 
@@ -226,7 +208,7 @@ def test_tv_upper_bounded_by_chi_square():
         q = measure(walk, 5)
         for t in (0, 1, 3, 7):
             dist = go.convolution_powers_upto(q, t)[-1]
-            assert 2 * tv_of(dist) <= chi_square_of(dist) + 1e-12
+            assert 2 * tv_of(dist.values) <= chi_square_of(dist.values) + 1e-12
 
 
 def test_resource_guards():
@@ -252,3 +234,85 @@ def test_operator_eigenvalues_rejects_a_non_symmetric_measure():
     # a symmetric one goes through: both 3-cycles, half each
     q.values[go.perm_index((2, 0, 1))] = q.values[go.perm_index((1, 2, 0))] = 0.5
     assert go.operator_eigenvalues(q)[0] == pytest.approx(1.0)
+
+
+def _h_orbits(n, generators):
+    """Orbits of conjugation by the group the generators generate, by
+    closing every element's class under them: a reference for ``Orbits``."""
+    perms = go.all_permutations(n)
+    orbit = {}
+    for start in perms:
+        if start in orbit:
+            continue
+        orbit[start], todo = start, [start]
+        while todo:
+            x = todo.pop()
+            for h in generators:
+                y = go.compose(go.compose(h, x), go.invert(h))
+                if y not in orbit:
+                    orbit[y] = start
+                    todo.append(y)
+    return [orbit[p] for p in perms]
+
+
+@pytest.mark.parametrize("orbits_of", [go.class_orbits, go.top_orbits, go.reversal_orbits])
+def test_orbits_are_the_conjugation_orbits_of_their_generators(orbits_of):
+    for n in range(1, 7):
+        orbits = orbits_of(n)
+        reference = _h_orbits(n, orbits.generators)
+        # the same partition of S_n, numbered by first element
+        assert [reference.index(r) for r in reference] == [
+            orbits.reps[o] for o in orbits.of], (orbits_of.__name__, n)
+        assert sum(orbits.sizes) == math.factorial(n)
+        assert [orbits.of.count(o) for o in range(len(orbits.sizes))] == list(orbits.sizes)
+    assert len(go.class_orbits(6).sizes) == 11  # p(6)
+    # w0 = (0 5)(1 4)(2 3) has a centraliser of 2^3 3! = 48 elements in S_6
+    assert len(go.reversal_orbits(6).sizes) == (720 + 48) // 2
+
+
+@pytest.mark.parametrize("walk", go.ORACLE_WALKS)
+def test_orbit_powers_are_the_exact_convolution_powers(walk):
+    # expanded to elements, L^t q^(t) over the orbits is the dense float law;
+    # it sums to exactly L^t, and its exact chi-square is the spectral d2^2
+    spec = WalkSpec.parse(walk)
+    for n in range(2, 7):
+        if sum(spec.cycles) > n:
+            continue
+        orbits = go.walk_orbits(spec, n)
+        powers, L = go.orbit_powers(go.step_law(spec, n), orbits, 12)
+        dense = go.convolution_powers_upto(go.element_measure(spec, n), 12)
+        d2 = l2_curve(spec.blocks(n), range(13), "discrete", 256)
+        g = math.factorial(n)
+        for t, (f, ref) in enumerate(zip(powers, dense)):
+            den = L**t
+            assert sum(size * v for size, v in zip(orbits.sizes, f)) == den, (walk, n, t)
+            expanded = np.array([f[o] / den for o in orbits.of])
+            assert np.max(np.abs(expanded - ref.values)) <= 1e-15, (walk, n, t)
+            exact = Fraction(sum(size * (g * v - den) ** 2 for size, v in zip(orbits.sizes, f)),
+                             g * den * den)
+            spectral = Fraction(d2[t].man ** 2) * Fraction(2) ** (2 * d2[t].exp)
+            assert abs(exact - spectral) <= exact * Fraction(2) ** (3 - 256), (walk, n, t)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_orbit_powers_reject_orbits_the_law_is_not_constant_on(n):
+    # ttr is not a class function, and ri is not even constant on the top
+    # stabiliser's orbits: the generators' check catches both
+    for walk, orbits in (("ttr", go.class_orbits(n)), ("ri", go.class_orbits(n)),
+                         ("ri", go.top_orbits(n))):
+        with pytest.raises(ValueError, match="not constant on the orbits"):
+            go.orbit_powers(go.step_law(WalkSpec(walk), n), orbits, 1)
+
+
+def test_definitional_distances_over_orbits_equal_the_dense_ones():
+    # an orbit value stands for each of its elements: sizes of 1 are dense
+    spec = WalkSpec.parse("ttr")
+    orbits = go.walk_orbits(spec, 5)
+    powers, L = go.orbit_powers(go.step_law(spec, 5), orbits, 4)
+    dense = [Fraction(powers[4][o], L**4) for o in orbits.of]
+    assert chi_square_of(powers[4], orbits.sizes, L**4) == chi_square_of(dense)
+    assert tv_of(powers[4], orbits.sizes, L**4) == tv_of(dense)
+    # exact and rounded once: sqrt(2) and 1/3 to the nearest float
+    assert chi_square_of([3, 1], den=4) == 0.5 and tv_of([3, 1], den=4) == 0.25
+    assert chi_square_of([1, 0, 0]) == math.sqrt(2)
+    assert tv_of([1, 0, 0]) == 2 / 3
