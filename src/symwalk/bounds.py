@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .distances import (
     DEFAULT_PREC,
@@ -47,9 +47,6 @@ from .distances import (
 from .errors import ResourceGuardError
 from .spectra import MAX_BOUND_N, check_bound_n, lemma_weight, ttr_bound_spectrum
 from .walks import WalkSpec, check_spectral_sweep
-
-if TYPE_CHECKING:
-    import mpmath
 
 #: most work, summed n^2 over the --n range, that a sweep of bound sums or
 #: term tables does: ten tables at MAX_BOUND_N
@@ -392,31 +389,8 @@ def lemma_checks(n: int, prec: int = DEFAULT_PREC) -> list[BoundReport]:
 
 
 # ---------------------------------------------------------------------------
-# Stirling, Poisson window, calculus helper
+# calculus helper
 # ---------------------------------------------------------------------------
-
-def stirling_envelope(n: int, prec: int = DEFAULT_PREC) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """(sqrt(2 pi n)(n/e)^n, e^(1/12n) sqrt(2 pi n)(n/e)^n), bracketing n!."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    from mpmath import mp
-
-    with mp.workprec(prec):
-        lower = mp.sqrt(2 * mp.pi * n) * mp.exp(n * (mp.log(n) - 1))
-        return lower, mp.exp(mp.mpf(1) / (12 * n)) * lower
-
-
-def poisson_window_mass(k: float, alpha: float) -> float:
-    """P(X <= k + k^alpha) for X ~ Poisson(k); tends to 1 as k grows."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    if not 0.5 < alpha < 1.0:
-        raise ValueError("alpha must lie in (1/2, 1)")
-    m = math.floor(k + k**alpha)
-    from mpmath import mp
-
-    return float(mp.gammainc(m + 1, a=k, regularized=True))
-
 
 def calculus_claim(w: float, x: float) -> bool:
     """Whether 2 log(1-x) >= -w x; true on 0 <= x <= 1 - 1/w for w >= 4."""

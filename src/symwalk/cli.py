@@ -99,15 +99,17 @@ def fmt_real(x, sig: int = 12) -> str | None:
     at least one decimal.  An int or float is rounded exactly by
     ``decimal``; a ``distances.Dyadic`` is first rounded to 53 bits, as
     mpmath converts it, and then written as that float or, out of the float
-    range, from its first digits (``_leading_digits``)."""
+    range, as its product with a power of two in 40-digit ``decimal``."""
     if not isinstance(x, (int, float)):
         x = x.rounded(53)
         top = x.man.bit_length() + x.exp  # 2^(top - 1) <= x < 2^top
         if -1000 < top < 1000:
             x = math.ldexp(x.man, x.exp)
+        elif abs(top) > 4 * 10**MAX_EXPONENT_DIGITS:  # past 1.2 * 10^MAX_EXPONENT_DIGITS
+            return None
         else:
-            digits = _leading_digits(x.man, x.exp, top)
-            return None if digits is None else _layout(digits, "e", sig)
+            ctx = Context(prec=40, Emin=MIN_EMIN, Emax=MAX_EMAX)
+            return _layout(ctx.multiply(Decimal(x.man), ctx.power(2, x.exp)), "e", sig)
     if x == 0:
         return "0.0"
     if math.isnan(x):
@@ -126,42 +128,6 @@ def _layout(d: Decimal, layout: str, sig: int) -> str | None:
         return None
     whole, _, fraction = mantissa.partition(".")
     return f"{whole}.{fraction.rstrip('0') or '0'}{e}{exponent}"
-
-
-def _leading_digits(man: int, exp: int, top: int) -> Decimal | None:
-    """man * 2^exp, for man > 0 and 2^(top - 1) <= man * 2^exp < 2^top, cut
-    to its first 18 to 21 decimal digits, which rounding half up to fewer
-    digits cannot tell from the exact value; None when its decimal exponent
-    has more than MAX_EXPONENT_DIGITS digits.  The cut is exact while the
-    power of ten that scales the value has at most _EXACT_POW10 digits, and
-    beyond that uses one rounded to _POW10_BITS bits."""
-    if abs(top) > 4 * 10**MAX_EXPONENT_DIGITS:  # past 1.2 * 10^MAX_EXPONENT_DIGITS
-        return None
-    scale = 18 - math.floor((top - 1) * math.log10(2))  # the float is within 1 of the floor
-    if abs(scale) <= _EXACT_POW10:
-        if scale >= 0:
-            man *= 10**scale
-            cut = man << exp if exp >= 0 else man >> -exp
-        else:
-            den = 10**-scale
-            cut = (man << exp) // den if exp >= 0 else man // (den << -exp)
-    else:
-        from .distances import _pow  # a Dyadic exists: distances is loaded
-
-        pman, pexp = _pow(10, 0, abs(scale), _POW10_BITS)
-        if scale > 0:
-            man, exp = man * pman, exp + pexp
-        else:
-            shift = _POW10_BITS + 64
-            man, exp = (man << shift) // pman, exp - pexp - shift
-        cut = man << exp if exp >= 0 else man >> -exp
-    return Decimal(f"{cut}e{-scale}")
-
-
-#: largest power of ten a value is scaled by exactly: 10^4000 has 13,288 bits
-_EXACT_POW10 = 4000
-#: bits of a larger power of ten
-_POW10_BITS = 192
 
 
 def time_value(t) -> int | float:

@@ -15,24 +15,25 @@ independently of the spectra, by convolution rather than by characters.
 The oracle suite convolves on orbits, in Python integers.  If conjugation
 by every element of a subgroup H fixes the step law, it fixes every
 convolution power, so a power is one value per H-orbit of S_n, kept at one
-representative per orbit (``Orbits``).  The class walks take H = S_n and
-the conjugacy classes (their cycle types); ttr takes the stabiliser of
-position 0, whose orbits are a cycle type with the length of the cycle
-through 0; ri takes {e, w0} for the reversal w0 (p -> n-1-p), whose orbits
-are the pairs {x, w0 x w0}.  ``orbit_powers`` checks that each generator
-of H fixes the law, then, with L the least common denominator of the
-weights, gives every L^t q^(t) as an exact integer vector over the orbits.
+representative per orbit (``Orbits``).  ``law_orbits`` finds H from the
+law's own symmetries: the candidate conjugations that fix it, out of the
+generators of S_n, those of the stabiliser of position 0 and the reversal
+w0 (p -> n-1-p), generate H.  The class walks get the conjugacy classes,
+ttr the top stabiliser's orbits and ri the pairs {x, w0 x w0}.
+``orbit_powers`` checks that the law is constant on each orbit, then, with
+L the least common denominator of the weights, gives every L^t q^(t) as an
+exact integer vector over the orbits.
 ``chi_square_of`` and ``tv_of`` are the definitional distances to uniform
 over orbit values and sizes (a dense distribution is the case where every
 size is 1), exact and rounded once.
 
-The dense float64 helpers (``element_measure``, ``convolution_powers_upto``,
-``continuous_law``, ``convolve``, the eigenfunction checks, ``kernel_matrix``,
-``operator_eigenvalues`` and ``comparison_gap``) are the tests' references
-and import numpy when called; the oracle suite never loads numpy.
+The dense float64 helpers (``element_measure``, ``convolve``, the
+eigenfunction checks, ``kernel_matrix``, ``operator_eigenvalues`` and
+``comparison_gap``) are the tests' references and import numpy when
+called; the oracle suite never loads numpy.
 
-Size guards (n! growth): per-element measures up to n = 8, dense
-convolutions up to n = 7, and dense operator matrices up to n = 6.
+Size guards (n! growth): per-element measures up to n = 8 and dense
+operator matrices up to n = 6.
 Exceeding a guard raises ResourceGuardError rather than attempting the
 computation.
 
@@ -61,7 +62,6 @@ if TYPE_CHECKING:
 Perm = tuple[int, ...]
 
 MAX_MEASURE_N = 8
-MAX_CONVOLUTION_N = 7
 MAX_DENSE_N = 6
 #: every continuous-time law drops a Poisson tail of less than this mass
 POISSON_TAIL = 1e-14
@@ -126,14 +126,6 @@ def cycle_type_of(p: Perm) -> CycleType:
             length += 1
         lengths.append(length)
     return tuple(sorted(lengths, reverse=True))
-
-
-def _cycle_length(p: Perm, i: int) -> int:
-    """Length of the cycle of p through i."""
-    length, j = 1, p[i]
-    while j != i:
-        length, j = length + 1, p[j]
-    return length
 
 
 def fixed_point_counts(n: int) -> np.ndarray:
@@ -222,31 +214,45 @@ def step_law(walk: walks.WalkSpec, n: int) -> dict[int, Fraction]:
 # ---------------------------------------------------------------------------
 
 class Orbits(NamedTuple):
-    """The orbits of S_n under conjugation by the subgroup H that
-    ``generators`` generate: ``of`` gives each element's orbit in
-    enumeration order, ``reps`` each orbit's first element and ``sizes``
-    its number of elements."""
+    """The orbits of S_n under conjugation by a subgroup H: ``of`` gives
+    each element's orbit in enumeration order, ``reps`` each orbit's first
+    element and ``sizes`` its number of elements."""
 
     n: int
     of: tuple[int, ...]
     reps: tuple[int, ...]
     sizes: tuple[int, ...]
-    generators: tuple[Perm, ...]
 
 
-def _orbits(n: int, key, generators: tuple[Perm, ...]) -> Orbits:
-    """The orbits as the classes of equal ``key``, numbered in order of
-    their first element."""
-    ids: dict = {}
-    of, reps, sizes = [], [], []
-    for i, p in enumerate(_perm_data(n)[0]):
-        orbit = ids.setdefault(key(p), len(reps))
-        if orbit == len(reps):
-            reps.append(i)
-            sizes.append(0)
-        sizes[orbit] += 1
-        of.append(orbit)
-    return Orbits(n, tuple(of), tuple(reps), tuple(sizes), generators)
+def _conjugation(h: Perm):
+    """x -> h x h^-1 on one-line tuples."""
+    right = _times(invert(h))
+    return lambda x: tuple(map(h.__getitem__, right(x)))
+
+
+@lru_cache(maxsize=None)
+def _orbits(n: int, generators: tuple[Perm, ...]) -> Orbits:
+    """The orbits of conjugation x -> h x h^-1 by the group the generators
+    generate, each closed from its first element and numbered in order."""
+    perms, index = _perm_data(n)
+    conjugations = [_conjugation(h) for h in generators]
+    of, reps, sizes = [-1] * len(perms), [], []
+    for i, p in enumerate(perms):
+        if of[i] >= 0:
+            continue
+        orbit, todo = len(reps), [p]
+        of[i] = orbit
+        reps.append(i)
+        sizes.append(1)
+        while todo:
+            x = todo.pop()
+            for conjugate in conjugations:
+                j = index[conjugate(x)]
+                if of[j] < 0:
+                    of[j] = orbit
+                    sizes[orbit] += 1
+                    todo.append(perms[j])
+    return Orbits(n, tuple(of), tuple(reps), tuple(sizes))
 
 
 def _symmetric_generators(n: int, first: int) -> tuple[Perm, ...]:
@@ -261,32 +267,21 @@ def _symmetric_generators(n: int, first: int) -> tuple[Perm, ...]:
     return tuple(swap), tuple(cycle)
 
 
-@lru_cache(maxsize=None)
-def class_orbits(n: int) -> Orbits:
-    """H = S_n: the conjugacy classes, one per cycle type."""
-    return _orbits(n, cycle_type_of, _symmetric_generators(n, 0))
+def law_orbits(law: dict[int, Fraction], n: int) -> Orbits:
+    """The orbits of conjugation by the candidates that fix the step law:
+    the generators of S_n, those of the stabiliser of position 0 and the
+    reversal w0 (p -> n-1-p).  A class walk is fixed by all of them and gets
+    the conjugacy classes, ttr the top stabiliser's orbits and ri the pairs
+    {x, w0 x w0}."""
+    perms, index = _perm_data(n)
 
+    def fixes(h: Perm) -> bool:
+        conjugate = _conjugation(h)
+        return all(law.get(index[conjugate(perms[y])]) == w for y, w in law.items())
 
-@lru_cache(maxsize=None)
-def top_orbits(n: int) -> Orbits:
-    """H = the stabiliser of position 0: a cycle type together with the
-    length of the cycle through 0."""
-    return _orbits(n, lambda p: (cycle_type_of(p), _cycle_length(p, 0)),
-                   _symmetric_generators(n, 1))
-
-
-@lru_cache(maxsize=None)
-def reversal_orbits(n: int) -> Orbits:
-    """H = {e, w0} with w0 the reversal p -> n-1-p: the pairs {x, w0 x w0}."""
-    top = n - 1
-    return _orbits(n, lambda p: min(p, tuple(top - v for v in reversed(p))),
-                   (tuple(range(top, -1, -1)),))
-
-
-def walk_orbits(walk: walks.WalkSpec, n: int) -> Orbits:
-    """The orbits the walk's law is constant on: reversal pairs for ri,
-    the top stabiliser's orbits for ttr, the conjugacy classes otherwise."""
-    return {"ttr": top_orbits, "ri": reversal_orbits}.get(walk.kind, class_orbits)(n)
+    candidates = (*_symmetric_generators(n, 0), *_symmetric_generators(n, 1),
+                  tuple(range(n - 1, -1, -1)))
+    return _orbits(n, tuple(filter(fixes, candidates)))
 
 
 def orbit_powers(law: dict[int, Fraction], orbits: Orbits,
@@ -295,22 +290,18 @@ def orbit_powers(law: dict[int, Fraction], orbits: Orbits,
     L, the least common denominator of the step law's weights: q^(t)(x) is
     powers[t][orbits.of[x]] / L^t.
 
-    Raises ValueError unless conjugation by each generator of the orbits'
-    subgroup fixes the law.  Each step is (f*q)(x) = sum_y q(y) f(x y^-1) at
-    every representative x, from one table built here of the orbits of
-    the x y^-1, the weights L q(y) of the y that land in one orbit summed
-    into one integer coefficient."""
+    Raises ValueError unless the law is constant on each orbit.  Each step
+    is (f*q)(x) = sum_y q(y) f(x y^-1) at every representative x, from one
+    table built here of the orbits of the x y^-1, the weights L q(y) of the
+    y that land in one orbit summed into one integer coefficient."""
     perms, index = _perm_data(orbits.n)
-    for h in orbits.generators:
-        conjugate = _times(invert(h))  # y -> y h^-1
-        if any(law.get(index[compose(h, conjugate(perms[y]))]) != w
-               for y, w in law.items()):
-            raise ValueError(f"the step law is not constant on the orbits of "
-                             f"conjugation by {h} in S_{orbits.n}")
+    of = orbits.of
+    if any(law.get(x) != law.get(orbits.reps[of[x]]) for x in range(len(of))):
+        raise ValueError(f"the step law is not constant on the orbits in S_{orbits.n}")
     L = math.lcm(*(w.denominator for w in law.values()))
     steps = [(w.numerator * (L // w.denominator), _times(invert(perms[y])))
              for y, w in law.items()]
-    of, table = orbits.of, []
+    table = []
     for x in orbits.reps:
         x = perms[x]
         row: dict[int, int] = {}
@@ -399,14 +390,6 @@ class GroupDistribution(NamedTuple):
         return [int(i) for i in self.values.nonzero()[0]]
 
 
-def point_mass(n: int) -> GroupDistribution:
-    import numpy as np
-
-    arr = np.zeros(math.factorial(n))
-    arr[0] = 1.0
-    return GroupDistribution(n, arr)
-
-
 def element_measure(walk: walks.WalkSpec, n: int) -> GroupDistribution:
     """``step_law`` as a dense float64 vector: each weight is summed exactly
     and rounded once, so every weight is the correctly rounded value."""
@@ -438,49 +421,6 @@ def convolve(f_values: np.ndarray, q: GroupDistribution, maps=None) -> np.ndarra
     for table, w in maps:
         out += w * f_values[table]
     return out
-
-
-def convolution_powers_upto(q: GroupDistribution, t_max: int) -> list[GroupDistribution]:
-    """[q^(0), q^(1), ..., q^(t_max)] sharing one pass of convolutions."""
-    _guard(q.n, MAX_CONVOLUTION_N, "dense convolutions")
-    maps = _support_maps(q, inverse=True)
-    powers = [point_mass(q.n)]
-    while len(powers) <= t_max:
-        powers.append(GroupDistribution(q.n, convolve(powers[-1].values, q, maps)))
-    return powers
-
-
-def _poisson_weights(t: float) -> list[float]:
-    """e^-t t^s/s! for s = 0..T, with T the least that leaves a tail of
-    less than POISSON_TAIL."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    # log pmf recurrence keeps this stable for all oracle-scale t
-    log_pmf = -t
-    weights = [math.exp(log_pmf)]
-    cum = weights[0]
-    while 1.0 - cum > POISSON_TAIL:
-        if len(weights) > 100000:
-            raise RuntimeError("Poisson truncation failed to converge")
-        log_pmf += math.log(t) - math.log(len(weights))
-        weights.append(math.exp(log_pmf))
-        cum += weights[-1]
-    return weights
-
-
-def continuous_law(q: GroupDistribution, t: float) -> tuple[GroupDistribution, int]:
-    """Poisson mixture h_t = e^-t sum_s t^s/s! q^(s), truncated at tail < POISSON_TAIL.
-
-    Returns the (sub-probability) mixture and the truncation point T; the
-    omitted Poisson tail mass beyond T is below ``POISSON_TAIL``.
-    """
-    weights = _poisson_weights(t)
-    _guard(q.n, MAX_CONVOLUTION_N, "dense convolutions")
-    powers = convolution_powers_upto(q, len(weights) - 1)
-    mix = powers[0].values * 0.0
-    for w, power in zip(weights, powers):
-        mix += w * power.values
-    return GroupDistribution(q.n, mix), len(weights) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -632,10 +572,11 @@ def _oracle_check(n: int, text: str, spec: walks.WalkSpec, prec: int) -> bounds.
     0.._ORACLE_DISCRETE_T and the continuous ones: one path for every walk.
     A continuous law mixes the exact powers with the float Poisson weights,
     each taken exactly, so every distance is rounded once."""
-    orbits = walk_orbits(spec, n)
+    law = step_law(spec, n)
+    orbits = law_orbits(law, n)
     mixes = [_poisson_weights(t) for t in _ORACLE_CONTINUOUS_T]
     t_max = max(_ORACLE_DISCRETE_T, *(len(weights) - 1 for weights in mixes))
-    powers, L = orbit_powers(step_law(spec, n), orbits, t_max)
+    powers, L = orbit_powers(law, orbits, t_max)
     blocks = spec.blocks(n)
     spectral = distances.l2_curve(blocks, range(_ORACLE_DISCRETE_T + 1), "discrete", prec)
     spectral += distances.l2_curve(blocks, _ORACLE_CONTINUOUS_T, "continuous", prec)
@@ -660,3 +601,21 @@ def _mix(powers: list[list[int]], L: int, weights: list[float]) -> tuple[list[in
     coefficients = [c * L ** (S - s) for s, c in enumerate(coefficients)]
     return ([sum(c * f[o] for c, f in zip(coefficients, powers)) for o in range(len(powers[0]))],
             L ** S << K)
+
+
+def _poisson_weights(t: float) -> list[float]:
+    """e^-t t^s/s! for s = 0..T, with T the least that leaves a tail of
+    less than POISSON_TAIL."""
+    if t < 0:
+        raise ValueError("t must be non-negative")
+    # log pmf recurrence keeps this stable for all oracle-scale t
+    log_pmf = -t
+    weights = [math.exp(log_pmf)]
+    cum = weights[0]
+    while 1.0 - cum > POISSON_TAIL:
+        if len(weights) > 100000:
+            raise RuntimeError("Poisson truncation failed to converge")
+        log_pmf += math.log(t) - math.log(len(weights))
+        weights.append(math.exp(log_pmf))
+        cum += weights[-1]
+    return weights

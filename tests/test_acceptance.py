@@ -19,7 +19,7 @@ from symwalk import montecarlo as mc
 from symwalk.bounds import rt_continuous_terms, rt_discrete_terms, ttr_bound_spectrum
 from symwalk.characters import char_ratio, m_moment, r4_exact
 from symwalk.distances import l2_continuous, l2_discrete, l2_single_term_lower
-from symwalk.group_oracle import chi_square_of, tv_of
+from symwalk.group_oracle import tv_of
 from symwalk.partitions import dimension, dominates, enumerate_partitions, near_square_partition, partitions
 from symwalk.spectra import alternating_blocks, spectrum
 from symwalk.walks import WalkSpec
@@ -59,7 +59,7 @@ def test_criterion_01_rt_discrete_upper_bound(rt_spectrum):
     assert report("1 rt-discrete", ok, f"worst ratio {worst[0]:.4f} at n={worst[1]} c={worst[2]}")
 
 
-def test_criterion_02_ttr_bound_and_oracle():
+def test_criterion_02_ttr_bound_and_oracle(exact):
     ok = True
     detail = []
     for n in range(5, 61):
@@ -72,12 +72,8 @@ def test_criterion_02_ttr_bound_and_oracle():
                 ok = False
                 detail.append(f"sum n={n} c={c}")
     for n in range(2, 8):
-        qel = oracle_measure("ttr", n)
-        t_max = math.ceil(n * (math.log(n) + 2))
-        powers = go.convolution_powers_upto(qel, t_max)
-        for c in (0, 1, 2):
-            t = math.ceil(n * (math.log(n) + c))
-            d2 = chi_square_of(powers[t].values)
+        times = [math.ceil(n * (math.log(n) + c)) for c in (0, 1, 2)]
+        for c, d2 in enumerate(exact("ttr", n, times).distances()):
             if not d2 <= math.sqrt(2) * math.exp(-c) + TV_SLACK:
                 ok = False
                 detail.append(f"oracle n={n} c={c} d2={d2}")
@@ -115,36 +111,23 @@ def test_criterion_04_four_cycle_continuous():
 CONTINUOUS_TIMES = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0)
 
 
-def _acc5_walk(n: int, walk: str) -> float:
+def _acc5_walk(exact, n: int, walk: str) -> float:
     """Worst absolute disagreement between definitional and spectral values."""
-    if walk == "lazy3":
-        qel = oracle_measure("lazy:3:1/2", n)
-        spec = spectrum(*measure("lazy:3:1/2", n))
-    elif walk.startswith("class"):
-        k = int(walk[-1])
-        qel = oracle_measure(f"class:{k}", n)
-        spec = spectrum(*measure(f"class:{k}", n))
-    elif walk == "rt":
-        qel = oracle_measure("rt", n)
-        spec = spectrum(*measure("rt", n))
-    else:  # ttr, ri: no class-function spectrum
-        qel = oracle_measure(walk, n)
-        spec = None
-    eig = go.operator_eigenvalues(qel) if walk == "ttr" else None
+    # ttr, ri: no class-function spectrum
+    spec = spectrum(*measure(walk, n)) if walk not in ("ttr", "ri") else None
+    eig = go.operator_eigenvalues(oracle_measure(walk, n)) if walk == "ttr" else None
     worst = 0.0
-    powers = go.convolution_powers_upto(qel, 20)
-    for t, dist in enumerate(powers):
-        chi2 = chi_square_of(dist.values)
-        assert 2 * tv_of(dist.values) <= chi2 + TV_SLACK, (walk, n, t)
+    laws = exact(walk, n, range(21))
+    for t, (chi2, tv) in enumerate(zip(laws.distances(), laws.distances(tv_of))):
+        assert 2 * tv <= chi2 + TV_SLACK, (walk, n, t)
         if spec is not None:
             worst = max(worst, abs(chi2 - float(l2_discrete(spec, t))))
         elif eig is not None:
             ref = math.sqrt(float(np.sum(eig[1:] ** (2 * t)))) if t else math.sqrt(len(eig) - 1)
             worst = max(worst, abs(chi2 - ref))
-    for t in CONTINUOUS_TIMES:
-        h, _ = go.continuous_law(qel, t)
-        chi2 = chi_square_of(h.values, normalized=False)
-        assert 2 * tv_of(h.values, normalized=False) <= chi2 + TV_SLACK, (walk, n, t)
+    laws = exact(walk, n, CONTINUOUS_TIMES, "continuous")
+    for t, chi2, tv in zip(CONTINUOUS_TIMES, laws.distances(), laws.distances(tv_of)):
+        assert 2 * tv <= chi2 + TV_SLACK, (walk, n, t)
         if spec is not None:
             worst = max(worst, abs(chi2 - float(l2_continuous(spec, t))))
         elif eig is not None:
@@ -153,11 +136,11 @@ def _acc5_walk(n: int, walk: str) -> float:
     return worst
 
 
-def test_criterion_05_oracle_equivalence():
+def test_criterion_05_oracle_equivalence(exact):
     worst = 0.0
     for n in (4, 5, 6):
-        for walk in ("rt", "ttr", "ri", "class3", "class4", "lazy3"):
-            worst = max(worst, _acc5_walk(n, walk))
+        for walk in ("rt", "ttr", "ri", "class:3", "class:4", "lazy:3:1/2"):
+            worst = max(worst, _acc5_walk(exact, n, walk))
     ok = worst <= 1e-8
     assert report("5 oracle-equivalence", ok, f"worst |definitional - spectral| = {worst:.2e}")
 

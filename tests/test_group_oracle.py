@@ -85,13 +85,13 @@ def test_lazy_weights_are_correctly_rounded():
 
 
 def test_convolution_power_basics():
-    q = measure("rt", 4)
-    t0 = go.convolution_powers_upto(q, 0)[-1]
-    assert t0.values[0] == 1.0 and np.sum(t0.values) == 1.0
-    t1 = go.convolution_powers_upto(q, 1)[-1]
-    assert np.allclose(t1.values, q.values)
-    t5 = go.convolution_powers_upto(q, 5)[-1]
-    assert np.sum(t5.values) == pytest.approx(1.0, abs=1e-12)
+    law = go.step_law(WalkSpec("rt"), 4)
+    orbits = go.law_orbits(law, 4)
+    powers, L = go.orbit_powers(law, orbits, 5)
+    # q^(0) is the point mass at e, an orbit of its own; q^(1) is the law
+    assert powers[0][orbits.of[0]] == 1 and sum(powers[0]) == 1
+    assert all(Fraction(powers[1][o], L) == law.get(x, 0) for x, o in enumerate(orbits.of))
+    assert sum(size * v for size, v in zip(orbits.sizes, powers[5])) == L**5
 
 
 def test_convolution_exact_matches_float():
@@ -108,28 +108,32 @@ def test_convolution_exact_matches_float():
     for _ in range(6):
         exact = {x: sum(exact[go.compose(x, go.invert(y))] * w for y, w in q.items())
                  for x in perms}
-    df = go.convolution_powers_upto(measure("ttr", n), 6)[-1]
-    for x, b in zip(perms, df.values):
+    dense = np.zeros(len(perms))
+    dense[0] = 1.0
+    for _ in range(6):
+        dense = go.convolve(dense, measure("ttr", n))
+    for x, b in zip(perms, dense):
         assert float(exact[x]) == pytest.approx(b, abs=1e-14)
 
 
-def test_odd_class_walk_alternates_cosets():
-    q = measure("class:2", 5)
-    perms = go.all_permutations(5)
-    even = np.array([sum(c - 1 for c in go.cycle_type_of(p)) % 2 == 0 for p in perms])
-    for t in range(5):
-        dist = go.convolution_powers_upto(q, t)[-1]
-        mass_even = float(np.asarray(dist.values)[even].sum())
-        assert mass_even == pytest.approx(1.0 if t % 2 == 0 else 0.0, abs=1e-12)
+def test_odd_class_walk_alternates_cosets(exact):
+    laws = exact("class:2", 5, range(5))
+    perms, orbits = go.all_permutations(5), laws.orbits
+    even = [sum(c - 1 for c in go.cycle_type_of(perms[rep])) % 2 == 0 for rep in orbits.reps]
+    for t, (values, den) in enumerate(laws.laws):
+        mass_even = sum(size * v for size, v, e in zip(orbits.sizes, values, even) if e)
+        assert mass_even == (den if t % 2 == 0 else 0), t
 
 
-def test_continuous_law_bookkeeping():
-    q = measure("rt", 4)
-    h0, T0 = go.continuous_law(q, 0.0)
-    assert T0 == 0 and h0.values[0] == 1.0
-    h, T = go.continuous_law(q, 6.0)
+def test_continuous_law_bookkeeping(exact):
+    laws = exact("rt", 4, (0.0, 6.0), "continuous")
+    (h0, den0), (h, den) = laws.laws
+    # at t = 0 one Poisson term, the point mass at e
+    assert len(go._poisson_weights(0.0)) == 1
+    assert h0[laws.orbits.of[0]] == den0 and sum(h0) == den0
     # retained Poisson mass >= 1 - POISSON_TAIL by construction
-    assert 1.0 - float(np.sum(h.values)) < go.POISSON_TAIL
+    mass = Fraction(sum(size * v for size, v in zip(laws.orbits.sizes, h)), den)
+    assert 0 < 1 - mass < go.POISSON_TAIL
 
 
 def test_eigenfunction_certificates():
@@ -191,31 +195,28 @@ def test_dirichlet_form_and_comparison():
         assert isinstance(gap_35, float)
 
 
-def test_comparison_transfer_inequality():
+def test_comparison_transfer_inequality(exact):
     # d2(q_ri^(t), u) <= d2(h_rt at t/4, u) on a grid of t
+    times = (1, 2, 4, 8, 16)
     for n in (4, 5, 6):
-        qri = measure("ri", n)
-        qrt = measure("rt", n)
-        for t in (1, 2, 4, 8, 16):
-            left = chi_square_of(go.convolution_powers_upto(qri, t)[-1].values)
-            h, _ = go.continuous_law(qrt, t / 4)
-            right = chi_square_of(h.values, normalized=False)
-            assert left <= right + 1e-10, (n, t)
+        left = exact("ri", n, times).distances()
+        right = exact("rt", n, [t / 4 for t in times], "continuous").distances()
+        for t, ri, rt in zip(times, left, right):
+            assert ri <= rt + 1e-10, (n, t)
 
 
-def test_tv_upper_bounded_by_chi_square():
+def test_tv_upper_bounded_by_chi_square(exact):
     for walk in ("rt", "ttr", "ri"):
-        q = measure(walk, 5)
-        for t in (0, 1, 3, 7):
-            dist = go.convolution_powers_upto(q, t)[-1]
-            assert 2 * tv_of(dist.values) <= chi_square_of(dist.values) + 1e-12
+        laws = exact(walk, 5, (0, 1, 3, 7))
+        for tv, chi in zip(laws.distances(tv_of), laws.distances()):
+            assert 2 * tv <= chi + 1e-12, walk
 
 
 def test_resource_guards():
     with pytest.raises(go.ResourceGuardError):
         measure("rt", 9)
     with pytest.raises(go.ResourceGuardError):
-        go.convolution_powers_upto(measure("rt", 8), 1)[-1]
+        go.oracle_checks(7, 53)
     with pytest.raises(go.ResourceGuardError):
         go.kernel_matrix(measure("rt", 7))
 
@@ -236,38 +237,37 @@ def test_operator_eigenvalues_rejects_a_non_symmetric_measure():
     assert go.operator_eigenvalues(q)[0] == pytest.approx(1.0)
 
 
-def _h_orbits(n, generators):
-    """Orbits of conjugation by the group the generators generate, by
-    closing every element's class under them: a reference for ``Orbits``."""
-    perms = go.all_permutations(n)
-    orbit = {}
-    for start in perms:
-        if start in orbit:
+def _cycle_length_through_0(p):
+    length, j = 1, p[0]
+    while j != 0:
+        length, j = length + 1, p[j]
+    return length
+
+
+#: the reference partition of each walk kind: the top stabiliser's orbits
+#: for ttr, the pairs {x, w0 x w0} for ri, the conjugacy classes otherwise
+ORBIT_KEYS = {
+    "ttr": lambda p: (go.cycle_type_of(p), _cycle_length_through_0(p)),
+    "ri": lambda p: min(p, tuple(len(p) - 1 - v for v in reversed(p))),
+}
+
+
+@pytest.mark.parametrize("walk", (*go.ORACLE_WALKS, "class:2,2", "class:3,2", "lazy:2:1/3"))
+def test_law_orbits_are_the_orbits_of_the_laws_symmetries(walk):
+    spec = WalkSpec.parse(walk)
+    key = ORBIT_KEYS.get(spec.kind, go.cycle_type_of)
+    for n in range(2, 7):
+        if sum(spec.cycles) > n:
             continue
-        orbit[start], todo = start, [start]
-        while todo:
-            x = todo.pop()
-            for h in generators:
-                y = go.compose(go.compose(h, x), go.invert(h))
-                if y not in orbit:
-                    orbit[y] = start
-                    todo.append(y)
-    return [orbit[p] for p in perms]
-
-
-@pytest.mark.parametrize("orbits_of", [go.class_orbits, go.top_orbits, go.reversal_orbits])
-def test_orbits_are_the_conjugation_orbits_of_their_generators(orbits_of):
-    for n in range(1, 7):
-        orbits = orbits_of(n)
-        reference = _h_orbits(n, orbits.generators)
+        orbits = go.law_orbits(go.step_law(spec, n), n)
+        first = {}
         # the same partition of S_n, numbered by first element
-        assert [reference.index(r) for r in reference] == [
-            orbits.reps[o] for o in orbits.of], (orbits_of.__name__, n)
-        assert sum(orbits.sizes) == math.factorial(n)
+        assert [first.setdefault(key(p), i) for i, p in enumerate(go.all_permutations(n))] == [
+            orbits.reps[o] for o in orbits.of], (walk, n)
         assert [orbits.of.count(o) for o in range(len(orbits.sizes))] == list(orbits.sizes)
-    assert len(go.class_orbits(6).sizes) == 11  # p(6)
-    # w0 = (0 5)(1 4)(2 3) has a centraliser of 2^3 3! = 48 elements in S_6
-    assert len(go.reversal_orbits(6).sizes) == (720 + 48) // 2
+    # p(6) classes; w0 = (0 5)(1 4)(2 3) has a centraliser of 2^3 3! = 48
+    # elements in S_6, so (720 + 48) / 2 reversal pairs
+    assert len(orbits.sizes) == {"ttr": 19, "ri": (720 + 48) // 2}.get(spec.kind, 11)
 
 
 @pytest.mark.parametrize("walk", go.ORACLE_WALKS)
@@ -278,16 +278,20 @@ def test_orbit_powers_are_the_exact_convolution_powers(walk):
     for n in range(2, 7):
         if sum(spec.cycles) > n:
             continue
-        orbits = go.walk_orbits(spec, n)
-        powers, L = go.orbit_powers(go.step_law(spec, n), orbits, 12)
-        dense = go.convolution_powers_upto(go.element_measure(spec, n), 12)
+        law = go.step_law(spec, n)
+        orbits = go.law_orbits(law, n)
+        powers, L = go.orbit_powers(law, orbits, 12)
+        q = go.element_measure(spec, n)
         d2 = l2_curve(spec.blocks(n), range(13), "discrete", 256)
         g = math.factorial(n)
-        for t, (f, ref) in enumerate(zip(powers, dense)):
+        ref = np.zeros(g)
+        ref[0] = 1.0
+        for t, f in enumerate(powers):
             den = L**t
             assert sum(size * v for size, v in zip(orbits.sizes, f)) == den, (walk, n, t)
             expanded = np.array([f[o] / den for o in orbits.of])
-            assert np.max(np.abs(expanded - ref.values)) <= 1e-15, (walk, n, t)
+            assert np.max(np.abs(expanded - ref)) <= 1e-15, (walk, n, t)
+            ref = go.convolve(ref, q)
             exact = Fraction(sum(size * (g * v - den) ** 2 for size, v in zip(orbits.sizes, f)),
                              g * den * den)
             spectral = Fraction(d2[t].man ** 2) * Fraction(2) ** (2 * d2[t].exp)
@@ -297,18 +301,19 @@ def test_orbit_powers_are_the_exact_convolution_powers(walk):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_orbit_powers_reject_orbits_the_law_is_not_constant_on(n):
     # ttr is not a class function, and ri is not even constant on the top
-    # stabiliser's orbits: the generators' check catches both
-    for walk, orbits in (("ttr", go.class_orbits(n)), ("ri", go.class_orbits(n)),
-                         ("ri", go.top_orbits(n))):
+    # stabiliser's orbits: the check of the law on each orbit catches both
+    classes = go._orbits(n, go._symmetric_generators(n, 0))
+    top = go._orbits(n, go._symmetric_generators(n, 1))
+    for walk, orbits in (("ttr", classes), ("ri", classes), ("ri", top)):
         with pytest.raises(ValueError, match="not constant on the orbits"):
             go.orbit_powers(go.step_law(WalkSpec(walk), n), orbits, 1)
 
 
 def test_definitional_distances_over_orbits_equal_the_dense_ones():
     # an orbit value stands for each of its elements: sizes of 1 are dense
-    spec = WalkSpec.parse("ttr")
-    orbits = go.walk_orbits(spec, 5)
-    powers, L = go.orbit_powers(go.step_law(spec, 5), orbits, 4)
+    law = go.step_law(WalkSpec("ttr"), 5)
+    orbits = go.law_orbits(law, 5)
+    powers, L = go.orbit_powers(law, orbits, 4)
     dense = [Fraction(powers[4][o], L**4) for o in orbits.of]
     assert chi_square_of(powers[4], orbits.sizes, L**4) == chi_square_of(dense)
     assert tv_of(powers[4], orbits.sizes, L**4) == tv_of(dense)

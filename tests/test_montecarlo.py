@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from mpmath import mp
 
 from symwalk import group_oracle as go
 from symwalk import montecarlo as mc
-from symwalk.bounds import poisson_window_mass
 from symwalk.errors import ResourceGuardError
 from symwalk.group_oracle import tv_of
 from symwalk.montecarlo import matching_tail
@@ -110,13 +110,12 @@ def test_tv_lower_bound_at_t_zero():
     assert res.estimate == pytest.approx(1 - float(matching_tail(20, 3).value), rel=1e-12)
 
 
-def test_tv_lower_bound_is_below_exact_tv():
+def test_tv_lower_bound_is_below_exact_tv(exact):
     # compare against the oracle TV at desk scale, allowing 3 sigma of noise
     for n in (5, 6):
         t, j, N = 3, 2, 40000
         res = mc.fixed_point_tv_lower(mc.SimConfig("ttr", n, str(t), j, N, seed=9))
-        law = go.convolution_powers_upto(go.element_measure(WalkSpec("ttr"), n), t)[-1]
-        exact_tv = tv_of(law.values)
+        (exact_tv,) = exact("ttr", n, [t]).distances(tv_of)
         assert res.estimate <= exact_tv + 3 * math.sqrt(1 / (4 * N))
 
 
@@ -148,6 +147,16 @@ def test_coupon_stats():
         mc.coupon_stats(10, 10)
     with pytest.raises(ValueError):
         mc.coupon_stats(10, 3, c=0.1)
+
+
+def poisson_window_mass(k: float, alpha: float) -> float:
+    """P(X <= k + k^alpha) for X ~ Poisson(k); tends to 1 as k grows."""
+    if k <= 0:
+        raise ValueError("k must be positive")
+    if not 0.5 < alpha < 1.0:
+        raise ValueError("alpha must lie in (1/2, 1)")
+    m = math.floor(k + k**alpha)
+    return float(mp.gammainc(m + 1, a=k, regularized=True))
 
 
 def test_poisson_window_mass():
