@@ -279,8 +279,10 @@ def law_orbits(law: dict[int, Fraction], n: int) -> Orbits:
         conjugate = _conjugation(h)
         return all(law.get(index[conjugate(perms[y])]) == w for y, w in law.items())
 
-    candidates = (*_symmetric_generators(n, 0), *_symmetric_generators(n, 1),
-                  tuple(range(n - 1, -1, -1)))
+    symmetric = _symmetric_generators(n, 0)
+    if symmetric and all(map(fixes, symmetric)):
+        return _orbits(n, symmetric)  # S_n holds the other candidates: they add nothing
+    candidates = (*symmetric, *_symmetric_generators(n, 1), tuple(range(n - 1, -1, -1)))
     return _orbits(n, tuple(filter(fixes, candidates)))
 
 

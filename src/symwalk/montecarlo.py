@@ -1,10 +1,12 @@
 """Monte Carlo total-variation experiments for the shuffle walks.
 
-Trajectories are simulated in fixed-size blocks; block b draws from a
-Philox counter-based generator seeded by block_seed(seed, b), so
-results are bit-for-bit reproducible for a given (seed, config) no matter
-how blocks are scheduled, and blocks can run in parallel with no shared
-RNG state.  Aggregation follows the fixed block order.
+Trajectories are simulated in fixed-size blocks; block b draws from its own
+counter-based stream, ``BlockStream(seed, b)``: SplitMix64 words addressed by
+(seed, b, index) and mapped to exactly uniform integers by Lemire's
+multiply-shift with rejection.  So results are bit-for-bit reproducible for a
+given (seed, config) no matter how blocks are scheduled, blocks can run in
+parallel with no shared RNG state, and numpy's RNG package is never loaded.
+Aggregation follows the fixed block order.
 
 The estimator of interest is the fixed-point event A_j = {phi >= j}:
 empirical q^(t)(A_j) minus the exact stationary mass u(A_j) is a valid
@@ -32,9 +34,10 @@ MAX_SIMULATE_N = 4096
 #: largest simulated work N x t in row steps, over 20x the largest acceptance run (4.6e7),
 #: and largest N x n, the positions a run stores and counts
 MAX_ROW_STEPS = 10**9
-#: version of the map from Philox draws to steps; recorded in the simulate
-#: manifest.  2: O(support) class/lazy steps (ttr, rt, ri unchanged from 1)
-STREAM_VERSION = 2
+#: version of the map from seeds to steps; recorded in the simulate manifest.
+#: 1: Philox streams; 2: O(support) class/lazy steps (ttr, rt, ri unchanged);
+#: 3: BlockStream in place of Philox, every step kind drawing as in 2
+STREAM_VERSION = 3
 #: bytes added to each row of a block: a row of BLOCK_SIZE entries spans a
 #: multiple of 4096 bytes, so without them one column of every row shares an
 #: L1 cache set and the scattered swaps and rotations evict each other
@@ -101,6 +104,94 @@ def new_block(n: int, m: int) -> np.ndarray:
     return np.empty((n, m + _ROW_PAD_BYTES // dtype.itemsize), dtype=dtype)[:, :m]
 
 
+_MASK64 = (1 << 64) - 1
+#: SplitMix64's Weyl increment (2^64 over the golden ratio, made odd) and its
+#: two mixing multipliers
+_GAMMA, _M1, _M2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def _mix64(z: int) -> int:
+    """SplitMix64's output function, a bijection of [0, 2^64), on a Python int."""
+    z = ((z ^ (z >> 30)) * _M1) & _MASK64
+    z = ((z ^ (z >> 27)) * _M2) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _lemire(lanes: np.ndarray, n: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lemire's multiply-shift with rejection on uniform ``width``-bit lanes,
+    for 1 <= n <= 2^width <= 2^32: lane x maps to (x n) >> width and is accepted
+    when the low ``width`` bits of x n are at least 2^width mod n.  Each value
+    0..n-1 is then the image of exactly floor(2^width / n) lanes.  Returns the
+    values as uint64 and the accepted mask."""
+    product = np.multiply(lanes, np.uint64(n), dtype=np.uint64)
+    accepted = (product & np.uint64((1 << width) - 1)) >= np.uint64((1 << width) % n)
+    product >>= np.uint64(width)
+    return product, accepted
+
+
+class BlockStream:
+    """The random stream of block ``block`` of a run seeded by ``seed``:
+    word i is mix64(key + i gamma mod 2^64), SplitMix64 (Steele, Lea and Flood
+    2014), where the key folds the seed's 64-bit limbs, least significant
+    first, and then the block index through mix64.  Any word is addressed by
+    its index, so blocks are independent of each other's schedule, and any
+    non-negative seed is accepted.
+
+    The sampler needs two methods, drawn from the words in call order:
+    ``integers(0, n, size)``, exactly uniform, and ``random(size)``, 53-bit
+    floats in [0, 1).
+    """
+
+    def __init__(self, seed: int, block: int):
+        key = 0
+        for shift in range(0, max(seed.bit_length(), 1), 64):
+            key = _mix64((key + ((seed >> shift) & _MASK64) + _GAMMA) & _MASK64)
+        self.key = _mix64((key + block + _GAMMA) & _MASK64)
+        self._drawn = 0  # words drawn so far
+        self._offsets = np.empty(0, dtype=np.uint64)  # i gamma for i < len, grown on demand
+
+    def words(self, k: int) -> np.ndarray:
+        """The next k words, as uint64."""
+        # uint64 scalars throughout, so that numpy 1.x (value-based casting)
+        # and 2.x give the same words
+        u = np.uint64
+        if len(self._offsets) < k:
+            self._offsets = np.arange(k, dtype=u) * u(_GAMMA)
+        z = self._offsets[:k] + u((self.key + self._drawn * _GAMMA) & _MASK64)
+        self._drawn += k
+        z ^= z >> u(30)
+        z *= u(_M1)
+        z ^= z >> u(27)
+        z *= u(_M2)
+        z ^= z >> u(31)
+        return z
+
+    def _lanes(self, size: int) -> np.ndarray:
+        """size 32-bit lanes: the low then the high half of each next word."""
+        return self.words((size + 1) // 2).astype("<u8", copy=False).view("<u4")[:size]
+
+    def integers(self, low: int, high: int, size: int) -> np.ndarray:
+        """size int64 draws, exactly uniform on low..high-1 for 1 <= high - low
+        <= 2^32.  Rejected lanes are drawn again, in index order, from the
+        following words."""
+        n = high - low
+        if not 1 <= n <= 1 << 32:
+            raise ValueError(f"integers needs 1 <= high - low <= 2^32, got {n}")
+        values, accepted = _lemire(self._lanes(size), n, 32)
+        while not accepted.all():  # each lane is rejected with chance (2^32 mod n) / 2^32
+            redo = np.flatnonzero(~accepted)
+            values[redo], accepted[redo] = _lemire(self._lanes(len(redo)), n, 32)
+        out = values.view(np.int64)  # values < 2^32: the same numbers
+        if low:
+            out += low
+        return out
+
+    def random(self, size: int) -> np.ndarray:
+        """size float64 draws, uniform on the multiples of 2^-53 in [0, 1):
+        (w >> 11) 2^-53, numpy's rule for 53-bit doubles."""
+        return (self.words(size) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
 class _Stepper:
     """Vectorized one-step kernels bound to one block X of shape (n, m):
     column r is trajectory r, ``X[p, r]`` its card at position p, and each
@@ -141,7 +232,7 @@ class _Stepper:
         p += self.columns
         return p
 
-    def _distinct_positions(self, rng: np.random.Generator) -> np.ndarray:
+    def _distinct_positions(self, rng: BlockStream) -> np.ndarray:
         """Per column, a uniform ordered tuple of sum(cycles) distinct positions,
         as rows of an (s, m) array.
 
@@ -168,7 +259,7 @@ class _Stepper:
             ascending[k] = carry
         return picks
 
-    def step(self, rng: np.random.Generator) -> None:
+    def step(self, rng: BlockStream) -> None:
         X, flat, (n, m) = self.X, self.flat, self.X.shape
         if self.kind in ("ttr", "rt"):
             # swap position a with the top (ttr) or with a second uniform b (rt)
@@ -213,11 +304,6 @@ class _Stepper:
         flat[idx] = flat[idx[self._rotate]]
 
 
-def block_seed(seed: int, b: int) -> np.random.SeedSequence:
-    """SeedSequence(seed).spawn(k)[b] for any k > b, without the other k - 1."""
-    return np.random.SeedSequence(seed, spawn_key=(b,))
-
-
 def sample_walk(cfg: SimConfig) -> np.ndarray:
     """Run n_samples trajectories of t steps; the counts of phi(X_t) = 0..n.
     A line on stderr marks every 10^6 trajectories done."""
@@ -230,7 +316,7 @@ def sample_walk(cfg: SimConfig) -> np.ndarray:
         X = block[:, :m]
         X[...] = target[:, None]
         stepper = _Stepper(cfg.walk, X)
-        rng = np.random.Generator(np.random.Philox(block_seed(cfg.seed, b)))
+        rng = BlockStream(cfg.seed, b)
         for _ in range(cfg.t):
             stepper.step(rng)
         counts = np.zeros(m, dtype=np.int64)

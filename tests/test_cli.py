@@ -628,7 +628,8 @@ def test_unwritable_output_is_bad_args(tmp_path, capsys):
      (["verify", "--suite", "oracle", "--n", "4"],
       ("mpmath", "numpy", "dataclasses", "symwalk.montecarlo")),
      (["simulate", "--walk", "class:3", "--n", "6", "--t", "2", "--N", "1000", "--seed", "1"],
-      ("mpmath", "dataclasses", "symwalk.bounds", "symwalk.distances", "symwalk.group_oracle"))],
+      ("mpmath", "dataclasses", "symwalk.bounds", "symwalk.distances", "symwalk.group_oracle",
+       "numpy.random", "secrets", "hashlib", "_hashlib"))],
     ids=["import", "profile", "profile-ttr-bound", "verify-rt-discrete", "verify-lemmas",
          "verify-ttr", "verify-oracle", "simulate"],
 )
@@ -638,8 +639,9 @@ def test_each_command_loads_only_its_layers(argv, absent, tmp_path):
     # never loads mpmath, the bounds, numpy, the oracle or the sampler; a
     # theorem or lemma sweep runs the bounds in integers too, with neither
     # mpmath nor numpy; the oracle suite convolves in integers, with neither; a
-    # simulation needs numpy and the exact u(A_j), never mpmath or the distance
-    # and bound layers; no command loads dataclasses
+    # simulation needs numpy and the exact u(A_j), never mpmath, the distance
+    # and bound layers or numpy.random (whose seeding loads hashlib and
+    # OpenSSL); no command loads dataclasses
     src = str(Path(symwalk.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, symwalk.cli; "
@@ -898,7 +900,7 @@ def test_simulate_manifest_records_stream_version(tmp_path):
     assert run(["simulate", "--walk", "class:3", "--n", "8", "--t", "4", "--j", "2",
                 "--N", "1000", "--seed", "3", "--out", str(out)]) == 0
     manifest = read_json(read_lines(out)[0][len("# manifest: "):])
-    assert manifest["stream_version"] == 2
+    assert manifest["stream_version"] == 3
     assert "stream_version" not in cli.RunManifest("profile", {}, seed=None).as_dict()
 
 

@@ -271,6 +271,26 @@ def test_law_orbits_are_the_orbits_of_the_laws_symmetries(walk):
 
 
 @pytest.mark.parametrize("walk", go.ORACLE_WALKS)
+def test_law_orbits_equal_the_closure_under_every_fixing_candidate(walk):
+    # a law that S_n's two generators fix is closed under those two alone;
+    # the closure under all five candidates that fix the law is the same
+    spec = WalkSpec.parse(walk)
+    for n in range(2, 7):
+        if sum(spec.cycles) > n:
+            continue
+        law = go.step_law(spec, n)
+        perms, index = go._perm_data(n)
+
+        def fixes(h):
+            conjugate = go._conjugation(h)
+            return all(law.get(index[conjugate(perms[y])]) == w for y, w in law.items())
+
+        candidates = (*go._symmetric_generators(n, 0), *go._symmetric_generators(n, 1),
+                      tuple(range(n - 1, -1, -1)))
+        assert go.law_orbits(law, n) == go._orbits(n, tuple(filter(fixes, candidates))), (walk, n)
+
+
+@pytest.mark.parametrize("walk", go.ORACLE_WALKS)
 def test_orbit_powers_are_the_exact_convolution_powers(walk):
     # expanded to elements, L^t q^(t) over the orbits is the dense float law;
     # it sums to exactly L^t, and its exact chi-square is the spectral d2^2

@@ -86,8 +86,7 @@ def identity_block(n, m):
 
 def one_step_empirical_tv(walk, n, n_samples, seed):
     X = identity_block(n, n_samples)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    mc._Stepper(WalkSpec.parse(walk), X).step(rng)
+    mc._Stepper(WalkSpec.parse(walk), X).step(mc.BlockStream(seed, 0))
     perms = go.all_permutations(n)
     assert np.array_equal(lehmer_rank(np.array(perms)), np.arange(len(perms)))
     counts = np.bincount(lehmer_rank(X.T), minlength=len(perms))
@@ -200,23 +199,22 @@ def test_class_and_lazy_samplers_above_oracle_scale():
         assert mc.sample_walk(cfg).sum() == 1000
         X = identity_block(20, 64)
         stepper = mc._Stepper(WalkSpec.parse(walk), X)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
+        rng = mc.BlockStream(0, 0)
         for _ in range(5):
             stepper.step(rng)
         assert np.array_equal(np.sort(X, axis=0), identity_block(20, 64))
 
 
 def test_swap_and_insertion_streams_are_pinned():
-    # histograms of the version-1 stream: the ttr, rt and ri kernels map the
-    # same draws to the same steps as before the O(support) rewrite; the
-    # class and lazy rows pin the version-2 stream of the row-major kernels
+    # histograms of the version-3 stream (BlockStream words, version-2 step
+    # kernels) for every step kind
     pinned = {
-        "ttr": [178, 1250, 2691, 2847, 1847, 817, 243, 118, 0, 9],
-        "rt": [2100, 3428, 2641, 1269, 440, 110, 10, 2, 0, 0],
-        "ri": [2612, 3386, 2384, 1103, 376, 112, 23, 4, 0, 0],
-        "class:3": [3517, 3647, 1966, 638, 197, 24, 11, 0, 0, 0],
-        "class:3,2": [3689, 3653, 1811, 657, 151, 37, 0, 2, 0, 0],
-        "lazy:3:1/2": [1580, 2961, 2729, 1568, 843, 147, 164, 0, 0, 8],
+        "ttr": [177, 1148, 2583, 3009, 1867, 854, 251, 104, 0, 7],
+        "rt": [2087, 3299, 2726, 1294, 445, 116, 24, 8, 0, 1],
+        "ri": [2681, 3376, 2365, 1056, 385, 105, 27, 5, 0, 0],
+        "class:3": [3552, 3644, 1915, 668, 184, 26, 11, 0, 0, 0],
+        "class:3,2": [3560, 3709, 1930, 629, 122, 48, 0, 2, 0, 0],
+        "lazy:3:1/2": [1651, 2916, 2699, 1592, 802, 155, 178, 0, 0, 7],
     }
     for walk, hist in pinned.items():
         cfg = mc.SimConfig(walk, n=9, t="11", j=2, n_samples=10000, seed=2024)
@@ -227,21 +225,21 @@ def test_uint16_streams_are_pinned():
     # n = 300 stores uint16 trajectories, where ri's blends wrap mod 2^16;
     # each histogram is pinned as (fewest fixed points seen, counts from there on)
     pinned = {
-        "ttr": (292, [925, 52, 23]),
-        "rt": (286, [739, 210, 44, 6, 1]),
-        "ri": (2, [2, 0, 1, 0, 0, 1, 2, 1, 1, 5, 8, 0, 3, 0, 4, 2, 6, 5, 7, 1, 3, 5, 5, 5, 3, 2, 4,
-                   4, 2, 7, 5, 7, 2, 5, 11, 7, 7, 10, 5, 9, 3, 4, 8, 5, 10, 5, 5, 5, 10, 6, 8, 4, 7,
-                   7, 2, 5, 5, 4, 9, 7, 10, 9, 10, 6, 14, 6, 7, 6, 7, 5, 13, 8, 5, 12, 8, 11, 9, 8,
-                   9, 9, 6, 8, 7, 9, 15, 6, 5, 9, 7, 10, 9, 5, 9, 7, 9, 9, 8, 5, 7, 7, 7, 7, 9, 14,
-                   10, 7, 6, 4, 4, 7, 9, 9, 5, 7, 5, 3, 7, 4, 9, 7, 12, 7, 6, 8, 2, 2, 8, 7, 7, 9,
-                   5, 5, 7, 3, 8, 4, 0, 4, 3, 2, 1, 7, 4, 5, 5, 2, 1, 7, 5, 3, 11, 3, 7, 5, 4, 2, 4,
-                   1, 3, 4, 0, 2, 6, 3, 1, 3, 0, 2, 2, 2, 0, 2, 1, 1, 3, 3, 0, 3, 0, 2, 5, 0, 0, 1,
-                   4, 0, 1, 0, 1, 0, 1, 0, 3, 1, 1, 0, 0, 1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0,
-                   0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
-                   0, 0, 1]),
-        "class:3,2": (265, [179, 341, 266, 151, 50, 10, 2, 1]),
-        "lazy:4:1/3": (272, [22, 25, 14, 3, 87, 87, 22, 13, 163, 102, 19, 5, 194, 60, 8, 1, 117,
-                             17, 3, 0, 27, 2, 0, 0, 9]),
+        "ttr": (292, [915, 59, 25, 1]),
+        "rt": (286, [755, 195, 43, 6, 0, 1]),
+        "ri": (2, [1, 0, 1, 1, 0, 1, 3, 1, 1, 3, 4, 1, 3, 3, 5, 5, 6, 6, 4, 3, 2, 4, 3, 5, 5, 4,
+                   2, 3, 6, 6, 5, 12, 4, 8, 6, 7, 4, 5, 2, 8, 10, 8, 2, 5, 3, 5, 8, 5, 4, 10, 4,
+                   9, 3, 7, 8, 5, 2, 15, 8, 9, 9, 12, 11, 4, 7, 11, 7, 12, 5, 10, 8, 9, 1, 5, 14,
+                   9, 9, 4, 10, 7, 3, 8, 9, 8, 12, 7, 4, 7, 6, 5, 8, 4, 4, 11, 5, 7, 7, 6, 6, 4,
+                   9, 8, 9, 12, 1, 15, 7, 8, 7, 7, 7, 5, 10, 3, 4, 9, 6, 2, 6, 3, 9, 6, 4, 9, 9,
+                   4, 6, 7, 3, 9, 2, 3, 6, 4, 5, 2, 4, 3, 3, 8, 5, 1, 7, 7, 4, 4, 1, 9, 5, 7, 2,
+                   3, 2, 6, 2, 6, 4, 3, 3, 6, 4, 1, 3, 3, 0, 1, 5, 4, 3, 7, 5, 3, 3, 3, 2, 2, 2,
+                   3, 3, 2, 0, 2, 0, 1, 1, 0, 1, 2, 2, 2, 0, 2, 0, 0, 0, 2, 2, 1, 0, 0, 2, 1, 2,
+                   1, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0,
+                   0, 0, 0, 0, 0, 0, 1]),
+        "class:3,2": (265, [164, 289, 281, 188, 54, 19, 4, 1]),
+        "lazy:4:1/3": (272, [17, 21, 11, 3, 71, 86, 25, 7, 164, 106, 26, 6, 187, 69, 8, 1, 131, 15,
+                             0, 0, 37, 3, 0, 0, 6]),
     }
     for walk, (low, counts) in pinned.items():
         cfg = mc.SimConfig(walk, n=300, t="7", j=2, n_samples=1000, seed=2024)
@@ -250,13 +248,60 @@ def test_uint16_streams_are_pinned():
         assert mc.sample_walk(cfg).tolist() == hist + [0] * (301 - len(hist)), walk
 
 
-def test_block_seed_equals_spawned_child():
-    for seed in (0, 2024):
-        children = np.random.SeedSequence(seed).spawn(8)
-        for b in (0, 1, 7):
-            draws = [np.random.Generator(np.random.Philox(s)).integers(0, 2**63, size=4)
-                     for s in (children[b], mc.block_seed(seed, b))]
-            assert draws[0].tolist() == draws[1].tolist(), (seed, b)
+@pytest.mark.parametrize("n", [2, 3, 200, 4096])
+def test_lemire_maps_every_lane_exactly(n):
+    # the accept-and-map rule at width 16, over all 2^16 lanes: every value in
+    # 0..n-1 is hit exactly floor(2^16 / n) times, and 2^16 mod n lanes are
+    # rejected; the stream applies the same function at width 32
+    values, accepted = mc._lemire(np.arange(1 << 16, dtype=np.uint64), n, 16)
+    counts = np.bincount(values[accepted].astype(np.int64), minlength=n)
+    assert len(counts) == n and counts.tolist() == [(1 << 16) // n] * n
+    assert np.count_nonzero(~accepted) == (1 << 16) % n
+
+
+def test_stream_words_are_addressed_by_index():
+    # word i is mix64(key + i gamma) in Python integers, whatever the split
+    # of the draws, and random() keeps the top 53 bits of each word
+    for seed, block in ((0, 0), (2024, 3), (2**70 + 5, 1)):
+        whole = mc.BlockStream(seed, block).words(11)
+        stream = mc.BlockStream(seed, block)
+        assert np.array_equal(np.concatenate((stream.words(4), stream.words(7))), whole)
+        assert whole.tolist() == [mc._mix64((stream.key + i * 0x9E3779B97F4A7C15) % 2**64)
+                                  for i in range(11)]
+        floats = mc.BlockStream(seed, block).random(11)
+        assert floats.tolist() == [(int(w) >> 11) / 2**53 for w in whole]
+
+
+def test_streams_differ_by_seed_and_block():
+    def first(seed, block):
+        return mc.BlockStream(seed, block).words(4).tolist()
+
+    for s in (0, 1, 2024, 2**64 - 1):
+        assert first(s, 0) != first(s + 2**64, 0)
+        assert first(s, 0) != first(s, 1)
+
+
+def test_integers_redraw_rejected_lanes_in_order():
+    # n = 3 2^30 rejects a quarter of all lanes; rejected draws are filled in
+    # index order from the lanes that follow, the low half of each word first
+    n, size = 3 * 2**30, 1000
+    got = mc.BlockStream(9, 2).integers(7, 7 + n, size)
+    reference = mc.BlockStream(9, 2)
+    out, todo, rounds = [None] * size, list(range(size)), 0
+    while todo:
+        words = reference.words((len(todo) + 1) // 2).tolist()
+        lanes = [half for w in words for half in (w % 2**32, w >> 32)]
+        rejected = []
+        for i, lane in zip(todo, lanes):
+            if lane * n % 2**32 >= 2**32 % n:
+                out[i] = 7 + lane * n // 2**32
+            else:
+                rejected.append(i)
+        todo, rounds = rejected, rounds + 1
+    assert rounds > 2
+    assert got.dtype == np.int64 and got.tolist() == out
+    with pytest.raises(ValueError):
+        mc.BlockStream(9, 2).integers(0, 2**32 + 1, 4)
 
 
 def test_trajectory_dtype():
@@ -280,7 +325,7 @@ def test_step_kernels_agree_across_dtypes(walk):
         reference = start.copy()
         for X in (reference, compact):
             stepper = mc._Stepper(WalkSpec.parse(walk), X)
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(17)))
+            rng = mc.BlockStream(17, 0)
             for _ in range(6):
                 stepper.step(rng)
         assert np.array_equal(compact, reference)
