@@ -27,15 +27,15 @@ exact integer vector over the orbits.
 over orbit values and sizes (a dense distribution is the case where every
 size is 1), exact and rounded once.
 
-The dense float64 helpers (``element_measure``, ``convolve``, the
-eigenfunction checks, ``kernel_matrix``, ``operator_eigenvalues`` and
-``comparison_gap``) are the tests' references and import numpy when
-called; the oracle suite never loads numpy.
+The tests' dense references read the same ``step_law``: ``convolve`` and
+the eigenfunction checks are exact, in integers, so a true eigenpair has
+residual exactly 0; ``kernel_matrix``, ``operator_eigenvalues`` and
+``comparison_gap`` build one float64 matrix from the weights, each rounded
+once, and alone load the array library, when called.
 
-Size guards (n! growth): per-element measures up to n = 8 and dense
-operator matrices up to n = 6.
-Exceeding a guard raises ResourceGuardError rather than attempting the
-computation.
+Size guards (n! growth) raise ResourceGuardError before any work: laws
+and exact references at n <= 8 (MAX_MEASURE_N), dense matrices at n <= 6
+(MAX_DENSE_N) and the oracle suite at n <= 6 (MAX_ORACLE_N).
 
 ``oracle_checks`` gives the rows of ``verify --suite oracle`` and owns the
 suite's walks, times, tolerance and size cap.  Each row checks the walk's
@@ -63,6 +63,9 @@ Perm = tuple[int, ...]
 
 MAX_MEASURE_N = 8
 MAX_DENSE_N = 6
+#: the oracle suite builds no dense matrix: at n = 7 its orbit closures and
+#: powers take about 0.6 s, 0.5 s of it ri (Python 3.11, 2-CPU x86_64)
+MAX_ORACLE_N = 6
 #: every continuous-time law drops a Poisson tail of less than this mass
 POISSON_TAIL = 1e-14
 
@@ -70,6 +73,17 @@ POISSON_TAIL = 1e-14
 def _guard(n: int, cap: int, what: str) -> None:
     if n > cap:
         raise ResourceGuardError(f"{what} is capped at n <= {cap}, got n = {n}")
+
+
+def _common_denominator(values) -> tuple[list[int], int]:
+    """Ints, Fractions or floats, each taken exactly, as integers over their
+    least common denominator D, and D."""
+    values = list(values)
+    if all(type(v) is int for v in values):
+        return values, 1
+    exact = [Fraction(v) for v in values]
+    common = math.lcm(*(v.denominator for v in exact))
+    return [v.numerator * (common // v.denominator) for v in exact], common
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +104,7 @@ def all_permutations(n: int) -> tuple[Perm, ...]:
 
 
 def perm_index(p: Perm) -> int:
+    _guard(len(p), MAX_MEASURE_N, "permutation enumeration")
     return _perm_data(len(p))[1][tuple(p)]
 
 
@@ -128,24 +143,6 @@ def cycle_type_of(p: Perm) -> CycleType:
     return tuple(sorted(lengths, reverse=True))
 
 
-def fixed_point_counts(n: int) -> np.ndarray:
-    """phi(sigma) for every sigma, indexed by enumeration order."""
-    import numpy as np
-
-    perms = all_permutations(n)
-    return np.array([sum(1 for i, v in enumerate(p) if i == v) for p in perms])
-
-
-@lru_cache(maxsize=None)
-def _translation_map(n: int, s: Perm) -> np.ndarray:
-    """idx(x * s) for every x; right translation as an index gather table."""
-    import numpy as np
-
-    perms, index = _perm_data(n)
-    times = _times(s)
-    return np.array([index[times(x)] for x in perms], dtype=np.int64)
-
-
 # ---------------------------------------------------------------------------
 # step laws
 # ---------------------------------------------------------------------------
@@ -156,16 +153,9 @@ def insertion_cycle(n: int, i: int, j: int) -> Perm:
     For i < j this is the cycle (j, j-1, ..., i+1, i); for j < i the cycle
     (j, j+1, ..., i-1, i); i = j gives the identity.  Positions are 0-based.
     """
-    p = list(range(n))
-    if i < j:
-        for k in range(i + 1, j + 1):
-            p[k] = k - 1
-        p[i] = j
-    elif j < i:
-        for k in range(j, i):
-            p[k] = k + 1
-        p[i] = j
-    return tuple(p)
+    deck = list(range(n))
+    deck.insert(j, deck.pop(i))
+    return invert(tuple(deck))  # the deck lists the cards by new position
 
 
 def step_law(walk: walks.WalkSpec, n: int) -> dict[int, Fraction]:
@@ -300,9 +290,8 @@ def orbit_powers(law: dict[int, Fraction], orbits: Orbits,
     of = orbits.of
     if any(law.get(x) != law.get(orbits.reps[of[x]]) for x in range(len(of))):
         raise ValueError(f"the step law is not constant on the orbits in S_{orbits.n}")
-    L = math.lcm(*(w.denominator for w in law.values()))
-    steps = [(w.numerator * (L // w.denominator), _times(invert(perms[y])))
-             for y, w in law.items()]
+    weights, L = _common_denominator(law.values())
+    steps = [(weight, _times(invert(perms[y]))) for y, weight in zip(law, weights)]
     table = []
     for x in orbits.reps:
         x = perms[x]
@@ -330,11 +319,8 @@ def _deviations(values, sizes, den: int, normalized: bool) -> tuple[list[tuple[i
     for each value v brought over one common denominator D, with g the sum
     of the sizes, then g and D.  With ``normalized``, raises ValueError
     unless the mass is 1 within 1e-12."""
-    values = list(values)
-    if not all(type(v) is int for v in values):
-        exact = [Fraction(v) for v in values]
-        common = math.lcm(*(v.denominator for v in exact))
-        values, den = [v.numerator * (common // v.denominator) for v in exact], den * common
+    values, common = _common_denominator(values)
+    den *= common
     sizes = (1,) * len(values) if sizes is None else sizes
     if normalized:
         total = Fraction(sum(map(mul, sizes, values)), den)
@@ -376,167 +362,134 @@ def tv_of(values, sizes=None, den: int = 1, normalized: bool = True) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dense float64 distributions: the tests' references
+# dense references for the tests: exact on elements, one float64 matrix
 # ---------------------------------------------------------------------------
 
-class GroupDistribution(NamedTuple):
-    """Dense float64 probability vector over S_n in enumeration order."""
-
-    n: int
-    values: np.ndarray
-
-    def total(self) -> float:
-        return float(self.values.sum())
-
-    def support(self) -> list[int]:
-        return [int(i) for i in self.values.nonzero()[0]]
+def _gathers(weights, n: int, inverse: bool) -> list[tuple[object, list[int]]]:
+    """Pairs (w, table) for the pairs (y, w) of ``weights``: table[x] is
+    idx(x y^-1) with ``inverse`` and idx(x y) without."""
+    _guard(n, MAX_MEASURE_N, "dense references")
+    perms, index = _perm_data(n)
+    return [(w, [index[x] for x in map(_times(invert(perms[y]) if inverse else perms[y]), perms)])
+            for y, w in weights]
 
 
-def element_measure(walk: walks.WalkSpec, n: int) -> GroupDistribution:
-    """``step_law`` as a dense float64 vector: each weight is summed exactly
-    and rounded once, so every weight is the correctly rounded value."""
-    import numpy as np
-
-    law = step_law(walk, n)
-    arr = np.zeros(math.factorial(n))
-    for idx, w in law.items():
-        arr[idx] = float(w)
-    return GroupDistribution(n, arr)
-
-
-def _support_maps(q: GroupDistribution, inverse: bool) -> list[tuple[np.ndarray, float]]:
-    """Pairs (gather table, weight) for y in supp(q): table[x] = idx(x*y^±1)."""
-    perms, _ = _perm_data(q.n)
-    out = []
-    for idx in q.support():
-        s = perms[idx]
-        target = invert(s) if inverse else s
-        out.append((_translation_map(q.n, target), q.values[idx]))
+def convolve(f: list[int], law: dict[int, Fraction], n: int) -> list[int]:
+    """L (f*q)(x) = sum_y f(x y^-1) L q(y) for every x in enumeration order,
+    with the integer weights L q(y) that ``orbit_powers`` takes: t steps from
+    the point mass at e give L^t q^(t), the dense reference of the orbit
+    powers."""
+    weights, _ = _common_denominator(law.values())
+    gathers = _gathers(zip(law, weights), n, inverse=True)
+    out = [0] * math.factorial(n)
+    for weight, table in gathers:
+        out = [o + weight * f[j] for o, j in zip(out, table)]
     return out
 
 
-def convolve(f_values: np.ndarray, q: GroupDistribution, maps=None) -> np.ndarray:
-    """(f*q)(x) = sum_y f(x y^-1) q(y) for a dense vector of f-values."""
-    if maps is None:
-        maps = _support_maps(q, inverse=True)
-    out = f_values * 0.0
-    for table, w in maps:
-        out += w * f_values[table]
-    return out
+def _fixed_points(p: Perm) -> int:
+    return sum(i == v for i, v in enumerate(p))
 
 
-# ---------------------------------------------------------------------------
-# functions on the group, eigen-checks, comparison forms
-# ---------------------------------------------------------------------------
-
-class GroupFunction(NamedTuple):
-    n: int
-    values: np.ndarray
+def fixed_points_minus_one(n: int) -> list[int]:
+    """phi(sigma) - 1 in enumeration order, an eigenfunction of every
+    class-measure convolution."""
+    return [_fixed_points(p) - 1 for p in all_permutations(n)]
 
 
-def fixed_points_minus_one(n: int) -> GroupFunction:
-    """phi(sigma) - 1, an eigenfunction of every class-measure convolution."""
-    return GroupFunction(n, fixed_point_counts(n).astype(float) - 1.0)
+def ttr_remark_eigenfunction(n: int) -> list[Fraction]:
+    """The rational part g of the transpose-top eigenfunction of eigenvalue 1 - 1/n:
 
-
-def ttr_remark_eigenfunction(n: int) -> GroupFunction:
-    """The explicit transpose-top eigenfunction with eigenvalue 1 - 1/n.
-
-    f(sigma) = sqrt((n-1)/(n-2)) * (phi(sigma) - 2) when sigma fixes the top
-    position, and sqrt((n-1)/(n-2)) * (phi(sigma) - 1 + 1/(n-1)) otherwise;
-    its value at the identity satisfies f(e)^2 = (n-1)(n-2).
+    g(sigma) = phi(sigma) - 2 when sigma fixes the top position and
+    phi(sigma) - 1 + 1/(n-1) otherwise.  The remark's eigenfunction is
+    f = sqrt((n-1)/(n-2)) g, normalized in l2(u), with f(e)^2 = (n-1)(n-2).
     """
     if n < 3:
         raise ValueError("needs n >= 3")
-    import numpy as np
-
-    perms = all_permutations(n)
-    phi = fixed_point_counts(n).astype(float)
-    scale = math.sqrt((n - 1) / (n - 2))
-    fixes_top = np.array([p[0] == 0 for p in perms])
-    vals = np.where(fixes_top, phi - 2.0, phi - 1.0 + 1.0 / (n - 1))
-    return GroupFunction(n, scale * vals)
+    off_top = Fraction(1, n - 1) - 1
+    return [_fixed_points(p) + (-2 if p[0] == 0 else off_top) for p in all_permutations(n)]
 
 
 def position_weighted_sums(n: int) -> list[int]:
     """sum_j sigma(j) * j over positions j = 0..n-1, for every sigma."""
-    perms = all_permutations(n)
-    return [sum(v * j for j, v in enumerate(p)) for p in perms]
+    return [sum(v * j for j, v in enumerate(p)) for p in all_permutations(n)]
 
 
-def ri_wilson_function(n: int) -> GroupFunction:
+def ri_wilson_function(n: int) -> list[Fraction]:
     """Wilson's random-insertion eigenfunction.
 
-    f(sigma) = -n + 4/(n-1)^2 * sum_j sigma(j) j with positions 0..n-1.  It
-    satisfies f * q_ri = (1 - 1/n) f and sum_sigma f(sigma)^2 = n! n^2/(n-1).
+    f(sigma) = -n + 4/(n-1)^2 * sum_j sigma(j) j with positions 0..n-1.  It is
+    quoted with eigenvalue 1 - 1/n and sum_sigma f(sigma)^2 = n! n^2/(n-1);
+    the exact ones are (n+1)(n-2)/n^2 and n! n^2 (n+1)^2 / (9 (n-1)^3).
     """
     if n < 2:
         raise ValueError("needs n >= 2")
+    return [Fraction(4 * s, (n - 1) ** 2) - n for s in position_weighted_sums(n)]
+
+
+def eigenfunction_residual(f: list, law: dict[int, Fraction], n: int, beta) -> Fraction:
+    """max_x |(f*q)(x) - beta f(x)| for exact values f in enumeration order,
+    exactly: 0 certifies the eigenpair.  beta is an int, a Fraction or a
+    float taken exactly; with f over one denominator D and the law's weights
+    over L, the residual is computed in integers."""
+    values, D = _common_denominator(f)
+    L = _common_denominator(law.values())[1]
+    a, b = Fraction(beta).as_integer_ratio()
+    # with F = D f and beta = a/b: L b D ((f*q)(x) - beta f(x)) = b L (F*q)(x) - a L F(x)
+    gaps = (abs(b * c - a * L * v) for c, v in zip(convolve(values, law, n), values))
+    return Fraction(max(gaps), L * b * D)
+
+
+def square_gradient_sup(f: list, law: dict[int, Fraction], n: int) -> Fraction:
+    """sup_x (1/2) sum_y |f(x) - f(y)|^2 K(x, y) with K(x, y) = q(x^-1 y),
+    exactly, in integers as in ``eigenfunction_residual``."""
+    values, D = _common_denominator(f)
+    weights, L = _common_denominator(law.values())
+    acc = [0] * len(values)
+    for weight, table in _gathers(zip(law, weights), n, inverse=False):
+        acc = [s + weight * (v - values[j]) ** 2 for s, v, j in zip(acc, values, table)]
+    return Fraction(max(acc), 2 * L * D * D)
+
+
+def kernel_matrix(law: dict[int, Fraction], n: int) -> np.ndarray:
+    """Dense K(x, y) = q(x^-1 y), each weight rounded once to a float;
+    symmetric whenever q is."""
+    _guard(n, MAX_DENSE_N, "dense operator matrices")
     import numpy as np
 
-    sums = position_weighted_sums(n)
-    vals = np.array([-n + 4.0 * s / (n - 1) ** 2 for s in sums])
-    return GroupFunction(n, vals)
-
-
-def eigenfunction_residual(f: GroupFunction, q: GroupDistribution, beta: float) -> float:
-    """max_x |(f*q)(x) - beta f(x)|; ~0 certifies the eigenpair."""
-    if f.n != q.n:
-        raise ValueError("degree mismatch")
-    conv = convolve(f.values, q)
-    return float(abs(conv - beta * f.values).max())
-
-
-def square_gradient_sup(f: GroupFunction, q: GroupDistribution) -> float:
-    """sup_x (1/2) sum_y |f(x) - f(y)|^2 K(x, y) with K(x, y) = q(x^-1 y)."""
-    if f.n != q.n:
-        raise ValueError("degree mismatch")
-    acc = f.values * 0.0
-    for table, w in _support_maps(q, inverse=False):
-        acc += w * (f.values - f.values[table]) ** 2
-    return float(acc.max()) / 2.0
-
-
-def kernel_matrix(q: GroupDistribution) -> np.ndarray:
-    """Dense K(x, y) = q(x^-1 y); symmetric whenever q is."""
-    _guard(q.n, MAX_DENSE_N, "dense operator matrices")
-    import numpy as np
-
-    size = math.factorial(q.n)
-    K = np.zeros((size, size))
-    rows = np.arange(size)
-    for table, w in _support_maps(q, inverse=False):
-        K[rows, table] += w
+    K = np.zeros((math.factorial(n),) * 2)
+    rows = np.arange(len(K))
+    for w, table in _gathers(law.items(), n, inverse=False):
+        K[rows, table] += float(w)
     return K
 
 
-def operator_eigenvalues(q: GroupDistribution) -> np.ndarray:
+def operator_eigenvalues(law: dict[int, Fraction], n: int) -> np.ndarray:
     """All n! eigenvalues of convolution by q, descending.  q must be
-    symmetric, q(x) = q(x^-1), which is checked on the measure: then its one
+    symmetric, q(x) = q(x^-1), which is checked on the law: then its one
     dense matrix is symmetric, and no second n! x n! array is made."""
-    perms, index = _perm_data(q.n)
-    if any(q.values[index[invert(perms[i])]] != q.values[i] for i in q.support()):
+    perms = all_permutations(n)
+    if any(law.get(perm_index(invert(perms[y]))) != w for y, w in law.items()):
         raise ValueError("operator_eigenvalues needs a symmetric measure, q(x) = q(x^-1)")
     import numpy as np
 
-    return np.linalg.eigvalsh(kernel_matrix(q))[::-1]
+    return np.linalg.eigvalsh(kernel_matrix(law, n))[::-1]
 
 
-def comparison_gap(q: GroupDistribution, q_tilde: GroupDistribution, a: float) -> float:
+def comparison_gap(law: dict[int, Fraction], law_tilde: dict[int, Fraction], n: int,
+                   a: float) -> float:
     """Minimum eigenvalue of the quadratic form a*E_q - E_{q_tilde}.
 
     A non-negative value certifies E_{q_tilde} <= a * E_q.  Both Dirichlet
     forms are taken with the uniform reversible measure, i.e. the form matrix
     of E_p is (I - K_p)/|G|.
     """
-    if q.n != q_tilde.n:
-        raise ValueError("degree mismatch")
-    _guard(q.n, MAX_DENSE_N, "comparison-form eigenproblems")
+    _guard(n, MAX_DENSE_N, "comparison-form eigenproblems")
     import numpy as np
 
-    size = math.factorial(q.n)
+    size = math.factorial(n)
     eye = np.eye(size)
-    form = (a * (eye - kernel_matrix(q)) - (eye - kernel_matrix(q_tilde))) / size
+    form = (a * (eye - kernel_matrix(law, n)) - (eye - kernel_matrix(law_tilde, n))) / size
     vals = np.linalg.eigvalsh((form + form.T) / 2.0)
     return float(vals[0])
 
@@ -554,10 +507,10 @@ _ORACLE_TOL = 1e-8
 
 def check_oracle_ns(ns: range) -> None:
     """Raise unless the oracle suite runs at every n of the non-empty range
-    ``ns``: 2 <= n <= MAX_DENSE_N."""
+    ``ns``: 2 <= n <= MAX_ORACLE_N."""
     if ns[0] < 2:
         raise ValueError(f"--n must be at least 2 for the oracle suite, got {ns[0]}")
-    _guard(ns[-1], MAX_DENSE_N, "oracle verification")
+    _guard(ns[-1], MAX_ORACLE_N, "oracle verification")
 
 
 def oracle_checks(n: int, prec: int) -> list[bounds.BoundReport]:

@@ -9,6 +9,7 @@ The corresponding true statements are covered green in the module suites.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -34,8 +35,8 @@ def measure(walk: str, n: int):
 
 
 def oracle_measure(walk: str, n: int):
-    """The brute-force per-element measure of a walk string at n."""
-    return go.element_measure(WalkSpec.parse(walk), n)
+    """The brute-force per-element measure of a walk string at n: its exact step law."""
+    return go.step_law(WalkSpec.parse(walk), n)
 
 
 def report(name: str, ok: bool, detail: str = "") -> bool:
@@ -115,7 +116,7 @@ def _acc5_walk(exact, n: int, walk: str) -> float:
     """Worst absolute disagreement between definitional and spectral values."""
     # ttr, ri: no class-function spectrum
     spec = spectrum(*measure(walk, n)) if walk not in ("ttr", "ri") else None
-    eig = go.operator_eigenvalues(oracle_measure(walk, n)) if walk == "ttr" else None
+    eig = go.operator_eigenvalues(oracle_measure(walk, n), n) if walk == "ttr" else None
     worst = 0.0
     laws = exact(walk, n, range(21))
     for t, (chi2, tv) in enumerate(zip(laws.distances(), laws.distances(tv_of))):
@@ -198,24 +199,25 @@ def test_criterion_07_technical_lemma_sweeps():
 def test_criterion_08_eigenfunction_certificates():
     ok_phi = ok_ttr = ok_wilson_res = ok_wilson_sum = ok_grad = True
     for n in (4, 5, 6, 7):
+        # exact residuals: a true eigenpair gives exactly 0
         qrt = oracle_measure("rt", n)
-        if go.eigenfunction_residual(go.fixed_points_minus_one(n), qrt, 1 - 2 / n) > 1e-12:
+        if go.eigenfunction_residual(go.fixed_points_minus_one(n), qrt, n, Fraction(n - 2, n)) != 0:
             ok_phi = False
         qttr = oracle_measure("ttr", n)
-        f_ttr = go.ttr_remark_eigenfunction(n)
-        if go.eigenfunction_residual(f_ttr, qttr, 1 - 1 / n) > 1e-12:
+        g_ttr = go.ttr_remark_eigenfunction(n)  # f = sqrt((n-1)/(n-2)) g
+        if go.eigenfunction_residual(g_ttr, qttr, n, Fraction(n - 1, n)) != 0:
             ok_ttr = False
-        if abs(f_ttr.values[0] ** 2 - (n - 1) * (n - 2)) > 1e-9:
+        if g_ttr[0] ** 2 * Fraction(n - 1, n - 2) != (n - 1) * (n - 2):
             ok_ttr = False
         qri = oracle_measure("ri", n)
         f_w = go.ri_wilson_function(n)
-        if go.eigenfunction_residual(f_w, qri, 1 - 1 / n) > 1e-12:
+        if go.eigenfunction_residual(f_w, qri, n, Fraction(n - 1, n)) != 0:
             ok_wilson_res = False
         # exact integer form of sum f^2 = n! n^2/(n-1): scale by (n-1)^4
         total = sum((-n * (n - 1) ** 2 + 4 * s) ** 2 for s in go.position_weighted_sums(n))
         if total != math.factorial(n) * n * n * (n - 1) ** 3:
             ok_wilson_sum = False
-        if go.square_gradient_sup(f_w, qri) > 32.0:
+        if go.square_gradient_sup(f_w, qri, n) > 32:
             ok_grad = False
     report("8 certificates [phi-1 @ rt, 1-2/n]", ok_phi)
     report("8 certificates [ttr remark, 1-1/n, f(e)^2]", ok_ttr)
@@ -236,8 +238,8 @@ def test_criterion_09_comparison_certificate():
     for n in (4, 5):
         qri = oracle_measure("ri", n)
         qrt = oracle_measure("rt", n)
-        worst_transfer = min(worst_transfer, go.comparison_gap(qri, qrt, 4.0))
-        worst_literal = min(worst_literal, go.comparison_gap(qrt, qri, 4.0))
+        worst_transfer = min(worst_transfer, go.comparison_gap(qri, qrt, n, 4.0))
+        worst_literal = min(worst_literal, go.comparison_gap(qrt, qri, n, 4.0))
     ok = worst_transfer >= -1e-10 and worst_literal >= -1e-10
     assert report(
         "9 comparison",

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-import numpy as np
 import pytest
+
+import symwalk
 
 from symwalk import group_oracle as go
 from symwalk.distances import l2_curve
@@ -10,8 +15,8 @@ from symwalk.group_oracle import chi_square_of, tv_of
 from symwalk.walks import WalkSpec
 
 
-def measure(walk: str, n: int) -> go.GroupDistribution:
-    return go.element_measure(WalkSpec.parse(walk), n)
+def measure(walk: str, n: int) -> dict[int, Fraction]:
+    return go.step_law(WalkSpec.parse(walk), n)
 
 
 def test_enumeration_is_lexicographic_with_identity_first():
@@ -30,58 +35,51 @@ def test_composition_convention():
     assert go.cycle_type_of((1, 2, 0, 3)) == (3, 1)
 
 
-def test_translation_maps_equal_the_compose_loop():
-    for n in range(1, 7):
-        perms = go.all_permutations(n)
-        for s in perms:
-            expected = [go.perm_index(go.compose(x, s)) for x in perms]
-            assert go._translation_map(n, s).tolist() == expected, (n, s)
-
-
 def test_ttr_measure():
     q = measure("ttr", 4)
     perms = go.all_permutations(4)
     expected = {(0, 1, 2, 3), (1, 0, 2, 3), (2, 1, 0, 3), (3, 1, 2, 0)}
-    for p, v in zip(perms, q.values):
-        assert v == (float(Fraction(1, 4)) if p in expected else 0)
+    assert {perms[x] for x in q} == expected
+    assert all(w == Fraction(1, 4) for w in q.values())
 
 
 def test_ri_measure():
     q = measure("ri", 4)
-    assert q.values[0] == float(Fraction(1, 4))  # identity mass 1/n
-    assert q.total() == 1
+    assert q[0] == Fraction(1, 4)  # identity mass 1/n
+    assert sum(q.values()) == 1
     # c_{1,3} in 1-based positions is the 3-cycle sending 1->3, 3->2, 2->1
     c = go.insertion_cycle(4, 0, 2)
     assert c == (2, 0, 1, 3)
-    assert q.values[go.perm_index(c)] == float(Fraction(1, 16))
+    assert q[go.perm_index(c)] == Fraction(1, 16)
     # adjacent insertions coincide with transpositions and get 2/n^2
     adj = go.insertion_cycle(4, 1, 2)
     assert go.cycle_type_of(adj) == (2, 1, 1)
-    assert q.values[go.perm_index(adj)] == float(Fraction(2, 16))
+    assert q[go.perm_index(adj)] == Fraction(2, 16)
 
 
 def test_rt_measure_element_level():
     q = measure("rt", 5)
-    assert q.values[0] == float(Fraction(1, 5))
+    assert q[0] == Fraction(1, 5)
     tau = (1, 0, 2, 3, 4)
-    assert q.values[go.perm_index(tau)] == float(Fraction(2, 25))
+    assert q[go.perm_index(tau)] == Fraction(2, 25)
 
 
 def test_class_measure_element_level():
     q = measure("class:3", 5)
-    support = [v for v in q.values if v != 0]
-    assert len(support) == 20 and all(v == float(Fraction(1, 20)) for v in support)
+    assert len(q) == 20 and all(w == Fraction(1, 20) for w in q.values())
     with pytest.raises(ValueError):
         measure("class:6", 5)  # does not fit in S_5
 
 
 def test_lazy_weights_are_correctly_rounded():
-    # hold 1/3 on e and (2/3)/8 = 1/12 on each 3-cycle of S_4, each rounded once
+    # hold 1/3 on e and (2/3)/8 = 1/12 on each 3-cycle of S_4, exact in the
+    # law and each rounded once in the dense operator, whose row at e is q
     # (mixing a rounded 1/8 with a rounded 2/3 gives 0.08333333333333334)
     q = measure("lazy:3:1/3", 4)
-    for p, v in zip(go.all_permutations(4), q.values):
+    row = go.kernel_matrix(q, 4)[0]
+    for x, p in enumerate(go.all_permutations(4)):
         exact = {(1, 1, 1, 1): Fraction(1, 3), (3, 1): Fraction(1, 12)}.get(go.cycle_type_of(p), 0)
-        assert v == float(exact), p
+        assert q.get(x, 0) == exact and row[x] == float(exact), p
 
 
 def test_convolution_power_basics():
@@ -94,9 +92,10 @@ def test_convolution_power_basics():
     assert sum(size * v for size, v in zip(orbits.sizes, powers[5])) == L**5
 
 
-def test_convolution_exact_matches_float():
+def test_convolve_equals_the_compose_loop():
     # f*q(x) = sum_y f(x y^-1) q(y) in exact rationals, built with compose
-    # and invert only, so it shares no translation table with the oracle
+    # and invert only, so it shares no translation table with the oracle;
+    # convolve gives L (f*q) with L = 4, so six steps give 4^6 q^(6)
     n = 4
     perms = go.all_permutations(n)
     q = {perms[0]: Fraction(1, n)}
@@ -108,12 +107,10 @@ def test_convolution_exact_matches_float():
     for _ in range(6):
         exact = {x: sum(exact[go.compose(x, go.invert(y))] * w for y, w in q.items())
                  for x in perms}
-    dense = np.zeros(len(perms))
-    dense[0] = 1.0
+    dense = [1] + [0] * (len(perms) - 1)
     for _ in range(6):
-        dense = go.convolve(dense, measure("ttr", n))
-    for x, b in zip(perms, dense):
-        assert float(exact[x]) == pytest.approx(b, abs=1e-14)
+        dense = go.convolve(dense, measure("ttr", n), n)
+    assert [exact[x] * 4**6 for x in perms] == dense
 
 
 def test_odd_class_walk_alternates_cosets(exact):
@@ -140,29 +137,32 @@ def test_eigenfunction_certificates():
     for n in (4, 5, 6):
         qrt = measure("rt", n)
         f = go.fixed_points_minus_one(n)
-        assert go.eigenfunction_residual(f, qrt, 1 - 2 / n) < 1e-12
-        const = go.GroupFunction(n, np.ones(math.factorial(n)))
-        assert go.eigenfunction_residual(const, qrt, 1.0) < 1e-15
+        assert go.eigenfunction_residual(f, qrt, n, Fraction(n - 2, n)) == 0
+        assert go.eigenfunction_residual([1] * math.factorial(n), qrt, n, 1) == 0
 
         qttr = measure("ttr", n)
         g = go.ttr_remark_eigenfunction(n)
-        assert go.eigenfunction_residual(g, qttr, 1 - 1 / n) < 1e-12
-        assert g.values[0] ** 2 == pytest.approx((n - 1) * (n - 2), rel=1e-12)
-        # the remark function is normalized in l2(u)
-        assert np.mean(g.values**2) == pytest.approx(1.0, rel=1e-12)
+        assert go.eigenfunction_residual(g, qttr, n, Fraction(n - 1, n)) == 0
+        # f = sqrt((n-1)/(n-2)) g has f(e)^2 = (n-1)(n-2) and is normalized
+        # in l2(u): the mean of f^2 is 1
+        scale = Fraction(n - 1, n - 2)
+        assert g[0] ** 2 * scale == (n - 1) * (n - 2)
+        assert sum(v * v for v in g) * scale == math.factorial(n)
 
 
 def test_wilson_function_true_eigenpair():
     # The insertion transform does map v_i = 1 - 2i/(n-1) to a multiple of
     # itself, but the exact eigenvalue is (n+1)(n-2)/n^2, not the often
     # quoted 1 - 1/n (off by 2/n^2; both assertions below pin this down).
+    # At the quoted value the residual is 2/n^2 max|f| = 2/n^2 f(e), with
+    # f(e) = n(n+1)/(3(n-1)).
     for n in (4, 5, 6, 7):
         qri = measure("ri", n)
         f = go.ri_wilson_function(n)
-        beta = (n + 1) * (n - 2) / n**2
-        assert go.eigenfunction_residual(f, qri, beta) < 1e-12
-        assert go.eigenfunction_residual(f, qri, 1 - 1 / n) > 1e-3  # quoted value fails
-        assert go.square_gradient_sup(f, qri) <= 32.0
+        assert go.eigenfunction_residual(f, qri, n, Fraction((n + 1) * (n - 2), n**2)) == 0
+        quoted = go.eigenfunction_residual(f, qri, n, Fraction(n - 1, n))
+        assert quoted == Fraction(2 * (n + 1), 3 * n * (n - 1))  # quoted value fails
+        assert go.square_gradient_sup(f, qri, n) <= 32
 
 
 def test_wilson_sum_of_squares_exact():
@@ -173,15 +173,14 @@ def test_wilson_sum_of_squares_exact():
         total = sum((-n * (n - 1) ** 2 + 4 * s) ** 2 for s in sums)
         assert total * 9 == math.factorial(n) * n * n * (n + 1) ** 2 * (n - 1)
         f = go.ri_wilson_function(n)
-        assert float(np.sum(f.values**2)) == pytest.approx(total / (n - 1) ** 4, rel=1e-9)
+        assert sum(v * v for v in f) == Fraction(total, (n - 1) ** 4)
 
 
 def test_square_gradient_constant_and_rt():
     q = measure("rt", 5)
-    const = go.GroupFunction(5, np.full(120, 3.7))
-    assert go.square_gradient_sup(const, q) == 0.0
+    assert go.square_gradient_sup([Fraction(37, 10)] * 120, q, 5) == 0
     f = go.fixed_points_minus_one(5)
-    assert go.square_gradient_sup(f, q) > 0.0  # finite, informational
+    assert go.square_gradient_sup(f, q, 5) > 0  # finite, informational
 
 
 def test_dirichlet_form_and_comparison():
@@ -189,9 +188,9 @@ def test_dirichlet_form_and_comparison():
         qri = measure("ri", n)
         qrt = measure("rt", n)
         # E_rt <= 4 E_ri certifies the insertion-vs-transposition transfer
-        assert go.comparison_gap(qri, qrt, 4.0) >= -1e-10
+        assert go.comparison_gap(qri, qrt, n, 4.0) >= -1e-10
         # reported only: whether the constant is already tight at desk scale
-        gap_35 = go.comparison_gap(qri, qrt, 3.5)
+        gap_35 = go.comparison_gap(qri, qrt, n, 3.5)
         assert isinstance(gap_35, float)
 
 
@@ -218,23 +217,56 @@ def test_resource_guards():
     with pytest.raises(go.ResourceGuardError):
         go.oracle_checks(7, 53)
     with pytest.raises(go.ResourceGuardError):
-        go.kernel_matrix(measure("rt", 7))
+        go.kernel_matrix(measure("rt", 7), 7)
+    with pytest.raises(go.ResourceGuardError):
+        go.convolve([1], {0: Fraction(1)}, 9)
+
+
+def test_perm_index_is_guarded_before_listing_the_group(monkeypatch):
+    def listing(n):
+        raise AssertionError(f"listed S_{n}")
+
+    monkeypatch.setattr(go, "_perm_data", listing)
+    with pytest.raises(go.ResourceGuardError, match="capped at n <= 8, got n = 9"):
+        go.perm_index(tuple(range(9)))
+
+
+def test_exact_references_load_no_numpy():
+    # the exact dense references run on Python integers; only the eigensolver
+    # references (kernel_matrix, operator_eigenvalues, comparison_gap) load numpy
+    src = str(Path(symwalk.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys; from fractions import Fraction; from symwalk import group_oracle as go; "
+        "from symwalk.walks import WalkSpec; "
+        "rt, ttr, ri = (go.step_law(WalkSpec(w), 5) for w in ('rt', 'ttr', 'ri')); "
+        "assert go.convolve([1] + [0] * 119, ri, 5) == [25 * ri.get(x, 0) for x in range(120)]; "
+        "triples = ((go.fixed_points_minus_one(5), rt, Fraction(3, 5)), "
+        "(go.ttr_remark_eigenfunction(5), ttr, Fraction(4, 5)), "
+        "(go.ri_wilson_function(5), ri, Fraction(18, 25))); "
+        "assert all(go.eigenfunction_residual(f, law, 5, beta) == 0 for f, law, beta in triples); "
+        "f = go.ri_wilson_function(5); "
+        "assert 0 < go.square_gradient_sup(f, ri, 5) <= 32; "
+        "print(sorted(m for m in ('numpy',) if m in sys.modules))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_operator_spectrum_odd_class_has_minus_one():
-    vals = go.operator_eigenvalues(measure("class:2", 4))
+    vals = go.operator_eigenvalues(measure("class:2", 4), 4)
     assert vals[-1] == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_operator_eigenvalues_rejects_a_non_symmetric_measure():
     # all mass on the 3-cycle x = (0 1 2), whose inverse carries none: q(x) != q(x^-1)
-    q = go.GroupDistribution(3, np.zeros(6))
-    q.values[go.perm_index((1, 2, 0))] = 1.0
+    x, inverse = go.perm_index((1, 2, 0)), go.perm_index((2, 0, 1))
     with pytest.raises(ValueError, match="symmetric measure"):
-        go.operator_eigenvalues(q)
+        go.operator_eigenvalues({x: Fraction(1)}, 3)
     # a symmetric one goes through: both 3-cycles, half each
-    q.values[go.perm_index((2, 0, 1))] = q.values[go.perm_index((1, 2, 0))] = 0.5
-    assert go.operator_eigenvalues(q)[0] == pytest.approx(1.0)
+    assert go.operator_eigenvalues({x: Fraction(1, 2), inverse: Fraction(1, 2)}, 3)[0] == (
+        pytest.approx(1.0))
 
 
 def _cycle_length_through_0(p):
@@ -292,8 +324,9 @@ def test_law_orbits_equal_the_closure_under_every_fixing_candidate(walk):
 
 @pytest.mark.parametrize("walk", go.ORACLE_WALKS)
 def test_orbit_powers_are_the_exact_convolution_powers(walk):
-    # expanded to elements, L^t q^(t) over the orbits is the dense float law;
-    # it sums to exactly L^t, and its exact chi-square is the spectral d2^2
+    # expanded to elements, L^t q^(t) over the orbits is the dense exact
+    # power; it sums to exactly L^t, and its exact chi-square is the spectral
+    # d2^2
     spec = WalkSpec.parse(walk)
     for n in range(2, 7):
         if sum(spec.cycles) > n:
@@ -301,17 +334,14 @@ def test_orbit_powers_are_the_exact_convolution_powers(walk):
         law = go.step_law(spec, n)
         orbits = go.law_orbits(law, n)
         powers, L = go.orbit_powers(law, orbits, 12)
-        q = go.element_measure(spec, n)
         d2 = l2_curve(spec.blocks(n), range(13), "discrete", 256)
         g = math.factorial(n)
-        ref = np.zeros(g)
-        ref[0] = 1.0
+        ref = [1] + [0] * (g - 1)
         for t, f in enumerate(powers):
             den = L**t
             assert sum(size * v for size, v in zip(orbits.sizes, f)) == den, (walk, n, t)
-            expanded = np.array([f[o] / den for o in orbits.of])
-            assert np.max(np.abs(expanded - ref)) <= 1e-15, (walk, n, t)
-            ref = go.convolve(ref, q)
+            assert [f[o] for o in orbits.of] == ref, (walk, n, t)
+            ref = go.convolve(ref, law, n)
             exact = Fraction(sum(size * (g * v - den) ** 2 for size, v in zip(orbits.sizes, f)),
                              g * den * den)
             spectral = Fraction(d2[t].man ** 2) * Fraction(2) ** (2 * d2[t].exp)

@@ -197,7 +197,7 @@ def expanded_eigenvalues(spec):
 def test_spectrum_matches_brute_force_operator(rt_spectrum):
     for n in range(2, 7):
         expanded = expanded_eigenvalues(rt_spectrum(n))
-        brute = go.operator_eigenvalues(go.element_measure(WalkSpec("rt"), n))
+        brute = go.operator_eigenvalues(go.step_law(WalkSpec("rt"), n), n)
         assert np.max(np.abs(expanded - brute)) < 1e-9
 
 
@@ -206,7 +206,7 @@ def test_spectrum_matches_brute_force_operator_n7(monkeypatch):
     # one past the oracle's dense size guard
     monkeypatch.setattr(go, "MAX_DENSE_N", 7)
     expanded = expanded_eigenvalues(spectrum(*measure("rt", 7)))
-    brute = go.operator_eigenvalues(go.element_measure(WalkSpec("rt"), 7))
+    brute = go.operator_eigenvalues(go.step_law(WalkSpec("rt"), 7), 7)
     assert np.max(np.abs(expanded - brute)) < 1e-9
 
 
@@ -217,7 +217,7 @@ EXACT_SOURCES = {"ttr": ttr_blocks, "ri": ri_blocks}
 def test_ttr_ri_blocks_match_brute_force_operator(walk):
     for n in range(2, 7):
         blocks = EXACT_SOURCES[walk](n)
-        brute = go.operator_eigenvalues(go.element_measure(WalkSpec(walk), n))
+        brute = go.operator_eigenvalues(go.step_law(WalkSpec(walk), n), n)
         assert np.max(np.abs(expanded_eigenvalues(blocks) - brute)) < 1e-12, (walk, n)
 
 
