@@ -27,20 +27,17 @@ exact integer vector over the orbits.
 over orbit values and sizes (a dense distribution is the case where every
 size is 1), exact and rounded once.
 
-The tests' dense references read the same ``step_law``: ``convolve`` and
-the eigenfunction checks are exact, in integers, so a true eigenpair has
-residual exactly 0; ``kernel_matrix``, ``operator_eigenvalues`` and
-``comparison_gap`` build one float64 matrix from the weights, each rounded
-once, and alone load the array library, when called.
-
-Size guards (n! growth) raise ResourceGuardError before any work: laws
-and exact references at n <= 8 (MAX_MEASURE_N), dense matrices at n <= 6
-(MAX_DENSE_N) and the oracle suite at n <= 6 (MAX_ORACLE_N).
+The tests' references read the same ``step_law`` and are exact, with no
+tolerance: ``convolve``, the eigenfunction checks (residual exactly 0 on a
+true eigenpair), ``certify_blocks`` (claimed blocks against the orbit powers)
+and ``form_dominates`` (Dirichlet forms by fraction-free elimination).  The
+module imports no numpy.  Size guards (n! growth) raise ResourceGuardError
+before any work: listings, laws and references at n <= 8 (MAX_MEASURE_N),
+the oracle suite and the n! x n! form matrix at n <= 6 (MAX_ORACLE_N).
 
 ``oracle_checks`` gives the rows of ``verify --suite oracle`` and owns the
-suite's walks, times, tolerance and size cap.  Each row checks the walk's
-exact blocks, ``WalkSpec.blocks``, against the exact orbit powers: no row
-solves a dense eigenproblem.
+suite's walks, times, tolerance and size cap: each row checks the walk's
+exact blocks, ``WalkSpec.blocks``, against the exact orbit powers.
 """
 
 from __future__ import annotations
@@ -50,21 +47,17 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter, mul
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import bounds, distances, walks
 from .characters import CycleType, class_size
 from .errors import ResourceGuardError  # re-exported: callers catch it from here
 
-if TYPE_CHECKING:
-    import numpy as np
-
 Perm = tuple[int, ...]
 
 MAX_MEASURE_N = 8
-MAX_DENSE_N = 6
-#: the oracle suite builds no dense matrix: at n = 7 its orbit closures and
-#: powers take about 0.6 s, 0.5 s of it ri (Python 3.11, 2-CPU x86_64)
+#: the oracle suite, and the form comparison's n! x n! matrix: at n = 7 the suite's
+#: orbit closures and powers take about 0.6 s, 0.5 s of it ri (Python 3.11, 2-CPU x86_64)
 MAX_ORACLE_N = 6
 #: every continuous-time law drops a Poisson tail of less than this mass
 POISSON_TAIL = 1e-14
@@ -97,15 +90,18 @@ def _perm_data(n: int) -> tuple[tuple[Perm, ...], dict[Perm, int]]:
     return perms, index
 
 
+def _listing(n: int) -> tuple[tuple[Perm, ...], dict[Perm, int]]:
+    _guard(n, MAX_MEASURE_N, "permutation enumeration")
+    return _perm_data(n)
+
+
 def all_permutations(n: int) -> tuple[Perm, ...]:
     """All of S_n in Lehmer-code (lexicographic one-line) order."""
-    _guard(n, MAX_MEASURE_N, "permutation enumeration")
-    return _perm_data(n)[0]
+    return _listing(n)[0]
 
 
 def perm_index(p: Perm) -> int:
-    _guard(len(p), MAX_MEASURE_N, "permutation enumeration")
-    return _perm_data(len(p))[1][tuple(p)]
+    return _listing(len(p))[1][tuple(p)]
 
 
 def compose(s: Perm, t: Perm) -> Perm:
@@ -167,9 +163,8 @@ def step_law(walk: walks.WalkSpec, n: int) -> dict[int, Fraction]:
     ordered pair, which folds to 1/n on e and 2/n^2 on the adjacent
     (transposition) cycles.
     """
-    _guard(n, MAX_MEASURE_N, "per-element measures")
+    perms, index = _listing(n)
     walk.check_n(n)
-    perms, index = _perm_data(n)
     acc: dict[int, Fraction] = {}
 
     def add(p: Perm, w: Fraction) -> None:
@@ -224,7 +219,7 @@ def _conjugation(h: Perm):
 def _orbits(n: int, generators: tuple[Perm, ...]) -> Orbits:
     """The orbits of conjugation x -> h x h^-1 by the group the generators
     generate, each closed from its first element and numbered in order."""
-    perms, index = _perm_data(n)
+    perms, index = _listing(n)
     conjugations = [_conjugation(h) for h in generators]
     of, reps, sizes = [-1] * len(perms), [], []
     for i, p in enumerate(perms):
@@ -263,7 +258,7 @@ def law_orbits(law: dict[int, Fraction], n: int) -> Orbits:
     reversal w0 (p -> n-1-p).  A class walk is fixed by all of them and gets
     the conjugacy classes, ttr the top stabiliser's orbits and ri the pairs
     {x, w0 x w0}."""
-    perms, index = _perm_data(n)
+    perms, index = _listing(n)
 
     def fixes(h: Perm) -> bool:
         conjugate = _conjugation(h)
@@ -286,7 +281,7 @@ def orbit_powers(law: dict[int, Fraction], orbits: Orbits,
     is (f*q)(x) = sum_y q(y) f(x y^-1) at every representative x, from one
     table built here of the orbits of the x y^-1, the weights L q(y) of the
     y that land in one orbit summed into one integer coefficient."""
-    perms, index = _perm_data(orbits.n)
+    perms, index = _listing(orbits.n)
     of = orbits.of
     if any(law.get(x) != law.get(orbits.reps[of[x]]) for x in range(len(of))):
         raise ValueError(f"the step law is not constant on the orbits in S_{orbits.n}")
@@ -362,14 +357,13 @@ def tv_of(values, sizes=None, den: int = 1, normalized: bool = True) -> float:
 
 
 # ---------------------------------------------------------------------------
-# dense references for the tests: exact on elements, one float64 matrix
+# the tests' references: exact, in integers
 # ---------------------------------------------------------------------------
 
 def _gathers(weights, n: int, inverse: bool) -> list[tuple[object, list[int]]]:
     """Pairs (w, table) for the pairs (y, w) of ``weights``: table[x] is
     idx(x y^-1) with ``inverse`` and idx(x y) without."""
-    _guard(n, MAX_MEASURE_N, "dense references")
-    perms, index = _perm_data(n)
+    perms, index = _listing(n)
     return [(w, [index[x] for x in map(_times(invert(perms[y]) if inverse else perms[y]), perms)])
             for y, w in weights]
 
@@ -451,47 +445,53 @@ def square_gradient_sup(f: list, law: dict[int, Fraction], n: int) -> Fraction:
     return Fraction(max(acc), 2 * L * D * D)
 
 
-def kernel_matrix(law: dict[int, Fraction], n: int) -> np.ndarray:
-    """Dense K(x, y) = q(x^-1 y), each weight rounded once to a float;
-    symmetric whenever q is."""
-    _guard(n, MAX_DENSE_N, "dense operator matrices")
-    import numpy as np
-
-    K = np.zeros((math.factorial(n),) * 2)
-    rows = np.arange(len(K))
-    for w, table in _gathers(law.items(), n, inverse=False):
-        K[rows, table] += float(w)
-    return K
-
-
-def operator_eigenvalues(law: dict[int, Fraction], n: int) -> np.ndarray:
-    """All n! eigenvalues of convolution by q, descending.  q must be
-    symmetric, q(x) = q(x^-1), which is checked on the law: then its one
-    dense matrix is symmetric, and no second n! x n! array is made."""
-    perms = all_permutations(n)
-    if any(law.get(perm_index(invert(perms[y]))) != w for y, w in law.items()):
-        raise ValueError("operator_eigenvalues needs a symmetric measure, q(x) = q(x^-1)")
-    import numpy as np
-
-    return np.linalg.eigvalsh(kernel_matrix(law, n))[::-1]
+def certify_blocks(law: dict[int, Fraction], n: int, blocks) -> bool:
+    """Whether the blocks (beta, m) and the trivial 1 are the whole spectrum
+    of convolution by q, symmetric (else ValueError), exactly.  Each b = L beta
+    (L the weights' common denominator) is an integer; p(y) = prod_b (y - b)
+    has p(L K) q^(0) = 0, so p(L K) = 0 (q^(0)'s translates span), and
+    n! L^k q^(k)(e) = tr (L K)^k = sum_b m_b b^k, k <= len(blocks), fixes the m_b."""
+    perms, index = _listing(n)
+    if any(law.get(index[invert(perms[y])]) != w for y, w in law.items()):
+        raise ValueError("certify_blocks needs a symmetric measure, q(x) = q(x^-1)")
+    powers, L = orbit_powers(law, law_orbits(law, n), len(blocks) + 1)
+    spectrum = [(L * Fraction(beta), m) for beta, m in ((1, 1), *blocks)]
+    if any(b.denominator != 1 for b, _ in spectrum):
+        return False
+    coefficients = [1]  # of prod (y - b), lowest degree first
+    for b, _ in spectrum:
+        coefficients = [s - b.numerator * c for s, c in zip([0, *coefficients], [*coefficients, 0])]
+    traces = [sum(m * b.numerator**k for b, m in spectrum) for k in range(len(spectrum))]
+    return (not any(sum(map(mul, coefficients, column)) for column in zip(*powers))
+            and traces == [math.factorial(n) * f[0] for f in powers[:-1]])  # e is orbit 0
 
 
-def comparison_gap(law: dict[int, Fraction], law_tilde: dict[int, Fraction], n: int,
-                   a: float) -> float:
-    """Minimum eigenvalue of the quadratic form a*E_q - E_{q_tilde}.
-
-    A non-negative value certifies E_{q_tilde} <= a * E_q.  Both Dirichlet
-    forms are taken with the uniform reversible measure, i.e. the form matrix
-    of E_p is (I - K_p)/|G|.
-    """
-    _guard(n, MAX_DENSE_N, "comparison-form eigenproblems")
-    import numpy as np
-
-    size = math.factorial(n)
-    eye = np.eye(size)
-    form = (a * (eye - kernel_matrix(law, n)) - (eye - kernel_matrix(law_tilde, n))) / size
-    vals = np.linalg.eigvalsh((form + form.T) / 2.0)
-    return float(vals[0])
+def form_dominates(law: dict[int, Fraction], law_tilde: dict[int, Fraction], n: int, a) -> bool:
+    """Whether a E_q - E_{q~} >= 0, so E_{q~} <= a E_q, for the Dirichlet
+    forms (I - K)/|G|, exactly.  a (I - K_q) - (I - K_{q~}) is the kernel of
+    r = (a - 1) delta_e - a q + q~, and fraction-free (Bareiss) elimination on
+    positive pivots runs on the integer matrix D (r(x^-1 y) + r(y^-1 x))."""
+    _guard(n, MAX_ORACLE_N, "exact form comparisons")
+    a = Fraction(a)
+    r = {y: law_tilde.get(y, 0) - a * law.get(y, 0) for y in {*law, *law_tilde}}
+    r[0] = r.get(0, 0) + a - 1
+    form = [[0] * math.factorial(n) for _ in range(math.factorial(n))]
+    for w, table in _gathers(zip(r, _common_denominator(r.values())[0]), n, inverse=False):
+        for x, y in enumerate(table):
+            form[x][y] += w
+            form[y][x] += w
+    last = 1
+    while form:  # the rows left hold the Schur complement times the last pivot, a positive minor
+        diagonal = [row[i] for i, row in enumerate(form)]
+        p = max(diagonal)
+        if min(diagonal) < 0 or p == 0:  # a zero diagonal passes only if all that is left is 0
+            return min(diagonal) == 0 and not any(map(any, form))
+        k = diagonal.index(p)
+        pivot = form.pop(k)
+        form = [[(p * v - row[k] * u) // last for j, (v, u) in enumerate(zip(row, pivot)) if j != k]
+                for row in form]
+        last = p
+    return True
 
 
 # ---------------------------------------------------------------------------

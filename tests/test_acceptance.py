@@ -11,7 +11,6 @@ The corresponding true statements are covered green in the module suites.
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from mpmath import mp
 
@@ -113,27 +112,20 @@ CONTINUOUS_TIMES = (0.5, 1.0, 2.0, 3.0, 5.0, 8.0, 12.0, 20.0)
 
 
 def _acc5_walk(exact, n: int, walk: str) -> float:
-    """Worst absolute disagreement between definitional and spectral values."""
-    # ttr, ri: no class-function spectrum
-    spec = spectrum(*measure(walk, n)) if walk not in ("ttr", "ri") else None
-    eig = go.operator_eigenvalues(oracle_measure(walk, n), n) if walk == "ttr" else None
+    """Worst absolute disagreement between definitional and spectral values,
+    the spectral side from the walk's blocks, certified exact at n."""
+    spec = WalkSpec.parse(walk)
+    blocks = spec.blocks(n)
+    assert go.certify_blocks(go.step_law(spec, n), n, blocks), (walk, n)
     worst = 0.0
     laws = exact(walk, n, range(21))
     for t, (chi2, tv) in enumerate(zip(laws.distances(), laws.distances(tv_of))):
         assert 2 * tv <= chi2 + TV_SLACK, (walk, n, t)
-        if spec is not None:
-            worst = max(worst, abs(chi2 - float(l2_discrete(spec, t))))
-        elif eig is not None:
-            ref = math.sqrt(float(np.sum(eig[1:] ** (2 * t)))) if t else math.sqrt(len(eig) - 1)
-            worst = max(worst, abs(chi2 - ref))
+        worst = max(worst, abs(chi2 - float(l2_discrete(blocks, t))))
     laws = exact(walk, n, CONTINUOUS_TIMES, "continuous")
     for t, chi2, tv in zip(CONTINUOUS_TIMES, laws.distances(), laws.distances(tv_of)):
         assert 2 * tv <= chi2 + TV_SLACK, (walk, n, t)
-        if spec is not None:
-            worst = max(worst, abs(chi2 - float(l2_continuous(spec, t))))
-        elif eig is not None:
-            ref = math.sqrt(float(np.sum(np.exp(-2 * t * (1 - eig[1:])))))
-            worst = max(worst, abs(chi2 - ref))
+        worst = max(worst, abs(chi2 - float(l2_continuous(blocks, t))))
     return worst
 
 
@@ -234,17 +226,18 @@ def test_criterion_08_eigenfunction_certificates():
 
 
 def test_criterion_09_comparison_certificate():
-    worst_transfer = worst_literal = 0.0
+    # both forms decided exactly, in integers: 4 E_ri - E_rt >= 0 (the
+    # transfer) and 4 E_rt - E_ri >= 0 (the literal statement)
+    transfer = literal = True
     for n in (4, 5):
         qri = oracle_measure("ri", n)
         qrt = oracle_measure("rt", n)
-        worst_transfer = min(worst_transfer, go.comparison_gap(qri, qrt, n, 4.0))
-        worst_literal = min(worst_literal, go.comparison_gap(qrt, qri, n, 4.0))
-    ok = worst_transfer >= -1e-10 and worst_literal >= -1e-10
+        transfer = transfer and go.form_dominates(qri, qrt, n, 4)
+        literal = literal and go.form_dominates(qrt, qri, n, 4)
     assert report(
         "9 comparison",
-        ok,
-        f"min eig 4*E_ri - E_rt = {worst_transfer:.2e}, 4*E_rt - E_ri = {worst_literal:.2e}",
+        transfer and literal,
+        f"exactly at n = 4, 5: 4*E_ri - E_rt >= 0 {transfer}, 4*E_rt - E_ri >= 0 {literal}",
     )
 
 

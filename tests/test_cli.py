@@ -391,19 +391,14 @@ def test_verify_oracle_ttr_ri_check_continuous_time(tmp_path, monkeypatch):
 
 def test_verify_oracle_solves_no_dense_eigenproblem(tmp_path, monkeypatch):
     # every oracle row, ttr and ri included, checks exact blocks against the
-    # orbit powers: no eigensolver and none of the tests' dense references
-    import numpy as np
-
+    # orbit powers: none of the tests' references is reached, and no numpy
+    # is loaded (test_each_command_loads_only_its_layers[verify-oracle])
     from symwalk import group_oracle
-
-    def no_eigensolver(*args, **kwargs):
-        raise AssertionError("dense eigenproblem solved by the oracle suite")
 
     def no_reference(*args, **kwargs):
         raise AssertionError("a test reference reached by the oracle suite")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolver)
-    for reference in ("operator_eigenvalues", "kernel_matrix", "comparison_gap", "convolve"):
+    for reference in ("convolve", "certify_blocks", "form_dominates"):
         monkeypatch.setattr(group_oracle, reference, no_reference)
     out = tmp_path / "oracle.json"
     argv = ["--threads", "1", "verify", "--suite", "oracle", "--n", "2..6", "--out", str(out)]

@@ -72,14 +72,13 @@ def test_class_measure_element_level():
 
 
 def test_lazy_weights_are_correctly_rounded():
-    # hold 1/3 on e and (2/3)/8 = 1/12 on each 3-cycle of S_4, exact in the
-    # law and each rounded once in the dense operator, whose row at e is q
-    # (mixing a rounded 1/8 with a rounded 2/3 gives 0.08333333333333334)
+    # hold 1/3 on e and (2/3)/8 = 1/12 on each 3-cycle of S_4, exactly in
+    # the law, with no rounding (a rounded 1/8 times a rounded 2/3 gives
+    # 0.08333333333333334)
     q = measure("lazy:3:1/3", 4)
-    row = go.kernel_matrix(q, 4)[0]
     for x, p in enumerate(go.all_permutations(4)):
         exact = {(1, 1, 1, 1): Fraction(1, 3), (3, 1): Fraction(1, 12)}.get(go.cycle_type_of(p), 0)
-        assert q.get(x, 0) == exact and row[x] == float(exact), p
+        assert q.get(x, 0) == exact, p
 
 
 def test_convolution_power_basics():
@@ -184,14 +183,15 @@ def test_square_gradient_constant_and_rt():
 
 
 def test_dirichlet_form_and_comparison():
+    # E_rt <= a E_ri, exactly: it holds at a = 7/2 (criterion 09 asserts
+    # a = 4 both ways) and fails at the control a = 1/2
     for n in (4, 5):
-        qri = measure("ri", n)
-        qrt = measure("rt", n)
-        # E_rt <= 4 E_ri certifies the insertion-vs-transposition transfer
-        assert go.comparison_gap(qri, qrt, n, 4.0) >= -1e-10
-        # reported only: whether the constant is already tight at desk scale
-        gap_35 = go.comparison_gap(qri, qrt, n, 3.5)
-        assert isinstance(gap_35, float)
+        qri, qrt = measure("ri", n), measure("rt", n)
+        assert go.form_dominates(qri, qrt, n, Fraction(7, 2)), n
+        assert not go.form_dominates(qri, qrt, n, Fraction(1, 2)), n
+    # the verdict sees the direction: at n = 5, E_rt <= 2 E_ri but not E_ri <= 2 E_rt
+    qri, qrt = measure("ri", 5), measure("rt", 5)
+    assert go.form_dominates(qri, qrt, 5, 2) and not go.form_dominates(qrt, qri, 5, 2)
 
 
 def test_comparison_transfer_inequality(exact):
@@ -217,23 +217,28 @@ def test_resource_guards():
     with pytest.raises(go.ResourceGuardError):
         go.oracle_checks(7, 53)
     with pytest.raises(go.ResourceGuardError):
-        go.kernel_matrix(measure("rt", 7), 7)
+        go.form_dominates({0: Fraction(1)}, {0: Fraction(1)}, 7, 1)
     with pytest.raises(go.ResourceGuardError):
         go.convolve([1], {0: Fraction(1)}, 9)
 
 
 def test_perm_index_is_guarded_before_listing_the_group(monkeypatch):
+    # and so is every other listing: the orbit closures, powers and certificate
     def listing(n):
         raise AssertionError(f"listed S_{n}")
 
     monkeypatch.setattr(go, "_perm_data", listing)
-    with pytest.raises(go.ResourceGuardError, match="capped at n <= 8, got n = 9"):
-        go.perm_index(tuple(range(9)))
+    law, orbits = {0: Fraction(1)}, go.Orbits(9, (), (), ())
+    for call in (lambda: go.perm_index(tuple(range(9))), lambda: go.law_orbits(law, 9),
+                 lambda: go._orbits(9, ()), lambda: go.orbit_powers(law, orbits, 1),
+                 lambda: go.certify_blocks(law, 9, ())):
+        with pytest.raises(go.ResourceGuardError, match="capped at n <= 8, got n = 9"):
+            call()
 
 
 def test_exact_references_load_no_numpy():
-    # the exact dense references run on Python integers; only the eigensolver
-    # references (kernel_matrix, operator_eigenvalues, comparison_gap) load numpy
+    # every reference of group_oracle, the spectrum certificate and the form
+    # comparison included, runs on Python integers: the module loads no numpy
     src = str(Path(symwalk.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
@@ -247,6 +252,10 @@ def test_exact_references_load_no_numpy():
         "assert all(go.eigenfunction_residual(f, law, 5, beta) == 0 for f, law, beta in triples); "
         "f = go.ri_wilson_function(5); "
         "assert 0 < go.square_gradient_sup(f, ri, 5) <= 32; "
+        "assert all(go.certify_blocks(law, 5, WalkSpec(w).blocks(5)) "
+        "for w, law in zip(('rt', 'ttr', 'ri'), (rt, ttr, ri))); "
+        "ri4, rt4 = (go.step_law(WalkSpec(w), 4) for w in ('ri', 'rt')); "
+        "assert go.form_dominates(ri4, rt4, 4, 4) and not go.form_dominates(ri4, rt4, 4, 0.5); "
         "print(sorted(m for m in ('numpy',) if m in sys.modules))"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -254,19 +263,33 @@ def test_exact_references_load_no_numpy():
     assert out.stdout.strip() == "[]"
 
 
-def test_operator_spectrum_odd_class_has_minus_one():
-    vals = go.operator_eigenvalues(measure("class:2", 4), 4)
-    assert vals[-1] == pytest.approx(-1.0, abs=1e-12)
+def test_certified_odd_class_spectrum_has_minus_one():
+    # a transposition walk flips the sign at every step: -1 is certified, exactly
+    blocks = WalkSpec.parse("class:2").blocks(4)
+    assert go.certify_blocks(measure("class:2", 4), 4, blocks)
+    assert min(beta for beta, _ in blocks) == -1
 
 
-def test_operator_eigenvalues_rejects_a_non_symmetric_measure():
+def test_certify_blocks_rejects_a_non_symmetric_measure():
     # all mass on the 3-cycle x = (0 1 2), whose inverse carries none: q(x) != q(x^-1)
     x, inverse = go.perm_index((1, 2, 0)), go.perm_index((2, 0, 1))
     with pytest.raises(ValueError, match="symmetric measure"):
-        go.operator_eigenvalues({x: Fraction(1)}, 3)
-    # a symmetric one goes through: both 3-cycles, half each
-    assert go.operator_eigenvalues({x: Fraction(1, 2), inverse: Fraction(1, 2)}, 3)[0] == (
-        pytest.approx(1.0))
+        go.certify_blocks({x: Fraction(1)}, 3, ())
+    # a symmetric one goes through: both 3-cycles, half each, is the 3-cycle
+    # walk, with the sign's 1 and the standard diagram's -1/2 four times
+    assert go.certify_blocks({x: Fraction(1, 2), inverse: Fraction(1, 2)}, 3,
+                             ((1, 1), (Fraction(-1, 2), 4)))
+
+
+@pytest.mark.parametrize("walk", ("rt", "ttr", "ri", "class:3,2"))
+def test_certificate_fails_on_mutated_blocks(walk):
+    # the n = 7 blocks, each certified, with an eigenvalue shifted by 1/n^2,
+    # one unit of multiplicity moved between two blocks, or one block dropped
+    spec = WalkSpec.parse(walk)
+    law, ((beta, m), (beta2, m2), *rest) = go.step_law(spec, 7), spec.blocks(7)
+    for mutated in ([(beta + Fraction(1, 49), m), (beta2, m2), *rest],
+                    [(beta, m + 1), (beta2, m2 - 1), *rest], [(beta2, m2), *rest]):
+        assert not go.certify_blocks(law, 7, mutated), mutated
 
 
 def _cycle_length_through_0(p):

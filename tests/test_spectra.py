@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from symwalk import characters
@@ -186,39 +185,28 @@ def test_unique_top_eigenvalue_for_generating_classes():
         assert count_top_eigenvalues(measure("rt", n)) == 1
 
 
-def expanded_eigenvalues(spec):
-    """Every eigenvalue of the walk operator, the trivial 1 included, descending."""
-    expanded = [1.0]
-    for beta, m in spec:
-        expanded.extend([float(beta)] * m)
-    return np.array(sorted(expanded, reverse=True))
-
-
 def test_spectrum_matches_brute_force_operator(rt_spectrum):
     for n in range(2, 7):
-        expanded = expanded_eigenvalues(rt_spectrum(n))
-        brute = go.operator_eigenvalues(go.step_law(WalkSpec("rt"), n), n)
-        assert np.max(np.abs(expanded - brute)) < 1e-9
+        assert go.certify_blocks(go.step_law(WalkSpec("rt"), n), n, rt_spectrum(n)), n
 
 
-def test_spectrum_matches_brute_force_operator_n7(monkeypatch):
-    # 5040 x 5040 dense eigendecomposition, the largest direct cross-check,
-    # one past the oracle's dense size guard
-    monkeypatch.setattr(go, "MAX_DENSE_N", 7)
-    expanded = expanded_eigenvalues(spectrum(*measure("rt", 7)))
-    brute = go.operator_eigenvalues(go.step_law(WalkSpec("rt"), 7), 7)
-    assert np.max(np.abs(expanded - brute)) < 1e-9
+def test_spectrum_matches_brute_force_operator_n7():
+    # the largest direct cross-check, one past the oracle suite's size cap
+    assert go.certify_blocks(go.step_law(WalkSpec("rt"), 7), 7, spectrum(*measure("rt", 7)))
+
+
+@pytest.mark.parametrize("walk", (*go.ORACLE_WALKS, "class:2", "class:3,2", "class:2,2",
+                                  "lazy:2:1/3"))
+def test_walk_blocks_are_certified(walk):
+    # the blocks are the whole spectrum of the exact step law's convolution,
+    # eigenvalues and multiplicities, certified from the orbit powers
+    spec = WalkSpec.parse(walk)
+    for n in range(2, 8):
+        if sum(spec.cycles) <= n:
+            assert go.certify_blocks(go.step_law(spec, n), n, spec.blocks(n)), (walk, n)
 
 
 EXACT_SOURCES = {"ttr": ttr_blocks, "ri": ri_blocks}
-
-
-@pytest.mark.parametrize("walk", sorted(EXACT_SOURCES))
-def test_ttr_ri_blocks_match_brute_force_operator(walk):
-    for n in range(2, 7):
-        blocks = EXACT_SOURCES[walk](n)
-        brute = go.operator_eigenvalues(go.step_law(WalkSpec(walk), n), n)
-        assert np.max(np.abs(expanded_eigenvalues(blocks) - brute)) < 1e-12, (walk, n)
 
 
 #: n! q^(2)(e), the return probability in two steps times the group order:
